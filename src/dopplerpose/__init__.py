@@ -27,6 +27,7 @@ from .wavesim import (  # noqa: F401
     InterferenceConfig,
     MirrorPlane,
     ScattererModel,
+    add_interference,
     bistatic_doppler,
     generate_waveform,
     synthesize_reference,

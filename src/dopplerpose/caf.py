@@ -91,16 +91,33 @@ def _check_pair(sur: BasebandSignal, ref: BasebandSignal) -> None:
         raise ValueError(f"signal lengths differ: {len(sur)} vs {len(ref)}")
 
 
+def check_doppler_span(doppler_span_hz, sample_rate_hz: float) -> float:
+    """The Doppler half-span as a float; it must lie in (0, fs/2).
+
+    Inside that range the kept FFT bins -span..+span form an axis symmetric
+    around 0 (the unpaired -fs/2 bin of an even-length FFT is never kept),
+    which every CAF map and spectrogram relies on.
+    """
+    if np.ndim(doppler_span_hz) != 0:
+        raise ValueError(
+            f"doppler_span_hz must be a scalar half-span, got {doppler_span_hz!r}")
+    span = float(doppler_span_hz)
+    if not 0.0 < span < sample_rate_hz / 2.0:
+        raise ValueError(
+            f"doppler_span_hz must be in (0, fs/2) = (0, {sample_rate_hz / 2.0:g}) Hz, "
+            f"got {span:g}")
+    return span
+
+
 def compute_caf(sur: BasebandSignal, ref: BasebandSignal, delay_bins: int,
-                doppler_span_hz: float | tuple[float, float],
-                *, doppler_oversample: int = 1) -> CafMap:
+                doppler_span_hz: float, *, doppler_oversample: int = 1) -> CafMap:
     """CAF(tau, f) = sum_t sur(t) conj(ref(t - tau)) exp(-j 2 pi f t).
 
     Delays are the first `delay_bins` non-negative sample lags; Doppler bins
-    are the FFT frequencies inside `doppler_span_hz` (a half-span scalar or a
-    (min, max) pair). `doppler_oversample` zero-pads the time FFT for finer
-    Doppler spacing; every returned value still equals the direct sum at its
-    grid point.
+    are the FFT frequencies in [-doppler_span_hz, +doppler_span_hz], a
+    half-span in (0, fs/2). `doppler_oversample` zero-pads the time FFT for
+    finer Doppler spacing; every returned value still equals the direct sum
+    at its grid point.
     """
     _check_pair(sur, ref)
     n = len(sur)
@@ -109,12 +126,7 @@ def compute_caf(sur: BasebandSignal, ref: BasebandSignal, delay_bins: int,
     if doppler_oversample < 1:
         raise ValueError("doppler_oversample must be >= 1")
     fs = sur.sample_rate_hz
-    if np.isscalar(doppler_span_hz):
-        f_lo, f_hi = -float(doppler_span_hz), float(doppler_span_hz)
-    else:
-        f_lo, f_hi = map(float, doppler_span_hz)
-    if not f_lo < f_hi:
-        raise ValueError("doppler span must be a non-empty range")
+    span = check_doppler_span(doppler_span_hz, fs)
 
     lags = np.zeros((delay_bins, n), dtype=np.complex128)
     ref_conj = np.conj(ref.samples)
@@ -124,7 +136,7 @@ def compute_caf(sur: BasebandSignal, ref: BasebandSignal, delay_bins: int,
     n_fft = n * doppler_oversample
     spectrum = np.fft.fft(lags, n=n_fft, axis=1)
     freqs = np.fft.fftfreq(n_fft, d=1.0 / fs)
-    keep = np.where((freqs >= f_lo) & (freqs <= f_hi))[0]
+    keep = np.where(np.abs(freqs) <= span)[0]
     order = keep[np.argsort(freqs[keep])]
 
     return CafMap(
@@ -135,8 +147,7 @@ def compute_caf(sur: BasebandSignal, ref: BasebandSignal, delay_bins: int,
     )
 
 
-def self_caf(ref: BasebandSignal, delay_bins: int,
-             doppler_span_hz: float | tuple[float, float],
+def self_caf(ref: BasebandSignal, delay_bins: int, doppler_span_hz: float,
              *, doppler_oversample: int = 1) -> CafMap:
     """Ambiguity of the reference channel against itself (the CLEAN template)."""
     return compute_caf(ref, ref, delay_bins, doppler_span_hz,
@@ -213,7 +224,7 @@ def assemble_spectrogram(cafs, delay_window: tuple[float, float] | None = None) 
 
 def spectrogram_pipeline(sur: BasebandSignal, ref: BasebandSignal, *,
                          cpi_s: float, delay_bins: int,
-                         doppler_span_hz: float | tuple[float, float],
+                         doppler_span_hz: float,
                          doppler_oversample: int = 1,
                          clean_iterations: int = 0,
                          delay_window: tuple[float, float] | None = None) -> Spectrogram:

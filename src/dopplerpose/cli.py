@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -71,8 +72,7 @@ def cmd_simulate(args) -> int:
     u = generate_waveform(cfg.bandwidth_hz, sig_duration, cfg.sample_rate_hz,
                           seed=cfg.seed)
     ref = synthesize_reference(u, cfg.geometry)
-    ic = cfg.interference
-    ic.noise_seed = cfg.seed + 1
+    ic = replace(cfg.interference, noise_seed=cfg.seed + 1)
     sur = synthesize_surveillance(u, pose, cfg.scatterer, cfg.geometry, ic)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

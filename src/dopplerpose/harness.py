@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import containers
-from .caf import Spectrogram, spectrogram_pipeline
+from .caf import Spectrogram, check_doppler_span, spectrogram_pipeline
 from .denoise import DenoiseParams, denoise
 from .motion import (
     ActivityKind,
@@ -42,6 +42,7 @@ from .wavesim import (
     InterferenceConfig,
     MirrorPlane,
     ScattererModel,
+    add_interference,
     generate_waveform,
     synthesize_reference,
     synthesize_surveillance,
@@ -168,17 +169,24 @@ def parse_config(data: dict) -> ExperimentConfig:
         val_fraction=_get(data, "training.opt.val_fraction", float, 0.1),
     )
 
+    sample_rate_hz = _get(data, "waveform.sample_rate_hz", float, 16e3)
+    try:
+        doppler_span_hz = check_doppler_span(
+            _get(data, "processing.doppler_span_hz", float, 100.0), sample_rate_hz)
+    except ValueError as exc:
+        raise ConfigError(f"config field processing.doppler_span_hz: {exc}")
+
     return ExperimentConfig(
         seed=_get(data, "seed", int, 0),
         geometry=geometry,
         bandwidth_hz=_get(data, "waveform.bandwidth_hz", float, 8e3),
-        sample_rate_hz=_get(data, "waveform.sample_rate_hz", float, 16e3),
+        sample_rate_hz=sample_rate_hz,
         scatterer=ScattererModel(
             path_loss_exponent=_get(data, "scatterer.path_loss_exponent", float, 2.0)),
         interference=interference,
         cpi_s=_get(data, "processing.cpi_s", float, 0.1),
         delay_bins=_get(data, "processing.delay_bins", int, 1),
-        doppler_span_hz=_get(data, "processing.doppler_span_hz", float, 100.0),
+        doppler_span_hz=doppler_span_hz,
         doppler_oversample=_get(data, "processing.doppler_oversample", int, 4),
         clean_iterations=_get(data, "processing.clean_iterations", int, 2),
         denoise_params=den,
@@ -250,20 +258,15 @@ def simulate_activity(cfg: ExperimentConfig, kind: ActivityKind, seed: int,
     u = generate_waveform(cfg.bandwidth_hz, sig_duration, cfg.sample_rate_hz, seed=seed)
     ref = synthesize_reference(u, cfg.geometry)
 
-    clean_ic = InterferenceConfig()
-    noisy_ic = InterferenceConfig(
-        dsi_amplitude=cfg.interference.dsi_amplitude,
-        clutter=cfg.interference.clutter,
-        multipath=cfg.interference.multipath,
-        noise_floor=cfg.interference.noise_floor,
-        noise_seed=seed + 1,
-    )
     pipe = dict(cpi_s=cfg.cpi_s, delay_bins=cfg.delay_bins,
                 doppler_span_hz=cfg.doppler_span_hz,
                 doppler_oversample=cfg.doppler_oversample)
-    sur_clean = synthesize_surveillance(u, pose, cfg.scatterer, cfg.geometry, clean_ic)
+    # M shares S's target returns; only the interference is added on top.
+    sur_clean = synthesize_surveillance(u, pose, cfg.scatterer, cfg.geometry,
+                                        InterferenceConfig())
     s_spec = spectrogram_pipeline(sur_clean, ref, clean_iterations=0, **pipe)
-    sur_noisy = synthesize_surveillance(u, pose, cfg.scatterer, cfg.geometry, noisy_ic)
+    noisy_ic = replace(cfg.interference, noise_seed=seed + 1)
+    sur_noisy = add_interference(sur_clean, u, pose, cfg.scatterer, cfg.geometry, noisy_ic)
     m_spec = spectrogram_pipeline(sur_noisy, ref, clean_iterations=cfg.clean_iterations,
                                   **pipe)
     d_spec = denoise(m_spec, cfg.denoise_params)

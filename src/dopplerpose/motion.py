@@ -263,13 +263,6 @@ def t_pose(xy=(0.0, 0.0), heading: float = 0.0) -> np.ndarray:
                0, 0, 0, 0, 0, 0, 0, 0, half, half)[0]
 
 
-def seated_frame(xy=(0.0, 0.0), heading: float = 0.0) -> np.ndarray:
-    """Seated rest pose used as the boundary state for SD/SU."""
-    s = _SIT
-    return _fk(xy[0], xy[1], heading, s["root_z"], s["torso"],
-               s["hip"], s["hip"], s["knee"], s["knee"], 0, 0, 0.3, 0.3, 0, 0)[0]
-
-
 # ---------------------------------------------------------------------------
 # Activity templates
 # ---------------------------------------------------------------------------

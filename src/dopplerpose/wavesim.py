@@ -5,11 +5,31 @@ target returns with time-varying bistatic delay (whose carrier-phase rotation
 produces the micro-Doppler), single-bounce multipath ghosts via mirrored
 joint images, direct-signal interference, and static clutter returns, plus a
 white noise floor. The reference channel is a delayed, scaled copy of the
-transmitted waveform.
+transmitted waveform. `synthesize_surveillance` renders the target returns
+and hands them to `add_interference`, which adds the other terms, so a
+caller that needs both the clean and the full channel renders the targets
+once.
 
 Amplitudes follow a two-leg free-space law weight / (R_tx * R_rx) with a
-configurable path-loss exponent; delays are applied by linear fractional-
-sample interpolation (error well below one Doppler bin at walking speeds).
+configurable path-loss exponent. Static paths (reference, DSI, clutter) are
+delayed by linear fractional-sample interpolation of the waveform.
+
+Moving scatterers are summed in one pass over all joints:
+- Delay. A body-scale bistatic path is far shorter than c / fs (18.7 km at
+  16 kHz), so its delay is a fraction of one sample and the interpolated
+  waveform is the two-tap blend u[n] - tau*fs * (u[n] - u[n-1]). The
+  weighted phasors are summed over joints with and without the tau*fs
+  factor and blended with u once. A path that reaches one sample of delay is
+  rejected rather than rendered wrong.
+- Phase. Delay and amplitude are linear between the 500 Hz coarse knots, so
+  inside one knot segment the carrier phasor exp(-j 2 pi f_c tau) is a
+  geometric sequence. It is built by a cumulative product of per-segment
+  ratios; the first sample of each block and the samples that cross a knot
+  take their phase (increment) from an exact exp.
+- Blocking. The time axis is processed in blocks of `_BLOCK` samples with
+  all joints at once, so the (joints x samples) work arrays stay a few
+  hundred kB: a whole-signal (samples x joints) complex array would be tens
+  of MB and would raise the peak memory of every dataset build.
 """
 
 from __future__ import annotations
@@ -215,28 +235,71 @@ def synthesize_reference(u: BasebandSignal, g: Geometry) -> BasebandSignal:
     return BasebandSignal(samples, u.sample_rate_hz, u.start_time_s)
 
 
+# Samples per block of the moving-scatterer synthesis (see the module notes).
+_BLOCK = 1024
+
+
 def _target_returns(u: BasebandSignal, coarse_t: np.ndarray, positions: np.ndarray,
-                    weights: np.ndarray, exponent: float, g: Geometry,
-                    amp_scale: float = 1.0) -> np.ndarray:
-    """Sum of delayed, phase-rotated returns for (T_coarse, J, 3) joint tracks.
+                    weights: np.ndarray, exponent: float, g: Geometry) -> np.ndarray:
+    """Sum of delayed, phase-rotated returns for (T_coarse, J, 3) scatterer tracks.
 
     Delay and amplitude are evaluated on the coarse grid and linearly
     interpolated to sample times; body accelerations bound the resulting
     carrier-phase error far below one Doppler bin.
     """
-    times = u.times()
-    total = np.zeros(len(times), dtype=np.complex128)
-    for j in range(positions.shape[1]):
-        w = weights[j] * amp_scale
-        if w == 0.0:
-            continue
-        xj = positions[:, j, :]
-        r1 = np.linalg.norm(xj - g.tx_pos, axis=1)
-        r2 = np.linalg.norm(xj - g.rx_sur_pos, axis=1)
-        tau = np.interp(times, coarse_t, (r1 + r2) / C_LIGHT)
-        amp = np.interp(times, coarse_t,
-                        w * _path_amp(r1, exponent) * _path_amp(r2, exponent))
-        total += amp * _delayed(u, times - tau) * np.exp(-2j * np.pi * g.carrier_hz * tau)
+    keep = weights != 0.0
+    x = positions[:, keep, :]
+    nj = x.shape[1]
+    fs = u.sample_rate_hz
+    n = len(u)
+    total = np.zeros(n, dtype=np.complex128)
+    if nj == 0 or n < 2:
+        return total
+    r1 = np.linalg.norm(x - g.tx_pos, axis=2)
+    r2 = np.linalg.norm(x - g.rx_sur_pos, axis=2)
+    delay = (r1 + r2) * (fs / C_LIGHT)  # samples
+    if delay.max() >= 1.0:
+        raise ValueError(
+            f"a target path of {delay.max() * C_LIGHT / fs:.1f} m delays the return by "
+            f"{delay.max():.3g} samples at {fs:g} Hz; the sub-sample delay model needs "
+            f"paths shorter than c/fs = {C_LIGHT / fs:.1f} m (tx {g.tx_pos.tolist()}, "
+            f"rx {g.rx_sur_pos.tolist()})")
+    amp = weights[keep] * _path_amp(r1, exponent) * _path_amp(r2, exponent)
+
+    # Knot values and per-segment increments, joints x segments: delay rows
+    # first, amplitude rows after, so one gather serves both.
+    knots = np.concatenate([delay.T, amp.T])
+    rise = np.diff(knots, axis=1)
+    knots = knots[:, :-1]
+    seg_len = np.diff(coarse_t)
+    rot = -2j * np.pi * g.carrier_hz / fs  # phase per sample of delay
+    ratio = np.exp(rot * rise[:nj] / (seg_len * fs))  # phasor step inside a segment
+
+    us = u.samples
+    for b0 in range(0, n, _BLOCK):
+        b1 = min(n, b0 + _BLOCK)
+        t = u.start_time_s + np.arange(b0, b1) / fs
+        k = np.clip(np.searchsorted(coarse_t, t, side="right") - 1, 0, len(coarse_t) - 2)
+        frac = (t - coarse_t[k]) / seg_len[k]
+        lin = knots[:, k]
+        lin += frac * rise[:, k]
+        tau, a = lin[:nj], lin[nj:]
+        step = ratio[:, k]
+        cross = np.flatnonzero(k[1:] != k[:-1]) + 1
+        step[:, cross] = np.exp(rot * (tau[:, cross] - tau[:, cross - 1]))
+        step[:, 0] = np.exp(rot * tau[:, 0])
+        phasor = np.cumprod(step, axis=1)
+        phasor *= a
+        s0 = phasor.sum(axis=0)
+        phasor *= tau
+        s1 = phasor.sum(axis=0)
+        # sum_j a*phasor*(u[n] - tau*(u[n] - u[n-1])), u[-1] taken as 0
+        total[b0:b1] = (s0 - s1) * us[b0:b1]
+        total[b0 + 1:b1] += s1[1:] * us[b0:b1 - 1]
+        if b0 > 0:
+            total[b0] += s1[0] * us[b0 - 1]
+    # Every path has a positive delay: nothing has arrived at the first sample.
+    total[0] = 0.0
     return total
 
 
@@ -258,24 +321,45 @@ def _joint_tracks(p: PoseSequence, times: np.ndarray) -> np.ndarray:
     return out
 
 
-def synthesize_surveillance(u: BasebandSignal, p: PoseSequence, sc: ScattererModel,
-                            g: Geometry, ic: InterferenceConfig) -> BasebandSignal:
-    """Surveillance channel: targets + multipath + DSI + clutter + noise."""
+def _coarse_tracks(u: BasebandSignal, p: PoseSequence):
+    """The coarse time grid and the joint tracks on it; the pose must cover u."""
     if u.start_time_s + u.duration > len(p) * p.dt + 1e-9:
         raise ValueError(
             f"pose covers {len(p) * p.dt:.3f} s but the signal extends to "
             f"{u.start_time_s + u.duration:.3f} s")
-    times = u.times()
     coarse_t = _coarse_grid(u)
-    tracks = _joint_tracks(p, coarse_t)
+    return coarse_t, _joint_tracks(p, coarse_t)
 
-    total = _target_returns(u, coarse_t, tracks, sc.joint_weights,
-                            sc.path_loss_exponent, g)
 
-    for plane in ic.multipath:
-        mirrored = plane.reflect(tracks.reshape(-1, 3)).reshape(tracks.shape)
-        total += _target_returns(u, coarse_t, mirrored, sc.joint_weights,
-                                 sc.path_loss_exponent, g, amp_scale=plane.amplitude)
+def synthesize_surveillance(u: BasebandSignal, p: PoseSequence, sc: ScattererModel,
+                            g: Geometry, ic: InterferenceConfig) -> BasebandSignal:
+    """Surveillance channel: targets + multipath + DSI + clutter + noise."""
+    coarse_t, tracks = _coarse_tracks(u, p)
+    targets = _target_returns(u, coarse_t, tracks, sc.joint_weights,
+                              sc.path_loss_exponent, g)
+    return add_interference(BasebandSignal(targets, u.sample_rate_hz, u.start_time_s),
+                            u, p, sc, g, ic)
+
+
+def add_interference(clean: BasebandSignal, u: BasebandSignal, p: PoseSequence,
+                     sc: ScattererModel, g: Geometry,
+                     ic: InterferenceConfig) -> BasebandSignal:
+    """Add multipath, DSI, clutter and noise to a target-only channel.
+
+    `clean` is `synthesize_surveillance` of the same scene without
+    interference; the result equals `synthesize_surveillance` with `ic`.
+    """
+    if len(clean) != len(u) or clean.sample_rate_hz != u.sample_rate_hz:
+        raise ValueError("clean channel and waveform must share length and sample rate")
+    times = u.times()
+    total = clean.samples.copy()
+
+    if ic.multipath:
+        coarse_t, tracks = _coarse_tracks(u, p)
+        images = np.concatenate([plane.reflect(tracks) for plane in ic.multipath], axis=1)
+        weights = np.concatenate([plane.amplitude * sc.joint_weights
+                                  for plane in ic.multipath])
+        total += _target_returns(u, coarse_t, images, weights, sc.path_loss_exponent, g)
 
     if ic.dsi_amplitude > 0:
         tau = np.linalg.norm(g.tx_pos - g.rx_sur_pos) / C_LIGHT

@@ -91,6 +91,44 @@ class TestComputeCaf:
             compute_caf(u, shorter, 4, 50.0)
 
 
+class TestDopplerSpan:
+    """The span is a half-span in (0, fs/2): the axis is always symmetric."""
+
+    FS = 16e3
+
+    def _pair(self, dur=0.2):
+        u = generate_waveform(8e3, dur, self.FS, seed=2)
+        return u, u
+
+    def test_asymmetric_span_rejected(self):
+        sur, ref = self._pair()
+        with pytest.raises(ValueError, match="scalar half-span"):
+            compute_caf(sur, ref, delay_bins=1, doppler_span_hz=(-50.0, 100.0))
+        with pytest.raises(ValueError, match="scalar half-span"):
+            spectrogram_pipeline(sur, ref, cpi_s=0.1, delay_bins=1,
+                                 doppler_span_hz=(-50.0, 100.0))
+
+    @pytest.mark.parametrize("span", [8000.0, 12000.0, 0.0, -100.0])
+    def test_span_outside_half_band_rejected(self, span):
+        sur, ref = self._pair()
+        with pytest.raises(ValueError, match="fs/2"):
+            compute_caf(sur, ref, delay_bins=1, doppler_span_hz=span)
+        with pytest.raises(ValueError, match="fs/2"):
+            spectrogram_pipeline(sur, ref, cpi_s=0.1, delay_bins=1,
+                                 doppler_span_hz=span, doppler_oversample=4)
+
+    @pytest.mark.parametrize("oversample", [1, 3, 4])
+    @pytest.mark.parametrize("span", [1.0, 100.0, 2500.0, 7999.0])
+    def test_valid_span_gives_symmetric_spectrogram(self, span, oversample):
+        sur, ref = self._pair()
+        spec = spectrogram_pipeline(sur, ref, cpi_s=0.05, delay_bins=1,
+                                    doppler_span_hz=span,
+                                    doppler_oversample=oversample)
+        axis = spec.doppler_axis
+        assert np.array_equal(axis, -axis[::-1])
+        assert np.abs(axis).max() <= span
+
+
 class TestSelfCaf:
     def test_peak_at_origin(self):
         u = generate_waveform(4e3, 0.1, 1e4, seed=5)

@@ -45,6 +45,18 @@ def test_gen_motion_unknown_kind(config_file, tmp_path):
     assert rc == 2
 
 
+def test_simulate_leaves_config_unchanged(config_file, tmp_path, monkeypatch):
+    cfg = harness.load_config(config_file)
+    seed_before = cfg.interference.noise_seed
+    monkeypatch.setattr("dopplerpose.cli.load_config", lambda *args: cfg)
+    pose_file = tmp_path / "pose.dpc"
+    assert main(["gen-motion", "--config", str(config_file), "--kind", "W+",
+                 "--duration", "2.0", "--out", str(pose_file)]) == 0
+    assert main(["simulate", "--config", str(config_file), "--pose", str(pose_file),
+                 "--out", str(tmp_path / "sigs")]) == 0
+    assert cfg.interference.noise_seed == seed_before != cfg.seed + 1
+
+
 def test_simulate_and_caf(config_file, tmp_path):
     pose_file = tmp_path / "pose.dpc"
     main(["gen-motion", "--config", str(config_file), "--kind", "SU",

@@ -75,6 +75,20 @@ class TestConfig:
         with pytest.raises(ConfigError, match="JUMP"):
             harness.parse_config(data)
 
+    @pytest.mark.parametrize("span", [0.0, -5.0, 8000.0, 9000.0, [-50.0, 100.0]])
+    def test_doppler_span_outside_half_band_named(self, span):
+        # the default sample rate is 16 kHz, so the half-span must be < 8 kHz
+        data = tiny_config_dict()
+        data["processing"]["doppler_span_hz"] = span
+        with pytest.raises(ConfigError, match="processing.doppler_span_hz"):
+            harness.parse_config(data)
+
+    def test_doppler_span_bound_follows_sample_rate(self):
+        data = tiny_config_dict()
+        data["processing"]["doppler_span_hz"] = 9000.0
+        data["waveform"]["sample_rate_hz"] = 20000.0
+        assert harness.parse_config(data).doppler_span_hz == 9000.0
+
     def test_overrides(self):
         data = tiny_config_dict()
         harness.apply_overrides(data, ["seed=9", "dataset.duration_s=4.5"])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dopplerpose.motion import N_JOINTS, PoseSequence
+from dopplerpose.motion import N_JOINTS, ActivityKind, PoseSequence, generate_activity
 from dopplerpose.wavesim import (
     C_LIGHT,
     BasebandSignal,
@@ -10,6 +10,10 @@ from dopplerpose.wavesim import (
     InterferenceConfig,
     MirrorPlane,
     ScattererModel,
+    _coarse_grid,
+    _joint_tracks,
+    _path_amp,
+    add_interference,
     bistatic_doppler,
     generate_waveform,
     synthesize_reference,
@@ -24,6 +28,40 @@ def single_scatterer_pose(start, velocity, n_frames=8, dt=0.1):
     t = np.arange(n_frames) * dt
     track = start[None] + t[:, None] * velocity[None]
     return PoseSequence(np.repeat(track[:, None, :], N_JOINTS, axis=1), dt)
+
+
+def interp_delayed(u, query_times):
+    """The waveform at arbitrary times by linear interpolation (0 outside)."""
+    grid = u.times()
+    return (np.interp(query_times, grid, u.samples.real, left=0.0, right=0.0)
+            + 1j * np.interp(query_times, grid, u.samples.imag, left=0.0, right=0.0))
+
+
+def direct_target_returns(u, p, sc, g, planes=()):
+    """Independent per-joint evaluation of the target and multipath returns.
+
+    Each joint (and each mirror image) gets its delay and amplitude
+    interpolated to every sample, the waveform interpolated at t - tau and
+    its own complex exponential: no sub-sample or recurrence shortcut.
+    """
+    times = u.times()
+    coarse_t = _coarse_grid(u)
+    tracks = _joint_tracks(p, coarse_t)
+    scenes = [(tracks, 1.0)] + [(pl.reflect(tracks), pl.amplitude) for pl in planes]
+    total = np.zeros(len(times), dtype=np.complex128)
+    for positions, amp_scale in scenes:
+        for j in range(positions.shape[1]):
+            w = sc.joint_weights[j] * amp_scale
+            if w == 0.0:
+                continue
+            r1 = np.linalg.norm(positions[:, j] - g.tx_pos, axis=1)
+            r2 = np.linalg.norm(positions[:, j] - g.rx_sur_pos, axis=1)
+            tau = np.interp(times, coarse_t, (r1 + r2) / C_LIGHT)
+            amp = np.interp(times, coarse_t, w * _path_amp(r1, sc.path_loss_exponent)
+                            * _path_amp(r2, sc.path_loss_exponent))
+            total += (amp * interp_delayed(u, times - tau)
+                      * np.exp(-2j * np.pi * g.carrier_hz * tau))
+    return total
 
 
 def one_joint_weights(j=0):
@@ -184,6 +222,102 @@ class TestSynthesizeSurveillance:
         sc = ScattererModel()
         with pytest.raises(ValueError):
             synthesize_surveillance(u, pose, sc, self.GEOM, InterferenceConfig())
+
+
+WALK_GEOM = Geometry(tx_pos=[-4, 8, 1.5], rx_sur_pos=[0, 8, 1.0],
+                     rx_ref_pos=[-3.8, 8, 1.5])
+DEFAULT_PLANE = MirrorPlane(point=[3.5, 0, 0], normal=[1, 0, 0], amplitude=0.25)
+
+
+def walking_scene():
+    pose = generate_activity(ActivityKind.WPLUS, 5.0, seed=5)
+    u = generate_waveform(8e3, 5.0, 16e3, seed=1)
+    return u, pose
+
+
+def short_offset_scene():
+    """A turning walk at 100 kHz starting off the sample grid: uneven knot
+    segments and a last block shorter than the others."""
+    pose = generate_activity(ActivityKind.CV, 2.0, seed=2)
+    u = generate_waveform(4e4, 0.1, 1e5, seed=4)
+    return BasebandSignal(u.samples, u.sample_rate_hz, start_time_s=0.8123), pose
+
+
+class TestTargetReturnsOracle:
+    @pytest.mark.parametrize("scene", [walking_scene, short_offset_scene])
+    def test_matches_per_joint_interpolation(self, scene):
+        u, pose = scene()
+        sc = ScattererModel()
+        for planes in ((), (DEFAULT_PLANE,)):
+            new = synthesize_surveillance(u, pose, sc, WALK_GEOM,
+                                          InterferenceConfig(multipath=list(planes)))
+            want = direct_target_returns(u, pose, sc, WALK_GEOM, planes)
+            rel = np.abs(new.samples - want).max() / np.abs(want).max()
+            assert rel < 1e-9
+            # interpolation at t - tau < t_0 reads 0: nothing has arrived yet
+            assert want[0] == 0 and new.samples[0] == 0
+
+    def test_interference_on_clean_equals_full_synthesis(self):
+        u, pose = walking_scene()
+        sc = ScattererModel()
+        ic = InterferenceConfig(dsi_amplitude=0.05, noise_floor=0.1, noise_seed=7,
+                                clutter=[Clutter([2.5, 5.0, 0.5], 0.6)],
+                                multipath=[DEFAULT_PLANE])
+        clean = synthesize_surveillance(u, pose, sc, WALK_GEOM, InterferenceConfig())
+        full = synthesize_surveillance(u, pose, sc, WALK_GEOM, ic)
+        again = add_interference(clean, u, pose, sc, WALK_GEOM, ic)
+        assert np.array_equal(again.samples, full.samples)
+        assert np.array_equal(
+            add_interference(clean, u, pose, sc, WALK_GEOM, InterferenceConfig()).samples,
+            clean.samples)
+
+
+class TestDelayLimits:
+    FS = 16e3
+    ONE_SAMPLE_M = C_LIGHT / 16e3
+
+    def _scene(self):
+        u = generate_waveform(8e3, 0.2, self.FS, seed=3)
+        return u, single_scatterer_pose([0, 2, 1], [0.5, 0, 0], n_frames=3)
+
+    def test_rejects_target_delay_of_one_sample(self):
+        u, pose = self._scene()
+        far = Geometry(tx_pos=[-self.ONE_SAMPLE_M, 2, 1], rx_sur_pos=[0, 2.5, 1],
+                       rx_ref_pos=[0, 0, 0])
+        with pytest.raises(ValueError, match="16000 Hz"):
+            synthesize_surveillance(u, pose, ScattererModel(), far, InterferenceConfig())
+
+    def test_rejects_mirror_delay_of_one_sample(self):
+        u, pose = self._scene()
+        g = Geometry(tx_pos=[-4, 2, 1], rx_sur_pos=[0, 2.5, 1], rx_ref_pos=[0, 0, 0])
+        far_wall = MirrorPlane(point=[self.ONE_SAMPLE_M / 2, 0, 0], normal=[1, 0, 0],
+                               amplitude=0.3)
+        ok = synthesize_surveillance(u, pose, ScattererModel(), g, InterferenceConfig())
+        assert np.abs(ok.samples).max() > 0
+        with pytest.raises(ValueError, match="rx"):
+            synthesize_surveillance(u, pose, ScattererModel(), g,
+                                    InterferenceConfig(multipath=[far_wall]))
+
+    @pytest.mark.parametrize("dsi_samples,clutter_samples", [(5, 20), (12, 16)])
+    def test_static_paths_keep_multi_sample_delays(self, dsi_samples, clutter_samples):
+        u, pose = self._scene()
+        d = dsi_samples * self.ONE_SAMPLE_M
+        g = Geometry(tx_pos=[0, 0, 0], rx_sur_pos=[d, 0, 0], rx_ref_pos=[0, 0, 1])
+        # a clutter point on the far side of rx: path = d + 2 * extra
+        extra = (clutter_samples - dsi_samples) / 2 * self.ONE_SAMPLE_M
+        cl = Clutter([d + extra, 0, 0], amplitude=1.0)
+        no_targets = ScattererModel(joint_weights=np.zeros(N_JOINTS))
+        dsi = synthesize_surveillance(u, pose, no_targets, g,
+                                      InterferenceConfig(dsi_amplitude=1.0))
+        clutter = synthesize_surveillance(u, pose, no_targets, g,
+                                          InterferenceConfig(clutter=[cl]))
+        for sig, k in ((dsi, dsi_samples), (clutter, clutter_samples)):
+            lag = np.abs([np.vdot(u.samples[: len(u) - m], sig.samples[m:])
+                          for m in range(30)])
+            assert int(np.argmax(lag)) == k
+            ratio = sig.samples[k:] / u.samples[: len(u) - k]
+            assert np.allclose(ratio, ratio[0], rtol=1e-6)
+            assert np.abs(sig.samples[:k]).max() < 1e-6 * np.abs(ratio[0])
 
 
 class TestSignalIO:
