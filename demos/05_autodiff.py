@@ -1,13 +1,18 @@
-"""The nncore substrate: reverse-mode gradients, layers, Adam.
+"""The nncore substrate: reverse-mode gradients, layers, Adam, checkpoints.
 
 Run:  python3 demos/05_autodiff.py
 """
+
+import pathlib
+import tempfile
 
 import numpy as np
 
 from dopplerpose import nncore as nn
 from dopplerpose.nncore import Tensor
 from dopplerpose.nncore import tensor as ops
+from dopplerpose.poseopt import OptModel
+from dopplerpose.velest import VelModel
 
 # Tensors record the graph; backward() accumulates into .grad.
 w = Tensor(np.array([0.5, -1.0, 2.0]), requires_grad=True, dtype=np.float64)
@@ -39,9 +44,16 @@ q.grad = np.array([0.3, -200.0])
 opt2.step()
 print(f"first-step update: {q.data}  (is -lr * sign(grad))")
 
-# Checkpoints round-trip parameters bit-exactly through one container file.
-import tempfile, pathlib  # noqa: E402
-path = pathlib.Path(tempfile.mkdtemp()) / "model.dpc"
-nn.save_checkpoint(path, kind="demo", specs=[lstm.spec()], params=lstm.params())
-kind, specs, arrays, _, _ = nn.load_checkpoint(path)
-print(f"checkpoint: kind={kind}, {len(arrays)} parameter arrays restored")
+# A model checkpoint records every array's shape; loading rebuilds the model
+# from its meta and restores the arrays only if every shape matches.
+with tempfile.TemporaryDirectory() as tmp:
+    path = pathlib.Path(tmp) / "opt_model.dpc"
+    model = OptModel(seed=3)
+    model.save(path)
+    back = OptModel.load(path)
+    exact = all(np.array_equal(a.data, b.data) for a, b in zip(model.params(), back.params()))
+    print(f"checkpoint: {len(back.params())} parameter arrays restored, bit-exact: {exact}")
+    try:
+        VelModel.load(path)
+    except ValueError as exc:
+        print(f"VelModel.load refuses it: {str(exc).split(': ', 1)[1]}")

@@ -202,9 +202,10 @@ def assemble_spectrogram(cafs, delay_window: tuple[float, float] | None = None) 
     if not cafs:
         raise ValueError("need at least one CAF map")
     first = cafs[0]
-    for c in cafs[1:]:
-        if not (np.allclose(c.delay_axis, first.delay_axis)
-                and np.allclose(c.doppler_axis, first.doppler_axis)):
+    for name in ("delay_axis", "doppler_axis"):
+        axes = [getattr(c, name) for c in cafs]
+        if any(a.shape != axes[0].shape for a in axes) \
+                or not np.allclose(np.stack(axes), axes[0]):
             raise ValueError("all CAF maps must share the same axes")
     if delay_window is None:
         mask = np.ones(first.delay_axis.size, dtype=bool)

@@ -446,9 +446,6 @@ class MetricsReport:
     pos_mae_abs: dict
     overall_vel: dict    # variant -> scalar mm/frame
     overall_pos: dict    # variant -> scalar mm
-    opt_traces: list = field(default_factory=list)
-    drift: dict = field(default_factory=dict)
-    runtime: dict = field(default_factory=dict)
 
 
 def evaluate(cfg: ExperimentConfig, dataset_dir: str | Path, vel_model: VelModel,

@@ -1,5 +1,12 @@
 """Minimal differentiable-computation substrate: tensors with reverse-mode
-gradients, the conv/recurrent layer set, Adam, and checkpoint IO."""
+gradients, the conv/recurrent layer set, Adam, and checkpoint IO.
+
+Layers hold parameters (batch norm also its running statistics); the
+activations are the `relu`/`tanh` ops. A model is persisted as its
+`params()` and `state_arrays()` lists (see `checkpoint`): `save_checkpoint`
+records their shapes, and `load_checkpoint` rebuilds the model from its
+constructor meta and restores the arrays only when every shape matches.
+"""
 
 from .tensor import (  # noqa: F401
     Tensor,
@@ -25,22 +32,7 @@ from .tensor import (  # noqa: F401
     transpose,
     tsum,
 )
-from .layers import (  # noqa: F401
-    ActivationSpec,
-    BatchNorm1d,
-    BatchNormSpec,
-    Conv1d,
-    Conv1dSpec,
-    LSTM,
-    LSTMSpec,
-    Linear,
-    LinearSpec,
-    ReLU,
-    Tanh,
-    build_layer,
-    spec_from_dict,
-    spec_to_dict,
-)
+from .layers import BatchNorm1d, Conv1d, LSTM, Linear  # noqa: F401
 from .optim import Adam, AdamState, adam_step  # noqa: F401
 from .checkpoint import load_checkpoint, save_checkpoint  # noqa: F401
 from .gradcheck import check_gradients, finite_difference, relative_error  # noqa: F401

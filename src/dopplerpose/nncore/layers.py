@@ -1,14 +1,13 @@
 """Layer set for the spectrogram and pose networks.
 
 Covers exactly what the two model stacks need: 1-D convolution over the
-Doppler axis, batch normalization, ReLU/Tanh, (bi)LSTM and fully-connected
-layers. Parameters are initialized with uniform fan-in scaling from a
-caller-supplied numpy Generator so models are reproducible per seed.
+Doppler axis, batch normalization, (bi)LSTM and fully-connected layers (the
+activations are the plain `tensor.relu`/`tensor.tanh` ops). Parameters are
+initialized with uniform fan-in scaling from a caller-supplied numpy
+Generator so models are reproducible per seed.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -21,69 +20,6 @@ def _uniform(rng, fan_in, shape, dtype):
     return Tensor(rng.uniform(-bound, bound, size=shape).astype(dtype), requires_grad=True)
 
 
-# -- layer specs (checkpoint manifest entries) -------------------------------
-
-@dataclass
-class Conv1dSpec:
-    in_channels: int
-    out_channels: int
-    kernel: int
-    stride: int = 1
-    padding: int = 0
-    kind: str = "conv1d"
-
-
-@dataclass
-class LinearSpec:
-    in_features: int
-    out_features: int
-    bias: bool = True
-    kind: str = "linear"
-
-
-@dataclass
-class BatchNormSpec:
-    features: int
-    kind: str = "batchnorm"
-
-
-@dataclass
-class ActivationSpec:
-    fn: str  # "relu" | "tanh"
-    kind: str = "activation"
-
-
-@dataclass
-class LSTMSpec:
-    input_size: int
-    hidden_size: int
-    num_layers: int = 1
-    bidirectional: bool = False
-    kind: str = "lstm"
-
-
-_SPEC_TYPES = {
-    "conv1d": Conv1dSpec,
-    "linear": LinearSpec,
-    "batchnorm": BatchNormSpec,
-    "activation": ActivationSpec,
-    "lstm": LSTMSpec,
-}
-
-
-def spec_to_dict(spec) -> dict:
-    return asdict(spec)
-
-
-def spec_from_dict(d: dict):
-    kind = d.get("kind")
-    if kind not in _SPEC_TYPES:
-        raise ValueError(f"unknown layer spec kind {kind!r}")
-    return _SPEC_TYPES[kind](**d)
-
-
-# -- layers -------------------------------------------------------------------
-
 class Linear:
     def __init__(self, in_features: int, out_features: int, bias: bool = True,
                  *, rng=None, dtype=np.float32):
@@ -92,10 +28,6 @@ class Linear:
         rng = rng or np.random.default_rng()
         self.weight = _uniform(rng, in_features, (in_features, out_features), dtype)
         self.bias = _uniform(rng, in_features, (out_features,), dtype) if bias else None
-
-    def spec(self):
-        return LinearSpec(self.weight.shape[0], self.weight.shape[1],
-                          bias=self.bias is not None)
 
     def params(self):
         return [self.weight] + ([self.bias] if self.bias is not None else [])
@@ -118,10 +50,6 @@ class Conv1d:
         self.bias = _uniform(rng, fan_in, (out_channels,), dtype)
         self.stride = stride
         self.padding = padding
-
-    def spec(self):
-        c_out, c_in, k = self.weight.shape
-        return Conv1dSpec(c_in, c_out, k, self.stride, self.padding)
 
     def params(self):
         return [self.weight, self.bias]
@@ -152,9 +80,6 @@ class BatchNorm1d:
         self.running_var = np.ones(features, dtype=dtype)
         self.momentum = momentum
         self.eps = eps
-
-    def spec(self):
-        return BatchNormSpec(self.gamma.shape[0])
 
     def params(self):
         return [self.gamma, self.beta]
@@ -191,28 +116,6 @@ class BatchNorm1d:
         raise ValueError(f"BatchNorm1d expects 2-D or 3-D input, got {x.data.shape}")
 
 
-class ReLU:
-    def spec(self):
-        return ActivationSpec("relu")
-
-    def params(self):
-        return []
-
-    def __call__(self, x: Tensor, training: bool = False) -> Tensor:
-        return T.relu(x)
-
-
-class Tanh:
-    def spec(self):
-        return ActivationSpec("tanh")
-
-    def params(self):
-        return []
-
-    def __call__(self, x: Tensor, training: bool = False) -> Tensor:
-        return T.tanh(x)
-
-
 class LSTM:
     """Standard LSTM over (B, T, F); bidirectional stacks concatenate outputs."""
 
@@ -235,10 +138,6 @@ class LSTM:
                     "W_hh": _uniform(rng, hidden_size, (hidden_size, 4 * hidden_size), dtype),
                     "b": _uniform(rng, hidden_size, (4 * hidden_size,), dtype),
                 })
-
-    def spec(self):
-        return LSTMSpec(self.input_size, self.hidden_size, self.num_layers,
-                        self.bidirectional)
 
     def params(self):
         out = []
@@ -286,19 +185,3 @@ class LSTM:
             out = T.stack_time(steps)
         return out
 
-
-def build_layer(spec, *, rng=None, dtype=np.float32):
-    """Construct a fresh layer from its spec (used when loading checkpoints)."""
-    if isinstance(spec, Conv1dSpec):
-        return Conv1d(spec.in_channels, spec.out_channels, spec.kernel, spec.stride,
-                      spec.padding, rng=rng, dtype=dtype)
-    if isinstance(spec, LinearSpec):
-        return Linear(spec.in_features, spec.out_features, spec.bias, rng=rng, dtype=dtype)
-    if isinstance(spec, BatchNormSpec):
-        return BatchNorm1d(spec.features, dtype=dtype)
-    if isinstance(spec, ActivationSpec):
-        return ReLU() if spec.fn == "relu" else Tanh()
-    if isinstance(spec, LSTMSpec):
-        return LSTM(spec.input_size, spec.hidden_size, spec.num_layers,
-                    spec.bidirectional, rng=rng, dtype=dtype)
-    raise ValueError(f"cannot build layer from {spec!r}")

@@ -97,11 +97,8 @@ class OptModel:
         self.fc1 = nn.Linear(FEATURE_DIM, 256, rng=rng, dtype=dtype)
         self.fc2 = nn.Linear(256, N_JOINTS * 3, rng=rng, dtype=dtype)
 
-    def _ordered_layers(self):
-        return [self.lstm, self.fc1, self.fc2]
-
     def params(self):
-        return [p for layer in self._ordered_layers() for p in layer.params()]
+        return [p for layer in (self.lstm, self.fc1, self.fc2) for p in layer.params()]
 
     def forward(self, x: Tensor, training: bool = False) -> Tensor:
         """(B, T, 102) concatenated velocity/pose frames -> (B, 51) in (-1, 1)."""
@@ -122,27 +119,18 @@ class OptModel:
             out = self.forward(Tensor(x.astype(np.float32)), training=False)
         return out.data[0].reshape(N_JOINTS, 3).astype(np.float64)
 
+    def state_arrays(self):
+        return []
+
     def save(self, path: str | Path, meta: dict | None = None) -> None:
         all_meta = {"seed": self.seed}
         all_meta.update(meta or {})
-        nn.save_checkpoint(path, kind="optmodel",
-                           specs=[l.spec() for l in self._ordered_layers()],
-                           params=self.params(), meta=all_meta)
+        nn.save_checkpoint(path, kind="optmodel", params=self.params(), meta=all_meta)
 
     @classmethod
     def load(cls, path: str | Path) -> "OptModel":
-        kind, _specs, arrays, _state, meta = nn.load_checkpoint(path)
-        if kind != "optmodel":
-            raise ValueError(f"{path}: not an optimization-model checkpoint (kind={kind!r})")
-        model = cls(seed=int(meta.get("seed", 0)))
-        params = model.params()
-        if len(params) != len(arrays):
-            raise ValueError(f"{path}: parameter count mismatch")
-        for p, a in zip(params, arrays):
-            if p.data.shape != a.shape:
-                raise ValueError(f"{path}: parameter shape mismatch")
-            p.data = a.astype(p.data.dtype)
-        return model
+        return nn.load_checkpoint(path, "optmodel",
+                                  lambda meta: cls(seed=int(meta.get("seed", 0))))
 
 
 def _stack_features(p: np.ndarray, v: np.ndarray) -> np.ndarray:

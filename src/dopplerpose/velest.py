@@ -77,12 +77,10 @@ class VelModel:
         self.fc2 = nn.Linear(128, OUTPUT_DIM, rng=rng, dtype=dtype)
         self.fc3 = nn.Linear(OUTPUT_DIM, OUTPUT_DIM, rng=rng, dtype=dtype)
 
-    def _ordered_layers(self):
-        return [self.conv1, self.bn1, self.conv2, self.bn2, self.conv3, self.bn3,
-                self.lstm, self.fc1, self.bn_fc, self.fc2, self.fc3]
-
     def params(self):
-        return [p for layer in self._ordered_layers() for p in layer.params()]
+        return [p for layer in (self.conv1, self.bn1, self.conv2, self.bn2, self.conv3,
+                                self.bn3, self.lstm, self.fc1, self.bn_fc, self.fc2, self.fc3)
+                for p in layer.params()]
 
     def forward(self, x: Tensor, training: bool = False) -> Tensor:
         """(B, T, F) spectrogram columns -> (B, T, 51) velocities."""
@@ -101,38 +99,23 @@ class VelModel:
         h = self.fc3(h)
         return ops.reshape(h, (b, t_len, OUTPUT_DIM))
 
+    def state_arrays(self):
+        """Batch-norm running statistics: mean, var of bn1, bn2, bn3, bn_fc."""
+        return [a for bn in (self.bn1, self.bn2, self.bn3, self.bn_fc)
+                for a in bn.state_arrays()]
+
     def save(self, path: str | Path, meta: dict | None = None) -> None:
-        layers = self._ordered_layers()
-        state = []
-        for layer in layers:
-            if isinstance(layer, nn.BatchNorm1d):
-                state.extend(layer.state_arrays())
         all_meta = {"doppler_bins": self.doppler_bins, "bidirectional": self.bidirectional,
                     "seed": self.seed}
         all_meta.update(meta or {})
-        nn.save_checkpoint(path, kind="velmodel", specs=[l.spec() for l in layers],
-                           params=self.params(), meta=all_meta, extra_state=state)
+        nn.save_checkpoint(path, kind="velmodel", params=self.params(),
+                           state=self.state_arrays(), meta=all_meta)
 
     @classmethod
     def load(cls, path: str | Path) -> "VelModel":
-        kind, _specs, arrays, state, meta = nn.load_checkpoint(path)
-        if kind != "velmodel":
-            raise ValueError(f"{path}: not a velocity-model checkpoint (kind={kind!r})")
-        model = cls(int(meta["doppler_bins"]), seed=int(meta.get("seed", 0)),
-                    bidirectional=bool(meta["bidirectional"]))
-        params = model.params()
-        if len(params) != len(arrays):
-            raise ValueError(f"{path}: checkpoint has {len(arrays)} parameters, "
-                             f"model needs {len(params)}")
-        for p, a in zip(params, arrays):
-            if p.data.shape != a.shape:
-                raise ValueError(f"{path}: parameter shape mismatch {a.shape} vs {p.data.shape}")
-            p.data = a.astype(p.data.dtype)
-        bns = [l for l in model._ordered_layers() if isinstance(l, nn.BatchNorm1d)]
-        for i, bn in enumerate(bns):
-            bn.running_mean = state[2 * i].astype(bn.running_mean.dtype)
-            bn.running_var = state[2 * i + 1].astype(bn.running_var.dtype)
-        return model
+        return nn.load_checkpoint(path, "velmodel", lambda meta: cls(
+            int(meta["doppler_bins"]), seed=int(meta.get("seed", 0)),
+            bidirectional=bool(meta["bidirectional"])))
 
 
 def vel_forward(m: VelModel, s: Spectrogram) -> VelocitySequence:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dopplerpose import containers
 from dopplerpose import nncore as nn
 from dopplerpose.nncore import Tensor
 from dopplerpose.nncore import tensor as ops
@@ -175,7 +176,7 @@ class TestGradientChecks:
         raw = rng.normal(size=(6, 5))
         x = Tensor(np.sign(raw) * (0.05 + np.abs(raw)), requires_grad=True,
                    dtype=np.float64)
-        for act in (nn.ReLU(), nn.Tanh()):
+        for act in (ops.relu, ops.tanh):
             self._check(lambda: ops.tsum(ops.mul(act(x), x)), [x])
 
 
@@ -188,7 +189,7 @@ class TestLayerContracts:
         assert np.allclose(layer(x).data, x.data)
 
     def test_relu_values(self):
-        out = nn.ReLU()(Tensor(np.array([-1.0, 0.0, 2.0])))
+        out = ops.relu(Tensor(np.array([-1.0, 0.0, 2.0])))
         assert np.array_equal(out.data, [0.0, 0.0, 2.0])
 
     def test_batchnorm_inference_is_affine(self):
@@ -257,22 +258,83 @@ class TestAdam:
             nn.adam_step(state, [np.zeros(3)], [np.zeros(4)])
 
 
+class _Toy:
+    """Linear -> BatchNorm -> biLSTM, built from its meta like the real models."""
+
+    def __init__(self, width=3, seed=0):
+        rng = rng64(seed)
+        self.width = width
+        self.fc = nn.Linear(4, width, rng=rng)
+        self.bn = nn.BatchNorm1d(width)
+        self.lstm = nn.LSTM(width, 5, bidirectional=True, rng=rng)
+
+    def params(self):
+        return self.fc.params() + self.bn.params() + self.lstm.params()
+
+    def state_arrays(self):
+        return self.bn.state_arrays()
+
+    def save(self, path, meta=None):
+        nn.save_checkpoint(path, kind="toy", params=self.params(), state=self.state_arrays(),
+                           meta={"width": self.width} if meta is None else meta)
+
+    @staticmethod
+    def build(meta):
+        return _Toy(int(meta["width"]), seed=99)
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
-        rng = rng64(11)
-        layers = [nn.Linear(4, 3, rng=rng), nn.BatchNorm1d(3), nn.ReLU(),
-                  nn.LSTM(3, 5, bidirectional=True, rng=rng)]
-        params = [p for l in layers for p in l.params()]
-        state = layers[1].state_arrays()
+        toy = _Toy(seed=11)
+        toy.bn.running_mean[:] = [0.5, -1.0, 2.0]
+        toy.bn.running_var[:] = [1.5, 0.25, 3.0]
         path = tmp_path / "model.dpc"
-        nn.save_checkpoint(path, kind="demo", specs=[l.spec() for l in layers],
-                           params=params, meta={"seed": 11}, extra_state=state)
-        kind, specs, arrays, st, meta = nn.load_checkpoint(path)
-        assert kind == "demo"
-        assert meta == {"seed": 11}
-        assert len(arrays) == len(params)
-        for a, p in zip(arrays, params):
-            assert np.array_equal(a, p.data.astype(np.float32))
-        rebuilt = [nn.build_layer(s, rng=rng64(0)) for s in specs]
-        assert isinstance(rebuilt[0], nn.Linear)
-        assert isinstance(rebuilt[3], nn.LSTM) and rebuilt[3].bidirectional
+        toy.save(path)
+        back = nn.load_checkpoint(path, "toy", _Toy.build)
+        assert isinstance(back, _Toy)
+        assert len(back.params()) == len(toy.params())
+        for a, b in zip(back.params() + back.state_arrays(),
+                        toy.params() + toy.state_arrays()):
+            assert np.array_equal(getattr(a, "data", a), getattr(b, "data", b))
+        assert "layers" not in containers.read_container(path)[0]
+
+    def test_not_a_checkpoint_rejected(self, tmp_path):
+        path = tmp_path / "frames.dpc"
+        containers.write_frames(path, np.zeros((2, 17, 3)), 0.1, "pose")
+        with pytest.raises(containers.ContainerError, match="frames.dpc"):
+            nn.load_checkpoint(path, "toy", _Toy.build)
+
+    def test_shape_mismatch_names_file(self, tmp_path):
+        path = tmp_path / "model.dpc"
+        _Toy(width=3).save(path)
+        header, payload = containers.read_container(path)
+        header["meta"]["width"] = 2
+        containers.write_container(path, header, payload)
+        with pytest.raises(ValueError, match="model.dpc: parameter array 0"):
+            nn.load_checkpoint(path, "toy", _Toy.build)
+
+    def test_missing_meta_field_names_file(self, tmp_path):
+        path = tmp_path / "model.dpc"
+        _Toy().save(path, meta={})
+        with pytest.raises(ValueError, match="model.dpc: cannot build"):
+            nn.load_checkpoint(path, "toy", _Toy.build)
+
+    def test_payload_length_checked(self, tmp_path):
+        path = tmp_path / "model.dpc"
+        _Toy().save(path)
+        header, payload = containers.read_container(path)
+        containers.write_container(path, header, payload[:-1])
+        with pytest.raises(containers.ContainerError, match="model.dpc: payload"):
+            nn.load_checkpoint(path, "toy", _Toy.build)
+
+    def test_legacy_layers_field_ignored(self, tmp_path):
+        toy = _Toy(seed=5)
+        path = tmp_path / "model.dpc"
+        toy.save(path)
+        header, payload = containers.read_container(path)
+        header["layers"] = [{"kind": "linear", "in_features": 4, "out_features": 3,
+                             "bias": True}, {"kind": "activation", "fn": "relu"}]
+        containers.write_container(path, header, payload)
+        back = nn.load_checkpoint(path, "toy", _Toy.build)
+        for a, b in zip(back.params(), toy.params()):
+            assert np.array_equal(a.data, b.data)

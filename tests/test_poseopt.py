@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from dopplerpose import containers
 from dopplerpose.motion import (
     ActivityKind,
     N_JOINTS,
@@ -22,7 +25,7 @@ from dopplerpose.poseopt import (
     optimize_initial_pose,
     reconstruct_long_term,
 )
-from dopplerpose.velest import TrainConfig
+from dopplerpose.velest import TrainConfig, VelModel
 
 
 def exact_stub(true_p0):
@@ -240,6 +243,21 @@ class TestOptModelIO:
         m.save(path)
         back = OptModel.load(path)
         assert np.allclose(opt_forward(m, p, v), opt_forward(back, p, v), atol=1e-6)
+
+    def test_velocity_checkpoint_rejected(self, tmp_path):
+        path = tmp_path / "vel.dpc"
+        VelModel(33, seed=1).save(path)
+        with pytest.raises(ValueError, match="vel.dpc: not a 'optmodel' checkpoint"):
+            OptModel.load(path)
+
+    def test_pinned_checkpoint_with_layer_specs_loads_exactly(self):
+        # Written before checkpoints dropped their `layers` field; read only.
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "checkpoints" / "opt_model.dpc"
+        header, payload = containers.read_container(path)
+        assert "layers" in header and header["state_shapes"] == []
+        m = OptModel.load(path)
+        restored = np.concatenate([p.data.ravel() for p in m.params()])
+        assert np.array_equal(restored, payload)
 
 
 def test_t_pose_is_distinct_standing_pose():

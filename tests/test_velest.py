@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from dopplerpose import containers
 from dopplerpose.caf import Spectrogram
 from dopplerpose.motion import N_JOINTS, VelocitySequence
 from dopplerpose.velest import (
@@ -13,6 +16,7 @@ from dopplerpose.velest import (
 )
 
 WIDTH = 33  # smallest convenient Doppler width for the conv stack
+PINNED = Path(__file__).resolve().parents[1] / "perfbench" / "checkpoints"
 
 
 def random_spectrogram(rng, t_len=8, width=WIDTH):
@@ -156,3 +160,35 @@ class TestVelModelIO:
         a = vel_forward(m, s)
         b = vel_forward(back, s)
         assert np.allclose(a.values, b.values, atol=1e-6)
+
+    def _rewrite_state(self, tmp_path, shapes):
+        """A saved checkpoint whose state manifest and payload tail are replaced."""
+        path = tmp_path / "vel.dpc"
+        VelModel(WIDTH, seed=1).save(path)
+        header, payload = containers.read_container(path)
+        n_state = sum(int(np.prod(s)) for s in header["state_shapes"])
+        header["state_shapes"] = shapes
+        tail = np.ones(sum(int(np.prod(s)) for s in shapes), dtype=np.float32)
+        containers.write_container(path, header, np.concatenate([payload[:-n_state], tail]))
+        return path
+
+    def test_state_shape_mismatch_rejected(self, tmp_path):
+        path = self._rewrite_state(tmp_path, [[1]] * 8)
+        with pytest.raises(ValueError, match="vel.dpc: state array 0 has shape"):
+            VelModel.load(path)
+
+    def test_missing_state_rejected(self, tmp_path):
+        path = self._rewrite_state(tmp_path, [])
+        with pytest.raises(ValueError, match="vel.dpc: checkpoint has 0 state arrays"):
+            VelModel.load(path)
+
+    def test_pinned_checkpoint_with_layer_specs_loads_exactly(self):
+        # Written before checkpoints dropped their `layers` field; read only.
+        path = PINNED / "vel_model.dpc"
+        header, payload = containers.read_container(path)
+        assert "layers" in header
+        m = VelModel.load(path)
+        assert m.bn1.running_mean.shape == (32,)
+        restored = np.concatenate([a.ravel() for a in
+                                   [p.data for p in m.params()] + m.state_arrays()])
+        assert np.array_equal(restored, payload)
