@@ -77,6 +77,14 @@ def _get(d: dict, path: str, typ, default=None, required=False):
         raise ConfigError(f"config field {path}: expected {typ.__name__}, got {val!r}")
 
 
+def _build(section: str, cls, **fields):
+    """cls(**fields), with a rejected value reported as a ConfigError naming the section."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise ConfigError(f"config field {section}: {exc}")
+
+
 @dataclass
 class ExperimentConfig:
     """Parsed experiment settings; see configs/ for the JSON shape."""
@@ -140,28 +148,25 @@ def parse_config(data: dict) -> ExperimentConfig:
             raise ConfigError(f"config field dataset.kinds: unknown activity {k!r}")
         kinds.append(_KIND_BY_VALUE[k])
 
-    method = _get(data, "denoise.method", str, "threshold")
-    try:
-        den = DenoiseParams(
-            method=method,
-            quantile=_get(data, "denoise.quantile", float, 0.6),
-            slope=_get(data, "denoise.slope", float, 0.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"config field denoise: {exc}")
+    den = _build("denoise", DenoiseParams,
+                 method=_get(data, "denoise.method", str, "threshold"),
+                 quantile=_get(data, "denoise.quantile", float, 0.6),
+                 slope=_get(data, "denoise.slope", float, 0.0))
 
     train_fraction = _get(data, "dataset.train_fraction", float, 0.23)
     if not 0.0 < train_fraction < 1.0:
         raise ConfigError("config field dataset.train_fraction: must be in (0, 1)")
 
-    vel_cfg = TrainConfig(
+    vel_cfg = _build(
+        "training.vel", TrainConfig,
         learning_rate=_get(data, "training.vel.learning_rate", float, 0.001),
         batch_size=_get(data, "training.vel.batch_size", int, 64),
         epochs=_get(data, "training.vel.epochs", int, 60),
         seed=_get(data, "seed", int, 0),
         val_fraction=_get(data, "training.vel.val_fraction", float, 0.1),
     )
-    opt_cfg = TrainConfig(
+    opt_cfg = _build(
+        "training.opt", TrainConfig,
         learning_rate=_get(data, "training.opt.learning_rate", float, 0.001),
         batch_size=_get(data, "training.opt.batch_size", int, 128),
         epochs=_get(data, "training.opt.epochs", int, 40),
@@ -200,7 +205,8 @@ def parse_config(data: dict) -> ExperimentConfig:
         opt_train_cfg=opt_cfg,
         opt_pairs=_get(data, "training.opt.n_pairs", int, 1024),
         opt_window=_get(data, "training.opt.window", int, 30),
-        opt_config=OptConfig(
+        opt_config=_build(
+            "optimization", OptConfig,
             optr=_get(data, "optimization.optr", float, 0.01),
             max_epochs=_get(data, "optimization.max_epochs", int, 50),
             tol=_get(data, "optimization.tol", float, 1e-4),

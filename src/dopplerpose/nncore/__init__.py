@@ -18,6 +18,7 @@ from .tensor import (  # noqa: F401
     exp,
     getitem,
     grad_enabled,
+    lstm_sequence,
     matmul,
     mul,
     no_grad,
@@ -26,7 +27,6 @@ from .tensor import (  # noqa: F401
     reshape,
     sigmoid,
     sqrt,
-    stack_time,
     tanh,
     tmean,
     transpose,

@@ -117,7 +117,12 @@ class BatchNorm1d:
 
 
 class LSTM:
-    """Standard LSTM over (B, T, F); bidirectional stacks concatenate outputs."""
+    """Standard LSTM over (B, T, F); bidirectional stacks concatenate outputs.
+
+    Each (layer, direction) is one `lstm_sequence` graph node, whose backward
+    is backpropagation through time (Hochreiter & Schmidhuber 1997; Graves
+    2012, ch. 4): its cost per step does not grow with the sequence length.
+    """
 
     def __init__(self, input_size: int, hidden_size: int, num_layers: int = 1,
                  bidirectional: bool = False, *, rng=None, dtype=np.float32):
@@ -145,28 +150,6 @@ class LSTM:
             out.extend([w["W_ih"], w["W_hh"], w["b"]])
         return out
 
-    def _run_direction(self, x: Tensor, w, reverse: bool) -> list:
-        bsz, t_len, in_f = x.data.shape
-        h_dim = self.hidden_size
-        dtype = x.data.dtype
-        pre = T.reshape(T.matmul(T.reshape(x, (bsz * t_len, in_f)), w["W_ih"]),
-                        (bsz, t_len, 4 * h_dim))
-        pre = T.add(pre, w["b"])
-        h = Tensor(np.zeros((bsz, h_dim), dtype=dtype))
-        c = Tensor(np.zeros((bsz, h_dim), dtype=dtype))
-        order = range(t_len - 1, -1, -1) if reverse else range(t_len)
-        outputs = [None] * t_len
-        for t in order:
-            z = T.add(pre[:, t, :], T.matmul(h, w["W_hh"]))
-            i = T.sigmoid(z[:, 0:h_dim])
-            f = T.sigmoid(z[:, h_dim:2 * h_dim])
-            g = T.tanh(z[:, 2 * h_dim:3 * h_dim])
-            o = T.sigmoid(z[:, 3 * h_dim:4 * h_dim])
-            c = T.add(T.mul(f, c), T.mul(i, g))
-            h = T.mul(o, T.tanh(c))
-            outputs[t] = h
-        return outputs
-
     def __call__(self, x: Tensor, training: bool = False) -> Tensor:
         if x.data.ndim != 3:
             raise ValueError(f"LSTM expects (B, T, F) input, got {x.data.shape}")
@@ -175,13 +158,9 @@ class LSTM:
                 f"LSTM built for {self.input_size} input features, got {x.data.shape[2]}")
         out = x
         for layer in range(self.num_layers):
-            fwd = self._run_direction(out, self.weights[layer * self.dirs], reverse=False)
-            if self.bidirectional:
-                bwd = self._run_direction(out, self.weights[layer * self.dirs + 1],
-                                          reverse=True)
-                steps = [T.concat([f, b], axis=1) for f, b in zip(fwd, bwd)]
-            else:
-                steps = fwd
-            out = T.stack_time(steps)
+            layer_weights = self.weights[layer * self.dirs:(layer + 1) * self.dirs]
+            runs = [T.lstm_sequence(out, w["W_ih"], w["W_hh"], w["b"], reverse=d == 1)
+                    for d, w in enumerate(layer_weights)]
+            out = T.concat(runs, axis=2) if self.bidirectional else runs[0]
         return out
 

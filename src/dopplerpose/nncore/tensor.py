@@ -1,8 +1,12 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
 Small on purpose: dense tensors, the op set needed by the conv/recurrent
-models in this package, and a topological-order backward pass. Float32 by
-default; gradient-check tests run the same graphs in float64.
+models in this package, and a topological-order backward pass. The ops are
+elementwise arithmetic and activations, reductions, reshape/transpose/
+indexing/concat, 2-D matmul, `conv1d`, and `lstm_sequence`: a whole LSTM
+direction as one node with a hand-written backpropagation-through-time
+backward. Float32 by default; gradient-check tests run the same graphs in
+float64.
 """
 
 from __future__ import annotations
@@ -370,12 +374,6 @@ def concat(tensors, axis=0):
     return _make(np.concatenate([t.data for t in tensors], axis=axis), tensors, backward)
 
 
-def stack_time(tensors):
-    """Stack (B, F) tensors into (B, T, F) along a new time axis."""
-    b, f = tensors[0].data.shape
-    return concat([reshape(t, (b, 1, f)) for t in tensors], axis=1)
-
-
 def matmul(a, b):
     a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2:
@@ -386,6 +384,84 @@ def matmul(a, b):
         b._accumulate(a.data.T @ g)
 
     return _make(a.data @ b.data, (a, b), backward)
+
+
+# -- recurrence -------------------------------------------------------------
+
+def lstm_sequence(x, w_ih, w_hh, b, reverse: bool = False):
+    """One LSTM direction over x (B, T, F) -> hidden states (B, T, H), one graph node.
+
+    w_ih (F, 4H), w_hh (H, 4H) and b (4H,) hold the i, f, g, o gates in that
+    column order; the state starts at zero and runs from t = T-1 down when
+    `reverse`. The forward makes the numpy calls of a per-step matmul /
+    sigmoid / tanh composite in the same order, so its output is bit-identical
+    to one. Backward is backpropagation through time (Hochreiter & Schmidhuber
+    1997; Graves 2012, "Supervised Sequence Labelling with RNNs", ch. 4): one
+    reverse loop fills the pre-activation gradient of every step, then the
+    weight, bias and input gradients take one matmul or sum each.
+    """
+    x, w_ih, w_hh, b = (as_tensor(t) for t in (x, w_ih, w_hh, b))
+    bsz, t_len, in_f = x.data.shape
+    h_dim = w_hh.data.shape[0]
+    dtype = x.data.dtype
+    pre = (x.data.reshape(bsz * t_len, in_f) @ w_ih.data).reshape(bsz, t_len, 4 * h_dim)
+    pre = pre + b.data
+    out = np.empty((bsz, t_len, h_dim), dtype=pre.dtype)
+    needs = _GRAD_ENABLED and any(t.requires_grad for t in (x, w_ih, w_hh, b))
+    if needs:
+        gates = np.empty((bsz, t_len, 4 * h_dim), dtype=pre.dtype)  # i, f, g, o
+        cells = np.empty_like(out)
+        tanh_cells = np.empty_like(out)
+    h = np.zeros((bsz, h_dim), dtype=dtype)
+    c = np.zeros((bsz, h_dim), dtype=dtype)
+    order = range(t_len - 1, -1, -1) if reverse else range(t_len)
+    for t in order:
+        z = pre[:, t, :] + h @ w_hh.data
+        i = 1.0 / (1.0 + np.exp(-z[:, 0:h_dim]))
+        f = 1.0 / (1.0 + np.exp(-z[:, h_dim:2 * h_dim]))
+        g = np.tanh(z[:, 2 * h_dim:3 * h_dim])
+        o = 1.0 / (1.0 + np.exp(-z[:, 3 * h_dim:4 * h_dim]))
+        c = f * c + i * g
+        tanh_c = np.tanh(c)
+        h = o * tanh_c
+        out[:, t] = h
+        if needs:
+            np.concatenate((i, f, g, o), axis=1, out=gates[:, t])
+            cells[:, t] = c
+            tanh_cells[:, t] = tanh_c
+
+    def backward(gout):
+        # The state each step started from: the neighbouring step's, zero at the start.
+        h_prev, c_prev = np.zeros_like(out), np.zeros_like(out)
+        earlier_later = (slice(None, -1), slice(1, None))
+        src, dst = earlier_later[::-1] if reverse else earlier_later
+        h_prev[:, dst], c_prev[:, dst] = out[:, src], cells[:, src]
+        i, f, g, o = (gates[:, :, k * h_dim:(k + 1) * h_dim] for k in range(4))
+        # dz_{i,f,g} = dc * k_{i,f,g}, dz_o = dh * k_o, dc gets dh * dc_dh
+        k_cell = np.concatenate((g * i * (1.0 - i), c_prev * f * (1.0 - f), i * (1.0 - g * g)),
+                                axis=2).reshape(bsz, t_len, 3, h_dim)
+        k_o = tanh_cells * o * (1.0 - o)
+        dc_dh = o * (1.0 - tanh_cells * tanh_cells)
+        dz = np.empty_like(gates)
+        dz4 = dz.reshape(bsz, t_len, 4, h_dim)
+        dh_next = np.zeros((bsz, h_dim), dtype=dz.dtype)
+        dc_next = np.zeros_like(dh_next)
+        w_hh_t = w_hh.data.T
+        for t in reversed(order):
+            dh = gout[:, t] + dh_next
+            dc = dh * dc_dh[:, t] + dc_next
+            dz4[:, t, 0:3] = k_cell[:, t] * dc[:, None, :]
+            dz4[:, t, 3] = dh * k_o[:, t]
+            dc_next = dc * f[:, t]
+            dh_next = dz[:, t] @ w_hh_t
+        dz2 = dz.reshape(bsz * t_len, 4 * h_dim)
+        w_ih._accumulate(x.data.reshape(bsz * t_len, in_f).T @ dz2)
+        w_hh._accumulate(h_prev.reshape(bsz * t_len, h_dim).T @ dz2)
+        b._accumulate(dz2.sum(axis=0))
+        if x.requires_grad:
+            x._accumulate((dz2 @ w_ih.data.T).reshape(bsz, t_len, in_f))
+
+    return _make(out, (x, w_ih, w_hh, b), backward)
 
 
 # -- convolution ------------------------------------------------------------

@@ -45,6 +45,8 @@ class OptConfig:
             raise ValueError("period must be >= 1")
         if self.max_epochs < 0:
             raise ValueError("max_epochs must be >= 0")
+        if not self.tol >= 0:
+            raise ValueError("tol must be non-negative")
 
 
 def opt_vector_truth(p0_guess: np.ndarray, p0_true: np.ndarray) -> np.ndarray:
@@ -273,22 +275,25 @@ def optimize_initial_pose(model, p0_init: np.ndarray, v: VelocitySequence,
         return float(np.linalg.norm(pose - truth, axis=1).mean())
 
     trace = [err(p)] if truth is not None else []
+    ov = None  # the prediction at p, when the last epoch already made it
     for _ in range(cfg.max_epochs):
-        seq = integrate(p, v)
-        ov = predict(seq.positions, v.values, frame_index)
+        if ov is None:
+            ov = predict(integrate(p, v).positions, v.values, frame_index)
         steps = np.full(N_JOINTS, cfg.optr)
         moved = ov * steps[:, None]
+        next_ov = None
         for _halving in range(cfg.max_halvings):
             cand = p + moved
             ov2 = predict(integrate(cand, v).positions, v.values, frame_index)
             flipped = (ov * ov2).sum(axis=1) < 0
             if not flipped.any() or steps.max() < cfg.tol:
+                next_ov = ov2  # the step commits to exactly cand
                 break
             steps[flipped] *= 0.5
             moved = ov * steps[:, None]
         new_p = p + moved
         mean_change = float(np.linalg.norm(new_p - p, axis=1).mean())
-        p = new_p
+        p, ov = new_p, next_ov
         trace.append(err(p) if truth is not None else mean_change)
         if mean_change < cfg.tol:
             break

@@ -83,6 +83,31 @@ class TestConfig:
         with pytest.raises(ConfigError, match="processing.doppler_span_hz"):
             harness.parse_config(data)
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("optimization", "period", 0),
+        ("optimization", "max_epochs", -1),
+        ("optimization", "tol", -1.0),
+        ("optimization", "tol", float("nan")),
+        ("training.vel", "batch_size", 0),
+        ("training.opt", "val_fraction", 1.0),
+    ])
+    def test_rejected_loop_and_training_values_named(self, section, key, value):
+        data = tiny_config_dict()
+        node = data
+        for part in section.split("."):
+            node = node[part]
+        node[key] = value
+        with pytest.raises(ConfigError, match=f"^config field {section}: {key}"):
+            harness.parse_config(data)
+
+    @pytest.mark.parametrize("path", ["denoise.quantile", "training.vel.batch_size",
+                                      "optimization.tol"])
+    def test_bad_type_in_checked_section_named_once(self, path):
+        data = tiny_config_dict(**{path: "lots"})
+        with pytest.raises(ConfigError) as info:
+            harness.parse_config(data)
+        assert str(info.value).startswith(f"config field {path}: expected")
+
     def test_doppler_span_bound_follows_sample_rate(self):
         data = tiny_config_dict()
         data["processing"]["doppler_span_hz"] = 9000.0

@@ -227,6 +227,144 @@ class TestLayerContracts:
         assert np.array_equal(outs[0], outs[1])
 
 
+def composite_direction(x, w, reverse):
+    """One LSTM direction built step by step from matmul/sigmoid/tanh graph ops."""
+    bsz, t_len, in_f = x.data.shape
+    h_dim = w["W_hh"].data.shape[0]
+    dtype = x.data.dtype
+    pre = ops.reshape(ops.matmul(ops.reshape(x, (bsz * t_len, in_f)), w["W_ih"]),
+                      (bsz, t_len, 4 * h_dim))
+    pre = ops.add(pre, w["b"])
+    h = Tensor(np.zeros((bsz, h_dim), dtype=dtype))
+    c = Tensor(np.zeros((bsz, h_dim), dtype=dtype))
+    order = range(t_len - 1, -1, -1) if reverse else range(t_len)
+    outputs = [None] * t_len
+    for t in order:
+        z = ops.add(pre[:, t, :], ops.matmul(h, w["W_hh"]))
+        i = ops.sigmoid(z[:, 0:h_dim])
+        f = ops.sigmoid(z[:, h_dim:2 * h_dim])
+        g = ops.tanh(z[:, 2 * h_dim:3 * h_dim])
+        o = ops.sigmoid(z[:, 3 * h_dim:4 * h_dim])
+        c = ops.add(ops.mul(f, c), ops.mul(i, g))
+        h = ops.mul(o, ops.tanh(c))
+        outputs[t] = h
+    return outputs
+
+
+def stack_time(tensors):
+    """Stack (B, F) tensors into (B, T, F) along a new time axis."""
+    b, f = tensors[0].data.shape
+    return ops.concat([ops.reshape(t, (b, 1, f)) for t in tensors], axis=1)
+
+
+def composite_lstm(layer, x):
+    """Oracle: `layer` run through the per-step composite (about 12 graph nodes a step)."""
+    out = x
+    for k in range(layer.num_layers):
+        fwd = composite_direction(out, layer.weights[k * layer.dirs], reverse=False)
+        if layer.bidirectional:
+            bwd = composite_direction(out, layer.weights[k * layer.dirs + 1], reverse=True)
+            steps = [ops.concat([f, b], axis=1) for f, b in zip(fwd, bwd)]
+        else:
+            steps = fwd
+        out = stack_time(steps)
+    return out
+
+
+def graph_size(root):
+    seen, stack = set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)
+
+
+# (batch, time, features, hidden, layers, bidirectional): OptModel's and
+# VelModel's biLSTMs at their real sizes, and a unidirectional single layer.
+LSTM_SHAPES = [(1, 50, 102, 51, 2, True), (41, 50, 320, 64, 2, True),
+               (3, 17, 8, 5, 1, False)]
+
+
+class TestFusedLstm:
+    """The fused `lstm_sequence` op against the per-step composite it replaced."""
+
+    @staticmethod
+    def _layer_and_input(shape, dtype, seed=0):
+        bsz, t_len, in_f, hidden, layers, bidir = shape
+        rng = rng64(seed)
+        layer = nn.LSTM(in_f, hidden, num_layers=layers, bidirectional=bidir, rng=rng,
+                        dtype=dtype)
+        x = Tensor(rng.normal(size=(bsz, t_len, in_f)).astype(dtype), requires_grad=True)
+        return layer, x
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", LSTM_SHAPES)
+    def test_forward_bit_identical_to_composite(self, shape, dtype):
+        layer, x = self._layer_and_input(shape, dtype)
+        with nn.no_grad():
+            fused = layer(x).data
+            oracle = composite_lstm(layer, x).data
+        assert fused.dtype == oracle.dtype == dtype
+        assert np.array_equal(fused, oracle)
+        # recording the graph does not change the values
+        assert np.array_equal(layer(x).data, oracle)
+
+    @pytest.mark.parametrize("shape", LSTM_SHAPES)
+    def test_float64_gradients_match_composite(self, shape):
+        layer, x = self._layer_and_input(shape, np.float64, seed=1)
+        weights = t64(rng64(2), (shape[0], shape[1], layer.hidden_size * layer.dirs))
+        grads = []
+        for run in (layer, lambda inp: composite_lstm(layer, inp)):
+            for p in layer.params() + [x]:
+                p.grad = None
+            ops.tsum(ops.mul(ops.tanh(run(x)), weights)).backward()
+            grads.append([p.grad.copy() for p in layer.params() + [x]])
+        for fused, oracle in zip(*grads):
+            assert nn.relative_error(fused, oracle) <= 1e-10
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_reverse_direction_gradcheck(self, seed):
+        rng = rng64(600 + seed)
+        w_ih, w_hh, b = t64(rng, (3, 16), True), t64(rng, (4, 16), True), t64(rng, (16,), True)
+        x = t64(rng, (2, 5, 3), grad=True)
+        build = lambda: ops.tsum(ops.tanh(ops.lstm_sequence(x, w_ih, w_hh, b, reverse=True)))
+        assert nn.check_gradients(build, [w_ih, w_hh, b, x]) <= 1e-4
+
+    def test_single_step_gradcheck(self):
+        rng = rng64(700)
+        layer = nn.LSTM(3, 4, num_layers=2, bidirectional=True, rng=rng, dtype=np.float64)
+        x = t64(rng, (2, 1, 3), grad=True)
+        build = lambda: ops.tsum(ops.tanh(layer(x)))
+        assert nn.check_gradients(build, layer.params() + [x]) <= 1e-4
+
+    def test_graph_size_independent_of_length(self):
+        # stands in for "backward cost per step flat in T": the composite
+        # graph grows by ~12 nodes a step, the fused one not at all
+        sizes, composite = [], []
+        for t_len in (5, 50):
+            layer, x = self._layer_and_input((2, t_len, 4, 3, 2, True), np.float64)
+            sizes.append(graph_size(layer(x)))
+            composite.append(graph_size(composite_lstm(layer, x)))
+        assert sizes[0] == sizes[1]
+        assert composite[1] > composite[0]
+
+    def test_no_grad_forward_records_nothing(self):
+        layer, x = self._layer_and_input((2, 6, 4, 3, 2, True), np.float32)
+        with nn.no_grad():
+            out = layer(x)
+        assert out._backward is None and out._parents == ()
+        assert not out.requires_grad
+
+    def test_input_without_grad_gets_none(self):
+        layer, x = self._layer_and_input((2, 6, 4, 3, 1, True), np.float64)
+        x.requires_grad = False
+        ops.tsum(layer(x)).backward()
+        assert x.grad is None
+        assert all(p.grad is not None for p in layer.params())
+
+
 class TestAdam:
     def test_zero_gradient_keeps_params(self):
         p = np.array([1.0, -2.0, 3.0])

@@ -165,6 +165,91 @@ class TestOptimizeInitialPose:
         assert moves.max() <= np.sqrt(3) * cfg.optr + 1e-12
 
 
+@pytest.mark.parametrize("tol", [-1.0, float("nan")])
+def test_opt_config_rejects_tolerance_never_met(tol):
+    # `mean_change < tol` could never hold, so the loop would run every epoch
+    with pytest.raises(ValueError, match="tol"):
+        OptConfig(tol=tol)
+
+
+def two_call_loop(predict, p0_init, v, cfg, truth=None):
+    """Oracle: the pose loop that predicts afresh at the start of every epoch.
+
+    Returns (pose, trace, stats) with the epochs run, the step halvings made
+    and the epochs whose halving budget ran out.
+    """
+    p = np.array(p0_init, dtype=np.float64)
+    stats = {"epochs": 0, "halvings": 0, "exhausted": 0}
+
+    def err(pose):
+        return float(np.linalg.norm(pose - truth, axis=1).mean())
+
+    trace = [err(p)] if truth is not None else []
+    for _ in range(cfg.max_epochs):
+        stats["epochs"] += 1
+        seq = integrate(p, v)
+        ov = predict(seq.positions, v.values, 0)
+        steps = np.full(N_JOINTS, cfg.optr)
+        moved = ov * steps[:, None]
+        for _halving in range(cfg.max_halvings):
+            cand = p + moved
+            ov2 = predict(integrate(cand, v).positions, v.values, 0)
+            flipped = (ov * ov2).sum(axis=1) < 0
+            if not flipped.any() or steps.max() < cfg.tol:
+                break
+            steps[flipped] *= 0.5
+            moved = ov * steps[:, None]
+            stats["halvings"] += 1
+        else:
+            stats["exhausted"] += cfg.max_halvings > 0
+        new_p = p + moved
+        mean_change = float(np.linalg.norm(new_p - p, axis=1).mean())
+        p = new_p
+        trace.append(err(p) if truth is not None else mean_change)
+        if mean_change < cfg.tol:
+            break
+    return p, trace, stats
+
+
+class TestOnePredictionPerCommittedStep:
+    """The loop reuses the candidate's prediction when the step commits to it."""
+
+    # (start offset, config, the oracle's halvings and exhausted epochs)
+    CASES = {
+        "no_halving": (0.5, OptConfig(max_epochs=10), "none", "none"),
+        "halvings": (0.02, OptConfig(max_epochs=8), "some", "none"),
+        "exhausted": (0.03, OptConfig(max_epochs=6, max_halvings=2), "some", "some"),
+        "no_budget": (0.03, OptConfig(max_epochs=6, max_halvings=0), "none", "none"),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_matches_two_call_oracle(self, case):
+        offset, cfg, halvings, exhausted = self.CASES[case]
+        p_true = generate_activity(ActivityKind.WPLUS, 2.0, seed=2)
+        v = differentiate(p_true)
+        true_p0 = p_true.positions[0]
+        start = true_p0 + np.random.default_rng(3).uniform(-offset, offset, (N_JOINTS, 3))
+        calls = []
+        stub = exact_stub(true_p0)
+
+        def counting(p_seq, v_vals, frame_index=0):
+            calls.append(1)
+            return stub(p_seq, v_vals, frame_index)
+
+        want_p, want_trace, stats = two_call_loop(stub, start, v, cfg, truth=true_p0)
+        assert (stats["halvings"] > 0) == (halvings == "some")
+        assert (stats["exhausted"] > 0) == (exhausted == "some")
+        got_p, got_trace = optimize_initial_pose(counting, start, v, cfg, truth=true_p0)
+        assert np.array_equal(got_p, want_p)
+        assert got_trace == want_trace
+        if cfg.max_halvings == 0:
+            assert len(calls) == stats["epochs"]
+        else:
+            # an epoch whose budget ran out predicts afresh after it, but it
+            # made one candidate prediction fewer than an epoch that broke
+            assert len(calls) <= stats["epochs"] + stats["halvings"] + 1
+
+
 class TestReconstructLongTerm:
     def test_large_period_equals_plain_integration(self):
         m = OptModel(seed=3)
