@@ -7,8 +7,8 @@ gives every Doppler bin at once. The result is identical (to rounding) to
 the direct double sum over samples and Doppler frequencies.
 
 Range resolution at WiFi bandwidths cannot separate body parts, so the
-spectrogram step collapses each map's delay axis (inside a configurable
-window) and keeps Doppler only, one column per coherent processing interval.
+spectrogram step sums each map over all its delay bins and keeps Doppler
+only, one column per coherent processing interval.
 """
 
 from __future__ import annotations
@@ -191,12 +191,11 @@ def clean_dsi(caf: CafMap, self_map: CafMap, iterations: int = 1) -> CafMap:
     return CafMap(grid, caf.delay_axis, caf.doppler_axis, caf.cpi_s)
 
 
-def assemble_spectrogram(cafs, delay_window: tuple[float, float] | None = None) -> Spectrogram:
+def assemble_spectrogram(cafs) -> Spectrogram:
     """Collapse each CAF to one Doppler column and concatenate along time.
 
-    Magnitudes are summed over the delay bins inside `delay_window` (seconds;
-    default: all bins, reflecting the lack of usable range resolution), and
-    the assembled map is max-normalized to [0, 1].
+    Magnitudes are summed over all delay bins (there is no usable range
+    resolution), and the assembled map is max-normalized to [0, 1].
     """
     cafs = list(cafs)
     if not cafs:
@@ -207,16 +206,8 @@ def assemble_spectrogram(cafs, delay_window: tuple[float, float] | None = None) 
         if any(a.shape != axes[0].shape for a in axes) \
                 or not np.allclose(np.stack(axes), axes[0]):
             raise ValueError("all CAF maps must share the same axes")
-    if delay_window is None:
-        mask = np.ones(first.delay_axis.size, dtype=bool)
-    else:
-        lo, hi = delay_window
-        mask = (first.delay_axis >= lo) & (first.delay_axis <= hi)
-        if not mask.any():
-            raise ValueError("delay window selects no bins")
-
-    columns = [np.abs(c.grid[mask, :]).sum(axis=0) for c in cafs]
-    values = np.stack(columns, axis=1)
+    # Stacked C-ordered, the sum adds the delay rows one after another.
+    values = np.abs(np.stack([c.grid for c in cafs], axis=2)).sum(axis=0)
     m = values.max()
     if m > 0:
         values = values / m
@@ -227,8 +218,7 @@ def spectrogram_pipeline(sur: BasebandSignal, ref: BasebandSignal, *,
                          cpi_s: float, delay_bins: int,
                          doppler_span_hz: float,
                          doppler_oversample: int = 1,
-                         clean_iterations: int = 0,
-                         delay_window: tuple[float, float] | None = None) -> Spectrogram:
+                         clean_iterations: int = 0) -> Spectrogram:
     """Slice a long capture into CPIs and build the micro-Doppler spectrogram."""
     _check_pair(sur, ref)
     fs = sur.sample_rate_hz
@@ -251,4 +241,4 @@ def spectrogram_pipeline(sur: BasebandSignal, ref: BasebandSignal, *,
                             doppler_oversample=doppler_oversample)
             m = clean_dsi(m, tmpl, iterations=clean_iterations)
         maps.append(m)
-    return assemble_spectrogram(maps, delay_window=delay_window)
+    return assemble_spectrogram(maps)

@@ -1,10 +1,9 @@
-"""Pluggable spectrogram denoising with a deterministic quantile baseline.
+"""Spectrogram denoising with a deterministic quantile baseline.
 
-The interface exists so a learned denoiser can be slotted in later; the
-shipped baseline estimates a per-column noise floor at a configurable
-quantile, subtracts it with clipping at zero and (optionally) re-normalizes
-the map to [0, 1]. Normalization here is per-spectrogram, like the
-spectrogram assembly step.
+The "threshold" method estimates a per-column noise floor at a configurable
+quantile, subtracts it with clipping at zero (or a soft knee) and
+re-normalizes the map to [0, 1]. Normalization here is per-spectrogram, like
+the spectrogram assembly step; "passthrough" returns the input unchanged.
 """
 
 from __future__ import annotations
@@ -26,17 +25,11 @@ class DenoiseParams:
         floor per column.
     quantile: per-column quantile used as the floor estimate.
     slope: soft-threshold knee width; 0 gives a hard subtract-and-clip.
-    fixed_threshold: when set, disables the data-dependent quantile and uses
-        this constant floor everywhere (the per-column statistics are off,
-        which makes the operator elementwise monotone).
-    renormalize: divide by the post-threshold maximum.
     """
 
     method: str = "threshold"
     quantile: float = 0.6
     slope: float = 0.0
-    fixed_threshold: float | None = None
-    renormalize: bool = True
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -62,13 +55,9 @@ def denoise(s: Spectrogram, p: DenoiseParams) -> Spectrogram:
     if p.method == "passthrough":
         return Spectrogram(s.values.copy(), s.doppler_axis.copy(), s.dt)
 
-    if p.fixed_threshold is not None:
-        thr = np.full((1, s.values.shape[1]), float(p.fixed_threshold))
-    else:
-        thr = np.quantile(s.values, p.quantile, axis=0, keepdims=True)
+    thr = np.quantile(s.values, p.quantile, axis=0, keepdims=True)
     out = _soft_shrink(s.values, thr, p.slope)
-    if p.renormalize:
-        m = out.max()
-        if m > 0:
-            out = out / m
+    m = out.max()
+    if m > 0:
+        out = out / m
     return Spectrogram(out, s.doppler_axis.copy(), s.dt)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +49,7 @@ from .wavesim import (
 )
 
 SCHEMA_VERSION = 1
+VARIANTS = ("M", "D")  # the spectrogram variants `evaluate` reports on
 
 _KIND_BY_VALUE = {k.value: k for k in ActivityKind}
 
@@ -57,7 +58,7 @@ class ConfigError(ValueError):
     """Malformed experiment configuration; the message names the field."""
 
 
-def _get(d: dict, path: str, typ, default=None, required=False):
+def _get_field(d: dict, path: str, typ, default=None, required=False):
     node = d
     parts = path.split(".")
     for p in parts[:-1]:
@@ -75,6 +76,15 @@ def _get(d: dict, path: str, typ, default=None, required=False):
         return typ(val)
     except (TypeError, ValueError):
         raise ConfigError(f"config field {path}: expected {typ.__name__}, got {val!r}")
+
+
+def _leaf_paths(node: dict, prefix: str = ""):
+    """The dotted path of every non-object value in a config dict; lists are leaves."""
+    for key, val in node.items():
+        if isinstance(val, dict):
+            yield from _leaf_paths(val, f"{prefix}{key}.")
+        else:
+            yield prefix + key
 
 
 def _build(section: str, cls, **fields):
@@ -112,36 +122,38 @@ class ExperimentConfig:
     opt_pairs: int
     opt_window: int
     opt_config: OptConfig
-    raw: dict = field(default_factory=dict, repr=False)
 
 
 def parse_config(data: dict) -> ExperimentConfig:
-    if _get(data, "schema_version", int, required=True) != SCHEMA_VERSION:
-        raise ConfigError(f"config field schema_version: expected {SCHEMA_VERSION}")
-    try:
-        geometry = Geometry(
-            tx_pos=data["geometry"]["tx_pos"],
-            rx_sur_pos=data["geometry"]["rx_sur_pos"],
-            rx_ref_pos=data["geometry"]["rx_ref_pos"],
-            carrier_hz=_get(data, "geometry.carrier_hz", float, 5.8e9),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"missing required config field: geometry.{exc.args[0]}")
-    except ValueError as exc:
-        raise ConfigError(f"config field geometry: {exc}")
+    """Validate a config dict; a field this function never reads is an error too."""
+    read = set()
 
-    clutter = [Clutter(c["position"], float(c["amplitude"]))
-               for c in data.get("interference", {}).get("clutter", [])]
-    multipath = [MirrorPlane(m["point"], m["normal"], float(m["amplitude"]))
-                 for m in data.get("interference", {}).get("multipath", [])]
-    interference = InterferenceConfig(
-        dsi_amplitude=_get(data, "interference.dsi_amplitude", float, 0.0),
-        clutter=clutter,
-        multipath=multipath,
-        noise_floor=_get(data, "interference.noise_floor", float, 0.0),
+    def get(path, typ, default=None, required=False):
+        read.add(path)
+        return _get_field(data, path, typ, default, required)
+
+    if get("schema_version", int, required=True) != SCHEMA_VERSION:
+        raise ConfigError(f"config field schema_version: expected {SCHEMA_VERSION}")
+    geometry = _build(
+        "geometry", Geometry,
+        tx_pos=get("geometry.tx_pos", list, required=True),
+        rx_sur_pos=get("geometry.rx_sur_pos", list, required=True),
+        rx_ref_pos=get("geometry.rx_ref_pos", list, required=True),
+        carrier_hz=get("geometry.carrier_hz", float, 5.8e9),
     )
 
-    kinds_raw = data.get("dataset", {}).get("kinds", [k.value for k in ActivityKind])
+    clutter = [Clutter(c["position"], float(c["amplitude"]))
+               for c in get("interference.clutter", list, [])]
+    multipath = [MirrorPlane(m["point"], m["normal"], float(m["amplitude"]))
+                 for m in get("interference.multipath", list, [])]
+    interference = InterferenceConfig(
+        dsi_amplitude=get("interference.dsi_amplitude", float, 0.0),
+        clutter=clutter,
+        multipath=multipath,
+        noise_floor=get("interference.noise_floor", float, 0.0),
+    )
+
+    kinds_raw = get("dataset.kinds", list, [k.value for k in ActivityKind])
     kinds = []
     for k in kinds_raw:
         if k not in _KIND_BY_VALUE:
@@ -149,71 +161,74 @@ def parse_config(data: dict) -> ExperimentConfig:
         kinds.append(_KIND_BY_VALUE[k])
 
     den = _build("denoise", DenoiseParams,
-                 method=_get(data, "denoise.method", str, "threshold"),
-                 quantile=_get(data, "denoise.quantile", float, 0.6),
-                 slope=_get(data, "denoise.slope", float, 0.0))
+                 method=get("denoise.method", str, "threshold"),
+                 quantile=get("denoise.quantile", float, 0.6),
+                 slope=get("denoise.slope", float, 0.0))
 
-    train_fraction = _get(data, "dataset.train_fraction", float, 0.23)
+    train_fraction = get("dataset.train_fraction", float, 0.23)
     if not 0.0 < train_fraction < 1.0:
         raise ConfigError("config field dataset.train_fraction: must be in (0, 1)")
 
     vel_cfg = _build(
         "training.vel", TrainConfig,
-        learning_rate=_get(data, "training.vel.learning_rate", float, 0.001),
-        batch_size=_get(data, "training.vel.batch_size", int, 64),
-        epochs=_get(data, "training.vel.epochs", int, 60),
-        seed=_get(data, "seed", int, 0),
-        val_fraction=_get(data, "training.vel.val_fraction", float, 0.1),
+        learning_rate=get("training.vel.learning_rate", float, 0.001),
+        batch_size=get("training.vel.batch_size", int, 64),
+        epochs=get("training.vel.epochs", int, 60),
+        seed=get("seed", int, 0),
+        val_fraction=get("training.vel.val_fraction", float, 0.1),
     )
     opt_cfg = _build(
         "training.opt", TrainConfig,
-        learning_rate=_get(data, "training.opt.learning_rate", float, 0.001),
-        batch_size=_get(data, "training.opt.batch_size", int, 128),
-        epochs=_get(data, "training.opt.epochs", int, 40),
-        seed=_get(data, "seed", int, 0) + 1,
-        val_fraction=_get(data, "training.opt.val_fraction", float, 0.1),
+        learning_rate=get("training.opt.learning_rate", float, 0.001),
+        batch_size=get("training.opt.batch_size", int, 128),
+        epochs=get("training.opt.epochs", int, 40),
+        seed=get("seed", int, 0) + 1,
+        val_fraction=get("training.opt.val_fraction", float, 0.1),
     )
 
-    sample_rate_hz = _get(data, "waveform.sample_rate_hz", float, 16e3)
+    sample_rate_hz = get("waveform.sample_rate_hz", float, 16e3)
     try:
         doppler_span_hz = check_doppler_span(
-            _get(data, "processing.doppler_span_hz", float, 100.0), sample_rate_hz)
+            get("processing.doppler_span_hz", float, 100.0), sample_rate_hz)
     except ValueError as exc:
         raise ConfigError(f"config field processing.doppler_span_hz: {exc}")
 
-    return ExperimentConfig(
-        seed=_get(data, "seed", int, 0),
+    cfg = ExperimentConfig(
+        seed=get("seed", int, 0),
         geometry=geometry,
-        bandwidth_hz=_get(data, "waveform.bandwidth_hz", float, 8e3),
+        bandwidth_hz=get("waveform.bandwidth_hz", float, 8e3),
         sample_rate_hz=sample_rate_hz,
         scatterer=ScattererModel(
-            path_loss_exponent=_get(data, "scatterer.path_loss_exponent", float, 2.0)),
+            path_loss_exponent=get("scatterer.path_loss_exponent", float, 2.0)),
         interference=interference,
-        cpi_s=_get(data, "processing.cpi_s", float, 0.1),
-        delay_bins=_get(data, "processing.delay_bins", int, 1),
+        cpi_s=get("processing.cpi_s", float, 0.1),
+        delay_bins=get("processing.delay_bins", int, 1),
         doppler_span_hz=doppler_span_hz,
-        doppler_oversample=_get(data, "processing.doppler_oversample", int, 4),
-        clean_iterations=_get(data, "processing.clean_iterations", int, 2),
+        doppler_oversample=get("processing.doppler_oversample", int, 4),
+        clean_iterations=get("processing.clean_iterations", int, 2),
         denoise_params=den,
-        n_activities=_get(data, "dataset.n_activities", int, 200),
-        duration_s=_get(data, "dataset.duration_s", float, 5.0),
-        dt=_get(data, "dataset.dt", float, 0.1),
+        n_activities=get("dataset.n_activities", int, 200),
+        duration_s=get("dataset.duration_s", float, 5.0),
+        dt=get("dataset.dt", float, 0.1),
         kinds=kinds,
-        start_jitter_m=_get(data, "dataset.start_jitter_m", float, 0.25),
+        start_jitter_m=get("dataset.start_jitter_m", float, 0.25),
         train_fraction=train_fraction,
         vel_train=vel_cfg,
         opt_train_cfg=opt_cfg,
-        opt_pairs=_get(data, "training.opt.n_pairs", int, 1024),
-        opt_window=_get(data, "training.opt.window", int, 30),
+        opt_pairs=get("training.opt.n_pairs", int, 1024),
+        opt_window=get("training.opt.window", int, 30),
         opt_config=_build(
             "optimization", OptConfig,
-            optr=_get(data, "optimization.optr", float, 0.01),
-            max_epochs=_get(data, "optimization.max_epochs", int, 50),
-            tol=_get(data, "optimization.tol", float, 1e-4),
-            period=_get(data, "optimization.period", int, 50),
+            optr=get("optimization.optr", float, 0.01),
+            max_epochs=get("optimization.max_epochs", int, 50),
+            tol=get("optimization.tol", float, 1e-4),
+            period=get("optimization.period", int, 50),
         ),
-        raw=data,
     )
+    for path in _leaf_paths(data):
+        if path not in read:
+            raise ConfigError(f"unknown config field {path}")
+    return cfg
 
 
 def apply_overrides(data: dict, overrides: list[str]) -> dict:
@@ -422,6 +437,11 @@ def root_relative_positions(positions: np.ndarray, truth: np.ndarray) -> np.ndar
     return out
 
 
+def mm_per_frame(meters_per_second, dt: float):
+    """Unit bridge used in all reports: mm/frame = (m/s) * dt * 1000."""
+    return meters_per_second * dt * 1000.0
+
+
 def velocity_mae_mm_frame(pred: VelocitySequence, truth: VelocitySequence,
                           root_relative: bool = True) -> np.ndarray:
     """Per-joint velocity MAE in mm/frame (L1 over the 3 components)."""
@@ -430,7 +450,7 @@ def velocity_mae_mm_frame(pred: VelocitySequence, truth: VelocitySequence,
         p = p - p[:, :1, :]
         t = t - t[:, :1, :]
     per_joint = np.abs(p - t).sum(axis=2).mean(axis=0)  # m/s
-    return per_joint * truth.dt * 1000.0
+    return mm_per_frame(per_joint, truth.dt)
 
 
 def position_mae_mm(pred: PoseSequence, truth: PoseSequence,
@@ -451,29 +471,32 @@ class MetricsReport:
     vel_mae_abs: dict
     pos_mae_abs: dict
     overall_vel: dict    # variant -> scalar mm/frame
-    overall_pos: dict    # variant -> scalar mm
+    overall_pos: dict    # variant -> scalar mm, NaN without pose reconstruction
 
 
 def evaluate(cfg: ExperimentConfig, dataset_dir: str | Path, vel_model: VelModel,
-             opt_model: OptModel, *, include_pose: bool = True,
-             variants=("M", "D")) -> MetricsReport:
-    """Velocity and pose error tables over the manifest's test split."""
+             opt_model: OptModel, *, include_pose: bool = True) -> MetricsReport:
+    """Velocity and pose error tables over the manifest's test split.
+
+    Without `include_pose` the position tables stay empty and the overall
+    position errors are NaN.
+    """
     manifest = load_manifest(dataset_dir)
     test_idx = manifest["split"]["test"]
     if not test_idx:
         raise ValueError("dataset has no test entries")
 
     kinds = sorted({manifest["entries"][i]["kind"] for i in test_idx})
-    acc_vel = {v: {k: [] for k in kinds} for v in variants}
-    acc_pos = {v: {k: [] for k in kinds} for v in variants}
-    acc_vel_abs = {v: {k: [] for k in kinds} for v in variants}
-    acc_pos_abs = {v: {k: [] for k in kinds} for v in variants}
+    acc_vel = {v: {k: [] for k in kinds} for v in VARIANTS}
+    acc_pos = {v: {k: [] for k in kinds} for v in VARIANTS}
+    acc_vel_abs = {v: {k: [] for k in kinds} for v in VARIANTS}
+    acc_pos_abs = {v: {k: [] for k in kinds} for v in VARIANTS}
 
     for i in test_idx:
         entry = manifest["entries"][i]
-        pose, vel, s_spec, m_spec, d_spec = load_entry(dataset_dir, entry)
-        specs = {"S": s_spec, "M": m_spec, "D": d_spec}
-        for variant in variants:
+        pose, vel, _, m_spec, d_spec = load_entry(dataset_dir, entry)
+        specs = {"M": m_spec, "D": d_spec}
+        for variant in VARIANTS:
             est = vel_forward(vel_model, specs[variant])
             acc_vel[variant][entry["kind"]].append(velocity_mae_mm_frame(est, vel))
             acc_vel_abs[variant][entry["kind"]].append(
@@ -495,8 +518,8 @@ def evaluate(cfg: ExperimentConfig, dataset_dir: str | Path, vel_model: VelModel
                     per_joint = np.mean(by_kind[k], axis=0)
                     out[variant][k] = per_joint.tolist()
                     rows.extend(by_kind[k])
-            out[variant]["overall"] = (np.mean(rows, axis=0).tolist() if rows
-                                       else [0.0] * N_JOINTS)
+            if rows:
+                out[variant]["overall"] = np.mean(rows, axis=0).tolist()
         return out
 
     vel_tbl, pos_tbl = reduce(acc_vel), reduce(acc_pos)
@@ -507,9 +530,9 @@ def evaluate(cfg: ExperimentConfig, dataset_dir: str | Path, vel_model: VelModel
         pos_mae=pos_tbl,
         vel_mae_abs=vel_abs_tbl,
         pos_mae_abs=pos_abs_tbl,
-        overall_vel={v: float(np.mean(vel_tbl[v]["overall"])) for v in variants},
-        overall_pos={v: float(np.mean(pos_tbl[v]["overall"])) if pos_tbl[v] else 0.0
-                     for v in variants},
+        overall_vel={v: float(np.mean(vel_tbl[v]["overall"])) for v in VARIANTS},
+        overall_pos={v: float(np.mean(pos_tbl[v]["overall"])) if pos_tbl[v]
+                     else float("nan") for v in VARIANTS},
     )
 
 
@@ -563,11 +586,6 @@ def write_metrics_table(path: str | Path, report: MetricsReport):
                 lines.append(f"{kind:>8s} {variant:>7s} {cells}  {np.mean(vals):7.1f}")
         lines.append("")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def mm_per_frame(meters_per_second: float, dt: float) -> float:
-    """Unit bridge used in all reports: mm/frame = (m/s) * dt * 1000."""
-    return meters_per_second * dt * 1000.0
 
 
 # ---------------------------------------------------------------------------

@@ -109,9 +109,6 @@ class PoseSequence:
     def duration(self) -> float:
         return len(self.positions) * self.dt
 
-    def frame(self, t: int) -> np.ndarray:
-        return self.positions[t]
-
     def save(self, path: str | Path) -> None:
         containers.write_frames(path, self.positions, self.dt, kind="pose")
 

@@ -1,6 +1,9 @@
 """Minimal differentiable-computation substrate: tensors with reverse-mode
-gradients, the conv/recurrent layer set, Adam, and checkpoint IO.
+gradients, the conv/recurrent layer set, the `Adam` optimizer, and checkpoint
+IO.
 
+After `backward` only leaf tensors (parameters, inputs) hold a `.grad`;
+`Adam` keeps its moment buffers itself and updates the parameters in place.
 Layers hold parameters (batch norm also its running statistics); the
 activations are the `relu`/`tanh` ops. A model is persisted as its
 `params()` and `state_arrays()` lists (see `checkpoint`): `save_checkpoint`
@@ -17,7 +20,6 @@ from .tensor import (  # noqa: F401
     div,
     exp,
     getitem,
-    grad_enabled,
     lstm_sequence,
     matmul,
     mul,
@@ -33,6 +35,6 @@ from .tensor import (  # noqa: F401
     tsum,
 )
 from .layers import BatchNorm1d, Conv1d, LSTM, Linear  # noqa: F401
-from .optim import Adam, AdamState, adam_step  # noqa: F401
+from .optim import Adam  # noqa: F401
 from .checkpoint import load_checkpoint, save_checkpoint  # noqa: F401
 from .gradcheck import check_gradients, finite_difference, relative_error  # noqa: F401

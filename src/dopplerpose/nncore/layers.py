@@ -21,22 +21,18 @@ def _uniform(rng, fan_in, shape, dtype):
 
 
 class Linear:
-    def __init__(self, in_features: int, out_features: int, bias: bool = True,
-                 *, rng=None, dtype=np.float32):
+    def __init__(self, in_features: int, out_features: int, *, rng=None, dtype=np.float32):
         if in_features < 1 or out_features < 1:
             raise ValueError("Linear dimensions must be positive")
         rng = rng or np.random.default_rng()
         self.weight = _uniform(rng, in_features, (in_features, out_features), dtype)
-        self.bias = _uniform(rng, in_features, (out_features,), dtype) if bias else None
+        self.bias = _uniform(rng, in_features, (out_features,), dtype)
 
     def params(self):
-        return [self.weight] + ([self.bias] if self.bias is not None else [])
+        return [self.weight, self.bias]
 
     def __call__(self, x: Tensor, training: bool = False) -> Tensor:
-        out = T.matmul(x, self.weight)
-        if self.bias is not None:
-            out = T.add(out, self.bias)
-        return out
+        return T.add(T.matmul(x, self.weight), self.bias)
 
 
 class Conv1d:
@@ -70,16 +66,16 @@ class BatchNorm1d:
     statistics pool over batch and width per channel.
     """
 
-    def __init__(self, features: int, *, momentum: float = 0.1, eps: float = 1e-5,
-                 dtype=np.float32):
+    momentum = 0.1  # weight of the newest batch in the running statistics
+    eps = 1e-5
+
+    def __init__(self, features: int, *, dtype=np.float32):
         if features < 1:
             raise ValueError("BatchNorm features must be positive")
         self.gamma = Tensor(np.ones(features, dtype=dtype), requires_grad=True)
         self.beta = Tensor(np.zeros(features, dtype=dtype), requires_grad=True)
         self.running_mean = np.zeros(features, dtype=dtype)
         self.running_var = np.ones(features, dtype=dtype)
-        self.momentum = momentum
-        self.eps = eps
 
     def params(self):
         return [self.gamma, self.beta]

@@ -2,73 +2,41 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .tensor import Tensor
 
 
-@dataclass
-class AdamState:
-    lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    step_count: int = 0
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
-
-
-def adam_step(state: AdamState, params: list[np.ndarray],
-              grads: list[np.ndarray]) -> list[np.ndarray]:
-    """One functional Adam update; returns the new parameter arrays.
-
-    Moment buffers are created lazily on the first call and must keep
-    matching the parameter shapes afterwards.
-    """
-    if len(params) != len(grads):
-        raise ValueError("params and grads must align")
-    if not state.m:
-        state.m = [np.zeros_like(p) for p in params]
-        state.v = [np.zeros_like(p) for p in params]
-    for name, buffers in (("m", state.m), ("v", state.v)):
-        for buf, p in zip(buffers, params):
-            if buf.shape != p.shape:
-                raise ValueError(f"Adam {name}-buffer shape {buf.shape} does not match "
-                                 f"parameter shape {p.shape}")
-    state.step_count += 1
-    t = state.step_count
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
-    out = []
-    for i, (p, g) in enumerate(zip(params, grads)):
-        if g.shape != p.shape:
-            raise ValueError(f"gradient shape {g.shape} does not match parameter {p.shape}")
-        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
-        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * (g * g)
-        m_hat = state.m[i] / bc1
-        v_hat = state.v[i] / bc2
-        out.append(p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps))
-    return out
-
-
 class Adam:
-    """Object wrapper binding AdamState to a list of parameter tensors."""
+    """Adam over a list of parameter tensors; owns the moment buffers `m`, `v`."""
 
-    def __init__(self, params: list[Tensor], lr: float = 0.001, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: list[Tensor], lr: float = 0.001):
         self.params = list(params)
-        self.state = AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+        self.lr = lr
+        self.step_count = 0
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
 
     def zero_grad(self):
         for p in self.params:
             p.grad = None
 
     def step(self):
-        grads = []
-        for p in self.params:
-            grads.append(p.grad if p.grad is not None else np.zeros_like(p.data))
-        new = adam_step(self.state, [p.data for p in self.params], grads)
-        for p, n in zip(self.params, new):
-            p.data = n.astype(p.data.dtype, copy=False)
+        """One update of every parameter; a missing gradient counts as zero."""
+        self.step_count += 1
+        t = self.step_count
+        bc1 = 1.0 - self.beta1 ** t
+        bc2 = 1.0 - self.beta2 ** t
+        for i, p in enumerate(self.params):
+            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            if g.shape != p.data.shape:
+                raise ValueError(
+                    f"gradient shape {g.shape} does not match parameter {p.data.shape}")
+            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
+            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * (g * g)
+            m_hat = self.m[i] / bc1
+            v_hat = self.v[i] / bc2
+            new = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data = new.astype(p.data.dtype, copy=False)

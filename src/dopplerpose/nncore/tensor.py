@@ -30,10 +30,6 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
-def grad_enabled() -> bool:
-    return _GRAD_ENABLED
-
-
 class Tensor:
     """A numpy array plus an optional gradient buffer and backward closure."""
 
@@ -51,33 +47,28 @@ class Tensor:
         self._parents = ()
         self._backward = None
 
-    # -- bookkeeping --------------------------------------------------------
-
     @property
     def shape(self):
         return self.data.shape
 
-    @property
-    def dtype(self):
-        return self.data.dtype
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, grad={self.requires_grad})"
 
-    def zero_grad(self):
-        self.grad = None
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
     def _accumulate(self, g):
+        # `add` passes its gradient on to both parents, and `reshape`,
+        # `transpose` and `concat` pass views of it: a stored gradient may be
+        # shared, so it is never written in place.
         if self.grad is None:
-            self.grad = np.array(g, dtype=self.data.dtype, copy=True)
+            self.grad = np.asarray(g, dtype=self.data.dtype)
         else:
-            self.grad += g
+            self.grad = (self.grad + g).astype(self.data.dtype, copy=False)
 
     def backward(self):
-        """Reverse-mode accumulation from a scalar root."""
+        """Reverse-mode accumulation from a scalar root.
+
+        Leaves keep their gradients; an interior node's is dropped as soon as
+        its own backward has passed it on.
+        """
         if self.data.size != 1:
             raise ValueError(f"backward() requires a scalar root, got shape {self.data.shape}")
         topo, seen = [], set()
@@ -98,54 +89,10 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-
-    # -- operators ----------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0))
-
-    def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(as_tensor(other, like=self), self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __pow__(self, p):
-        return power(self, p)
+                node.grad = None
 
     def __getitem__(self, idx):
         return getitem(self, idx)
-
-    def reshape(self, *shape):
-        return reshape(self, shape)
-
-    def transpose(self, *axes):
-        return transpose(self, axes or None)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
 
 
 def as_tensor(x, like: Tensor | None = None) -> Tensor:
@@ -282,22 +229,17 @@ def exp(a):
 
 # -- reductions / shape -----------------------------------------------------
 
-def tsum(a, axis=None, keepdims=False):
+def tsum(a, axis=None):
     a = as_tensor(a)
 
     def backward(g):
-        if axis is None:
-            a._accumulate(np.broadcast_to(g, a.data.shape))
-            return
-        gg = g
-        if not keepdims:
-            gg = np.expand_dims(g, axis)
+        gg = g if axis is None else np.expand_dims(g, axis)
         a._accumulate(np.broadcast_to(gg, a.data.shape))
 
-    return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
+    return _make(a.data.sum(axis=axis), (a,), backward)
 
 
-def tmean(a, axis=None, keepdims=False):
+def tmean(a, axis=None):
     a = as_tensor(a)
     if axis is None:
         count = a.data.size
@@ -305,21 +247,14 @@ def tmean(a, axis=None, keepdims=False):
         count = np.prod([a.data.shape[ax] for ax in np.atleast_1d(axis)])
 
     def backward(g):
-        if axis is None:
-            a._accumulate(np.broadcast_to(g / count, a.data.shape))
-            return
-        gg = g
-        if not keepdims:
-            gg = np.expand_dims(g, axis)
+        gg = g if axis is None else np.expand_dims(g, axis)
         a._accumulate(np.broadcast_to(gg / count, a.data.shape))
 
-    return _make(a.data.mean(axis=axis, keepdims=keepdims), (a,), backward)
+    return _make(a.data.mean(axis=axis), (a,), backward)
 
 
 def reshape(a, shape):
     a = as_tensor(a)
-    if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-        shape = tuple(shape[0])
 
     def backward(g):
         a._accumulate(g.reshape(a.data.shape))
@@ -327,16 +262,14 @@ def reshape(a, shape):
     return _make(a.data.reshape(shape), (a,), backward)
 
 
-def transpose(a, axes=None):
+def transpose(a, axes):
     a = as_tensor(a)
-    if axes is not None and len(axes) == 0:
-        axes = None
-    inv = None if axes is None else np.argsort(axes)
+    inv = np.argsort(axes)
 
     def backward(g):
-        a._accumulate(g.transpose(inv) if inv is not None else g.T)
+        a._accumulate(g.transpose(inv))
 
-    return _make(a.data.transpose(axes) if axes is not None else a.data.T, (a,), backward)
+    return _make(a.data.transpose(axes), (a,), backward)
 
 
 def _is_basic_index(idx) -> bool:

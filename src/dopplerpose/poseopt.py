@@ -28,6 +28,7 @@ from .nncore import tensor as ops
 from .velest import TrainConfig
 
 FEATURE_DIM = 2 * N_JOINTS * 3  # 51 velocities + 51 positions per frame
+UNIVERSAL_FRACTION = 0.2  # training pairs that start from a jittered T-pose
 
 
 @dataclass
@@ -175,14 +176,14 @@ def _loss_tensor(pred: Tensor, truth: np.ndarray) -> Tensor:
     return ops.tmean(ops.add(cos_term, norm_term))
 
 
-def build_training_pairs(mocap: list, n_pairs: int, window: int, seed: int,
-                         universal_fraction: float = 0.2):
+def build_training_pairs(mocap: list, n_pairs: int, window: int, seed: int):
     """Sample (features, label) pairs from a mocap corpus.
 
     Each pair takes a window of true velocities, integrates them from a wrong
-    initial pose (a frame stolen from another sequence/time, or a jittered
-    universal standing pose), and labels the result with the true unit
-    directions from the wrong start toward the real one.
+    initial pose (a frame stolen from another sequence/time or, for a
+    `UNIVERSAL_FRACTION` of pairs, a jittered universal standing pose), and
+    labels the result with the true unit directions from the wrong start
+    toward the real one.
     """
     if not mocap:
         raise ValueError("mocap corpus is empty")
@@ -200,7 +201,7 @@ def build_training_pairs(mocap: list, n_pairs: int, window: int, seed: int,
         i0 = rng.integers(0, len(seq) - w_eff + 1)
         true_p0 = seq.positions[i0]
         u = rng.random()
-        if u < universal_fraction:
+        if u < UNIVERSAL_FRACTION:
             guess = t_pose(xy=true_p0[0, :2] + rng.normal(scale=0.3, size=2),
                            heading=rng.uniform(0, 2 * np.pi))
         else:

@@ -2,7 +2,7 @@
 
 Per frame, three strided 1-D convolutions (each with batch norm and ReLU)
 compress the Doppler profile; the per-frame features run through a two-layer
-(bi)LSTM; each time step's output passes through the fully-connected head to
+biLSTM; each time step's output passes through the fully-connected head to
 a 51-vector, reshaped to 17 joints x 3 velocity components in m/s.
 
 Loss is the mean absolute difference over frames, joints and components
@@ -47,11 +47,9 @@ class TrainConfig:
 class VelModel:
     """Conv(32)-Conv(64)-Conv(64) -> biLSTM(64x2) -> FC 128/51/51 stack."""
 
-    def __init__(self, doppler_bins: int, *, seed: int = 0, bidirectional: bool = True,
-                 dtype=np.float32):
+    def __init__(self, doppler_bins: int, *, seed: int = 0, dtype=np.float32):
         rng = np.random.default_rng(seed)
         self.doppler_bins = int(doppler_bins)
-        self.bidirectional = bool(bidirectional)
         self.seed = int(seed)
         self.conv1 = nn.Conv1d(1, 32, 5, stride=2, rng=rng, dtype=dtype)
         self.bn1 = nn.BatchNorm1d(32, dtype=dtype)
@@ -68,11 +66,9 @@ class VelModel:
                     f"{doppler_bins} Doppler bins are too few for the conv stack; "
                     f"need at least 29")
         self.feat_width = w
-        lstm_in = 64 * w
-        lstm_out = 128 if bidirectional else 64
-        self.lstm = nn.LSTM(lstm_in, 64, num_layers=2, bidirectional=bidirectional,
+        self.lstm = nn.LSTM(64 * w, 64, num_layers=2, bidirectional=True,
                             rng=rng, dtype=dtype)
-        self.fc1 = nn.Linear(lstm_out, 128, rng=rng, dtype=dtype)
+        self.fc1 = nn.Linear(128, 128, rng=rng, dtype=dtype)
         self.bn_fc = nn.BatchNorm1d(128, dtype=dtype)
         self.fc2 = nn.Linear(128, OUTPUT_DIM, rng=rng, dtype=dtype)
         self.fc3 = nn.Linear(OUTPUT_DIM, OUTPUT_DIM, rng=rng, dtype=dtype)
@@ -105,8 +101,7 @@ class VelModel:
                 for a in bn.state_arrays()]
 
     def save(self, path: str | Path, meta: dict | None = None) -> None:
-        all_meta = {"doppler_bins": self.doppler_bins, "bidirectional": self.bidirectional,
-                    "seed": self.seed}
+        all_meta = {"doppler_bins": self.doppler_bins, "seed": self.seed}
         all_meta.update(meta or {})
         nn.save_checkpoint(path, kind="velmodel", params=self.params(),
                            state=self.state_arrays(), meta=all_meta)
@@ -114,8 +109,7 @@ class VelModel:
     @classmethod
     def load(cls, path: str | Path) -> "VelModel":
         return nn.load_checkpoint(path, "velmodel", lambda meta: cls(
-            int(meta["doppler_bins"]), seed=int(meta.get("seed", 0)),
-            bidirectional=bool(meta["bidirectional"])))
+            int(meta["doppler_bins"]), seed=int(meta.get("seed", 0))))
 
 
 def vel_forward(m: VelModel, s: Spectrogram) -> VelocitySequence:

@@ -195,13 +195,13 @@ def _delayed(u: BasebandSignal, query_times: np.ndarray) -> np.ndarray:
 
 
 def generate_waveform(bandwidth_hz: float, duration_s: float, sample_rate_hz: float,
-                      seed: int, *, hop_samples: int | None = None) -> BasebandSignal:
+                      seed: int) -> BasebandSignal:
     """Pseudorandom constant-modulus waveform, flat over +-bandwidth/2.
 
     Built as phase-continuous random frequency hops: the instantaneous
-    frequency is redrawn uniformly inside the band every `hop_samples`
-    samples, which keeps |u(t)| = 1 exactly while filling the band. The
-    default hop length keeps each burst much narrower than the band.
+    frequency is redrawn uniformly inside the band every 8 * fs / bandwidth
+    samples, which keeps |u(t)| = 1 exactly while filling the band. A hop
+    that long keeps each burst much narrower than the band.
 
     Delay sidelobes of the self-ambiguity are noise-level (~1/sqrt(N)) only
     for near-full-band waveforms; at bandwidth << sample rate the first lags
@@ -213,8 +213,7 @@ def generate_waveform(bandwidth_hz: float, duration_s: float, sample_rate_hz: fl
             f"sample rate ({sample_rate_hz:g} Hz)")
     if not duration_s > 0:
         raise ValueError("duration must be positive")
-    if hop_samples is None:
-        hop_samples = max(1, int(round(8.0 * sample_rate_hz / bandwidth_hz)))
+    hop_samples = max(1, int(round(8.0 * sample_rate_hz / bandwidth_hz)))
     n = int(round(duration_s * sample_rate_hz))
     rng = np.random.default_rng(seed)
     n_hops = n // hop_samples + 1

@@ -45,6 +45,14 @@ def test_gen_motion_unknown_kind(config_file, tmp_path):
     assert rc == 2
 
 
+def test_unknown_override_field_exits_2(config_file, tmp_path, capsys):
+    rc = main(["gen-motion", "--config", str(config_file), "--kind", "W+",
+               "--set", "optimization.perod=2", "--out", str(tmp_path / "x.dpc")])
+    assert rc == 2
+    assert "unknown config field optimization.perod" in capsys.readouterr().err
+    assert not (tmp_path / "x.dpc").exists()
+
+
 def test_simulate_leaves_config_unchanged(config_file, tmp_path, monkeypatch):
     cfg = harness.load_config(config_file)
     seed_before = cfg.interference.noise_seed

@@ -52,17 +52,6 @@ def test_output_range_in_unit_interval():
         assert out.values.max() <= 1.0 + 1e-12
 
 
-def test_monotone_with_fixed_threshold():
-    rng = np.random.default_rng(3)
-    params = DenoiseParams(fixed_threshold=0.25, renormalize=False)
-    for _ in range(20):
-        a = rng.random((6, 5))
-        b = np.clip(a - rng.random((6, 5)) * 0.3, 0.0, None)
-        out_a = denoise(make_spec(a), params)
-        out_b = denoise(make_spec(b), params)
-        assert np.all(out_a.values >= out_b.values - 1e-12)
-
-
 def test_invalid_params_rejected():
     with pytest.raises(ValueError):
         DenoiseParams(method="wavelet")

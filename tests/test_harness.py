@@ -114,6 +114,14 @@ class TestConfig:
         data["waveform"]["sample_rate_hz"] = 20000.0
         assert harness.parse_config(data).doppler_span_hz == 9000.0
 
+    @pytest.mark.parametrize("path", ["sede", "optimization.perod",
+                                      "training.vel.epoch", "denoise.fixed_threshold"])
+    def test_unknown_field_named(self, path):
+        data = tiny_config_dict()
+        harness.apply_overrides(data, [f"{path}=2"])
+        with pytest.raises(ConfigError, match=f"^unknown config field {path}$"):
+            harness.parse_config(data)
+
     def test_overrides(self):
         data = tiny_config_dict()
         harness.apply_overrides(data, ["seed=9", "dataset.duration_s=4.5"])
@@ -232,6 +240,29 @@ class TestEvaluate:
             harness.write_metrics_csv(p, report)
             paths.append(p)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+    def test_velocity_only_reports_no_position_error(self, dataset, tmp_path):
+        cfg, out, manifest = dataset
+        vel_model = VelModel(manifest["doppler_bins"], seed=0)
+        report = harness.evaluate(cfg, out, vel_model, OptModel(seed=0), include_pose=False)
+        assert report.pos_mae == {"M": {}, "D": {}}
+        assert all(np.isnan(report.overall_pos[v]) for v in ("M", "D"))
+        assert all(np.isfinite(report.overall_vel[v]) for v in ("M", "D"))
+
+        csv_path = tmp_path / "metrics.csv"
+        harness.write_metrics_csv(csv_path, report)
+        header, *rows = csv_path.read_text().strip().split("\n")
+        pos_cols = [k for k, name in enumerate(header.split(",")) if name.startswith("pos_")]
+        assert len(pos_cols) == 2
+        for row in rows:
+            cells = row.split(",")
+            assert all(cells[k] == "nan" for k in pos_cols)
+
+        table = tmp_path / "table.txt"
+        harness.write_metrics_table(table, report)
+        position_part = table.read_text().split("== position mm ==")[1]
+        assert position_part.strip().split("\n")[1:] == []
 
 
 class TestProfile:

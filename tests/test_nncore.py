@@ -1,3 +1,5 @@
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,26 @@ class TestAutogradBasics:
         y = ops.add(ops.mul(x, x), ops.mul(x, 3.0))  # x^2 + 3x
         ops.tsum(y).backward()
         assert np.allclose(x.grad, 2 * 2.0 + 3.0)
+
+    def test_shared_gradient_buffer_is_not_written(self):
+        # `add` hands one gradient array to both parents; `a` later gets a
+        # second contribution, which must not leak into `b`.
+        a = Tensor(np.ones(3), requires_grad=True, dtype=np.float64)
+        b = Tensor(np.ones(3), requires_grad=True, dtype=np.float64)
+        ops.tsum(ops.add(ops.add(a, b), a)).backward()
+        assert np.array_equal(b.grad, np.ones(3))
+        assert np.array_equal(a.grad, np.full(3, 2.0))
+
+    def test_only_leaves_keep_gradients(self):
+        rng = rng64(4)
+        a, b = t64(rng, (3,), grad=True), t64(rng, (3,), grad=True)
+        prod = ops.mul(a, b)
+        total = ops.add(prod, a)
+        loss = ops.tsum(total)
+        loss.backward()
+        assert prod.grad is None and total.grad is None and loss.grad is None
+        assert np.array_equal(a.grad, b.data + 1.0)
+        assert np.array_equal(b.grad, a.data)
 
     def test_no_grad_blocks_graph(self):
         x = Tensor(np.ones(3), requires_grad=True)
@@ -365,19 +387,66 @@ class TestFusedLstm:
         assert all(p.grad is not None for p in layer.params())
 
 
+@dataclass
+class _AdamState:
+    lr: float = 0.001
+    beta1: float = 0.9
+    beta2: float = 0.999
+    eps: float = 1e-8
+    step_count: int = 0
+    m: list = field(default_factory=list)
+    v: list = field(default_factory=list)
+
+
+def _adam_step(state: _AdamState, params: list, grads: list) -> list:
+    """The functional Adam update `Adam.step` replaced, kept as its reference."""
+    if len(params) != len(grads):
+        raise ValueError("params and grads must align")
+    if not state.m:
+        state.m = [np.zeros_like(p) for p in params]
+        state.v = [np.zeros_like(p) for p in params]
+    for name, buffers in (("m", state.m), ("v", state.v)):
+        for buf, p in zip(buffers, params):
+            if buf.shape != p.shape:
+                raise ValueError(f"Adam {name}-buffer shape {buf.shape} does not match "
+                                 f"parameter shape {p.shape}")
+    state.step_count += 1
+    t = state.step_count
+    bc1 = 1.0 - state.beta1 ** t
+    bc2 = 1.0 - state.beta2 ** t
+    out = []
+    for i, (p, g) in enumerate(zip(params, grads)):
+        if g.shape != p.shape:
+            raise ValueError(f"gradient shape {g.shape} does not match parameter {p.shape}")
+        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
+        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * (g * g)
+        m_hat = state.m[i] / bc1
+        v_hat = state.v[i] / bc2
+        out.append(p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps))
+    return out
+
+
+def _param(values, dtype=np.float64):
+    return Tensor(np.array(values, dtype=dtype), requires_grad=True)
+
+
 class TestAdam:
     def test_zero_gradient_keeps_params(self):
         p = np.array([1.0, -2.0, 3.0])
-        state = nn.AdamState(lr=0.01)
-        out = nn.adam_step(state, [p], [np.zeros(3)])
-        assert np.array_equal(out[0], p)
+        w = _param(p)
+        opt = nn.Adam([w], lr=0.01)
+        w.grad = np.zeros(3)
+        opt.step()
+        assert np.array_equal(w.data, p)
 
     def test_first_step_magnitude_is_lr(self):
-        state = nn.AdamState(lr=0.05)
+        w = _param(np.zeros(3))
+        opt = nn.Adam([w], lr=0.05)
         g = np.array([0.3, -2.0, 0.001])
-        out = nn.adam_step(state, [np.zeros(3)], [g])
+        w.grad = g
+        opt.step()
         # bias correction makes the first update exactly lr * sign(g)
-        assert np.allclose(out[0], -0.05 * np.sign(g), atol=1e-6)
+        assert np.allclose(w.data, -0.05 * np.sign(g), atol=1e-6)
 
     def test_quadratic_bowl_convergence(self):
         # scripted convergence oracle: minimize |w|^2 from |w| = 1
@@ -391,9 +460,32 @@ class TestAdam:
         assert np.linalg.norm(w.data) < 1e-2
 
     def test_shape_mismatch_rejected(self):
-        state = nn.AdamState()
+        w = _param(np.zeros(3))
+        opt = nn.Adam([w])
+        w.grad = np.zeros(4)
         with pytest.raises(ValueError):
-            nn.adam_step(state, [np.zeros(3)], [np.zeros(4)])
+            opt.step()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_steps_equal_functional_update(self, dtype):
+        rng = rng64(8)
+        shapes = [(4, 3), (3,), (2, 5, 2)]
+        params = [_param(rng.normal(size=s), dtype) for s in shapes]
+        opt = nn.Adam(params, lr=0.01)
+        state = _AdamState(lr=0.01)
+        ref = [p.data.copy() for p in params]
+        for step in range(6):
+            grads = [rng.normal(size=s).astype(dtype) for s in shapes]
+            for p, g in zip(params, grads):
+                p.grad = g
+            if step == 3:  # a parameter without a gradient takes a zero one
+                params[1].grad = None
+                grads[1] = np.zeros_like(grads[1])
+            opt.step()
+            ref = [r.astype(dtype, copy=False) for r in _adam_step(state, ref, grads)]
+            for p, r in zip(params, ref):
+                assert p.data.dtype == dtype
+                assert np.array_equal(p.data, r)
 
 
 class _Toy:
