@@ -47,7 +47,6 @@ from .velest import TrainConfig, VelModel, vel_forward, vel_loss, vel_train  # n
 from .poseopt import (  # noqa: F401
     OptConfig,
     OptModel,
-    opt_forward,
     opt_loss,
     opt_train,
     opt_vector_truth,

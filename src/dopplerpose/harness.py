@@ -59,10 +59,14 @@ class ConfigError(ValueError):
 
 
 def _get_field(d: dict, path: str, typ, default=None, required=False):
+    """The value at a dotted path; a numeric component indexes a list of objects."""
     node = d
     parts = path.split(".")
     for p in parts[:-1]:
-        node = node.get(p, {}) if isinstance(node, dict) else {}
+        if isinstance(node, list) and p.isdigit() and int(p) < len(node):
+            node = node[int(p)]
+        else:
+            node = node.get(p, {}) if isinstance(node, dict) else {}
     if not isinstance(node, dict) or parts[-1] not in node:
         if required:
             raise ConfigError(f"missing required config field: {path}")
@@ -79,10 +83,17 @@ def _get_field(d: dict, path: str, typ, default=None, required=False):
 
 
 def _leaf_paths(node: dict, prefix: str = ""):
-    """The dotted path of every non-object value in a config dict; lists are leaves."""
+    """The dotted path of every value in a config dict.
+
+    Objects, and the objects of a non-empty list of objects (at `key.<index>`),
+    are walked into; every other value, other lists included, is a leaf.
+    """
     for key, val in node.items():
         if isinstance(val, dict):
             yield from _leaf_paths(val, f"{prefix}{key}.")
+        elif isinstance(val, list) and val and all(isinstance(v, dict) for v in val):
+            for i, entry in enumerate(val):
+                yield from _leaf_paths(entry, f"{prefix}{key}.{i}.")
         else:
             yield prefix + key
 
@@ -142,10 +153,16 @@ def parse_config(data: dict) -> ExperimentConfig:
         carrier_hz=get("geometry.carrier_hz", float, 5.8e9),
     )
 
-    clutter = [Clutter(c["position"], float(c["amplitude"]))
-               for c in get("interference.clutter", list, [])]
-    multipath = [MirrorPlane(m["point"], m["normal"], float(m["amplitude"]))
-                 for m in get("interference.multipath", list, [])]
+    def entries(path, cls, **fields):
+        """cls(**fields) per object in the list at `path`, every field read by `get`."""
+        return [_build(f"{path}.{i}", cls, **{
+                    name: get(f"{path}.{i}.{name}", typ, required=True)
+                    for name, typ in fields.items()})
+                for i in range(len(get(path, list, [])))]
+
+    clutter = entries("interference.clutter", Clutter, position=list, amplitude=float)
+    multipath = entries("interference.multipath", MirrorPlane,
+                        point=list, normal=list, amplitude=float)
     interference = InterferenceConfig(
         dsi_amplitude=get("interference.dsi_amplitude", float, 0.0),
         clutter=clutter,
@@ -268,12 +285,9 @@ def load_config(path: str | Path, overrides: list[str] | None = None) -> Experim
 # ---------------------------------------------------------------------------
 
 def simulate_activity(cfg: ExperimentConfig, kind: ActivityKind, seed: int,
-                      start_xy=(0.0, 0.0), duration: float | None = None,
-                      pose: PoseSequence | None = None):
+                      start_xy=(0.0, 0.0)):
     """Render one activity to its (pose, velocity, S, M, D) tuple."""
-    duration = duration if duration is not None else cfg.duration_s
-    if pose is None:
-        pose = generate_activity(kind, duration, seed, dt=cfg.dt, start_xy=start_xy)
+    pose = generate_activity(kind, cfg.duration_s, seed, dt=cfg.dt, start_xy=start_xy)
     vel = differentiate(pose)
     sig_duration = len(pose) * cfg.dt
     u = generate_waveform(cfg.bandwidth_hz, sig_duration, cfg.sample_rate_hz, seed=seed)
@@ -386,8 +400,7 @@ def load_entry(dataset_dir: str | Path, entry: dict):
 # ---------------------------------------------------------------------------
 
 def train_velocity_model(cfg: ExperimentConfig, dataset_dir: str | Path,
-                         checkpoint_path: str | Path,
-                         history_path: str | Path | None = None) -> VelModel:
+                         checkpoint_path: str | Path, history_path: str | Path) -> VelModel:
     """Train the velocity net on the train split's clean (S) spectrograms."""
     manifest = load_manifest(dataset_dir)
     base = Path(dataset_dir)
@@ -402,14 +415,12 @@ def train_velocity_model(cfg: ExperimentConfig, dataset_dir: str | Path,
     model.save(checkpoint_path, meta={"epochs": cfg.vel_train.epochs,
                                       "final_train_loss": history[-1]["train_loss"]
                                       if history else None})
-    if history_path is not None:
-        save_history_csv(history_path, history)
+    save_history_csv(history_path, history)
     return model
 
 
 def train_opt_model(cfg: ExperimentConfig, dataset_dir: str | Path,
-                    checkpoint_path: str | Path,
-                    history_path: str | Path | None = None) -> OptModel:
+                    checkpoint_path: str | Path, history_path: str | Path) -> OptModel:
     """Train the optimization-vector net on the train split's mocap poses."""
     manifest = load_manifest(dataset_dir)
     base = Path(dataset_dir)
@@ -421,8 +432,7 @@ def train_opt_model(cfg: ExperimentConfig, dataset_dir: str | Path,
     model.save(checkpoint_path, meta={"epochs": cfg.opt_train_cfg.epochs,
                                       "final_train_loss": history[-1]["train_loss"]
                                       if history else None})
-    if history_path is not None:
-        save_history_csv(history_path, history)
+    save_history_csv(history_path, history)
     return model
 
 

@@ -6,7 +6,7 @@ skeleton, so bone lengths are constant to machine precision and every
 activity is deterministic per seed. This is a stand-in for motion-capture
 ground truth; no physics, no inverse kinematics.
 
-Joint index convention (0-based here; documentation uses 1-based):
+Joint index convention, as `_fk` fills the (T, 17, 3) arrays (0-based):
 
     0  pelvis (root)   5  l_elbow    10 l_hip     15 r_ankle
     1  spine           6  l_wrist    11 l_knee    16 chest
@@ -14,14 +14,17 @@ Joint index convention (0-based here; documentation uses 1-based):
     3  head            8  r_elbow    13 r_hip
     4  l_shoulder      9  r_wrist    14 r_knee
 
-The anatomical identity of the 17 points is a repo convention, chosen to
-give a connected torso/limb tree; see README.
+The metric tables and CSVs of `harness` number the joints 1-17 (index + 1),
+so their joint 1 is the pelvis, which the root-relative tables pin to zero.
+The anatomical identity of the 17 points is this package's own choice, made
+to give a connected torso/limb tree (`BONE_EDGES`); the paper fixes only the
+count of 17 key points.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -164,17 +167,19 @@ def differentiate(p: PoseSequence) -> VelocitySequence:
 
 
 def integrate(p0: np.ndarray, v: VelocitySequence) -> PoseSequence:
-    """Cumulative pose update p[t] = p[t-1] + v[t]*dt starting from p[0] = p0."""
+    """Cumulative pose update p[t] = p[t-1] + v[t]*dt starting from p[0] = p0.
+
+    v[0] is not used. One cumulative sum along time: numpy accumulates in
+    sequence, so every frame is the per-frame update's sum, bit for bit.
+    """
     p0 = np.asarray(p0, dtype=np.float64)
     if p0.shape != (N_JOINTS, 3):
         raise ValueError(f"p0 must be ({N_JOINTS}, 3), got {p0.shape}")
     if not np.isfinite(p0).all() or not np.isfinite(v.values).all():
         raise ValueError("integrate requires finite inputs")
-    out = np.empty_like(v.values)
-    out[0] = p0
-    for t in range(1, len(v.values)):
-        out[t] = out[t - 1] + v.values[t] * v.dt
-    return PoseSequence(out, v.dt)
+    steps = v.values * v.dt
+    steps[0] = p0
+    return PoseSequence(np.cumsum(steps, axis=0), v.dt)
 
 
 def bone_lengths(frame: np.ndarray) -> np.ndarray:
@@ -191,22 +196,18 @@ def bone_lengths(frame: np.ndarray) -> np.ndarray:
 # Forward kinematics
 # ---------------------------------------------------------------------------
 
-def _fk(x, y, heading, root_z, torso, hip_l, hip_r, knee_l, knee_r,
-        arm_l, arm_r, elb_l, elb_r, abd_l, abd_r):
-    """Map (T,) state tracks to (T, 17, 3) joint positions.
+def _fk(tracks: dict) -> np.ndarray:
+    """Map the 15 state tracks of a builder ((T,) arrays or scalars) to (T, 17, 3).
 
-    All limb directions are unit vectors scaled by fixed segment lengths, so
-    bone lengths are constant across frames by construction.
+    The tracks are the root `x`, `y`, `heading`, `root_z`, the `torso` lean,
+    and per side (`_l`, `_r`) the `hip`, `knee`, `arm`, `elb` and `abd`
+    angles. All limb directions are unit vectors scaled by fixed segment
+    lengths, so bone lengths are constant across frames by construction.
     """
-    raw = dict(x=x, y=y, heading=heading, root_z=root_z, torso=torso,
-               hip_l=hip_l, hip_r=hip_r, knee_l=knee_l, knee_r=knee_r,
-               arm_l=arm_l, arm_r=arm_r, elb_l=elb_l, elb_r=elb_r,
-               abd_l=abd_l, abd_r=abd_r)
-    shape = np.broadcast_shapes(*(np.shape(v) for v in raw.values()))
+    shape = np.broadcast_shapes(*(np.shape(v) for v in tracks.values()))
     t_len = shape[0] if shape else 1
-    tracks = {k: np.broadcast_to(np.asarray(v, float), (t_len,)) for k, v in raw.items()}
-    x, y, heading, root_z, torso = (tracks[k] for k in ("x", "y", "heading", "root_z", "torso"))
-    angles = tracks
+    angles = {k: np.broadcast_to(np.asarray(v, float), (t_len,)) for k, v in tracks.items()}
+    x, y, heading, root_z, torso = (angles[k] for k in ("x", "y", "heading", "root_z", "torso"))
 
     fwd = np.stack([np.sin(heading), np.cos(heading), np.zeros(t_len)], axis=1)
     right = np.stack([np.cos(heading), -np.sin(heading), np.zeros(t_len)], axis=1)
@@ -247,17 +248,20 @@ def _fk(x, y, heading, root_z, torso, hip_l, hip_r, knee_l, knee_r,
     return out
 
 
+def _standing_frame(xy, heading: float, abduction: float) -> np.ndarray:
+    return _fk(dict(x=xy[0], y=xy[1], heading=heading, root_z=STAND_ROOT_Z, torso=0.0,
+                    hip_l=0.0, hip_r=0.0, knee_l=0.0, knee_r=0.0, arm_l=0.0, arm_r=0.0,
+                    elb_l=0.0, elb_r=0.0, abd_l=abduction, abd_r=abduction))[0]
+
+
 def neutral_frame(xy=(0.0, 0.0), heading: float = 0.0) -> np.ndarray:
     """Standing rest pose (arms down) at the given root position/heading."""
-    return _fk(xy[0], xy[1], heading, STAND_ROOT_Z, 0.0,
-               0, 0, 0, 0, 0, 0, 0, 0, 0, 0)[0]
+    return _standing_frame(xy, heading, 0.0)
 
 
 def t_pose(xy=(0.0, 0.0), heading: float = 0.0) -> np.ndarray:
     """Universal initialisation pose: standing with arms out horizontally."""
-    half = np.pi / 2
-    return _fk(xy[0], xy[1], heading, STAND_ROOT_Z, 0.0,
-               0, 0, 0, 0, 0, 0, 0, 0, half, half)[0]
+    return _standing_frame(xy, heading, np.pi / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +280,10 @@ def _ramp_in_out(t, duration, ramp):
 
 @dataclass
 class _ChainState:
-    xy: np.ndarray = field(default_factory=lambda: np.zeros(2))
+    """Where one segment leaves the root and the next one starts it."""
+
+    xy: np.ndarray
     heading: float = 0.0
-    posture: str = "stand"
 
 
 def _integrate_planar(speed_track, heading, dt):
@@ -415,67 +420,52 @@ _TRACK_BUILDERS = {
 
 def _generate_segment(kind: ActivityKind, duration: float, rng, state: _ChainState,
                       dt: float) -> tuple[np.ndarray, _ChainState]:
-    n = int(round(duration / dt))
-    t = np.arange(n) * dt
+    t = np.arange(int(round(duration / dt))) * dt
     tracks = _TRACK_BUILDERS[kind](t, duration, rng, state)
-    positions = _fk(**{k: tracks[k] for k in
-                       ("x", "y", "heading", "root_z", "torso", "hip_l", "hip_r",
-                        "knee_l", "knee_r", "arm_l", "arm_r", "elb_l", "elb_r",
-                        "abd_l", "abd_r")})
-    heading_track = np.broadcast_to(np.asarray(tracks["heading"], float), (n,))
-    x_track = np.broadcast_to(np.asarray(tracks["x"], float), (n,))
-    y_track = np.broadcast_to(np.asarray(tracks["y"], float), (n,))
-    exit_state = _ChainState(
-        xy=np.array([x_track[-1], y_track[-1]]),
-        heading=float(heading_track[-1]) % (2.0 * np.pi),
-        posture=_EXIT_POSTURE[kind],
-    )
+    positions = _fk(tracks)
+    exit_state = _ChainState(xy=positions[-1, 0, :2].copy(),
+                             heading=float(np.ravel(tracks["heading"])[-1]) % (2.0 * np.pi))
     return positions, exit_state
 
 
 def generate_activity(kind: ActivityKind, duration: float, seed: int, *,
-                      dt: float = DEFAULT_DT, start_xy=(0.0, 0.0),
-                      heading: float = 0.0) -> PoseSequence:
-    """Generate one primitive activity as a deterministic PoseSequence.
+                      dt: float = DEFAULT_DT, start_xy=(0.0, 0.0)) -> PoseSequence:
+    """Generate one primitive activity: the one-segment composite.
 
     duration must lie in [2, 60] seconds. The same (kind, duration, seed)
     always yields the identical sequence.
     """
-    if not isinstance(kind, ActivityKind):
-        raise ValueError(f"unknown activity kind: {kind!r}")
-    if not (2.0 <= duration <= 60.0):
-        raise ValueError(f"duration must be in [2, 60] s, got {duration}")
-    rng = np.random.default_rng(seed)
-    state = _ChainState(xy=np.asarray(start_xy, dtype=float), heading=float(heading),
-                        posture=_ENTRY_POSTURE[kind])
-    positions, _ = _generate_segment(kind, duration, rng, state, dt)
-    return PoseSequence(positions, dt)
+    return generate_composite([kind], duration, seed, dt=dt, start_xy=start_xy)
 
 
 def generate_composite(kinds, duration_each: float, seed: int, *,
-                       dt: float = DEFAULT_DT, start_xy=(0.0, 0.0),
-                       heading: float = 0.0) -> PoseSequence:
-    """Chain primitives into one continuous sequence.
+                       dt: float = DEFAULT_DT, start_xy=(0.0, 0.0)) -> PoseSequence:
+    """Chain primitives of duration_each seconds into one continuous sequence.
 
-    Root position and heading carry across segments; boundary postures must
-    be compatible (only SD may precede SU, SU may not follow a standing
-    exit, etc.) or a ValueError is raised.
+    Root position and heading carry across segments, starting at start_xy
+    facing +y. Every kind must be an ActivityKind, duration_each must lie in
+    [2, 60] seconds, and boundary postures must be compatible (only SD may
+    precede SU, SU may not follow a standing exit, etc.), or a ValueError is
+    raised before anything is generated.
     """
     kinds = list(kinds)
     if not kinds:
         raise ValueError("composite needs at least one activity")
-    rng = np.random.default_rng(seed)
-    state = _ChainState(xy=np.asarray(start_xy, dtype=float), heading=float(heading),
-                        posture=_ENTRY_POSTURE[kinds[0]])
-    chunks = []
     for kind in kinds:
         if not isinstance(kind, ActivityKind):
             raise ValueError(f"unknown activity kind: {kind!r}")
-        if _ENTRY_POSTURE[kind] != state.posture:
+    if not (2.0 <= duration_each <= 60.0):
+        raise ValueError(f"duration must be in [2, 60] s, got {duration_each}")
+    for prev, kind in zip(kinds, kinds[1:]):
+        if _ENTRY_POSTURE[kind] != _EXIT_POSTURE[prev]:
             raise ValueError(
                 f"{kind.value} starts from a {_ENTRY_POSTURE[kind]!r} posture but the "
-                f"previous segment ended {state.posture!r}"
+                f"previous segment ended {_EXIT_POSTURE[prev]!r}"
             )
+    rng = np.random.default_rng(seed)
+    state = _ChainState(xy=np.asarray(start_xy, dtype=float))
+    chunks = []
+    for kind in kinds:
         positions, state = _generate_segment(kind, duration_each, rng, state, dt)
         chunks.append(positions)
     return PoseSequence(np.concatenate(chunks, axis=0), dt)

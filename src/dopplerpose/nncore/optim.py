@@ -24,16 +24,20 @@ class Adam:
             p.grad = None
 
     def step(self):
-        """One update of every parameter; a missing gradient counts as zero."""
+        """One update of every parameter; a missing gradient counts as zero.
+
+        Every gradient's shape is checked before any parameter moves.
+        """
+        grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in self.params]
+        for p, g in zip(self.params, grads):
+            if g.shape != p.data.shape:
+                raise ValueError(
+                    f"gradient shape {g.shape} does not match parameter {p.data.shape}")
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - self.beta1 ** t
         bc2 = 1.0 - self.beta2 ** t
-        for i, p in enumerate(self.params):
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            if g.shape != p.data.shape:
-                raise ValueError(
-                    f"gradient shape {g.shape} does not match parameter {p.data.shape}")
+        for i, (p, g) in enumerate(zip(self.params, grads)):
             self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
             self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * (g * g)
             m_hat = self.m[i] / bc1

@@ -272,22 +272,18 @@ def transpose(a, axes):
     return _make(a.data.transpose(axes), (a,), backward)
 
 
-def _is_basic_index(idx) -> bool:
-    items = idx if isinstance(idx, tuple) else (idx,)
-    return all(isinstance(i, (int, np.integer, slice, type(None), type(Ellipsis)))
-               for i in items)
-
-
 def getitem(a, idx):
+    """Basic indexing only: ints, slices, None and Ellipsis."""
+    items = idx if isinstance(idx, tuple) else (idx,)
+    if not all(isinstance(i, (int, np.integer, slice, type(None), type(Ellipsis)))
+               and not isinstance(i, bool) for i in items):
+        raise ValueError(f"getitem supports basic indices (ints, slices, None, ...), "
+                         f"got {idx!r}")
     a = as_tensor(a)
-    basic = _is_basic_index(idx)
 
     def backward(g):
         full = np.zeros_like(a.data)
-        if basic:
-            full[idx] += g
-        else:
-            np.add.at(full, idx, g)
+        full[idx] += g
         a._accumulate(full)
 
     return _make(a.data[idx], (a,), backward)

@@ -11,6 +11,12 @@ reverses (the joint overshot its target) is halved before committing, so the
 per-joint error never increases with an exact direction oracle. The same
 loop corrects accumulated drift during long reconstructions, re-optimizing
 the current pose every `period` frames against the upcoming velocity window.
+
+Predictor protocol: the loop asks its `model` for directions only through
+`model.opt_vectors(P, V)`, with the (T, 17, 3) pose sequence integrated from
+the current guess and the (T, 17, 3) velocities it was integrated from, and
+expects the (17, 3) vectors back. `OptModel` is the learned predictor; any
+object with that method (an exact oracle in the tests) drives the same loop.
 """
 
 from __future__ import annotations
@@ -115,8 +121,10 @@ class OptModel:
         h = ops.tanh(self.fc2(h))
         return h
 
-    def opt_vectors(self, p: np.ndarray, v: np.ndarray, frame_index: int = 0) -> np.ndarray:
-        """Predict 17 x 3 optimization vectors for one pose/velocity window."""
+    def opt_vectors(self, p: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Predict 17 x 3 optimization vectors for one (T, 17, 3) pose/velocity window."""
+        if len(p) != len(v):
+            raise ValueError(f"pose ({len(p)}) and velocity ({len(v)}) lengths differ")
         x = _stack_features(p, v)[None]
         with nn.no_grad():
             out = self.forward(Tensor(x.astype(np.float32)), training=False)
@@ -140,21 +148,6 @@ def _stack_features(p: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Per-frame [velocities(51); positions(51)] feature rows."""
     t_len = p.shape[0]
     return np.concatenate([v.reshape(t_len, -1), p.reshape(t_len, -1)], axis=1)
-
-
-def _as_predictor(model):
-    if isinstance(model, OptModel):
-        return model.opt_vectors
-    if callable(model):
-        return model
-    raise ValueError("model must be an OptModel or a (P, V, frame_index) callable")
-
-
-def opt_forward(m: OptModel, p: PoseSequence, v: VelocitySequence) -> np.ndarray:
-    """Spec surface: predicted optimization vectors for a pose/velocity pair."""
-    if len(p) != len(v):
-        raise ValueError(f"pose ({len(p)}) and velocity ({len(v)}) lengths differ")
-    return m.opt_vectors(p.positions, v.values)
 
 
 # ---------------------------------------------------------------------------
@@ -257,9 +250,8 @@ def opt_train(m: OptModel, mocap: list, cfg: TrainConfig, *, n_pairs: int = 1024
 # ---------------------------------------------------------------------------
 
 def optimize_initial_pose(model, p0_init: np.ndarray, v: VelocitySequence,
-                          cfg: OptConfig, *, truth: np.ndarray | None = None,
-                          frame_index: int = 0):
-    """Iteratively move a guessed pose along predicted optimization vectors.
+                          cfg: OptConfig, *, truth: np.ndarray | None = None):
+    """Iteratively move a guessed pose along the vectors `model.opt_vectors` predicts.
 
     Returns (final pose, trace) where trace lists the mean joint distance to
     `truth` after every epoch when truth is given (index 0 = starting error),
@@ -267,7 +259,7 @@ def optimize_initial_pose(model, p0_init: np.ndarray, v: VelocitySequence,
     per joint, whenever re-predicting at the stepped pose reverses that
     joint's direction (overshoot), so steps never cross the target.
     """
-    predict = _as_predictor(model)
+    predict = model.opt_vectors
     p = np.array(p0_init, dtype=np.float64)
     if p.shape != (N_JOINTS, 3):
         raise ValueError(f"p0_init must be ({N_JOINTS}, 3)")
@@ -279,13 +271,13 @@ def optimize_initial_pose(model, p0_init: np.ndarray, v: VelocitySequence,
     ov = None  # the prediction at p, when the last epoch already made it
     for _ in range(cfg.max_epochs):
         if ov is None:
-            ov = predict(integrate(p, v).positions, v.values, frame_index)
+            ov = predict(integrate(p, v).positions, v.values)
         steps = np.full(N_JOINTS, cfg.optr)
         moved = ov * steps[:, None]
         next_ov = None
         for _halving in range(cfg.max_halvings):
             cand = p + moved
-            ov2 = predict(integrate(cand, v).positions, v.values, frame_index)
+            ov2 = predict(integrate(cand, v).positions, v.values)
             flipped = (ov * ov2).sum(axis=1) < 0
             if not flipped.any() or steps.max() < cfg.tol:
                 next_ov = ov2  # the step commits to exactly cand
@@ -305,21 +297,20 @@ def reconstruct_long_term(model, p0: np.ndarray, v: VelocitySequence,
                           cfg: OptConfig) -> PoseSequence:
     """Integrate velocities, re-optimizing the running pose every cfg.period frames.
 
-    Each correction runs the optimization loop on the current pose using the
-    upcoming window of velocities, then integration continues from the
-    corrected pose. With period > T this is plain integration.
+    A correction at frame t (a multiple of the period with at least two
+    frames left) runs the optimization loop, with the same `model`, from
+    the integrated pose at t over the upcoming window of velocities, and
+    integration continues from the corrected pose. The stretches between
+    corrections are plain `integrate` calls; with period >= T - 1 the whole
+    sequence is one.
     """
-    p = np.array(p0, dtype=np.float64)
-    t_len = len(v)
-    out = np.empty((t_len, N_JOINTS, 3))
-    out[0] = p
-    for t in range(1, t_len):
-        if t % cfg.period == 0 and t_len - t >= 2:
-            w = min(cfg.period, t_len - t)
-            v_win = VelocitySequence(v.values[t: t + w], v.dt)
-            corrected, _ = optimize_initial_pose(model, out[t - 1] + v.values[t] * v.dt,
-                                                 v_win, cfg, frame_index=t)
-            out[t] = corrected
-        else:
-            out[t] = out[t - 1] + v.values[t] * v.dt
-    return PoseSequence(out, v.dt)
+    chunks = []
+    start, p = 0, p0
+    for t in range(cfg.period, len(v) - 1, cfg.period):
+        stretch = integrate(p, VelocitySequence(v.values[start:t], v.dt)).positions
+        chunks.append(stretch)
+        v_win = VelocitySequence(v.values[t: t + cfg.period], v.dt)
+        p, _ = optimize_initial_pose(model, stretch[-1] + v.values[t] * v.dt, v_win, cfg)
+        start = t
+    chunks.append(integrate(p, VelocitySequence(v.values[start:], v.dt)).positions)
+    return PoseSequence(np.concatenate(chunks), v.dt)

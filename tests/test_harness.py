@@ -122,6 +122,36 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"^unknown config field {path}$"):
             harness.parse_config(data)
 
+    def test_list_entries_parsed(self):
+        cfg = harness.parse_config(tiny_config_dict())
+        (clutter,), (plane,) = cfg.interference.clutter, cfg.interference.multipath
+        assert clutter.amplitude == 0.6 and list(clutter.position) == [2.5, 5.0, 0.5]
+        assert plane.amplitude == 0.25 and list(plane.normal) == [1, 0, 0]
+
+    @pytest.mark.parametrize("section, key", [("clutter", "amplitude"),
+                                              ("clutter", "position"),
+                                              ("multipath", "amplitude"),
+                                              ("multipath", "normal")])
+    def test_list_entry_missing_field_named(self, section, key):
+        data = tiny_config_dict()
+        del data["interference"][section][0][key]
+        with pytest.raises(ConfigError, match=f"interference.{section}.0.{key}$"):
+            harness.parse_config(data)
+
+    @pytest.mark.parametrize("section", ["clutter", "multipath"])
+    def test_list_entry_unknown_field_named(self, section):
+        data = tiny_config_dict()
+        data["interference"][section].append(dict(data["interference"][section][0], amp=2))
+        with pytest.raises(ConfigError,
+                           match=f"^unknown config field interference.{section}.1.amp$"):
+            harness.parse_config(data)
+
+    def test_list_entry_rejected_value_named(self):
+        data = tiny_config_dict()
+        data["interference"]["clutter"][0]["amplitude"] = -1.0
+        with pytest.raises(ConfigError, match="^config field interference.clutter.0: "):
+            harness.parse_config(data)
+
     def test_overrides(self):
         data = tiny_config_dict()
         harness.apply_overrides(data, ["seed=9", "dataset.duration_s=4.5"])
@@ -241,6 +271,22 @@ class TestEvaluate:
             paths.append(p)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+
+    def test_pose_reconstruction_tables(self, dataset, tmp_path):
+        # period 10 < T = 30 frames, so drift corrections run too
+        cfg, out, manifest = dataset
+        vel_model = VelModel(manifest["doppler_bins"], seed=0)
+        paths = []
+        for run in range(2):
+            report = harness.evaluate(cfg, out, vel_model, OptModel(seed=0))
+            assert all(np.isfinite(report.overall_pos[v]) for v in ("M", "D"))
+            for variant in ("M", "D"):
+                assert all(row[0] == 0.0 for row in report.pos_mae[variant].values())
+                assert report.pos_mae_abs[variant]["overall"][0] > 0.0
+            paths.append(tmp_path / f"metrics_{run}.csv")
+            harness.write_metrics_csv(paths[-1], report)
+            assert "nan" not in paths[-1].read_text()
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_velocity_only_reports_no_position_error(self, dataset, tmp_path):
         cfg, out, manifest = dataset

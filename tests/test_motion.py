@@ -14,6 +14,14 @@ from dopplerpose.motion import (
 )
 
 
+def single_segment_oracle(kind, duration, seed, dt=0.1, start_xy=(0.0, 0.0)):
+    """Oracle: one primitive generated on its own, outside the composite path."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(int(round(duration / dt))) * dt
+    state = motion._ChainState(xy=np.asarray(start_xy, dtype=float), heading=0.0)
+    return motion._fk(motion._TRACK_BUILDERS[kind](t, duration, rng, state))
+
+
 def random_pose_sequence(rng, n_frames, dt=0.1, scale=0.5):
     steps = rng.normal(scale=scale * dt, size=(n_frames, motion.N_JOINTS, 3))
     return PoseSequence(np.cumsum(steps, axis=0), dt)
@@ -71,6 +79,31 @@ class TestGenerateActivity:
 
 
 class TestComposite:
+    @pytest.mark.parametrize("kind", list(ActivityKind))
+    def test_activity_is_the_single_segment_oracle(self, kind):
+        for seed, duration, kw in ((0, 5.0, {}), (17, 2.0, {}),
+                                   (5, 3.3, dict(dt=0.05, start_xy=(0.3, -1.2)))):
+            want = single_segment_oracle(kind, duration, seed, **kw)
+            got = generate_activity(kind, duration, seed, **kw).positions
+            assert got.tobytes() == want.tobytes()
+
+    def test_first_segment_is_the_activity(self):
+        kinds = [ActivityKind.SD, ActivityKind.SU, ActivityKind.HT]
+        p = generate_composite(kinds, 3.0, seed=4)
+        alone = generate_activity(ActivityKind.SD, 3.0, seed=4)
+        assert np.array_equal(p.positions[:len(alone)], alone.positions)
+
+    @pytest.mark.parametrize("kinds", [["W+"], ["W+", ActivityKind.HT],
+                                       [ActivityKind.HT, "walk"]])
+    def test_unknown_kind_named(self, kinds):
+        with pytest.raises(ValueError, match="unknown activity kind"):
+            generate_composite(kinds, 5.0, seed=0)
+
+    @pytest.mark.parametrize("duration", [1.0, 1.99, 60.5, 90.0])
+    def test_segment_duration_bounds(self, duration):
+        with pytest.raises(ValueError, match=r"\[2, 60\]"):
+            generate_composite([ActivityKind.WPLUS, ActivityKind.HT], duration, seed=0)
+
     def test_chained_segments_are_continuous(self):
         kinds = [ActivityKind.SU, ActivityKind.WPLUS, ActivityKind.PU,
                  ActivityKind.BR, ActivityKind.WMINUS, ActivityKind.SD,

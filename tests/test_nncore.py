@@ -63,6 +63,18 @@ class TestAutogradBasics:
         assert np.array_equal(b.grad, np.ones(3))
         assert np.array_equal(a.grad, np.full(3, 2.0))
 
+    def test_basic_index_gradient_scatters(self):
+        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True, dtype=np.float64)
+        ops.tsum(x[:, -1]).backward()
+        assert np.array_equal(x.grad, [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+
+    @pytest.mark.parametrize("idx", [[0, 0], np.array([1, 0]), (slice(None), [2]),
+                                     np.array([True, False]), True])
+    def test_advanced_index_rejected(self, idx):
+        x = Tensor(np.zeros((2, 3)), requires_grad=True, dtype=np.float64)
+        with pytest.raises(ValueError, match="basic indices"):
+            x[idx]
+
     def test_only_leaves_keep_gradients(self):
         rng = rng64(4)
         a, b = t64(rng, (3,), grad=True), t64(rng, (3,), grad=True)
@@ -465,6 +477,17 @@ class TestAdam:
         w.grad = np.zeros(4)
         with pytest.raises(ValueError):
             opt.step()
+
+    def test_shape_mismatch_moves_nothing(self):
+        # the second gradient is bad: no parameter, moment or step count moves
+        a, b = _param(np.ones(2)), _param(np.ones(2))
+        opt = nn.Adam([a, b], lr=0.1)
+        a.grad, b.grad = np.ones(2), np.ones(5)
+        with pytest.raises(ValueError, match=r"\(5,\)"):
+            opt.step()
+        assert np.array_equal(a.data, np.ones(2)) and np.array_equal(b.data, np.ones(2))
+        assert opt.step_count == 0
+        assert all(not m.any() for m in opt.m) and all(not v.any() for v in opt.v)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_steps_equal_functional_update(self, dtype):

@@ -1,4 +1,5 @@
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from dopplerpose.poseopt import (
     OptConfig,
     OptModel,
     build_training_pairs,
-    opt_forward,
     opt_loss,
     opt_train,
     opt_vector_truth,
@@ -28,11 +28,14 @@ from dopplerpose.poseopt import (
 from dopplerpose.velest import TrainConfig, VelModel
 
 
+def predictor(fn):
+    """A predictor for the pose loop: its `opt_vectors(P, V)` is fn."""
+    return SimpleNamespace(opt_vectors=fn)
+
+
 def exact_stub(true_p0):
     """Oracle predictor: the exact optimization vectors toward true_p0."""
-    def predict(p_seq, v_vals, frame_index=0):
-        return opt_vector_truth(p_seq[0], true_p0)
-    return predict
+    return predictor(lambda p_seq, v_vals: opt_vector_truth(p_seq[0], true_p0))
 
 
 class TestOptVectorTruth:
@@ -102,18 +105,17 @@ class TestOptForward:
         m = OptModel(seed=1)
         p = generate_activity(ActivityKind.WPLUS, 3.0, seed=0)
         v = differentiate(p)
-        out = opt_forward(m, p, v)
+        out = m.opt_vectors(p.positions, v.values)
         assert out.shape == (N_JOINTS, 3)
         assert np.all(np.abs(out) < 1.0)
-        assert np.array_equal(out, opt_forward(m, p, v))
+        assert np.array_equal(out, m.opt_vectors(p.positions, v.values))
 
     def test_length_mismatch_rejected(self):
         m = OptModel(seed=2)
         p = generate_activity(ActivityKind.WPLUS, 3.0, seed=0)
         v = differentiate(p)
-        short = VelocitySequence(v.values[:-1], v.dt)
-        with pytest.raises(ValueError):
-            opt_forward(m, p, short)
+        with pytest.raises(ValueError, match="lengths differ"):
+            m.opt_vectors(p.positions, v.values[:-1])
 
 
 class TestOptimizeInitialPose:
@@ -156,8 +158,7 @@ class TestOptimizeInitialPose:
         v = differentiate(p_true)
         start = p_true.positions[0] + 0.5
 
-        def noisy_predictor(p_seq, v_vals, frame_index=0):
-            return rng.uniform(-1, 1, size=(N_JOINTS, 3))
+        noisy_predictor = predictor(lambda p_seq, v_vals: rng.uniform(-1, 1, (N_JOINTS, 3)))
 
         cfg = OptConfig(optr=0.01, max_epochs=1, max_halvings=0)
         final, _ = optimize_initial_pose(noisy_predictor, start, v, cfg)
@@ -172,12 +173,13 @@ def test_opt_config_rejects_tolerance_never_met(tol):
         OptConfig(tol=tol)
 
 
-def two_call_loop(predict, p0_init, v, cfg, truth=None):
+def two_call_loop(model, p0_init, v, cfg, truth=None):
     """Oracle: the pose loop that predicts afresh at the start of every epoch.
 
     Returns (pose, trace, stats) with the epochs run, the step halvings made
     and the epochs whose halving budget ran out.
     """
+    predict = model.opt_vectors
     p = np.array(p0_init, dtype=np.float64)
     stats = {"epochs": 0, "halvings": 0, "exhausted": 0}
 
@@ -188,12 +190,12 @@ def two_call_loop(predict, p0_init, v, cfg, truth=None):
     for _ in range(cfg.max_epochs):
         stats["epochs"] += 1
         seq = integrate(p, v)
-        ov = predict(seq.positions, v.values, 0)
+        ov = predict(seq.positions, v.values)
         steps = np.full(N_JOINTS, cfg.optr)
         moved = ov * steps[:, None]
         for _halving in range(cfg.max_halvings):
             cand = p + moved
-            ov2 = predict(integrate(cand, v).positions, v.values, 0)
+            ov2 = predict(integrate(cand, v).positions, v.values)
             flipped = (ov * ov2).sum(axis=1) < 0
             if not flipped.any() or steps.max() < cfg.tol:
                 break
@@ -232,9 +234,11 @@ class TestOnePredictionPerCommittedStep:
         calls = []
         stub = exact_stub(true_p0)
 
-        def counting(p_seq, v_vals, frame_index=0):
+        def count(p_seq, v_vals):
             calls.append(1)
-            return stub(p_seq, v_vals, frame_index)
+            return stub.opt_vectors(p_seq, v_vals)
+
+        counting = predictor(count)
 
         want_p, want_trace, stats = two_call_loop(stub, start, v, cfg, truth=true_p0)
         assert (stats["halvings"] > 0) == (halvings == "some")
@@ -269,8 +273,11 @@ class TestReconstructLongTerm:
         v_bad = VelocitySequence(v_true.values + bias, v_true.dt)
         v_bad.values[0] = 0
 
-        def stub(p_seq, v_vals, frame_index=0):
-            return opt_vector_truth(p_seq[0], p_true.positions[frame_index])
+        # the stub aims at the true pose of the frame its window starts at,
+        # found from the window's first velocity (every biased frame differs)
+        frame_of = {v_bad.values[t].tobytes(): t for t in range(1, len(v_bad))}
+        stub = predictor(lambda p_seq, v_vals: opt_vector_truth(
+            p_seq[0], p_true.positions[frame_of[v_vals[0].tobytes()]]))
 
         cfg = OptConfig(period=10, max_epochs=60)
         out = reconstruct_long_term(stub, p_true.positions[0], v_bad, cfg)
@@ -327,7 +334,8 @@ class TestOptModelIO:
         path = tmp_path / "opt.dpc"
         m.save(path)
         back = OptModel.load(path)
-        assert np.allclose(opt_forward(m, p, v), opt_forward(back, p, v), atol=1e-6)
+        assert np.allclose(m.opt_vectors(p.positions, v.values),
+                           back.opt_vectors(p.positions, v.values), atol=1e-6)
 
     def test_velocity_checkpoint_rejected(self, tmp_path):
         path = tmp_path / "vel.dpc"
