@@ -30,6 +30,7 @@ from .motion import (
     N_JOINTS,
     PoseSequence,
     VelocitySequence,
+    check_duration,
     differentiate,
     generate_activity,
     t_pose,
@@ -203,6 +204,14 @@ def parse_config(data: dict) -> ExperimentConfig:
         val_fraction=get("training.opt.val_fraction", float, 0.1),
     )
 
+    n_activities = get("dataset.n_activities", int, 200)
+    if n_activities < 1:
+        raise ConfigError(f"config field dataset.n_activities: must be >= 1, got {n_activities}")
+    try:
+        duration_s = check_duration(get("dataset.duration_s", float, 5.0))
+    except ValueError as exc:
+        raise ConfigError(f"config field dataset.duration_s: {exc}")
+
     sample_rate_hz = get("waveform.sample_rate_hz", float, 16e3)
     try:
         doppler_span_hz = check_doppler_span(
@@ -224,8 +233,8 @@ def parse_config(data: dict) -> ExperimentConfig:
         doppler_oversample=get("processing.doppler_oversample", int, 4),
         clean_iterations=get("processing.clean_iterations", int, 2),
         denoise_params=den,
-        n_activities=get("dataset.n_activities", int, 200),
-        duration_s=get("dataset.duration_s", float, 5.0),
+        n_activities=n_activities,
+        duration_s=duration_s,
         dt=get("dataset.dt", float, 0.1),
         kinds=kinds,
         start_jitter_m=get("dataset.start_jitter_m", float, 0.25),

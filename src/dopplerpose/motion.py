@@ -428,6 +428,14 @@ def _generate_segment(kind: ActivityKind, duration: float, rng, state: _ChainSta
     return positions, exit_state
 
 
+def check_duration(duration: float) -> float:
+    """The duration of one activity as a float; it must lie in [2, 60] seconds."""
+    duration = float(duration)
+    if not 2.0 <= duration <= 60.0:
+        raise ValueError(f"duration must be in [2, 60] s, got {duration}")
+    return duration
+
+
 def generate_activity(kind: ActivityKind, duration: float, seed: int, *,
                       dt: float = DEFAULT_DT, start_xy=(0.0, 0.0)) -> PoseSequence:
     """Generate one primitive activity: the one-segment composite.
@@ -454,8 +462,7 @@ def generate_composite(kinds, duration_each: float, seed: int, *,
     for kind in kinds:
         if not isinstance(kind, ActivityKind):
             raise ValueError(f"unknown activity kind: {kind!r}")
-    if not (2.0 <= duration_each <= 60.0):
-        raise ValueError(f"duration must be in [2, 60] s, got {duration_each}")
+    check_duration(duration_each)
     for prev, kind in zip(kinds, kinds[1:]):
         if _ENTRY_POSTURE[kind] != _EXIT_POSTURE[prev]:
             raise ValueError(

@@ -15,10 +15,10 @@ from .tensor import (  # noqa: F401
     Tensor,
     absolute,
     add,
+    batch_norm,
     concat,
     conv1d,
     div,
-    exp,
     getitem,
     lstm_sequence,
     matmul,

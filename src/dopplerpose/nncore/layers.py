@@ -63,7 +63,8 @@ class BatchNorm1d:
     """Feature-wise normalization: batch statistics in training, running in inference.
 
     Accepts (N, F) or channel-first (B, C, W) input; for the latter the
-    statistics pool over batch and width per channel.
+    statistics pool over batch and width per channel. Training runs the
+    `batch_norm` node (Ioffe & Szegedy, ICML 2015) in the input's dtype.
     """
 
     momentum = 0.1  # weight of the newest batch in the running statistics
@@ -85,20 +86,16 @@ class BatchNorm1d:
 
     def _norm_2d(self, x: Tensor, training: bool) -> Tensor:
         if training:
-            mean = T.tmean(x, axis=0)
-            centered = T.add(x, T.mul(mean, -1.0))
-            var = T.tmean(T.mul(centered, centered), axis=0)
+            out, mean, var = T.batch_norm(x, self.gamma, self.beta, self.eps)
             m = self.momentum
             self.running_mean = ((1 - m) * self.running_mean
-                                 + m * mean.data.astype(self.running_mean.dtype))
+                                 + m * mean.astype(self.running_mean.dtype))
             self.running_var = ((1 - m) * self.running_var
-                                + m * var.data.astype(self.running_var.dtype))
-            inv = T.div(1.0, T.sqrt(T.add(var, self.eps)))
-            xhat = T.mul(centered, inv)
-        else:
-            inv = 1.0 / np.sqrt(self.running_var + self.eps)
-            xhat = T.mul(T.add(x, -self.running_mean.astype(x.data.dtype)),
-                         inv.astype(x.data.dtype))
+                                + m * var.astype(self.running_var.dtype))
+            return out
+        inv = 1.0 / np.sqrt(self.running_var + self.eps)
+        xhat = T.mul(T.add(x, -self.running_mean.astype(x.data.dtype)),
+                     inv.astype(x.data.dtype))
         return T.add(T.mul(xhat, self.gamma), self.beta)
 
     def __call__(self, x: Tensor, training: bool = False) -> Tensor:

@@ -3,10 +3,11 @@
 Small on purpose: dense tensors, the op set needed by the conv/recurrent
 models in this package, and a topological-order backward pass. The ops are
 elementwise arithmetic and activations, reductions, reshape/transpose/
-indexing/concat, 2-D matmul, `conv1d`, and `lstm_sequence`: a whole LSTM
-direction as one node with a hand-written backpropagation-through-time
-backward. Float32 by default; gradient-check tests run the same graphs in
-float64.
+indexing/concat, 2-D matmul, `conv1d`, `batch_norm`: training-mode batch
+normalization as one node with the closed-form backward, and
+`lstm_sequence`: a whole LSTM direction as one node with a hand-written
+backpropagation-through-time backward. Float32 by default; gradient-check
+tests run the same graphs in float64.
 """
 
 from __future__ import annotations
@@ -217,16 +218,6 @@ def sigmoid(a):
     return _make(out_data, (a,), backward)
 
 
-def exp(a):
-    a = as_tensor(a)
-    out_data = np.exp(a.data)
-
-    def backward(g):
-        a._accumulate(g * out_data)
-
-    return _make(out_data, (a,), backward)
-
-
 # -- reductions / shape -----------------------------------------------------
 
 def tsum(a, axis=None):
@@ -313,6 +304,38 @@ def matmul(a, b):
         b._accumulate(a.data.T @ g)
 
     return _make(a.data @ b.data, (a, b), backward)
+
+
+# -- normalization ----------------------------------------------------------
+
+def batch_norm(x, gamma, beta, eps: float):
+    """Training-mode batch normalization of x (N, F) -> (out, mean, var), one graph node.
+
+    Statistics are per feature over the N rows; `mean` and `var` are the batch
+    statistics as (F,) arrays. Everything is computed in x's dtype, with the
+    numpy calls of the mean / centre / square / mean / add eps / sqrt / divide /
+    scale / shift composite in the same order, so the output is bit-identical
+    to one. Backward is the closed form of Ioffe & Szegedy (ICML 2015),
+    dx = inv/N (N g' - sum g' - xhat sum(g' xhat)) with g' = g gamma, here as
+    gamma inv/N (N g - dbeta - xhat dgamma).
+    """
+    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
+    n = x.data.shape[0]
+    mean = x.data.mean(axis=0)
+    centered = x.data - mean
+    var = (centered * centered).mean(axis=0)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = centered * inv
+
+    def backward(g):
+        dbeta = g.sum(axis=0)
+        dgamma = (g * xhat).sum(axis=0)
+        gamma._accumulate(dgamma)
+        beta._accumulate(dbeta)
+        if x.requires_grad:
+            x._accumulate((gamma.data * inv / n) * (n * g - dbeta - xhat * dgamma))
+
+    return _make(xhat * gamma.data + beta.data, (x, gamma, beta), backward), mean, var
 
 
 # -- recurrence -------------------------------------------------------------
@@ -426,6 +449,8 @@ def conv1d(x, w, b=None, stride: int = 1, padding: int = 0):
         w._accumulate((g2.T @ cols).reshape(c_out, c_in, k))
         if b is not None:
             b._accumulate(g2.sum(axis=0))
+        if not x.requires_grad:
+            return
         gcols = (g2 @ w2).reshape(bsz, w_out, c_in, k)
         gxp = np.zeros_like(xp)
         for o in range(w_out):

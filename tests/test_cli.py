@@ -135,6 +135,14 @@ def test_malformed_config_exits_2_and_names_field(config_file, tmp_path, capsys)
     assert "processing.delay_bins" in capsys.readouterr().err
 
 
+def test_out_of_range_duration_exits_2_and_names_field(config_file, tmp_path, capsys):
+    rc = main(["build-dataset", "--config", str(config_file), "--set", "dataset.duration_s=1",
+               "--out", str(tmp_path / "ds")])
+    assert rc == 2
+    assert "dataset.duration_s" in capsys.readouterr().err
+    assert not (tmp_path / "ds").exists()
+
+
 def test_unknown_subcommand_nonzero():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate", "--config", "x"])

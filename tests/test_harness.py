@@ -100,6 +100,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"^config field {section}: {key}"):
             harness.parse_config(data)
 
+    @pytest.mark.parametrize("key, value", [("duration_s", 1.0), ("duration_s", 61.0),
+                                            ("duration_s", float("nan")),
+                                            ("n_activities", 0), ("n_activities", -3)])
+    def test_rejected_dataset_values_named(self, key, value):
+        data = tiny_config_dict()
+        data["dataset"][key] = value
+        with pytest.raises(ConfigError, match=f"^config field dataset.{key}: "):
+            harness.parse_config(data)
+
     @pytest.mark.parametrize("path", ["denoise.quantile", "training.vel.batch_size",
                                       "optimization.tol"])
     def test_bad_type_in_checked_section_named_once(self, path):

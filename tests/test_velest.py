@@ -6,6 +6,7 @@ import pytest
 from dopplerpose import containers
 from dopplerpose.caf import Spectrogram
 from dopplerpose.motion import N_JOINTS, VelocitySequence
+from dopplerpose.nncore import Tensor
 from dopplerpose.velest import (
     TrainConfig,
     VelModel,
@@ -63,6 +64,13 @@ class TestVelForward:
     def test_too_few_doppler_bins_rejected(self):
         with pytest.raises(ValueError):
             VelModel(13, seed=0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_training_forward_keeps_model_dtype(self, dtype):
+        m = VelModel(WIDTH, seed=5, dtype=dtype)
+        x = Tensor(np.random.default_rng(4).random((2, 3, WIDTH)), dtype=dtype)
+        out = m.forward(x, training=True)
+        assert out.data.dtype == dtype
 
 
 class TestVelLoss:
