@@ -211,6 +211,10 @@ def parse_config(data: dict) -> ExperimentConfig:
         duration_s = check_duration(get("dataset.duration_s", float, 5.0))
     except ValueError as exc:
         raise ConfigError(f"config field dataset.duration_s: {exc}")
+    dt = get("dataset.dt", float, 0.1)
+    if not 0.0 < dt <= duration_s / 2:
+        raise ConfigError(f"config field dataset.dt: must be positive and leave at least "
+                          f"2 frames of dataset.duration_s {duration_s}, got {dt}")
 
     sample_rate_hz = get("waveform.sample_rate_hz", float, 16e3)
     try:
@@ -235,7 +239,7 @@ def parse_config(data: dict) -> ExperimentConfig:
         denoise_params=den,
         n_activities=n_activities,
         duration_s=duration_s,
-        dt=get("dataset.dt", float, 0.1),
+        dt=dt,
         kinds=kinds,
         start_jitter_m=get("dataset.start_jitter_m", float, 0.25),
         train_fraction=train_fraction,

@@ -20,7 +20,7 @@ from .tensor import (  # noqa: F401
     conv1d,
     div,
     getitem,
-    lstm_sequence,
+    lstm_layer,
     matmul,
     mul,
     no_grad,

@@ -112,9 +112,10 @@ class BatchNorm1d:
 class LSTM:
     """Standard LSTM over (B, T, F); bidirectional stacks concatenate outputs.
 
-    Each (layer, direction) is one `lstm_sequence` graph node, whose backward
-    is backpropagation through time (Hochreiter & Schmidhuber 1997; Graves
-    2012, ch. 4): its cost per step does not grow with the sequence length.
+    Each layer is one `lstm_layer` graph node whose directions step together
+    in one loop, and whose backward is backpropagation through time
+    (Hochreiter & Schmidhuber 1997; Graves 2012, ch. 4): its cost per step
+    does not grow with the sequence length.
     """
 
     def __init__(self, input_size: int, hidden_size: int, num_layers: int = 1,
@@ -152,8 +153,6 @@ class LSTM:
         out = x
         for layer in range(self.num_layers):
             layer_weights = self.weights[layer * self.dirs:(layer + 1) * self.dirs]
-            runs = [T.lstm_sequence(out, w["W_ih"], w["W_hh"], w["b"], reverse=d == 1)
-                    for d, w in enumerate(layer_weights)]
-            out = T.concat(runs, axis=2) if self.bidirectional else runs[0]
+            out = T.lstm_layer(out, [(w["W_ih"], w["W_hh"], w["b"]) for w in layer_weights])
         return out
 

@@ -4,10 +4,10 @@ Small on purpose: dense tensors, the op set needed by the conv/recurrent
 models in this package, and a topological-order backward pass. The ops are
 elementwise arithmetic and activations, reductions, reshape/transpose/
 indexing/concat, 2-D matmul, `conv1d`, `batch_norm`: training-mode batch
-normalization as one node with the closed-form backward, and
-`lstm_sequence`: a whole LSTM direction as one node with a hand-written
-backpropagation-through-time backward. Float32 by default; gradient-check
-tests run the same graphs in float64.
+normalization as one node with the closed-form backward, and `lstm_layer`:
+a whole (bi)LSTM layer as one node whose directions step together, with a
+hand-written backpropagation-through-time backward. Float32 by default;
+gradient-check tests run the same graphs in float64.
 """
 
 from __future__ import annotations
@@ -340,80 +340,104 @@ def batch_norm(x, gamma, beta, eps: float):
 
 # -- recurrence -------------------------------------------------------------
 
-def lstm_sequence(x, w_ih, w_hh, b, reverse: bool = False):
-    """One LSTM direction over x (B, T, F) -> hidden states (B, T, H), one graph node.
+def _steps(a, reverse: bool):
+    """A (T, B, ...) view of a (B, T, ...) array in step order: reversed runs from t = T-1 down."""
+    a = a.swapaxes(0, 1)
+    return a[::-1] if reverse else a
 
-    w_ih (F, 4H), w_hh (H, 4H) and b (4H,) hold the i, f, g, o gates in that
-    column order; the state starts at zero and runs from t = T-1 down when
-    `reverse`. The forward makes the numpy calls of a per-step matmul /
-    sigmoid / tanh composite in the same order, so its output is bit-identical
-    to one. Backward is backpropagation through time (Hochreiter & Schmidhuber
-    1997; Graves 2012, "Supervised Sequence Labelling with RNNs", ch. 4): one
-    reverse loop fills the pre-activation gradient of every step, then the
-    weight, bias and input gradients take one matmul or sum each.
+
+def lstm_layer(x, directions):
+    """One (bi)LSTM layer over x (B, T, F) -> hidden states (B, T, D*H), one graph node.
+
+    `directions` holds D = 1 or 2 (w_ih (F, 4H), w_hh (H, 4H), b (4H,)) triples,
+    gates i, f, g, o in that column order; the second runs reversed in time, and
+    each starts from a zero state. The input projections, one GEMM a direction,
+    are stored step-ordered, so one loop of T steps advances all directions with
+    one stacked (D, B, H) @ (D, H, 4H) matmul, one sigmoid over the 4H gate
+    columns (i, f and o are read from it) and one tanh over the g columns. Each
+    value is the one a per-direction, per-step composite computes, so the output
+    is bit-identical to one. Backward is backpropagation through time (Hochreiter
+    & Schmidhuber 1997; Graves 2012, "Supervised Sequence Labelling with RNNs",
+    ch. 4) down the same loop; each direction's weight, bias and input gradients
+    then take one matmul or sum each.
     """
-    x, w_ih, w_hh, b = (as_tensor(t) for t in (x, w_ih, w_hh, b))
-    bsz, t_len, in_f = x.data.shape
-    h_dim = w_hh.data.shape[0]
+    x = as_tensor(x)
+    directions = [tuple(as_tensor(t) for t in d) for d in directions]
+    parents = (x,) + tuple(w for d in directions for w in d)
+    if len(directions) not in (1, 2):
+        raise ValueError(f"lstm_layer takes 1 or 2 directions, got {len(directions)}")
     dtype = x.data.dtype
-    pre = (x.data.reshape(bsz * t_len, in_f) @ w_ih.data).reshape(bsz, t_len, 4 * h_dim)
-    pre = pre + b.data
-    out = np.empty((bsz, t_len, h_dim), dtype=pre.dtype)
-    needs = _GRAD_ENABLED and any(t.requires_grad for t in (x, w_ih, w_hh, b))
-    if needs:
-        gates = np.empty((bsz, t_len, 4 * h_dim), dtype=pre.dtype)  # i, f, g, o
-        cells = np.empty_like(out)
-        tanh_cells = np.empty_like(out)
-    h = np.zeros((bsz, h_dim), dtype=dtype)
-    c = np.zeros((bsz, h_dim), dtype=dtype)
-    order = range(t_len - 1, -1, -1) if reverse else range(t_len)
-    for t in order:
-        z = pre[:, t, :] + h @ w_hh.data
-        i = 1.0 / (1.0 + np.exp(-z[:, 0:h_dim]))
-        f = 1.0 / (1.0 + np.exp(-z[:, h_dim:2 * h_dim]))
-        g = np.tanh(z[:, 2 * h_dim:3 * h_dim])
-        o = 1.0 / (1.0 + np.exp(-z[:, 3 * h_dim:4 * h_dim]))
-        c = f * c + i * g
-        tanh_c = np.tanh(c)
-        h = o * tanh_c
-        out[:, t] = h
-        if needs:
-            np.concatenate((i, f, g, o), axis=1, out=gates[:, t])
-            cells[:, t] = c
-            tanh_cells[:, t] = tanh_c
+    for w in parents[1:]:
+        if w.data.dtype != dtype:
+            raise ValueError(f"lstm_layer input is {dtype} but its weights are {w.data.dtype}")
+    bsz, t_len, in_f = x.data.shape
+    n_dir = len(directions)
+    h_dim = directions[0][1].data.shape[0]
+    x2 = x.data.reshape(bsz * t_len, in_f)
+    pre = np.empty((t_len, n_dir, bsz, 4 * h_dim), dtype=dtype)
+    for d, (w_ih, _, b) in enumerate(directions):
+        proj = (x2 @ w_ih.data).reshape(bsz, t_len, 4 * h_dim)
+        np.add(_steps(proj, d == 1), b.data, out=pre[:, d])
+    w_hh = np.stack([w_hh.data for _, w_hh, _ in directions])
+    # per step: sigmoid(i, f, o) with tanh(g) in its place, c, tanh(c) and h;
+    # without a graph to record, one step's gates and cells are kept at a time
+    kept = t_len if _GRAD_ENABLED and any(t.requires_grad for t in parents) else 1
+    gates = np.empty((kept, n_dir, bsz, 4 * h_dim), dtype=dtype)
+    cells, tanh_cells = np.empty((2, kept, n_dir, bsz, h_dim), dtype=dtype)
+    hs = np.empty((t_len, n_dir, bsz, h_dim), dtype=dtype)
+    h = np.zeros((n_dir, bsz, h_dim), dtype=dtype)
+    c = np.zeros_like(h)
+    g_cols = slice(2 * h_dim, 3 * h_dim)
+    for s in range(t_len):
+        k = s % kept
+        z = pre[s] + h @ w_hh
+        a = np.divide(1.0, 1.0 + np.exp(-z), out=gates[k])
+        g = np.tanh(z[..., g_cols], out=a[..., g_cols])
+        c = np.add(a[..., h_dim:2 * h_dim] * c, a[..., :h_dim] * g, out=cells[k])
+        h = np.multiply(a[..., 3 * h_dim:], np.tanh(c, out=tanh_cells[k]), out=hs[s])
+    out = np.empty((bsz, t_len, n_dir * h_dim), dtype=dtype)
+    for d in range(n_dir):
+        _steps(out[:, :, d * h_dim:(d + 1) * h_dim], d == 1)[...] = hs[:, d]
 
     def backward(gout):
-        # The state each step started from: the neighbouring step's, zero at the start.
-        h_prev, c_prev = np.zeros_like(out), np.zeros_like(out)
-        earlier_later = (slice(None, -1), slice(1, None))
-        src, dst = earlier_later[::-1] if reverse else earlier_later
-        h_prev[:, dst], c_prev[:, dst] = out[:, src], cells[:, src]
-        i, f, g, o = (gates[:, :, k * h_dim:(k + 1) * h_dim] for k in range(4))
+        # The state each step started from: the previous step's, zero at the first.
+        h_prev, c_prev = np.zeros_like(hs), np.zeros_like(cells)
+        h_prev[1:], c_prev[1:] = hs[:-1], cells[:-1]
+        i, f, g, o = (gates[..., k * h_dim:(k + 1) * h_dim] for k in range(4))
         # dz_{i,f,g} = dc * k_{i,f,g}, dz_o = dh * k_o, dc gets dh * dc_dh
         k_cell = np.concatenate((g * i * (1.0 - i), c_prev * f * (1.0 - f), i * (1.0 - g * g)),
-                                axis=2).reshape(bsz, t_len, 3, h_dim)
+                                axis=-1).reshape(t_len, n_dir, bsz, 3, h_dim)
         k_o = tanh_cells * o * (1.0 - o)
         dc_dh = o * (1.0 - tanh_cells * tanh_cells)
+        gh = np.empty_like(hs)
+        for d in range(n_dir):
+            gh[:, d] = _steps(gout[:, :, d * h_dim:(d + 1) * h_dim], d == 1)
         dz = np.empty_like(gates)
-        dz4 = dz.reshape(bsz, t_len, 4, h_dim)
-        dh_next = np.zeros((bsz, h_dim), dtype=dz.dtype)
+        dz5 = dz.reshape(t_len, n_dir, bsz, 4, h_dim)
+        dh_next = np.zeros((n_dir, bsz, h_dim), dtype=dz.dtype)
         dc_next = np.zeros_like(dh_next)
-        w_hh_t = w_hh.data.T
-        for t in reversed(order):
-            dh = gout[:, t] + dh_next
-            dc = dh * dc_dh[:, t] + dc_next
-            dz4[:, t, 0:3] = k_cell[:, t] * dc[:, None, :]
-            dz4[:, t, 3] = dh * k_o[:, t]
-            dc_next = dc * f[:, t]
-            dh_next = dz[:, t] @ w_hh_t
-        dz2 = dz.reshape(bsz * t_len, 4 * h_dim)
-        w_ih._accumulate(x.data.reshape(bsz * t_len, in_f).T @ dz2)
-        w_hh._accumulate(h_prev.reshape(bsz * t_len, h_dim).T @ dz2)
-        b._accumulate(dz2.sum(axis=0))
-        if x.requires_grad:
-            x._accumulate((dz2 @ w_ih.data.T).reshape(bsz, t_len, in_f))
+        w_hh_t = w_hh.transpose(0, 2, 1)
+        for s in range(t_len - 1, -1, -1):
+            dh = gh[s] + dh_next
+            dc = dh * dc_dh[s] + dc_next
+            dz5[s, :, :, 0:3] = k_cell[s] * dc[:, :, None, :]
+            dz5[s, :, :, 3] = dh * k_o[s]
+            dc_next = dc * f[s]
+            dh_next = dz[s] @ w_hh_t
+        # weight gradients in time order, rows (b, t) as the input's
+        dz_t = np.empty((bsz, t_len, 4 * h_dim), dtype=dz.dtype)
+        hp_t = np.empty((bsz, t_len, h_dim), dtype=dz.dtype)
+        for d, (w_ih, w_hh_d, b) in enumerate(directions):
+            _steps(dz_t, d == 1)[...] = dz[:, d]
+            _steps(hp_t, d == 1)[...] = h_prev[:, d]
+            dz2 = dz_t.reshape(bsz * t_len, 4 * h_dim)
+            w_ih._accumulate(x2.T @ dz2)
+            w_hh_d._accumulate(hp_t.reshape(bsz * t_len, h_dim).T @ dz2)
+            b._accumulate(dz2.sum(axis=0))
+            if x.requires_grad:
+                x._accumulate((dz2 @ w_ih.data.T).reshape(bsz, t_len, in_f))
 
-    return _make(out, (x, w_ih, w_hh, b), backward)
+    return _make(out, parents, backward)
 
 
 # -- convolution ------------------------------------------------------------

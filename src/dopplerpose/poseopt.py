@@ -127,7 +127,7 @@ class OptModel:
             raise ValueError(f"pose ({len(p)}) and velocity ({len(v)}) lengths differ")
         x = _stack_features(p, v)[None]
         with nn.no_grad():
-            out = self.forward(Tensor(x.astype(np.float32)), training=False)
+            out = self.forward(Tensor(x, dtype=self.fc1.weight.data.dtype), training=False)
         return out.data[0].reshape(N_JOINTS, 3).astype(np.float64)
 
     def state_arrays(self):
@@ -212,6 +212,7 @@ def opt_train(m: OptModel, mocap: list, cfg: TrainConfig, *, n_pairs: int = 1024
               window: int = 30):
     """Train the optimization-vector network on sampled wrong-start pairs."""
     feats, labels = build_training_pairs(mocap, n_pairs, window, cfg.seed)
+    feats = feats.astype(m.fc1.weight.data.dtype, copy=False)
     rng = np.random.default_rng(cfg.seed + 1)
     perm = rng.permutation(n_pairs)
     n_val = int(round(n_pairs * cfg.val_fraction))

@@ -119,7 +119,7 @@ def vel_forward(m: VelModel, s: Spectrogram) -> VelocitySequence:
             f"spectrogram has {s.values.shape[0]} Doppler bins, model expects "
             f"{m.doppler_bins}")
     with nn.no_grad():
-        x = Tensor(s.values.T[None, :, :].astype(np.float32))
+        x = Tensor(s.values.T[None, :, :], dtype=m.conv1.weight.data.dtype)
         out = m.forward(x, training=False)
     values = out.data[0].reshape(-1, N_JOINTS, 3).astype(np.float64)
     return VelocitySequence(values, s.dt)
@@ -183,7 +183,8 @@ def vel_train(m: VelModel, dataset: list, cfg: TrainConfig):
     for epoch in range(cfg.epochs):
         epoch_losses = []
         for batch in _bucket_batches(train_idx, dataset, cfg.batch_size, rng):
-            xs = np.stack([dataset[i][0].values.T for i in batch]).astype(np.float32)
+            xs = np.stack([dataset[i][0].values.T for i in batch]).astype(
+                m.conv1.weight.data.dtype)
             ys = np.stack([dataset[i][1].values for i in batch]).astype(np.float32)
             opt.zero_grad()
             out = m.forward(Tensor(xs), training=True)

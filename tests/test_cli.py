@@ -143,6 +143,15 @@ def test_out_of_range_duration_exits_2_and_names_field(config_file, tmp_path, ca
     assert not (tmp_path / "ds").exists()
 
 
+@pytest.mark.parametrize("dt", ["0", "-0.1", "3.0", "NaN"])
+def test_bad_frame_step_exits_2_and_names_field(config_file, tmp_path, capsys, dt):
+    rc = main(["build-dataset", "--config", str(config_file), "--set", f"dataset.dt={dt}",
+               "--out", str(tmp_path / "ds")])
+    assert rc == 2
+    assert "dataset.dt" in capsys.readouterr().err
+    assert not (tmp_path / "ds").exists()
+
+
 def test_unknown_subcommand_nonzero():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate", "--config", "x"])

@@ -102,6 +102,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("key, value", [("duration_s", 1.0), ("duration_s", 61.0),
                                             ("duration_s", float("nan")),
+                                            ("dt", 0.0), ("dt", -0.1), ("dt", 2.0),
+                                            ("dt", float("nan")), ("dt", float("inf")),
                                             ("n_activities", 0), ("n_activities", -3)])
     def test_rejected_dataset_values_named(self, key, value):
         data = tiny_config_dict()

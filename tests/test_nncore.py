@@ -330,7 +330,7 @@ LSTM_SHAPES = [(1, 50, 102, 51, 2, True), (41, 50, 320, 64, 2, True),
 
 
 class TestFusedLstm:
-    """The fused `lstm_sequence` op against the per-step composite it replaced."""
+    """The fused `lstm_layer` op against the per-step composite it replaced."""
 
     @staticmethod
     def _layer_and_input(shape, dtype, seed=0):
@@ -368,11 +368,39 @@ class TestFusedLstm:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_reverse_direction_gradcheck(self, seed):
+        # the loss reads only the reversed direction's half of the output
         rng = rng64(600 + seed)
-        w_ih, w_hh, b = t64(rng, (3, 16), True), t64(rng, (4, 16), True), t64(rng, (16,), True)
+        fwd, rev = ([t64(rng, shape, True) for shape in ((3, 16), (4, 16), (16,))]
+                    for _ in range(2))
         x = t64(rng, (2, 5, 3), grad=True)
-        build = lambda: ops.tsum(ops.tanh(ops.lstm_sequence(x, w_ih, w_hh, b, reverse=True)))
-        assert nn.check_gradients(build, [w_ih, w_hh, b, x]) <= 1e-4
+        build = lambda: ops.tsum(ops.tanh(ops.lstm_layer(x, [fwd, rev])[:, :, 4:]))
+        assert nn.check_gradients(build, rev + [x]) <= 1e-4
+        assert not any(p.grad.any() for p in fwd)
+
+    @pytest.mark.parametrize("t_len", [1, 6])
+    def test_two_direction_gradcheck(self, t_len):
+        rng = rng64(650 + t_len)
+        directions = [[t64(rng, shape, True) for shape in ((3, 12), (3, 12), (12,))]
+                      for _ in range(2)]
+        x = t64(rng, (2, t_len, 3), grad=True)
+        weights = t64(rng, (2, t_len, 6))
+        build = lambda: ops.tsum(ops.mul(ops.tanh(ops.lstm_layer(x, directions)), weights))
+        assert nn.check_gradients(build, directions[0] + directions[1] + [x]) <= 1e-4
+
+    def test_mixed_dtypes_rejected(self):
+        layer, x = self._layer_and_input((2, 4, 3, 5, 1, True), np.float64)
+        with pytest.raises(ValueError, match="float32.*float64"):
+            layer(Tensor(x.data.astype(np.float32)))
+        with pytest.raises(ValueError, match="1 or 2 directions"):
+            ops.lstm_layer(x, [])
+
+    def test_one_node_per_layer(self):
+        # the per-direction nodes and their concat made 3 nodes a biLSTM layer
+        layer, x = self._layer_and_input((2, 6, 4, 3, 2, True), np.float64)
+        out = layer(x)
+        leaves = 1 + len(layer.params())
+        assert graph_size(out) - leaves == 2
+        assert out._parents[0]._parents[0] is x
 
     def test_single_step_gradcheck(self):
         rng = rng64(700)

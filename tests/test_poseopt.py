@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dopplerpose import containers
+from dopplerpose import nncore as nn
 from dopplerpose.motion import (
     ActivityKind,
     N_JOINTS,
@@ -15,6 +16,7 @@ from dopplerpose.motion import (
     neutral_frame,
     t_pose,
 )
+from dopplerpose.nncore import Tensor
 from dopplerpose.poseopt import (
     OptConfig,
     OptModel,
@@ -109,6 +111,18 @@ class TestOptForward:
         assert out.shape == (N_JOINTS, 3)
         assert np.all(np.abs(out) < 1.0)
         assert np.array_equal(out, m.opt_vectors(p.positions, v.values))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_opt_vectors_runs_in_model_dtype(self, dtype):
+        # a float32 cast of the input cost a float64 model about 4e-10
+        m = OptModel(seed=9, dtype=dtype)
+        p = generate_activity(ActivityKind.WPLUS, 3.0, seed=0)
+        v = differentiate(p)
+        x = np.concatenate([v.values.reshape(len(v), -1), p.positions.reshape(len(p), -1)],
+                           axis=1)[None]
+        with nn.no_grad():
+            ref = m.forward(Tensor(x, dtype=dtype)).data[0].reshape(N_JOINTS, 3)
+        assert np.array_equal(m.opt_vectors(p.positions, v.values), ref)
 
     def test_length_mismatch_rejected(self):
         m = OptModel(seed=2)
@@ -319,6 +333,12 @@ class TestOptTrain:
                                                 val_fraction=0.0),
                          n_pairs=1, window=6)
         assert hist[-1]["train_loss"] < 0.1 * hist[0]["train_loss"]
+
+    def test_float64_model_trains_in_float64(self):
+        m = OptModel(seed=4, dtype=np.float64)
+        opt_train(m, self._tiny_corpus(), TrainConfig(epochs=1, batch_size=4, seed=6),
+                  n_pairs=8, window=6)
+        assert all(p.data.dtype == np.float64 for p in m.params())
 
     def test_empty_corpus_rejected(self):
         m = OptModel(seed=5)

@@ -1,11 +1,17 @@
 """Property tests: the one-pass integrator and reconstruction against the
-per-frame loops they replaced, kept here as oracles, bit for bit."""
+per-frame loops they replaced, kept here as oracles, bit for bit; `integrate`
+and `differentiate` as inverses up to float64 round-off; and bit-exact
+container round trips."""
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dopplerpose.motion import N_JOINTS, VelocitySequence, integrate
+from dopplerpose import containers
+from dopplerpose.motion import N_JOINTS, PoseSequence, VelocitySequence, differentiate, integrate
 from dopplerpose.poseopt import OptConfig, optimize_initial_pose, reconstruct_long_term
 
 # Derandomized and without an example database: every run draws the same
@@ -77,3 +83,61 @@ def test_reconstruct_equals_per_frame_loop(seed, t_len, period):
     cfg = OptConfig(optr=0.05, max_epochs=3, period=period)
     got = reconstruct_long_term(WindowPredictor(), p0, v, cfg).positions
     assert got.tobytes() == loop_reconstruct(WindowPredictor(), p0, v, cfg).tobytes()
+
+
+EPS = np.finfo(np.float64).eps
+
+
+@PROPERTY
+@given(seed=SEEDS, t_len=st.integers(2, 300), dt=st.floats(1e-3, 1.0),
+       scale=st.floats(1e-3, 1e3))
+def test_differentiate_inverts_integrate(seed, t_len, dt, scale):
+    # p[t] = p[t-1] + v[t] dt rounds once in v dt and once in the sum, and the
+    # difference p[t] - p[t-1] once more, each relative to its own size: the
+    # recovered v[t] is off by at most a few eps (|v[t]| + |p[t]| / dt).
+    p0, v = random_inputs(seed, t_len, dt, scale)
+    p = integrate(p0, v).positions
+    got = differentiate(PoseSequence(p, dt)).values
+    assert not got[0].any()
+    bound = 4 * EPS * (np.abs(v.values[1:]) + np.abs(p[1:]) / dt)
+    assert (np.abs(got[1:] - v.values[1:]) <= bound).all()
+
+
+@PROPERTY
+@given(seed=SEEDS, t_len=st.integers(2, 300), dt=st.floats(1e-3, 1.0),
+       scale=st.floats(1e-3, 1e3))
+def test_integrate_inverts_differentiate(seed, t_len, dt, scale):
+    # each frame adds the rounding of one difference, one division, one
+    # product and one sum, each at most eps times a value no larger than
+    # 2 max|p|: frame t is off by at most 7 t eps max|p|
+    rng = np.random.default_rng(seed)
+    p = rng.normal(scale=scale, size=(t_len, N_JOINTS, 3)) + rng.normal(size=3)
+    got = integrate(p[0], differentiate(PoseSequence(p, dt))).positions
+    assert np.array_equal(got[0], p[0])
+    frames = np.arange(t_len)[:, None, None]
+    assert (np.abs(got - p) <= 8 * EPS * frames * np.abs(p).max()).all()
+
+
+HEADER_VALUES = st.one_of(st.integers(), st.booleans(), st.text(max_size=8),
+                          st.floats(allow_nan=False, allow_infinity=False))
+
+
+@PROPERTY
+@given(seed=SEEDS, size=st.integers(0, 200), tag=st.sampled_from(["f32le", "c64le"]),
+       extra=st.dictionaries(st.text(min_size=1, max_size=8), HEADER_VALUES, max_size=4))
+def test_container_round_trip_is_bit_exact(seed, size, tag, extra):
+    # random bit patterns, NaN payloads and infinities included
+    dtype = np.dtype({"f32le": "<f4", "c64le": "<c8"}[tag])
+    bits = np.random.default_rng(seed).integers(0, 2 ** 63, size=size * dtype.itemsize // 4,
+                                                dtype=np.uint64)
+    payload = bits.astype("<u4").view(dtype)
+    header = {k: val for k, val in extra.items() if k not in ("dtype", "version")}
+    header["dtype"] = tag
+    with tempfile.TemporaryDirectory() as tmp:
+        path, again = Path(tmp) / "a.bin", Path(tmp) / "b.bin"
+        containers.write_container(path, header, payload)
+        got_header, got = containers.read_container(path)
+        assert got_header == {**header, "version": containers.FORMAT_VERSION}
+        assert got.dtype == dtype and got.tobytes() == payload.tobytes()
+        containers.write_container(again, got_header, got)
+        assert again.read_bytes() == path.read_bytes()

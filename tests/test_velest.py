@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dopplerpose import containers
+from dopplerpose import nncore as nn
 from dopplerpose.caf import Spectrogram
 from dopplerpose.motion import N_JOINTS, VelocitySequence
 from dopplerpose.nncore import Tensor
@@ -60,6 +61,14 @@ class TestVelForward:
         m = VelModel(WIDTH, seed=4)
         with pytest.raises(ValueError):
             vel_forward(m, random_spectrogram(rng, width=41))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forward_runs_in_model_dtype(self, dtype):
+        s = random_spectrogram(np.random.default_rng(3))
+        m = VelModel(WIDTH, seed=4, dtype=dtype)
+        with nn.no_grad():
+            ref = m.forward(Tensor(s.values.T[None], dtype=dtype)).data[0]
+        assert np.array_equal(vel_forward(m, s).values, ref.reshape(-1, N_JOINTS, 3))
 
     def test_too_few_doppler_bins_rejected(self):
         with pytest.raises(ValueError):
