@@ -75,12 +75,15 @@ class Spectrogram:
         return self.values.shape[1]
 
     def save(self, path: str | Path) -> None:
-        containers.write_spectrogram(path, self.values, self.doppler_axis, self.dt)
+        containers.write_array(path, "spectrogram", self.values, dt=float(self.dt),
+                               doppler_min_hz=float(self.doppler_axis[0]),
+                               doppler_max_hz=float(self.doppler_axis[-1]))
 
     @classmethod
     def load(cls, path: str | Path) -> "Spectrogram":
-        values, axis, dt = containers.read_spectrogram(path)
-        return cls(values, axis, dt)
+        values, header = containers.read_array(path, "spectrogram")
+        axis = np.linspace(header["doppler_min_hz"], header["doppler_max_hz"], len(values))
+        return cls(values, axis, float(header["dt"]))
 
 
 def _check_pair(sur: BasebandSignal, ref: BasebandSignal) -> None:

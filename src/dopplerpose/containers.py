@@ -7,13 +7,25 @@ payload stays mmap-friendly:
     {"version": 1, "kind": "pose", ...}\n
     <raw little-endian payload bytes>
 
-Round-trips are bit-exact: reading a file and writing it back produces the
-identical byte string.
+Array kinds are written by `write_array` and read by `read_array`; `KINDS`
+owns each one's axes (header field names, or a fixed length), payload dtype,
+constant fields and the meta fields its class stores:
+
+    kind         axes               dtype  constant        meta
+    pose         (T, joints, 3)     f32le  layout "T×J×3"  dt
+    velocity     (T, joints, 3)     f32le  layout "T×J×3"  dt
+    signal       (n,)               c64le                  sample_rate_hz, start_time_s
+    spectrogram  (doppler_bins, T)  f32le                  dt, doppler_min_hz, doppler_max_hz
+
+Checkpoints keep their own header (`nncore.checkpoint`). Round-trips are
+bit-exact: reading a file and writing it back produces the identical byte
+string.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +35,17 @@ FORMAT_VERSION = 1
 _DTYPES = {
     "f32le": np.dtype("<f4"),
     "c64le": np.dtype("<c8"),
+}
+
+_FRAMES = (("T", "joints", 3), "f32le", {"layout": "T×J×3"}, ("dt",))
+
+# kind -> (axes, dtype tag, constant fields, required meta fields)
+KINDS = {
+    "pose": _FRAMES,
+    "velocity": _FRAMES,
+    "signal": (("n",), "c64le", {}, ("sample_rate_hz", "start_time_s")),
+    "spectrogram": (("doppler_bins", "T"), "f32le", {},
+                    ("dt", "doppler_min_hz", "doppler_max_hz")),
 }
 
 
@@ -66,115 +89,30 @@ def read_container(path: str | Path) -> tuple[dict, np.ndarray]:
     return header, payload
 
 
-def _require(header: dict, key: str, path) -> object:
-    if key not in header:
-        raise ContainerError(f"{path}: header missing field {key!r}")
-    return header[key]
+def write_array(path: str | Path, kind: str, values, **meta) -> None:
+    """Persist `values`, shaped as the kind's axes, with the kind's `meta` fields."""
+    axes, dtype_tag, constant, _ = KINDS[kind]
+    sizes = {a: int(n) for a, n in zip(axes, np.shape(values)) if isinstance(a, str)}
+    write_container(path, {"kind": kind, "dtype": dtype_tag, **constant, **meta, **sizes},
+                    values)
 
 
-# ---------------------------------------------------------------------------
-# Pose / velocity containers (T x 17 x 3 float32)
-# ---------------------------------------------------------------------------
+def read_array(path: str | Path, kind: str) -> tuple[np.ndarray, dict]:
+    """Load a `kind` container as (array shaped by its axes, header).
 
-def write_frames(path: str | Path, values: np.ndarray, dt: float, kind: str) -> None:
-    """Persist a T x J x 3 array of positions ("pose") or velocities ("velocity")."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 3 or values.shape[2] != 3:
-        raise ContainerError(f"expected T x J x 3 array, got shape {values.shape}")
-    t, joints, _ = values.shape
-    header = {
-        "version": FORMAT_VERSION,
-        "kind": kind,
-        "T": int(t),
-        "joints": int(joints),
-        "dt": float(dt),
-        "layout": "T×J×3",
-        "dtype": "f32le",
-    }
-    write_container(path, header, values)
-
-
-def read_frames(path: str | Path) -> tuple[np.ndarray, float, str]:
-    """Load a pose/velocity container, returning (T x J x 3 array, dt, kind)."""
+    The kind, dtype, axis and meta fields and the payload size are all
+    checked; any mismatch raises a ContainerError naming the file.
+    """
+    axes, dtype_tag, _, meta = KINDS[kind]
     header, payload = read_container(path)
-    t = int(_require(header, "T", path))
-    joints = int(_require(header, "joints", path))
-    dt = float(_require(header, "dt", path))
-    if payload.size != t * joints * 3:
+    if header.get("kind") != kind or header["dtype"] != dtype_tag:
+        raise ContainerError(f"{path}: expected a {kind!r} {dtype_tag} container, found "
+                             f"kind={header.get('kind')!r} dtype={header['dtype']!r}")
+    for key in [a for a in axes if isinstance(a, str)] + list(meta):
+        if key not in header:
+            raise ContainerError(f"{path}: header missing field {key!r}")
+    shape = tuple(a if isinstance(a, int) else int(header[a]) for a in axes)
+    if payload.size != math.prod(shape):
         raise ContainerError(
-            f"{path}: payload has {payload.size} values, header promises {t * joints * 3}"
-        )
-    values = payload.reshape(t, joints, 3).astype(np.float64)
-    return values, dt, str(header.get("kind", ""))
-
-
-# ---------------------------------------------------------------------------
-# Baseband signal container (complex64)
-# ---------------------------------------------------------------------------
-
-def write_signal(path: str | Path, samples: np.ndarray, sample_rate_hz: float,
-                 start_time_s: float = 0.0) -> None:
-    samples = np.asarray(samples)
-    header = {
-        "version": FORMAT_VERSION,
-        "kind": "signal",
-        "n": int(samples.size),
-        "sample_rate_hz": float(sample_rate_hz),
-        "start_time_s": float(start_time_s),
-        "dtype": "c64le",
-    }
-    write_container(path, header, samples)
-
-
-def read_signal(path: str | Path) -> tuple[np.ndarray, float, float]:
-    """Load a signal container, returning (complex samples, sample_rate_hz, start_time_s)."""
-    header, payload = read_container(path)
-    n = int(_require(header, "n", path))
-    if payload.size != n:
-        raise ContainerError(f"{path}: payload has {payload.size} samples, header promises {n}")
-    return (
-        payload.astype(np.complex128),
-        float(_require(header, "sample_rate_hz", path)),
-        float(_require(header, "start_time_s", path)),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Spectrogram container (doppler_bins x T float32)
-# ---------------------------------------------------------------------------
-
-def write_spectrogram(path: str | Path, values: np.ndarray, doppler_axis: np.ndarray,
-                      dt: float) -> None:
-    values = np.asarray(values, dtype=np.float64)
-    doppler_axis = np.asarray(doppler_axis, dtype=np.float64)
-    if values.ndim != 2 or values.shape[0] != doppler_axis.size:
-        raise ContainerError(
-            f"spectrogram shape {values.shape} does not match axis of {doppler_axis.size} bins"
-        )
-    header = {
-        "version": FORMAT_VERSION,
-        "kind": "spectrogram",
-        "doppler_bins": int(values.shape[0]),
-        "T": int(values.shape[1]),
-        "dt": float(dt),
-        "doppler_min_hz": float(doppler_axis[0]),
-        "doppler_max_hz": float(doppler_axis[-1]),
-        "dtype": "f32le",
-    }
-    write_container(path, header, values)
-
-
-def read_spectrogram(path: str | Path) -> tuple[np.ndarray, np.ndarray, float]:
-    """Load a spectrogram container, returning (values, doppler_axis, dt)."""
-    header, payload = read_container(path)
-    bins = int(_require(header, "doppler_bins", path))
-    t = int(_require(header, "T", path))
-    if payload.size != bins * t:
-        raise ContainerError(f"{path}: payload has {payload.size} values, expected {bins * t}")
-    values = payload.reshape(bins, t).astype(np.float64)
-    axis = np.linspace(
-        float(_require(header, "doppler_min_hz", path)),
-        float(_require(header, "doppler_max_hz", path)),
-        bins,
-    )
-    return values, axis, float(_require(header, "dt", path))
+            f"{path}: payload has {payload.size} values, header promises {math.prod(shape)}")
+    return payload.reshape(shape), header

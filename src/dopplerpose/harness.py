@@ -22,7 +22,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import containers
 from .caf import Spectrogram, check_doppler_span, spectrogram_pipeline
 from .denoise import DenoiseParams, denoise
 from .motion import (
@@ -59,8 +58,11 @@ class ConfigError(ValueError):
     """Malformed experiment configuration; the message names the field."""
 
 
-def _get_field(d: dict, path: str, typ, default=None, required=False):
-    """The value at a dotted path; a numeric component indexes a list of objects."""
+def _get_field(d: dict, path: str, typ, default=None, required=False, low=None):
+    """The value at a dotted path; a numeric component indexes a list of objects.
+
+    With `low`, a given value must be finite and at least `low`.
+    """
     node = d
     parts = path.split(".")
     for p in parts[:-1]:
@@ -78,9 +80,12 @@ def _get_field(d: dict, path: str, typ, default=None, required=False):
             if not isinstance(val, bool):
                 raise TypeError
             return val
-        return typ(val)
+        val = typ(val)
     except (TypeError, ValueError):
         raise ConfigError(f"config field {path}: expected {typ.__name__}, got {val!r}")
+    if low is not None and not low <= val < np.inf:
+        raise ConfigError(f"config field {path}: must be finite and >= {low}, got {val}")
+    return val
 
 
 def _leaf_paths(node: dict, prefix: str = ""):
@@ -140,9 +145,9 @@ def parse_config(data: dict) -> ExperimentConfig:
     """Validate a config dict; a field this function never reads is an error too."""
     read = set()
 
-    def get(path, typ, default=None, required=False):
+    def get(path, typ, default=None, required=False, low=None):
         read.add(path)
-        return _get_field(data, path, typ, default, required)
+        return _get_field(data, path, typ, default, required, low)
 
     if get("schema_version", int, required=True) != SCHEMA_VERSION:
         raise ConfigError(f"config field schema_version: expected {SCHEMA_VERSION}")
@@ -204,9 +209,7 @@ def parse_config(data: dict) -> ExperimentConfig:
         val_fraction=get("training.opt.val_fraction", float, 0.1),
     )
 
-    n_activities = get("dataset.n_activities", int, 200)
-    if n_activities < 1:
-        raise ConfigError(f"config field dataset.n_activities: must be >= 1, got {n_activities}")
+    n_activities = get("dataset.n_activities", int, 200, low=1)
     try:
         duration_s = check_duration(get("dataset.duration_s", float, 5.0))
     except ValueError as exc:
@@ -235,18 +238,18 @@ def parse_config(data: dict) -> ExperimentConfig:
         delay_bins=get("processing.delay_bins", int, 1),
         doppler_span_hz=doppler_span_hz,
         doppler_oversample=get("processing.doppler_oversample", int, 4),
-        clean_iterations=get("processing.clean_iterations", int, 2),
+        clean_iterations=get("processing.clean_iterations", int, 2, low=0),
         denoise_params=den,
         n_activities=n_activities,
         duration_s=duration_s,
         dt=dt,
         kinds=kinds,
-        start_jitter_m=get("dataset.start_jitter_m", float, 0.25),
+        start_jitter_m=get("dataset.start_jitter_m", float, 0.25, low=0.0),
         train_fraction=train_fraction,
         vel_train=vel_cfg,
         opt_train_cfg=opt_cfg,
-        opt_pairs=get("training.opt.n_pairs", int, 1024),
-        opt_window=get("training.opt.window", int, 30),
+        opt_pairs=get("training.opt.n_pairs", int, 1024, low=1),
+        opt_window=get("training.opt.window", int, 30, low=2),
         opt_config=_build(
             "optimization", OptConfig,
             optr=get("optimization.optr", float, 0.01),
@@ -370,6 +373,7 @@ def build_dataset(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
         s_spec.save(out / files["spec_s"])
         m_spec.save(out / files["spec_m"])
         d_spec.save(out / files["spec_d"])
+        doppler_bins = s_spec.values.shape[0]  # the same for every activity of one config
         entries.append({
             "index": i, "kind": kind.value, "seed": act_seed,
             "T": len(pose), "dt": cfg.dt, "files": files,
@@ -380,8 +384,7 @@ def build_dataset(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "seed": cfg.seed,
-        "doppler_bins": int(entries and Spectrogram.load(
-            out / entries[0]["files"]["spec_s"]).values.shape[0] or 0),
+        "doppler_bins": doppler_bins,
         "entries": entries,
         "split": {"train": train_idx, "test": test_idx},
     }

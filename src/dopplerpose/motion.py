@@ -113,14 +113,12 @@ class PoseSequence:
         return len(self.positions) * self.dt
 
     def save(self, path: str | Path) -> None:
-        containers.write_frames(path, self.positions, self.dt, kind="pose")
+        containers.write_array(path, "pose", self.positions, dt=float(self.dt))
 
     @classmethod
     def load(cls, path: str | Path) -> "PoseSequence":
-        values, dt, kind = containers.read_frames(path)
-        if kind not in ("pose", ""):
-            raise ValueError(f"{path}: expected a pose container, found kind={kind!r}")
-        return cls(values, dt)
+        values, header = containers.read_array(path, "pose")
+        return cls(values, float(header["dt"]))
 
 
 @dataclass
@@ -143,14 +141,12 @@ class VelocitySequence:
         return len(self.values)
 
     def save(self, path: str | Path) -> None:
-        containers.write_frames(path, self.values, self.dt, kind="velocity")
+        containers.write_array(path, "velocity", self.values, dt=float(self.dt))
 
     @classmethod
     def load(cls, path: str | Path) -> "VelocitySequence":
-        values, dt, kind = containers.read_frames(path)
-        if kind not in ("velocity", ""):
-            raise ValueError(f"{path}: expected a velocity container, found kind={kind!r}")
-        return cls(values, dt)
+        values, header = containers.read_array(path, "velocity")
+        return cls(values, float(header["dt"]))
 
 
 # ---------------------------------------------------------------------------

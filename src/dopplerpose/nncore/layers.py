@@ -31,11 +31,13 @@ class Linear:
     def params(self):
         return [self.weight, self.bias]
 
-    def __call__(self, x: Tensor, training: bool = False) -> Tensor:
+    def __call__(self, x: Tensor) -> Tensor:
         return T.add(T.matmul(x, self.weight), self.bias)
 
 
 class Conv1d:
+    """1-D convolution over channel-last (B, W, C_in) input -> (B, W_out, C_out)."""
+
     def __init__(self, in_channels: int, out_channels: int, kernel: int,
                  stride: int = 1, padding: int = 0, *, rng=None, dtype=np.float32):
         if min(in_channels, out_channels, kernel, stride) < 1 or padding < 0:
@@ -54,7 +56,7 @@ class Conv1d:
         k = self.weight.shape[2]
         return (in_width + 2 * self.padding - k) // self.stride + 1
 
-    def __call__(self, x: Tensor, training: bool = False) -> Tensor:
+    def __call__(self, x: Tensor) -> Tensor:
         return T.conv1d(x, self.weight, self.bias, stride=self.stride,
                         padding=self.padding)
 
@@ -62,7 +64,7 @@ class Conv1d:
 class BatchNorm1d:
     """Feature-wise normalization: batch statistics in training, running in inference.
 
-    Accepts (N, F) or channel-first (B, C, W) input; for the latter the
+    Normalizes the last axis of (N, F) or channel-last (B, W, C) input, whose
     statistics pool over batch and width per channel. Training runs the
     `batch_norm` node (Ioffe & Szegedy, ICML 2015) in the input's dtype.
     """
@@ -84,7 +86,9 @@ class BatchNorm1d:
     def state_arrays(self):
         return [self.running_mean, self.running_var]
 
-    def _norm_2d(self, x: Tensor, training: bool) -> Tensor:
+    def __call__(self, x: Tensor, training: bool = False) -> Tensor:
+        if x.data.ndim < 2:
+            raise ValueError(f"BatchNorm1d expects (N, F) or (B, W, C) input, got {x.data.shape}")
         if training:
             out, mean, var = T.batch_norm(x, self.gamma, self.beta, self.eps)
             m = self.momentum
@@ -97,16 +101,6 @@ class BatchNorm1d:
         xhat = T.mul(T.add(x, -self.running_mean.astype(x.data.dtype)),
                      inv.astype(x.data.dtype))
         return T.add(T.mul(xhat, self.gamma), self.beta)
-
-    def __call__(self, x: Tensor, training: bool = False) -> Tensor:
-        if x.data.ndim == 2:
-            return self._norm_2d(x, training)
-        if x.data.ndim == 3:
-            b, c, w = x.data.shape
-            flat = T.reshape(T.transpose(x, (0, 2, 1)), (b * w, c))
-            out = self._norm_2d(flat, training)
-            return T.transpose(T.reshape(out, (b, w, c)), (0, 2, 1))
-        raise ValueError(f"BatchNorm1d expects 2-D or 3-D input, got {x.data.shape}")
 
 
 class LSTM:
@@ -144,7 +138,7 @@ class LSTM:
             out.extend([w["W_ih"], w["W_hh"], w["b"]])
         return out
 
-    def __call__(self, x: Tensor, training: bool = False) -> Tensor:
+    def __call__(self, x: Tensor) -> Tensor:
         if x.data.ndim != 3:
             raise ValueError(f"LSTM expects (B, T, F) input, got {x.data.shape}")
         if x.data.shape[2] != self.input_size:

@@ -3,8 +3,8 @@
 Small on purpose: dense tensors, the op set needed by the conv/recurrent
 models in this package, and a topological-order backward pass. The ops are
 elementwise arithmetic and activations, reductions, reshape/transpose/
-indexing/concat, 2-D matmul, `conv1d`, `batch_norm`: training-mode batch
-normalization as one node with the closed-form backward, and `lstm_layer`:
+indexing/concat, 2-D matmul, channel-last (B, W, C) `conv1d`, `batch_norm`
+of the last axis as one node with the closed-form backward, and `lstm_layer`:
 a whole (bi)LSTM layer as one node whose directions step together, with a
 hand-written backpropagation-through-time backward. Float32 by default;
 gradient-check tests run the same graphs in float64.
@@ -309,33 +309,38 @@ def matmul(a, b):
 # -- normalization ----------------------------------------------------------
 
 def batch_norm(x, gamma, beta, eps: float):
-    """Training-mode batch normalization of x (N, F) -> (out, mean, var), one graph node.
+    """Training-mode batch normalization of x (..., F) -> (out, mean, var), one graph node.
 
-    Statistics are per feature over the N rows; `mean` and `var` are the batch
-    statistics as (F,) arrays. Everything is computed in x's dtype, with the
-    numpy calls of the mean / centre / square / mean / add eps / sqrt / divide /
-    scale / shift composite in the same order, so the output is bit-identical
-    to one. Backward is the closed form of Ioffe & Szegedy (ICML 2015),
+    Statistics are per feature (last axis) over the N rows of x as (N, F), for a
+    (B, W, C) conv activation over batch and width; `mean` and `var` are (F,).
+    Everything is computed in x's dtype, with the numpy calls of the mean /
+    centre / square / mean / add eps / sqrt / divide / scale / shift composite
+    in the same order, so the output is bit-identical to one. Backward is the
+    closed form of Ioffe & Szegedy (ICML 2015),
     dx = inv/N (N g' - sum g' - xhat sum(g' xhat)) with g' = g gamma, here as
     gamma inv/N (N g - dbeta - xhat dgamma).
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
-    n = x.data.shape[0]
-    mean = x.data.mean(axis=0)
-    centered = x.data - mean
+    x2 = x.data.reshape(-1, x.data.shape[-1])
+    n = len(x2)
+    mean = x2.mean(axis=0)
+    centered = x2 - mean
     var = (centered * centered).mean(axis=0)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv
 
     def backward(g):
+        g = g.reshape(x2.shape)
         dbeta = g.sum(axis=0)
         dgamma = (g * xhat).sum(axis=0)
         gamma._accumulate(dgamma)
         beta._accumulate(dbeta)
         if x.requires_grad:
-            x._accumulate((gamma.data * inv / n) * (n * g - dbeta - xhat * dgamma))
+            dx = (gamma.data * inv / n) * (n * g - dbeta - xhat * dgamma)
+            x._accumulate(dx.reshape(x.data.shape))
 
-    return _make(xhat * gamma.data + beta.data, (x, gamma, beta), backward), mean, var
+    out = (xhat * gamma.data + beta.data).reshape(x.data.shape)
+    return _make(out, (x, gamma, beta), backward), mean, var
 
 
 # -- recurrence -------------------------------------------------------------
@@ -443,11 +448,11 @@ def lstm_layer(x, directions):
 # -- convolution ------------------------------------------------------------
 
 def conv1d(x, w, b=None, stride: int = 1, padding: int = 0):
-    """Cross-correlation along the last axis: x (B, C_in, W), w (C_out, C_in, K)."""
+    """Channel-last cross-correlation: x (B, W, C_in), w (C_out, C_in, K) -> (B, W_out, C_out)."""
     x, w = as_tensor(x), as_tensor(w)
     if b is not None:
         b = as_tensor(b)
-    bsz, c_in, width = x.data.shape
+    bsz, width, c_in = x.data.shape
     c_out, c_in_w, k = w.data.shape
     if c_in != c_in_w:
         raise ValueError(f"input channels {c_in} do not match kernel channels {c_in_w}")
@@ -457,28 +462,28 @@ def conv1d(x, w, b=None, stride: int = 1, padding: int = 0):
             f"kernel {k} with stride {stride} and padding {padding} does not fit "
             f"input width {width}")
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding))) if padding else x.data
-    windows = np.lib.stride_tricks.sliding_window_view(xp, k, axis=2)[:, :, ::stride, :]
-    cols = np.ascontiguousarray(windows.transpose(0, 2, 1, 3)).reshape(bsz * w_out, c_in * k)
+    xp = np.pad(x.data, ((0, 0), (padding, padding), (0, 0))) if padding else x.data
+    # (B, W_out, C_in, K) windows: im2col columns in (channel, tap) order
+    windows = np.lib.stride_tricks.sliding_window_view(xp, k, axis=1)[:, ::stride]
+    cols = np.ascontiguousarray(windows).reshape(bsz * w_out, c_in * k)
     w2 = w.data.reshape(c_out, c_in * k)
     out2 = cols @ w2.T
     if b is not None:
         out2 = out2 + b.data
-    out_data = out2.reshape(bsz, w_out, c_out).transpose(0, 2, 1)
 
     parents = (x, w) if b is None else (x, w, b)
 
     def backward(g):
-        g2 = np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(bsz * w_out, c_out)
+        g2 = g.reshape(bsz * w_out, c_out)
         w._accumulate((g2.T @ cols).reshape(c_out, c_in, k))
         if b is not None:
             b._accumulate(g2.sum(axis=0))
         if not x.requires_grad:
             return
-        gcols = (g2 @ w2).reshape(bsz, w_out, c_in, k)
+        gcols = (g2 @ w2).reshape(bsz, w_out, c_in, k).transpose(0, 1, 3, 2)
         gxp = np.zeros_like(xp)
         for o in range(w_out):
-            gxp[:, :, o * stride: o * stride + k] += gcols[:, o].reshape(bsz, c_in, k)
-        x._accumulate(gxp[:, :, padding: padding + width] if padding else gxp)
+            gxp[:, o * stride: o * stride + k] += gcols[:, o]
+        x._accumulate(gxp[:, padding: padding + width] if padding else gxp)
 
-    return _make(out_data, parents, backward)
+    return _make(out2.reshape(bsz, w_out, c_out), parents, backward)

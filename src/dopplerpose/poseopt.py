@@ -46,8 +46,8 @@ class OptConfig:
     max_halvings: int = 20
 
     def __post_init__(self):
-        if not self.optr >= 0:
-            raise ValueError("optr must be non-negative")
+        if not 0 <= self.optr < np.inf:
+            raise ValueError(f"optr must be finite and non-negative, got {self.optr}")
         if self.period < 1:
             raise ValueError("period must be >= 1")
         if self.max_epochs < 0:

@@ -36,6 +36,8 @@ class TrainConfig:
     val_fraction: float = 0.1
 
     def __post_init__(self):
+        if not 0.0 <= self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if not 0.0 <= self.val_fraction < 1.0:
@@ -83,11 +85,12 @@ class VelModel:
         b, t_len, f = x.data.shape
         if f != self.doppler_bins:
             raise ValueError(f"model expects {self.doppler_bins} Doppler bins, got {f}")
-        h = ops.reshape(x, (b * t_len, 1, f))
+        h = ops.reshape(x, (b * t_len, f, 1))
         h = ops.relu(self.bn1(self.conv1(h), training))
         h = ops.relu(self.bn2(self.conv2(h), training))
         h = ops.relu(self.bn3(self.conv3(h), training))
-        h = ops.reshape(h, (b, t_len, 64 * self.feat_width))
+        # channel-major features per frame: the order saved LSTM input weights expect
+        h = ops.reshape(ops.transpose(h, (0, 2, 1)), (b, t_len, 64 * self.feat_width))
         h = self.lstm(h)
         h = ops.reshape(h, (b * t_len, h.data.shape[2]))
         h = ops.relu(self.bn_fc(self.fc1(h), training))

@@ -108,12 +108,14 @@ class BasebandSignal:
         return self.start_time_s + np.arange(len(self.samples)) / self.sample_rate_hz
 
     def save(self, path: str | Path) -> None:
-        containers.write_signal(path, self.samples, self.sample_rate_hz, self.start_time_s)
+        containers.write_array(path, "signal", self.samples,
+                               sample_rate_hz=float(self.sample_rate_hz),
+                               start_time_s=float(self.start_time_s))
 
     @classmethod
     def load(cls, path: str | Path) -> "BasebandSignal":
-        samples, fs, t0 = containers.read_signal(path)
-        return cls(samples, fs, t0)
+        samples, header = containers.read_array(path, "signal")
+        return cls(samples, float(header["sample_rate_hz"]), float(header["start_time_s"]))
 
 
 @dataclass

@@ -152,6 +152,20 @@ def test_bad_frame_step_exits_2_and_names_field(config_file, tmp_path, capsys, d
     assert not (tmp_path / "ds").exists()
 
 
+@pytest.mark.parametrize("setting", ["processing.clean_iterations=-1",
+                                     "training.opt.learning_rate=NaN",
+                                     "training.opt.window=1"])
+def test_out_of_range_setting_exits_2_and_names_field(config_file, tmp_path, capsys,
+                                                      setting):
+    rc = main(["build-dataset", "--config", str(config_file), "--set", setting,
+               "--out", str(tmp_path / "ds")])
+    assert rc == 2
+    section, _, key = setting.split("=")[0].rpartition(".")
+    err = capsys.readouterr().err
+    assert section in err and key in err
+    assert not (tmp_path / "ds").exists()
+
+
 def test_unknown_subcommand_nonzero():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate", "--config", "x"])

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from dopplerpose import containers
+from dopplerpose.caf import Spectrogram
+from dopplerpose.motion import PoseSequence, VelocitySequence
+from dopplerpose.wavesim import BasebandSignal
 
 
 def test_header_is_single_json_line(tmp_path):
     path = tmp_path / "x.dpc"
-    containers.write_frames(path, np.zeros((3, 17, 3)), dt=0.1, kind="pose")
+    containers.write_array(path, "pose", np.zeros((3, 17, 3)), dt=0.1)
     first_line = path.read_bytes().split(b"\n", 1)[0]
     header = json.loads(first_line.decode("utf-8"))
     assert header["T"] == 3
@@ -22,8 +25,9 @@ def test_signal_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     sig = (rng.normal(size=64) + 1j * rng.normal(size=64)).astype(np.complex64)
     path = tmp_path / "sig.dpc"
-    containers.write_signal(path, sig, sample_rate_hz=1e4, start_time_s=0.5)
-    back, fs, t0 = containers.read_signal(path)
+    containers.write_array(path, "signal", sig, sample_rate_hz=1e4, start_time_s=0.5)
+    back, header = containers.read_array(path, "signal")
+    fs, t0 = header["sample_rate_hz"], header["start_time_s"]
     assert fs == 1e4 and t0 == 0.5
     assert np.array_equal(back.astype(np.complex64), sig)
 
@@ -33,30 +37,78 @@ def test_spectrogram_round_trip(tmp_path):
     values = rng.random((9, 12)).astype(np.float32)
     axis = np.linspace(-40.0, 40.0, 9)
     path = tmp_path / "spec.dpc"
-    containers.write_spectrogram(path, values, axis, dt=0.1)
-    back, back_axis, dt = containers.read_spectrogram(path)
-    assert dt == 0.1
+    containers.write_array(path, "spectrogram", values, dt=0.1,
+                           doppler_min_hz=axis[0], doppler_max_hz=axis[-1])
+    back, header = containers.read_array(path, "spectrogram")
+    back_axis = np.linspace(header["doppler_min_hz"], header["doppler_max_hz"], len(back))
+    assert header["dt"] == 0.1
     assert np.allclose(back_axis, axis)
     assert np.array_equal(back.astype(np.float32), values)
 
 
 def test_truncated_payload_rejected(tmp_path):
     path = tmp_path / "bad.dpc"
-    containers.write_frames(path, np.zeros((4, 17, 3)), dt=0.1, kind="pose")
+    containers.write_array(path, "pose", np.zeros((4, 17, 3)), dt=0.1)
     blob = path.read_bytes()
     path.write_bytes(blob[:-8])
     with pytest.raises(containers.ContainerError):
-        containers.read_frames(path)
+        containers.read_array(path, "pose")
 
 
 def test_missing_header_field_rejected(tmp_path):
     path = tmp_path / "bad.dpc"
     path.write_bytes(b'{"dtype": "f32le"}\n' + b"\x00" * 12)
     with pytest.raises(containers.ContainerError):
-        containers.read_frames(path)
+        containers.read_array(path, "pose")
 
 
 def test_bad_dtype_rejected(tmp_path):
     path = tmp_path / "bad.dpc"
     with pytest.raises(containers.ContainerError):
         containers.write_container(path, {"dtype": "f64be"}, np.zeros(3))
+
+
+AXIS = np.linspace(-40.0, 40.0, 9)
+SAVED = {
+    "pose": (lambda: PoseSequence(np.zeros((3, 17, 3)), 0.1),
+             {"version": 1, "kind": "pose", "T": 3, "joints": 17, "dt": 0.1,
+              "layout": "T×J×3", "dtype": "f32le"}),
+    "velocity": (lambda: VelocitySequence(np.zeros((4, 17, 3)), 0.05),
+                 {"version": 1, "kind": "velocity", "T": 4, "joints": 17, "dt": 0.05,
+                  "layout": "T×J×3", "dtype": "f32le"}),
+    "signal": (lambda: BasebandSignal(np.zeros(5, dtype=complex), 1e4, start_time_s=0.5),
+               {"version": 1, "kind": "signal", "n": 5, "sample_rate_hz": 10000.0,
+                "start_time_s": 0.5, "dtype": "c64le"}),
+    "spectrogram": (lambda: Spectrogram(np.zeros((9, 6)), AXIS, 0.1),
+                    {"version": 1, "kind": "spectrogram", "doppler_bins": 9, "T": 6,
+                     "dt": 0.1, "doppler_min_hz": -40.0, "doppler_max_hz": 40.0,
+                     "dtype": "f32le"}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SAVED))
+def test_class_save_writes_exact_header(tmp_path, kind):
+    make, header = SAVED[kind]
+    path = tmp_path / "x.dpc"
+    make().save(path)
+    first_line = path.read_bytes().split(b"\n", 1)[0]
+    assert json.loads(first_line.decode("utf-8")) == header
+    assert first_line == json.dumps(header, ensure_ascii=False, sort_keys=True).encode("utf-8")
+
+
+@pytest.mark.parametrize("saved, loader", [(s, k) for s in sorted(SAVED) for k in sorted(SAVED)
+                                           if s != k])
+def test_class_load_rejects_other_kind(tmp_path, saved, loader):
+    path = tmp_path / f"{saved}.dpc"
+    SAVED[saved][0]().save(path)
+    with pytest.raises(containers.ContainerError, match=f"{saved}.dpc") as info:
+        type(SAVED[loader][0]()).load(path)
+    assert repr(saved) in str(info.value) and repr(loader) in str(info.value)
+
+
+def test_header_field_missing_from_kinded_container_rejected(tmp_path):
+    path = tmp_path / "bad.dpc"
+    path.write_bytes(b'{"dtype": "f32le", "kind": "pose", "T": 1, "joints": 4}\n'
+                     + b"\x00" * 48)
+    with pytest.raises(containers.ContainerError, match="bad.dpc: header missing field 'dt'"):
+        PoseSequence.load(path)

@@ -90,6 +90,11 @@ class TestConfig:
         ("optimization", "tol", float("nan")),
         ("training.vel", "batch_size", 0),
         ("training.opt", "val_fraction", 1.0),
+        ("training.vel", "learning_rate", float("nan")),
+        ("training.vel", "learning_rate", -1.0),
+        ("training.opt", "learning_rate", float("nan")),
+        ("training.opt", "learning_rate", -1.0),
+        ("optimization", "optr", float("inf")),
     ])
     def test_rejected_loop_and_training_values_named(self, section, key, value):
         data = tiny_config_dict()
@@ -110,6 +115,26 @@ class TestConfig:
         data["dataset"][key] = value
         with pytest.raises(ConfigError, match=f"^config field dataset.{key}: "):
             harness.parse_config(data)
+
+    @pytest.mark.parametrize("path, value", [("processing.clean_iterations", -1),
+                                             ("dataset.start_jitter_m", -1.0),
+                                             ("dataset.start_jitter_m", float("inf")),
+                                             ("training.opt.n_pairs", 0),
+                                             ("training.opt.n_pairs", -5),
+                                             ("training.opt.window", 0),
+                                             ("training.opt.window", 1)])
+    def test_out_of_range_values_named(self, path, value):
+        data = tiny_config_dict(**{path: value})
+        with pytest.raises(ConfigError, match=f"^config field {path}: must be finite and >= "):
+            harness.parse_config(data)
+
+    def test_zero_learning_rate_and_jitter_accepted(self):
+        data = tiny_config_dict(**{"training.vel.learning_rate": 0.0,
+                                   "dataset.start_jitter_m": 0.0,
+                                   "processing.clean_iterations": 0})
+        cfg = harness.parse_config(data)
+        assert cfg.vel_train.learning_rate == 0.0 and cfg.start_jitter_m == 0.0
+        assert cfg.clean_iterations == 0
 
     @pytest.mark.parametrize("path", ["denoise.quantile", "training.vel.batch_size",
                                       "optimization.tol"])

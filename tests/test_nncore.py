@@ -109,24 +109,25 @@ class TestAutogradBasics:
 
 class TestConv1d:
     def test_impulse_shift_against_sliding_dot_oracle(self):
-        x = np.zeros((1, 1, 11))
-        x[0, 0, 5] = 1.0
+        x = np.zeros((1, 11, 1))
+        x[0, 5, 0] = 1.0
         w = np.zeros((1, 1, 5))
         w[0, 0, 0] = 1.0
         layer_out = ops.conv1d(Tensor(x, dtype=np.float64),
                                Tensor(w, dtype=np.float64), None,
                                stride=1, padding=2).data
         # independent oracle: direct sliding dot product
-        xp = np.pad(x[0, 0], 2)
+        xp = np.pad(x[0, :, 0], 2)
         oracle = np.array([xp[i:i + 5] @ w[0, 0] for i in range(11)])
-        assert np.allclose(layer_out[0, 0], oracle)
+        assert np.allclose(layer_out[0, :, 0], oracle)
 
     def test_random_conv_matches_naive(self):
         rng = rng64(4)
         x = rng.normal(size=(2, 3, 16))
         w = rng.normal(size=(5, 3, 4))
         b = rng.normal(size=5)
-        out = ops.conv1d(Tensor(x, dtype=np.float64), Tensor(w, dtype=np.float64),
+        out = ops.conv1d(Tensor(x.transpose(0, 2, 1), dtype=np.float64),
+                         Tensor(w, dtype=np.float64),
                          Tensor(b, dtype=np.float64), stride=2, padding=1).data
         xp = np.pad(x, ((0, 0), (0, 0), (1, 1)))
         w_out = (16 + 2 - 4) // 2 + 1
@@ -135,23 +136,23 @@ class TestConv1d:
             for f in range(5):
                 for o in range(w_out):
                     oracle[n, f, o] = np.sum(xp[n, :, 2 * o: 2 * o + 4] * w[f]) + b[f]
-        assert np.allclose(out, oracle)
+        assert np.allclose(out, oracle.transpose(0, 2, 1))
 
     def test_input_without_grad_gets_none(self):
         rng = rng64(5)
         layer = nn.Conv1d(2, 3, kernel=5, stride=2, padding=1, rng=rng, dtype=np.float64)
-        x = t64(rng, (3, 2, 13))
+        x = t64(rng, (3, 13, 2))
         ops.tsum(layer(x)).backward()
         assert x.grad is None
         assert all(p.grad is not None for p in layer.params())
 
     def test_shape_mismatch_rejected(self):
-        x = Tensor(np.zeros((1, 2, 8)))
+        x = Tensor(np.zeros((1, 8, 2)))
         w = Tensor(np.zeros((3, 4, 3)))
         with pytest.raises(ValueError):
             ops.conv1d(x, w, None)
         with pytest.raises(ValueError):
-            ops.conv1d(Tensor(np.zeros((1, 2, 3))), Tensor(np.zeros((3, 2, 5))), None)
+            ops.conv1d(Tensor(np.zeros((1, 3, 2))), Tensor(np.zeros((3, 2, 5))), None)
 
 
 class TestGradientChecks:
@@ -175,7 +176,16 @@ class TestGradientChecks:
     def test_conv1d(self, seed):
         rng = rng64(100 + seed)
         layer = nn.Conv1d(2, 3, kernel=5, stride=2, padding=0, rng=rng, dtype=np.float64)
-        x = t64(rng, (3, 2, 13), grad=True)
+        x = t64(rng, (3, 13, 2), grad=True)
+        build = lambda: ops.tsum(ops.tanh(layer(x)))
+        self._check(build, layer.params() + [x])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_padded_conv1d(self, seed):
+        # the input gradient's padded branch; VelModel's convs use no padding
+        rng = rng64(150 + seed)
+        layer = nn.Conv1d(2, 3, kernel=3, stride=2, padding=2, rng=rng, dtype=np.float64)
+        x = t64(rng, (2, 9, 2), grad=True)
         build = lambda: ops.tsum(ops.tanh(layer(x)))
         self._check(build, layer.params() + [x])
 
@@ -436,15 +446,17 @@ class TestFusedLstm:
 
 
 def composite_batch_norm(x, gamma, beta, eps):
-    """Oracle: training-mode batch norm of x (N, F) from elementwise and reduction ops.
+    """Oracle: training-mode batch norm of x (..., F) from elementwise and reduction ops.
 
     The composite `BatchNorm1d` ran before the fused node, with its `1.0` taken
     in x's dtype: without `like=` it was a float64 constant, and promotion made
-    every activation after the first batch norm float64.
+    every activation after the first batch norm float64. Statistics pool over
+    every axis but the last.
     """
-    mean = ops.tmean(x, axis=0)
+    axes = tuple(range(x.data.ndim - 1))
+    mean = ops.tmean(x, axis=axes)
     centered = ops.add(x, ops.mul(mean, -1.0))
-    var = ops.tmean(ops.mul(centered, centered), axis=0)
+    var = ops.tmean(ops.mul(centered, centered), axis=axes)
     inv = ops.div(ops.as_tensor(1.0, like=var), ops.sqrt(ops.add(var, eps)))
     out = ops.add(ops.mul(ops.mul(centered, inv), gamma), beta)
     return out, mean.data, var.data
@@ -498,21 +510,22 @@ class TestFusedBatchNorm:
         assert nn.check_gradients(build, [x, gamma, beta]) <= 1e-4
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_layer_matches_composite_on_channel_first_input(self, dtype):
-        # (B, C, W) input: statistics pool over batch and width per channel
+    def test_layer_matches_composite_on_channel_last_input(self, dtype):
+        # (B, W, C) input: statistics pool over batch and width per channel
         rng = rng64(3)
         layer = nn.BatchNorm1d(5, dtype=dtype)
-        x = Tensor(rng.normal(size=(4, 5, 6)).astype(dtype), requires_grad=True)
+        x = Tensor(rng.normal(size=(4, 5, 6)).astype(dtype).transpose(0, 2, 1),
+                   requires_grad=True)
         out = layer(x, training=True).data
-        flat = Tensor(x.data.transpose(0, 2, 1).reshape(24, 5))
+        flat = Tensor(x.data.reshape(24, 5))
         oracle, mean, var = composite_batch_norm(flat, layer.gamma, layer.beta, layer.eps)
         assert out.dtype == dtype
-        assert np.array_equal(out, oracle.data.reshape(4, 6, 5).transpose(0, 2, 1))
+        assert np.array_equal(out, oracle.data.reshape(4, 6, 5))
         assert np.array_equal(layer.running_mean, 0.9 * np.zeros(5, dtype) + 0.1 * mean)
         assert np.array_equal(layer.running_var, 0.9 * np.ones(5, dtype) + 0.1 * var)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("shape", [(7, 4), (3, 4, 5)])
+    @pytest.mark.parametrize("shape", [(7, 4), (3, 5, 4)])
     def test_training_keeps_input_dtype(self, shape, dtype):
         layer = nn.BatchNorm1d(4, dtype=dtype)
         x = Tensor(rng64(4).normal(size=shape).astype(dtype), requires_grad=True)
@@ -527,6 +540,18 @@ class TestFusedBatchNorm:
         ops.tsum(ops.mul(ops.batch_norm(x, gamma, beta, 1e-5)[0], t64(rng64(5), (7, 4)))).backward()
         assert x.grad is None
         assert gamma.grad is not None and beta.grad is not None
+
+    def test_channel_last_layer_is_one_node(self):
+        layer = nn.BatchNorm1d(5, dtype=np.float64)
+        x = t64(rng64(7), (4, 6, 5), grad=True)
+        out = layer(x, training=True)
+        assert out._parents == (x, layer.gamma, layer.beta)
+        assert graph_size(out) == 4
+
+    def test_velmodel_training_graph_size(self):
+        model = VelModel(29, dtype=np.float64)
+        x = Tensor(rng64(6).normal(size=(2, 5, 29)), dtype=np.float64)
+        assert graph_size(model.forward(x, training=True)) == 56
 
     def test_velmodel_training_graph_shrinks(self, monkeypatch):
         # each composite is 11 ops and 3 constants, the fused node one node:
@@ -693,7 +718,7 @@ class TestCheckpoint:
 
     def test_not_a_checkpoint_rejected(self, tmp_path):
         path = tmp_path / "frames.dpc"
-        containers.write_frames(path, np.zeros((2, 17, 3)), 0.1, "pose")
+        containers.write_array(path, "pose", np.zeros((2, 17, 3)), dt=0.1)
         with pytest.raises(containers.ContainerError, match="frames.dpc"):
             nn.load_checkpoint(path, "toy", _Toy.build)
 

@@ -1,7 +1,7 @@
 """Property tests: the one-pass integrator and reconstruction against the
 per-frame loops they replaced, kept here as oracles, bit for bit; `integrate`
 and `differentiate` as inverses up to float64 round-off; and bit-exact
-container round trips."""
+container round trips, raw and through each array class's save/load."""
 
 import tempfile
 from pathlib import Path
@@ -11,8 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dopplerpose import containers
+from dopplerpose.caf import Spectrogram
 from dopplerpose.motion import N_JOINTS, PoseSequence, VelocitySequence, differentiate, integrate
 from dopplerpose.poseopt import OptConfig, optimize_initial_pose, reconstruct_long_term
+from dopplerpose.wavesim import BasebandSignal
 
 # Derandomized and without an example database: every run draws the same
 # cases and writes nothing.
@@ -140,4 +142,37 @@ def test_container_round_trip_is_bit_exact(seed, size, tag, extra):
         assert got_header == {**header, "version": containers.FORMAT_VERSION}
         assert got.dtype == dtype and got.tobytes() == payload.tobytes()
         containers.write_container(again, got_header, got)
+        assert again.read_bytes() == path.read_bytes()
+
+
+def _saved_object(kind, rng, length, width, step, scale):
+    """A `kind` object holding float32- or complex64-representable random values."""
+    def f32(shape):
+        return (scale * rng.normal(size=shape)).astype(np.float32).astype(np.float64)
+
+    if kind == "pose":
+        return PoseSequence(f32((length, N_JOINTS, 3)), step)
+    if kind == "velocity":
+        return VelocitySequence(f32((length, N_JOINTS, 3)), step)
+    if kind == "signal":
+        return BasebandSignal(f32(length) + 1j * f32(length), 1.0 / step, start_time_s=scale)
+    return Spectrogram(np.abs(f32((width, length))),
+                       np.linspace(-width * scale, width * scale, width), step)
+
+
+@PROPERTY
+@given(seed=SEEDS, kind=st.sampled_from(["pose", "velocity", "signal", "spectrogram"]),
+       length=st.integers(1, 60), width=st.integers(2, 40), step=st.floats(1e-3, 1.0),
+       scale=st.floats(1e-3, 1e3))
+def test_class_save_load_round_trip_is_bit_exact(seed, kind, length, width, step, scale):
+    obj = _saved_object(kind, np.random.default_rng(seed), length, width, step, scale)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, again = Path(tmp) / "a.dpc", Path(tmp) / "b.dpc"
+        obj.save(path)
+        back = type(obj).load(path)
+        for name, value in vars(obj).items():
+            got = getattr(back, name)
+            assert np.asarray(got).dtype == np.asarray(value).dtype
+            assert np.array_equal(got, value), name
+        back.save(again)
         assert again.read_bytes() == path.read_bytes()
