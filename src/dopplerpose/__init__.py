@@ -43,11 +43,10 @@ from .caf import (  # noqa: F401
     spectrogram_pipeline,
 )
 from .denoise import DenoiseParams, denoise  # noqa: F401
-from .velest import TrainConfig, VelModel, vel_forward, vel_loss, vel_train  # noqa: F401
+from .velest import TrainConfig, VelModel, vel_forward, vel_train  # noqa: F401
 from .poseopt import (  # noqa: F401
     OptConfig,
     OptModel,
-    opt_loss,
     opt_train,
     opt_vector_truth,
     optimize_initial_pose,

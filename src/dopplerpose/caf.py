@@ -224,6 +224,8 @@ def spectrogram_pipeline(sur: BasebandSignal, ref: BasebandSignal, *,
                          clean_iterations: int = 0) -> Spectrogram:
     """Slice a long capture into CPIs and build the micro-Doppler spectrogram."""
     _check_pair(sur, ref)
+    if clean_iterations < 0:
+        raise ValueError(f"clean_iterations must be >= 0, got {clean_iterations}")
     fs = sur.sample_rate_hz
     n_cpi = int(round(cpi_s * fs))
     if n_cpi < 2:

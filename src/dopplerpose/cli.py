@@ -87,7 +87,7 @@ def cmd_caf(args) -> int:
     sur = BasebandSignal.load(args.sur)
     ref = BasebandSignal.load(args.ref)
     spec = spectrogram_pipeline(
-        sur, ref, cpi_s=cfg.cpi_s, delay_bins=cfg.delay_bins,
+        sur, ref, cpi_s=cfg.dt, delay_bins=cfg.delay_bins,
         doppler_span_hz=cfg.doppler_span_hz,
         doppler_oversample=cfg.doppler_oversample,
         clean_iterations=cfg.clean_iterations)

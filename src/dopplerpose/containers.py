@@ -111,7 +111,10 @@ def read_array(path: str | Path, kind: str) -> tuple[np.ndarray, dict]:
     for key in [a for a in axes if isinstance(a, str)] + list(meta):
         if key not in header:
             raise ContainerError(f"{path}: header missing field {key!r}")
-    shape = tuple(a if isinstance(a, int) else int(header[a]) for a in axes)
+    shape = tuple(a if isinstance(a, int) else header[a] for a in axes)
+    for a, n in zip(axes, shape):
+        if type(n) is not int or n < 1:
+            raise ContainerError(f"{path}: field {a!r} must be a positive integer, got {n!r}")
     if payload.size != math.prod(shape):
         raise ContainerError(
             f"{path}: payload has {payload.size} values, header promises {math.prod(shape)}")

@@ -122,7 +122,6 @@ class ExperimentConfig:
     sample_rate_hz: float
     scatterer: ScattererModel
     interference: InterferenceConfig
-    cpi_s: float
     delay_bins: int
     doppler_span_hz: float
     doppler_oversample: int
@@ -234,7 +233,6 @@ def parse_config(data: dict) -> ExperimentConfig:
         scatterer=ScattererModel(
             path_loss_exponent=get("scatterer.path_loss_exponent", float, 2.0)),
         interference=interference,
-        cpi_s=get("processing.cpi_s", float, 0.1),
         delay_bins=get("processing.delay_bins", int, 1),
         doppler_span_hz=doppler_span_hz,
         doppler_oversample=get("processing.doppler_oversample", int, 4),
@@ -309,7 +307,7 @@ def simulate_activity(cfg: ExperimentConfig, kind: ActivityKind, seed: int,
     u = generate_waveform(cfg.bandwidth_hz, sig_duration, cfg.sample_rate_hz, seed=seed)
     ref = synthesize_reference(u, cfg.geometry)
 
-    pipe = dict(cpi_s=cfg.cpi_s, delay_bins=cfg.delay_bins,
+    pipe = dict(cpi_s=cfg.dt, delay_bins=cfg.delay_bins,
                 doppler_span_hz=cfg.doppler_span_hz,
                 doppler_oversample=cfg.doppler_oversample)
     # M shares S's target returns; only the interference is added on top.

@@ -17,11 +17,12 @@ Predictor protocol: the loop asks its `model` for directions only through
 the current guess and the (T, 17, 3) velocities it was integrated from, and
 expects the (17, 3) vectors back. `OptModel` is the learned predictor; any
 object with that method (an exact oracle in the tests) drives the same loop.
+
+`opt_train` trains `OptModel` on sampled wrong-start pairs through `velest.fit`.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,7 +32,7 @@ from . import nncore as nn
 from .motion import N_JOINTS, PoseSequence, VelocitySequence, integrate, differentiate, t_pose
 from .nncore import Tensor
 from .nncore import tensor as ops
-from .velest import TrainConfig
+from .velest import TrainConfig, fit
 
 FEATURE_DIM = 2 * N_JOINTS * 3  # 51 velocities + 51 positions per frame
 UNIVERSAL_FRACTION = 0.2  # training pairs that start from a jittered T-pose
@@ -68,31 +69,6 @@ def opt_vector_truth(p0_guess: np.ndarray, p0_true: np.ndarray) -> np.ndarray:
     nz = norms >= 1e-9
     out[nz] = d[nz] / norms[nz, None]
     return out
-
-
-def opt_loss(pred: np.ndarray, truth: np.ndarray) -> float:
-    """Cosine-alignment plus unit-norm penalty, averaged over the 17 joints.
-
-    Joints whose truth vector is zero contribute only the norm penalty; a
-    degenerate (near-zero) prediction against a nonzero truth counts as a
-    full cosine miss.
-    """
-    pred = np.asarray(pred, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.float64)
-    if pred.shape != (N_JOINTS, 3) or truth.shape != (N_JOINTS, 3):
-        raise ValueError(f"vectors must be ({N_JOINTS}, 3)")
-    cos_terms = np.zeros(N_JOINTS)
-    pn = np.linalg.norm(pred, axis=1)
-    tn = np.linalg.norm(truth, axis=1)
-    for i in range(N_JOINTS):
-        if tn[i] < 1e-9:
-            continue
-        if pn[i] < 1e-12:
-            cos_terms[i] = 1.0
-        else:
-            cos_terms[i] = 1.0 - pred[i] @ truth[i] / (pn[i] * tn[i])
-    norm_terms = (1.0 - pn) ** 2
-    return float(cos_terms.mean() + norm_terms.mean())
 
 
 class OptModel:
@@ -155,7 +131,7 @@ def _stack_features(p: np.ndarray, v: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _loss_tensor(pred: Tensor, truth: np.ndarray) -> Tensor:
-    """Differentiable version of opt_loss on a (B, 51) batch."""
+    """Cosine-alignment plus unit-norm penalty, averaged over the joints of (B, 51)."""
     b = pred.data.shape[0]
     pred3 = ops.reshape(pred, (b, N_JOINTS, 3))
     truth = truth.reshape(b, N_JOINTS, 3)
@@ -210,40 +186,9 @@ def build_training_pairs(mocap: list, n_pairs: int, window: int, seed: int):
 
 def opt_train(m: OptModel, mocap: list, cfg: TrainConfig, *, n_pairs: int = 1024,
               window: int = 30):
-    """Train the optimization-vector network on sampled wrong-start pairs."""
+    """Train the optimization-vector network on sampled wrong-start pairs through `fit`."""
     feats, labels = build_training_pairs(mocap, n_pairs, window, cfg.seed)
-    feats = feats.astype(m.fc1.weight.data.dtype, copy=False)
-    rng = np.random.default_rng(cfg.seed + 1)
-    perm = rng.permutation(n_pairs)
-    n_val = int(round(n_pairs * cfg.val_fraction))
-    val_idx, train_idx = perm[:n_val], perm[n_val:]
-    if len(train_idx) == 0:
-        raise ValueError("validation split leaves no training pairs")
-
-    opt = nn.Adam(m.params(), lr=cfg.learning_rate)
-    history = []
-    t0 = time.perf_counter()
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(train_idx)
-        total = 0.0
-        for k in range(0, len(order), cfg.batch_size):
-            batch = order[k: k + cfg.batch_size]
-            opt.zero_grad()
-            out = m.forward(Tensor(feats[batch]), training=True)
-            loss = _loss_tensor(out, labels[batch])
-            loss.backward()
-            opt.step()
-            total += float(loss.data) * len(batch)
-        train_loss = total / len(train_idx)
-        if len(val_idx):
-            with nn.no_grad():
-                val_out = m.forward(Tensor(feats[val_idx]), training=False)
-            val_loss = float(_loss_tensor(val_out, labels[val_idx]).data)
-        else:
-            val_loss = train_loss
-        history.append({"epoch": epoch, "train_loss": train_loss, "val_loss": val_loss,
-                        "wall_seconds": time.perf_counter() - t0})
-    return history
+    return fit(m, feats, labels, _loss_tensor, cfg, np.random.default_rng(cfg.seed + 1))
 
 
 # ---------------------------------------------------------------------------

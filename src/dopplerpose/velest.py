@@ -8,6 +8,10 @@ a 51-vector, reshaped to 17 joints x 3 velocity components in m/s.
 Loss is the mean absolute difference over frames, joints and components
 (the per-joint vector difference is taken as an L1 norm over x/y/z), which
 matches the mm/frame mean-absolute-error reporting convention.
+
+`fit` is the training loop of both networks (`vel_train` here, `opt_train` in
+`poseopt`): mini-batch Adam in the model's dtype, validated on the loss it
+trains on.
 """
 
 from __future__ import annotations
@@ -128,82 +132,66 @@ def vel_forward(m: VelModel, s: Spectrogram) -> VelocitySequence:
     return VelocitySequence(values, s.dt)
 
 
-def vel_loss(pred: VelocitySequence, truth: VelocitySequence) -> float:
-    """Mean over frames and joints of the per-joint L1 velocity difference."""
-    if pred.values.shape != truth.values.shape:
-        raise ValueError(
-            f"shape mismatch: {pred.values.shape} vs {truth.values.shape}")
-    return float(np.abs(pred.values - truth.values).sum(axis=2).mean())
-
-
 def _loss_tensor(pred: Tensor, truth: np.ndarray) -> Tensor:
-    """Differentiable Eq.-style loss on (B, T, 51) batches."""
+    """Mean over (B, T) frames and joints of the per-joint L1 velocity difference."""
     b, t_len, _ = pred.data.shape
     diff = ops.absolute(ops.add(pred, -truth.reshape(b, t_len, OUTPUT_DIM)))
     per_joint = ops.tsum(ops.reshape(diff, (b, t_len, N_JOINTS, 3)), axis=3)
     return ops.tmean(per_joint)
 
 
-def _bucket_batches(indices, dataset, batch_size, rng):
-    """Shuffle, then group same-length spectrograms into batches."""
-    by_len = {}
-    for i in indices:
-        by_len.setdefault(dataset[i][0].n_frames, []).append(i)
-    batches = []
-    for t_len in sorted(by_len):
-        idx = np.array(by_len[t_len])
-        rng.shuffle(idx)
-        for k in range(0, len(idx), batch_size):
-            batches.append(idx[k: k + batch_size])
-    order = rng.permutation(len(batches))
-    return [batches[i] for i in order]
+def fit(model, x: np.ndarray, y: np.ndarray, loss, cfg: TrainConfig, rng: np.random.Generator):
+    """Mini-batch Adam on the rows of (x, y); returns per-epoch history rows.
 
-
-def vel_train(m: VelModel, dataset: list, cfg: TrainConfig):
-    """Mini-batch Adam training; returns per-epoch history rows.
-
-    dataset: list of (Spectrogram, VelocitySequence) pairs with matching T.
-    Deterministic for a fixed seed in single-threaded mode.
+    `rng` draws the validation split, then one shuffle of the training rows
+    per epoch, cut into batches. The validation loss is `loss` on one no-grad
+    inference forward over the held-out rows (the train loss when none are).
     """
-    if not dataset:
-        raise ValueError("training dataset is empty")
-    for spec, vel in dataset:
-        if spec.values.shape[0] != m.doppler_bins:
-            raise ValueError("dataset spectrogram width does not match the model")
-        if spec.n_frames != len(vel):
-            raise ValueError("spectrogram and velocity sequence lengths differ")
-
-    rng = np.random.default_rng(cfg.seed)
-    perm = rng.permutation(len(dataset))
-    n_val = int(round(len(dataset) * cfg.val_fraction))
+    dtype = model.params()[0].data.dtype
+    x, y = x.astype(dtype, copy=False), y.astype(dtype, copy=False)
+    perm = rng.permutation(len(x))
+    n_val = int(round(len(x) * cfg.val_fraction))
     val_idx, train_idx = perm[:n_val], perm[n_val:]
     if len(train_idx) == 0:
         raise ValueError("validation split leaves no training samples")
 
-    opt = nn.Adam(m.params(), lr=cfg.learning_rate)
+    opt = nn.Adam(model.params(), lr=cfg.learning_rate)
     history = []
     t0 = time.perf_counter()
     for epoch in range(cfg.epochs):
-        epoch_losses = []
-        for batch in _bucket_batches(train_idx, dataset, cfg.batch_size, rng):
-            xs = np.stack([dataset[i][0].values.T for i in batch]).astype(
-                m.conv1.weight.data.dtype)
-            ys = np.stack([dataset[i][1].values for i in batch]).astype(np.float32)
+        order = rng.permutation(train_idx)
+        total = 0.0
+        for k in range(0, len(order), cfg.batch_size):
+            batch = order[k: k + cfg.batch_size]
             opt.zero_grad()
-            out = m.forward(Tensor(xs), training=True)
-            loss = _loss_tensor(out, ys)
-            loss.backward()
+            batch_loss = loss(model.forward(Tensor(x[batch]), training=True), y[batch])
+            batch_loss.backward()
             opt.step()
-            epoch_losses.append(float(loss.data) * len(batch))
-        train_loss = float(np.sum(epoch_losses) / len(train_idx))
+            total += float(batch_loss.data) * len(batch)
+        train_loss = total / len(train_idx)
         if len(val_idx):
-            val_loss = float(np.mean([
-                vel_loss(vel_forward(m, dataset[i][0]), dataset[i][1]) for i in val_idx]))
+            with nn.no_grad():
+                val_out = model.forward(Tensor(x[val_idx]), training=False)
+            val_loss = float(loss(val_out, y[val_idx]).data)
         else:
             val_loss = train_loss
         history.append({"epoch": epoch, "train_loss": train_loss, "val_loss": val_loss,
                         "wall_seconds": time.perf_counter() - t0})
     return history
+
+
+def vel_train(m: VelModel, dataset: list, cfg: TrainConfig):
+    """Train on (Spectrogram, VelocitySequence) pairs of one length through `fit`."""
+    if not dataset:
+        raise ValueError("training dataset is empty")
+    if any(spec.values.shape[0] != m.doppler_bins for spec, _ in dataset):
+        raise ValueError("dataset spectrogram width does not match the model")
+    lengths = sorted({n for spec, vel in dataset for n in (spec.n_frames, len(vel))})
+    if len(lengths) > 1:
+        raise ValueError(f"spectrograms and velocities must share one length, got {lengths}")
+    x = np.stack([spec.values.T for spec, _ in dataset])
+    y = np.stack([vel.values for _, vel in dataset])
+    return fit(m, x, y, _loss_tensor, cfg, np.random.default_rng(cfg.seed))
 
 
 def save_history_csv(path: str | Path, history: list) -> None:

@@ -199,6 +199,16 @@ class TestCleanDsi:
         tmpl = self_caf(u, delay_bins=6, doppler_span_hz=80.0)
         return caf0, tmpl
 
+    def test_pipeline_rejects_negative_iterations_before_any_caf(self, monkeypatch):
+        def no_caf(*args, **kwargs):
+            raise AssertionError("a CAF was computed")
+
+        monkeypatch.setattr("dopplerpose.caf.compute_caf", no_caf)
+        u = generate_waveform(4e3, 0.2, self.FS, seed=9)
+        with pytest.raises(ValueError, match="clean_iterations must be >= 0, got -1"):
+            spectrogram_pipeline(u, u, cpi_s=0.1, delay_bins=1, doppler_span_hz=60.0,
+                                 clean_iterations=-1)
+
     def test_dsi_scene_attenuated_20db(self):
         caf0, tmpl = self._dsi_scene(target=False)
         f0 = np.argmin(np.abs(caf0.doppler_axis))

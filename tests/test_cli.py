@@ -53,6 +53,17 @@ def test_unknown_override_field_exits_2(config_file, tmp_path, capsys):
     assert not (tmp_path / "x.dpc").exists()
 
 
+def test_config_setting_removed_cpi_exits_2(tmp_path, capsys):
+    data = tiny_config_dict()
+    data["processing"]["cpi_s"] = 0.1
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(data))
+    rc = main(["gen-motion", "--config", str(path), "--kind", "W+",
+               "--out", str(tmp_path / "x.dpc")])
+    assert rc == 2
+    assert "unknown config field processing.cpi_s" in capsys.readouterr().err
+
+
 def test_simulate_leaves_config_unchanged(config_file, tmp_path, monkeypatch):
     cfg = harness.load_config(config_file)
     seed_before = cfg.interference.noise_seed

@@ -112,3 +112,13 @@ def test_header_field_missing_from_kinded_container_rejected(tmp_path):
                      + b"\x00" * 48)
     with pytest.raises(containers.ContainerError, match="bad.dpc: header missing field 'dt'"):
         PoseSequence.load(path)
+
+
+@pytest.mark.parametrize("size", ['"x"', "0", "-2", "1.5", "true"])
+def test_bad_axis_size_named_with_file(tmp_path, size):
+    path = tmp_path / "bad.dpc"
+    path.write_bytes(b'{"dt": 0.1, "dtype": "f32le", "joints": 17, "kind": "pose", "T": '
+                     + size.encode() + b"}\n")
+    with pytest.raises(containers.ContainerError,
+                       match="bad.dpc: field 'T' must be a positive integer"):
+        PoseSequence.load(path)

@@ -22,7 +22,7 @@ def tiny_config_dict(**overrides):
                          "clutter": [{"position": [2.5, 5.0, 0.5], "amplitude": 0.6}],
                          "multipath": [{"point": [3.5, 0, 0], "normal": [1, 0, 0],
                                         "amplitude": 0.25}]},
-        "processing": {"cpi_s": 0.1, "delay_bins": 1, "doppler_span_hz": 100.0,
+        "processing": {"delay_bins": 1, "doppler_span_hz": 100.0,
                        "doppler_oversample": 4, "clean_iterations": 2},
         "denoise": {"method": "threshold", "quantile": 0.6},
         "dataset": {"n_activities": 6, "duration_s": 3.0, "dt": 0.1,
@@ -151,7 +151,8 @@ class TestConfig:
         assert harness.parse_config(data).doppler_span_hz == 9000.0
 
     @pytest.mark.parametrize("path", ["sede", "optimization.perod",
-                                      "training.vel.epoch", "denoise.fixed_threshold"])
+                                      "training.vel.epoch", "denoise.fixed_threshold",
+                                      "processing.cpi_s"])
     def test_unknown_field_named(self, path):
         data = tiny_config_dict()
         harness.apply_overrides(data, [f"{path}=2"])
@@ -227,6 +228,13 @@ class TestBuildDataset:
         for entry in manifest["entries"]:
             _, _, s, m, _ = harness.load_entry(tmp_path, entry)
             assert np.abs(s.values - m.values).max() < 1e-6
+
+    def test_spectrogram_columns_follow_frame_step(self, tmp_path):
+        data = tiny_config_dict(**{"dataset.dt": 0.05, "dataset.duration_s": 2.0,
+                                   "dataset.n_activities": 1})
+        manifest = harness.build_dataset(harness.parse_config(data), tmp_path)
+        pose, _, s, m, d = harness.load_entry(tmp_path, manifest["entries"][0])
+        assert len(pose) == s.n_frames == m.n_frames == d.n_frames == 40
 
     def test_rebuild_is_bit_identical(self, dataset, tmp_path):
         cfg, out, manifest = dataset

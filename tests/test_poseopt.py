@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from dopplerpose import containers
+from dopplerpose import containers, poseopt
 from dopplerpose import nncore as nn
 from dopplerpose.motion import (
     ActivityKind,
@@ -21,13 +21,69 @@ from dopplerpose.poseopt import (
     OptConfig,
     OptModel,
     build_training_pairs,
-    opt_loss,
     opt_train,
     opt_vector_truth,
     optimize_initial_pose,
     reconstruct_long_term,
 )
 from dopplerpose.velest import TrainConfig, VelModel
+
+
+def opt_loss(pred: np.ndarray, truth: np.ndarray) -> float:
+    """Oracle: cosine-alignment plus unit-norm penalty, averaged over the 17 joints.
+
+    Joints whose truth vector is zero contribute only the norm penalty; a
+    degenerate (near-zero) prediction against a nonzero truth counts as a
+    full cosine miss.
+    """
+    pred = np.asarray(pred, dtype=np.float64)
+    truth = np.asarray(truth, dtype=np.float64)
+    if pred.shape != (N_JOINTS, 3) or truth.shape != (N_JOINTS, 3):
+        raise ValueError(f"vectors must be ({N_JOINTS}, 3)")
+    cos_terms = np.zeros(N_JOINTS)
+    pn = np.linalg.norm(pred, axis=1)
+    tn = np.linalg.norm(truth, axis=1)
+    for i in range(N_JOINTS):
+        if tn[i] < 1e-9:
+            continue
+        if pn[i] < 1e-12:
+            cos_terms[i] = 1.0
+        else:
+            cos_terms[i] = 1.0 - pred[i] @ truth[i] / (pn[i] * tn[i])
+    norm_terms = (1.0 - pn) ** 2
+    return float(cos_terms.mean() + norm_terms.mean())
+
+
+def own_loop_opt_train(m, mocap, cfg, *, n_pairs, window):
+    """Oracle: the training loop `opt_train` ran before `fit`."""
+    feats, labels = build_training_pairs(mocap, n_pairs, window, cfg.seed)
+    feats = feats.astype(m.fc1.weight.data.dtype, copy=False)
+    rng = np.random.default_rng(cfg.seed + 1)
+    perm = rng.permutation(n_pairs)
+    n_val = int(round(n_pairs * cfg.val_fraction))
+    val_idx, train_idx = perm[:n_val], perm[n_val:]
+    opt = nn.Adam(m.params(), lr=cfg.learning_rate)
+    history = []
+    for _ in range(cfg.epochs):
+        order = rng.permutation(train_idx)
+        total = 0.0
+        for k in range(0, len(order), cfg.batch_size):
+            batch = order[k: k + cfg.batch_size]
+            opt.zero_grad()
+            loss = poseopt._loss_tensor(m.forward(Tensor(feats[batch]), training=True),
+                                        labels[batch])
+            loss.backward()
+            opt.step()
+            total += float(loss.data) * len(batch)
+        train_loss = total / len(train_idx)
+        if len(val_idx):
+            with nn.no_grad():
+                val_out = m.forward(Tensor(feats[val_idx]), training=False)
+            val_loss = float(poseopt._loss_tensor(val_out, labels[val_idx]).data)
+        else:
+            val_loss = train_loss
+        history.append({"train_loss": train_loss, "val_loss": val_loss})
+    return history
 
 
 def predictor(fn):
@@ -99,6 +155,17 @@ class TestOptLoss:
         truth = np.zeros((N_JOINTS, 3))
         pred = self._unit_field(np.random.default_rng(6))
         assert opt_loss(pred, truth) == pytest.approx(0.0, abs=1e-9)
+
+    def test_training_loss_matches_oracle_in_float64(self):
+        rng = np.random.default_rng(7)
+        truth = np.stack([self._unit_field(rng) for _ in range(5)])
+        truth[1, :4] = 0.0  # joints already at their target
+        truth[3] = 0.0
+        pred = np.tanh(rng.normal(size=(5, N_JOINTS, 3)))
+        got = poseopt._loss_tensor(Tensor(pred.reshape(5, -1), dtype=np.float64), truth)
+        assert got.data.dtype == np.float64
+        want = np.mean([opt_loss(p, t) for p, t in zip(pred, truth)])
+        assert float(got.data) == pytest.approx(want, rel=1e-12)
 
 
 class TestOptForward:
@@ -344,6 +411,18 @@ class TestOptTrain:
         m = OptModel(seed=5)
         with pytest.raises(ValueError):
             opt_train(m, [], TrainConfig())
+
+    @pytest.mark.parametrize("batch_size, val_fraction", [(5, 0.25), (64, 0.1), (3, 0.0)])
+    def test_matches_own_loop_oracle(self, batch_size, val_fraction):
+        corpus = self._tiny_corpus()
+        cfg = TrainConfig(epochs=3, batch_size=batch_size, seed=8, val_fraction=val_fraction)
+        m_new, m_old = OptModel(seed=4), OptModel(seed=4)
+        got = opt_train(m_new, corpus, cfg, n_pairs=20, window=6)
+        want = own_loop_opt_train(m_old, corpus, cfg, n_pairs=20, window=6)
+        for a, b in zip(m_new.params(), m_old.params()):
+            assert np.array_equal(a.data, b.data)
+        assert [(h["train_loss"], h["val_loss"]) for h in got] == \
+            [(h["train_loss"], h["val_loss"]) for h in want]
 
 
 class TestOptModelIO:

@@ -1,9 +1,10 @@
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dopplerpose import containers
+from dopplerpose import containers, velest
 from dopplerpose import nncore as nn
 from dopplerpose.caf import Spectrogram
 from dopplerpose.motion import N_JOINTS, VelocitySequence
@@ -13,12 +14,59 @@ from dopplerpose.velest import (
     VelModel,
     save_history_csv,
     vel_forward,
-    vel_loss,
     vel_train,
 )
 
 WIDTH = 33  # smallest convenient Doppler width for the conv stack
 PINNED = Path(__file__).resolve().parents[1] / "perfbench" / "checkpoints"
+
+
+def vel_loss(pred: VelocitySequence, truth: VelocitySequence) -> float:
+    """Oracle: mean over frames and joints of the per-joint L1 velocity difference."""
+    if pred.values.shape != truth.values.shape:
+        raise ValueError(
+            f"shape mismatch: {pred.values.shape} vs {truth.values.shape}")
+    return float(np.abs(pred.values - truth.values).sum(axis=2).mean())
+
+
+def bucketed_vel_train(m, dataset, cfg):
+    """Oracle: the loop `vel_train` ran before `fit`.
+
+    It shuffled and batched each spectrogram length apart, then permuted the
+    batches, and validated each held-out sequence at B=1 through
+    `vel_forward` and the float64 `vel_loss`.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    perm = rng.permutation(len(dataset))
+    n_val = int(round(len(dataset) * cfg.val_fraction))
+    val_idx, train_idx = perm[:n_val], perm[n_val:]
+    opt = nn.Adam(m.params(), lr=cfg.learning_rate)
+    history = []
+    for _ in range(cfg.epochs):
+        by_len = {}
+        for i in train_idx:
+            by_len.setdefault(dataset[i][0].n_frames, []).append(i)
+        batches = []
+        for t_len in sorted(by_len):
+            idx = np.array(by_len[t_len])
+            rng.shuffle(idx)
+            batches += [idx[k: k + cfg.batch_size] for k in range(0, len(idx), cfg.batch_size)]
+        epoch_losses = []
+        for b in rng.permutation(len(batches)):
+            batch = batches[b]
+            xs = np.stack([dataset[i][0].values.T for i in batch]).astype(
+                m.conv1.weight.data.dtype)
+            ys = np.stack([dataset[i][1].values for i in batch]).astype(np.float32)
+            opt.zero_grad()
+            loss = velest._loss_tensor(m.forward(Tensor(xs), training=True), ys)
+            loss.backward()
+            opt.step()
+            epoch_losses.append(float(loss.data) * len(batch))
+        train_loss = float(np.sum(epoch_losses) / len(train_idx))
+        val_loss = float(np.mean([vel_loss(vel_forward(m, dataset[i][0]), dataset[i][1])
+                                  for i in val_idx])) if len(val_idx) else train_loss
+        history.append({"train_loss": train_loss, "val_loss": val_loss})
+    return history
 
 
 def random_spectrogram(rng, t_len=8, width=WIDTH):
@@ -112,6 +160,17 @@ class TestVelLoss:
         with pytest.raises(ValueError):
             vel_loss(random_velocities(rng, 4), random_velocities(rng, 5))
 
+    def test_training_loss_matches_oracle_in_float64(self):
+        rng = np.random.default_rng(11)
+        preds = [random_velocities(rng, 6) for _ in range(3)]
+        truths = [random_velocities(rng, 6) for _ in range(3)]
+        got = velest._loss_tensor(Tensor(np.stack([p.values.reshape(6, -1) for p in preds]),
+                                         dtype=np.float64),
+                                  np.stack([t.values for t in truths]))
+        assert got.data.dtype == np.float64
+        want = np.mean([vel_loss(p, t) for p, t in zip(preds, truths)])
+        assert abs(float(got.data) - want) <= 1e-12 * want
+
 
 class TestVelTrain:
     def _tiny_dataset(self, rng, n=3, t_len=6):
@@ -154,6 +213,45 @@ class TestVelTrain:
         m = VelModel(WIDTH, seed=8)
         with pytest.raises(ValueError):
             vel_train(m, [], TrainConfig())
+
+    @pytest.mark.parametrize("spec_lens, vel_lens, named", [
+        ((6, 6, 5), (6, 6, 5), "[5, 6]"),
+        ((6, 6, 6), (6, 6, 7), "[6, 7]"),
+    ])
+    def test_mixed_lengths_rejected_naming_them(self, spec_lens, vel_lens, named):
+        rng = np.random.default_rng(12)
+        data = [(random_spectrogram(rng, a), random_velocities(rng, b))
+                for a, b in zip(spec_lens, vel_lens)]
+        with pytest.raises(ValueError, match=re.escape(named)):
+            vel_train(VelModel(WIDTH, seed=8), data, TrainConfig(epochs=1))
+
+    @pytest.mark.parametrize("seed, n, val_fraction", [(0, 6, 0.34), (5, 4, 0.25), (9, 5, 0.0)])
+    def test_one_batch_epochs_match_bucketed_oracle(self, seed, n, val_fraction):
+        # With every epoch's training split in one batch, the old loop drew
+        # the same shuffle and nothing for the batch order.
+        data = self._tiny_dataset(np.random.default_rng(seed), n=n)
+        cfg = TrainConfig(epochs=4, seed=seed, val_fraction=val_fraction)
+        m_new, m_old = VelModel(WIDTH, seed=seed), VelModel(WIDTH, seed=seed)
+        got, want = vel_train(m_new, data, cfg), bucketed_vel_train(m_old, data, cfg)
+        for a, b in zip([p.data for p in m_new.params()] + m_new.state_arrays(),
+                        [p.data for p in m_old.params()] + m_old.state_arrays()):
+            assert np.array_equal(a, b)
+        assert [h["train_loss"] for h in got] == [h["train_loss"] for h in want]
+        for g, w in zip(got, want):
+            assert abs(g["val_loss"] - w["val_loss"]) <= 1e-6 * w["val_loss"]
+
+    def test_float64_model_trains_against_float64_targets(self, monkeypatch):
+        seen, loss_tensor = [], velest._loss_tensor
+
+        def spy(pred, truth):
+            seen.append((pred.data.dtype, truth.dtype))
+            return loss_tensor(pred, truth)
+
+        monkeypatch.setattr(velest, "_loss_tensor", spy)
+        data = self._tiny_dataset(np.random.default_rng(13))
+        vel_train(VelModel(WIDTH, seed=9, dtype=np.float64), data,
+                  TrainConfig(epochs=1, seed=1, val_fraction=0.34))
+        assert seen and all(d == (np.float64, np.float64) for d in seen)
 
     def test_history_csv(self, tmp_path):
         rows = [{"epoch": 0, "train_loss": 1.0, "val_loss": 1.5, "wall_seconds": 0.2}]
