@@ -93,6 +93,9 @@ def write_array(path: str | Path, kind: str, values, **meta) -> None:
     """Persist `values`, shaped as the kind's axes, with the kind's `meta` fields."""
     axes, dtype_tag, constant, _ = KINDS[kind]
     sizes = {a: int(n) for a, n in zip(axes, np.shape(values)) if isinstance(a, str)}
+    for a, n in sizes.items():
+        if n < 1:  # `read_array` would reject the file
+            raise ContainerError(f"{path}: field {a!r} must be a positive integer, got {n}")
     write_container(path, {"kind": kind, "dtype": dtype_tag, **constant, **meta, **sizes},
                     values)
 

@@ -11,8 +11,9 @@ caller that needs both the clean and the full channel renders the targets
 once.
 
 Amplitudes follow a two-leg free-space law weight / (R_tx * R_rx) with a
-configurable path-loss exponent. Static paths (reference, DSI, clutter) are
-delayed by linear fractional-sample interpolation of the waveform.
+configurable path-loss exponent. Static paths (reference, DSI, clutter) have
+a constant delay: the waveform is shifted by whole samples and the fraction
+is a two-tap blend (linear interpolation), zero before the path arrives.
 
 Moving scatterers are summed in one pass over all joints:
 - Delay. A body-scale bistatic path is far shorter than c / fs (18.7 km at
@@ -22,14 +23,17 @@ Moving scatterers are summed in one pass over all joints:
   factor and blended with u once. A path that reaches one sample of delay is
   rejected rather than rendered wrong.
 - Phase. Delay and amplitude are linear between the 500 Hz coarse knots, so
-  inside one knot segment the carrier phasor exp(-j 2 pi f_c tau) is a
-  geometric sequence. It is built by a cumulative product of per-segment
-  ratios; the first sample of each block and the samples that cross a knot
-  take their phase (increment) from an exact exp.
-- Blocking. The time axis is processed in blocks of `_BLOCK` samples with
-  all joints at once, so the (joints x samples) work arrays stay a few
-  hundred kB: a whole-signal (samples x joints) complex array would be tens
-  of MB and would raise the peak memory of every dataset build.
+  at sample offset m inside a knot segment they are g0 + m*gd and a0 + m*ad,
+  and the carrier phasor exp(-j 2 pi f_c tau) is exp(rot*g0) * r**m with
+  r = exp(rot*gd): a cumulative product along m that starts from an exact
+  exp in every segment. The joint sums are then polynomials in m whose five
+  coefficients (weights a0, ad, a0*g0, a0*gd + ad*g0, ad*gd) come from one
+  batched real matmul of the weights with the phasors.
+- Blocking. Segments are processed a block of about `_BLOCK` samples at a
+  time (64 segments at 16 kHz), all joints at once, so the (segments x
+  joints x samples) work arrays stay a few hundred kB: a whole-signal
+  (samples x joints) complex array would be tens of MB and would raise the
+  peak memory of every dataset build.
 """
 
 from __future__ import annotations
@@ -188,12 +192,27 @@ def _path_amp(ranges: np.ndarray, exponent: float) -> np.ndarray:
     return np.maximum(ranges, _MIN_RANGE) ** (-exponent / 2.0)
 
 
-def _delayed(u: BasebandSignal, query_times: np.ndarray) -> np.ndarray:
-    """Sample the waveform at arbitrary times by linear interpolation (0 outside)."""
-    grid = u.times()
-    re = np.interp(query_times, grid, u.samples.real, left=0.0, right=0.0)
-    im = np.interp(query_times, grid, u.samples.imag, left=0.0, right=0.0)
-    return re + 1j * im
+def _shifted(u: BasebandSignal, tau: float) -> np.ndarray:
+    """u delayed by a constant tau >= 0 s: 0 until the path arrives, then the
+    linear interpolation of u at t - tau (an integer shift plus a two-tap blend)."""
+    d = tau * u.sample_rate_hz
+    q = int(d)
+    frac = d - q
+    x = u.samples
+    n = len(x)
+    out = np.zeros(n, dtype=np.complex128)
+    if q >= n:
+        return out
+    if frac == 0.0:
+        out[q:] = x[:n - q]
+    else:  # sample q lies before the arrival at q + frac
+        # x[m] + frac * (x[m - 1] - x[m]), in place: whole-signal temporaries
+        # cost more than the arithmetic
+        late = out[q + 1:]
+        np.subtract(x[:n - q - 1], x[1:n - q], out=late)
+        late *= frac
+        late += x[1:n - q]
+    return out
 
 
 def generate_waveform(bandwidth_hz: float, duration_s: float, sample_rate_hz: float,
@@ -232,12 +251,12 @@ def synthesize_reference(u: BasebandSignal, g: Geometry) -> BasebandSignal:
     tau = r / C_LIGHT
     amp = _path_amp(np.array([r]), 2.0)[0] if r > 0 else 1.0
     phase = np.exp(-2j * np.pi * g.carrier_hz * tau)
-    samples = amp * phase * _delayed(u, u.times() - tau)
+    samples = amp * phase * _shifted(u, tau)
     return BasebandSignal(samples, u.sample_rate_hz, u.start_time_s)
 
 
 # Samples per block of the moving-scatterer synthesis (see the module notes).
-_BLOCK = 1024
+_BLOCK = 2048
 
 
 def _target_returns(u: BasebandSignal, coarse_t: np.ndarray, positions: np.ndarray,
@@ -250,11 +269,10 @@ def _target_returns(u: BasebandSignal, coarse_t: np.ndarray, positions: np.ndarr
     """
     keep = weights != 0.0
     x = positions[:, keep, :]
-    nj = x.shape[1]
     fs = u.sample_rate_hz
     n = len(u)
     total = np.zeros(n, dtype=np.complex128)
-    if nj == 0 or n < 2:
+    if x.shape[1] == 0 or n < 2:
         return total
     r1 = np.linalg.norm(x - g.tx_pos, axis=2)
     r2 = np.linalg.norm(x - g.rx_sur_pos, axis=2)
@@ -267,38 +285,45 @@ def _target_returns(u: BasebandSignal, coarse_t: np.ndarray, positions: np.ndarr
             f"rx {g.rx_sur_pos.tolist()})")
     amp = weights[keep] * _path_amp(r1, exponent) * _path_amp(r2, exponent)
 
-    # Knot values and per-segment increments, joints x segments: delay rows
-    # first, amplitude rows after, so one gather serves both.
-    knots = np.concatenate([delay.T, amp.T])
-    rise = np.diff(knots, axis=1)
-    knots = knots[:, :-1]
-    seg_len = np.diff(coarse_t)
+    # Knot segment k holds samples first[k]:first[k + 1]; the last one runs to n.
+    # A knot spacing is never shorter than 1 / fs (see `_coarse_grid`), so no
+    # segment is empty.
+    first = np.append(np.searchsorted(u.times(), coarse_t[:-1], side="left"), n)
+    per_block = max(1, _BLOCK // int(np.diff(first).max()))
     rot = -2j * np.pi * g.carrier_hz / fs  # phase per sample of delay
-    ratio = np.exp(rot * rise[:nj] / (seg_len * fs))  # phasor step inside a segment
-
     us = u.samples
-    for b0 in range(0, n, _BLOCK):
-        b1 = min(n, b0 + _BLOCK)
-        t = u.start_time_s + np.arange(b0, b1) / fs
-        k = np.clip(np.searchsorted(coarse_t, t, side="right") - 1, 0, len(coarse_t) - 2)
-        frac = (t - coarse_t[k]) / seg_len[k]
-        lin = knots[:, k]
-        lin += frac * rise[:, k]
-        tau, a = lin[:nj], lin[nj:]
-        step = ratio[:, k]
-        cross = np.flatnonzero(k[1:] != k[:-1]) + 1
-        step[:, cross] = np.exp(rot * (tau[:, cross] - tau[:, cross - 1]))
-        step[:, 0] = np.exp(rot * tau[:, 0])
-        phasor = np.cumprod(step, axis=1)
-        phasor *= a
-        s0 = phasor.sum(axis=0)
-        phasor *= tau
-        s1 = phasor.sum(axis=0)
+    for k0 in range(0, len(coarse_t) - 1, per_block):
+        k1 = min(k0 + per_block, len(coarse_t) - 1)
+        i0, i1 = first[k0], first[k1]
+        count = np.diff(first[k0:k1 + 1])
+        m = np.arange(count.max(), dtype=np.float64)
+        # Delay and amplitude at a segment's first sample and their change per
+        # sample, (segments, joints).
+        seg_len = coarse_t[k0 + 1:k1 + 1] - coarse_t[k0:k1]
+        frac = (u.start_time_s + first[k0:k1] / fs - coarse_t[k0:k1]) / seg_len
+        rise_d = delay[k0 + 1:k1 + 1] - delay[k0:k1]
+        rise_a = amp[k0 + 1:k1 + 1] - amp[k0:k1]
+        g0 = delay[k0:k1] + frac[:, None] * rise_d
+        a0 = amp[k0:k1] + frac[:, None] * rise_a
+        gd = rise_d / (seg_len * fs)[:, None]
+        ad = rise_a / (seg_len * fs)[:, None]
+        # Carrier phasor exp(rot * (g0 + m gd)) = exp(rot g0) * r**m.
+        phasor = np.empty(g0.shape + m.shape, dtype=np.complex128)
+        phasor[..., 0] = np.exp(rot * g0)
+        phasor[..., 1:] = np.exp(rot * gd)[..., None]
+        np.cumprod(phasor, axis=2, out=phasor)
+        # Joint sums of a*phasor and a*tau*phasor as polynomials in m.
+        w = np.stack([a0, ad, a0 * g0, a0 * gd + ad * g0, ad * gd], axis=1)
+        c = np.matmul(w, phasor.view(np.float64)).view(np.complex128)
+        s0 = c[:, 0] + m * c[:, 1]
+        s1 = c[:, 2] + m * (c[:, 3] + m * c[:, 4])
+        inside = m < count[:, None]
+        s0, s1 = s0[inside], s1[inside]
         # sum_j a*phasor*(u[n] - tau*(u[n] - u[n-1])), u[-1] taken as 0
-        total[b0:b1] = (s0 - s1) * us[b0:b1]
-        total[b0 + 1:b1] += s1[1:] * us[b0:b1 - 1]
-        if b0 > 0:
-            total[b0] += s1[0] * us[b0 - 1]
+        total[i0:i1] = (s0 - s1) * us[i0:i1]
+        total[i0 + 1:i1] += s1[1:] * us[i0:i1 - 1]
+        if i0 > 0:
+            total[i0] += s1[0] * us[i0 - 1]
     # Every path has a positive delay: nothing has arrived at the first sample.
     total[0] = 0.0
     return total
@@ -314,12 +339,16 @@ def _coarse_grid(u: BasebandSignal) -> np.ndarray:
 
 def _joint_tracks(p: PoseSequence, times: np.ndarray) -> np.ndarray:
     """Linear interpolation of the pose onto the given times (ends clamped)."""
-    frame_times = np.arange(len(p)) * p.dt
-    out = np.empty((len(times), N_JOINTS, 3))
-    for j in range(N_JOINTS):
-        for a in range(3):
-            out[:, j, a] = np.interp(times, frame_times, p.positions[:, j, a])
-    return out
+    pos = p.positions.reshape(len(p), -1)
+    step = np.diff(pos, axis=0, append=pos[-1:])  # the last frame holds
+    x = np.clip(times / p.dt, 0.0, len(p) - 1)  # fractional frame index
+    k = x.astype(np.int64)
+    out = pos[k]
+    # in place: fresh whole-track temporaries cost more than the arithmetic
+    blend = step[k]
+    blend *= (x - k)[:, None]
+    out += blend
+    return out.reshape(len(times), N_JOINTS, 3)
 
 
 def _coarse_tracks(u: BasebandSignal, p: PoseSequence):
@@ -352,7 +381,6 @@ def add_interference(clean: BasebandSignal, u: BasebandSignal, p: PoseSequence,
     """
     if len(clean) != len(u) or clean.sample_rate_hz != u.sample_rate_hz:
         raise ValueError("clean channel and waveform must share length and sample rate")
-    times = u.times()
     total = clean.samples.copy()
 
     if ic.multipath:
@@ -364,8 +392,7 @@ def add_interference(clean: BasebandSignal, u: BasebandSignal, p: PoseSequence,
 
     if ic.dsi_amplitude > 0:
         tau = np.linalg.norm(g.tx_pos - g.rx_sur_pos) / C_LIGHT
-        total += (ic.dsi_amplitude * np.exp(-2j * np.pi * g.carrier_hz * tau)
-                  * _delayed(u, times - tau))
+        total += ic.dsi_amplitude * np.exp(-2j * np.pi * g.carrier_hz * tau) * _shifted(u, tau)
 
     for cl in ic.clutter:
         r1 = np.linalg.norm(cl.position - g.tx_pos)
@@ -373,13 +400,13 @@ def add_interference(clean: BasebandSignal, u: BasebandSignal, p: PoseSequence,
         tau = (r1 + r2) / C_LIGHT
         amp = cl.amplitude * float(_path_amp(np.array([r1]), sc.path_loss_exponent)[0]
                                    * _path_amp(np.array([r2]), sc.path_loss_exponent)[0])
-        total += amp * np.exp(-2j * np.pi * g.carrier_hz * tau) * _delayed(u, times - tau)
+        total += amp * np.exp(-2j * np.pi * g.carrier_hz * tau) * _shifted(u, tau)
 
     if ic.noise_floor > 0:
         rng = np.random.default_rng(ic.noise_seed)
         scale = ic.noise_floor / np.sqrt(2.0)
-        total += rng.normal(scale=scale, size=len(times)) \
-            + 1j * rng.normal(scale=scale, size=len(times))
+        total += rng.normal(scale=scale, size=len(u)) \
+            + 1j * rng.normal(scale=scale, size=len(u))
 
     return BasebandSignal(total, u.sample_rate_hz, u.start_time_s)
 

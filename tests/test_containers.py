@@ -122,3 +122,16 @@ def test_bad_axis_size_named_with_file(tmp_path, size):
     with pytest.raises(containers.ContainerError,
                        match="bad.dpc: field 'T' must be a positive integer"):
         PoseSequence.load(path)
+
+
+@pytest.mark.parametrize("save", [
+    lambda p: BasebandSignal(np.zeros(0), 1e3).save(p),
+    lambda p: containers.write_array(p, "spectrogram", np.zeros((4, 0)), dt=0.1,
+                                     doppler_min_hz=-1.0, doppler_max_hz=1.0),
+], ids=["signal-n", "spectrogram-T"])
+def test_zero_size_array_rejected_on_write(tmp_path, save):
+    path = tmp_path / "empty.dpc"
+    with pytest.raises(containers.ContainerError,
+                       match="empty.dpc: field '(n|T)' must be a positive integer, got 0"):
+        save(path)
+    assert not path.exists()

@@ -1,6 +1,12 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from dopplerpose import harness, wavesim
 from dopplerpose.motion import N_JOINTS, ActivityKind, PoseSequence, generate_activity
 from dopplerpose.wavesim import (
     C_LIGHT,
@@ -11,14 +17,19 @@ from dopplerpose.wavesim import (
     MirrorPlane,
     ScattererModel,
     _coarse_grid,
+    _coarse_tracks,
     _joint_tracks,
     _path_amp,
+    _shifted,
+    _target_returns,
     add_interference,
     bistatic_doppler,
     generate_waveform,
     synthesize_reference,
     synthesize_surveillance,
 )
+
+DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.json"
 
 
 def single_scatterer_pose(start, velocity, n_frames=8, dt=0.1):
@@ -37,6 +48,70 @@ def interp_delayed(u, query_times):
             + 1j * np.interp(query_times, grid, u.samples.imag, left=0.0, right=0.0))
 
 
+def interp_joint_tracks(p, times):
+    """Oracle: the pose interpolated onto `times` by one np.interp per coordinate
+    (ends clamped)."""
+    frame_times = np.arange(len(p)) * p.dt
+    out = np.empty((len(times), N_JOINTS, 3))
+    for j in range(N_JOINTS):
+        for a in range(3):
+            out[:, j, a] = np.interp(times, frame_times, p.positions[:, j, a])
+    return out
+
+
+def blocked_target_returns(u, coarse_t, positions, weights, exponent, g):
+    """Oracle: the moving-scatterer sum over blocks of 1,024 samples.
+
+    Per sample it finds the knot segment, interpolates delay and amplitude,
+    and builds the carrier phasor by a cumulative product of per-segment
+    ratios, with an exact exp at each block start and at each sample that
+    crosses a knot.
+    """
+    block = 1024
+    keep = weights != 0.0
+    x = positions[:, keep, :]
+    nj = x.shape[1]
+    fs = u.sample_rate_hz
+    n = len(u)
+    total = np.zeros(n, dtype=np.complex128)
+    if nj == 0 or n < 2:
+        return total
+    r1 = np.linalg.norm(x - g.tx_pos, axis=2)
+    r2 = np.linalg.norm(x - g.rx_sur_pos, axis=2)
+    delay = (r1 + r2) * (fs / C_LIGHT)  # samples
+    amp = weights[keep] * _path_amp(r1, exponent) * _path_amp(r2, exponent)
+    knots = np.concatenate([delay.T, amp.T])
+    rise = np.diff(knots, axis=1)
+    knots = knots[:, :-1]
+    seg_len = np.diff(coarse_t)
+    rot = -2j * np.pi * g.carrier_hz / fs
+    ratio = np.exp(rot * rise[:nj] / (seg_len * fs))
+    us = u.samples
+    for b0 in range(0, n, block):
+        b1 = min(n, b0 + block)
+        t = u.start_time_s + np.arange(b0, b1) / fs
+        k = np.clip(np.searchsorted(coarse_t, t, side="right") - 1, 0, len(coarse_t) - 2)
+        frac = (t - coarse_t[k]) / seg_len[k]
+        lin = knots[:, k]
+        lin += frac * rise[:, k]
+        tau, a = lin[:nj], lin[nj:]
+        step = ratio[:, k]
+        cross = np.flatnonzero(k[1:] != k[:-1]) + 1
+        step[:, cross] = np.exp(rot * (tau[:, cross] - tau[:, cross - 1]))
+        step[:, 0] = np.exp(rot * tau[:, 0])
+        phasor = np.cumprod(step, axis=1)
+        phasor *= a
+        s0 = phasor.sum(axis=0)
+        phasor *= tau
+        s1 = phasor.sum(axis=0)
+        total[b0:b1] = (s0 - s1) * us[b0:b1]
+        total[b0 + 1:b1] += s1[1:] * us[b0:b1 - 1]
+        if b0 > 0:
+            total[b0] += s1[0] * us[b0 - 1]
+    total[0] = 0.0
+    return total
+
+
 def direct_target_returns(u, p, sc, g, planes=()):
     """Independent per-joint evaluation of the target and multipath returns.
 
@@ -46,7 +121,7 @@ def direct_target_returns(u, p, sc, g, planes=()):
     """
     times = u.times()
     coarse_t = _coarse_grid(u)
-    tracks = _joint_tracks(p, coarse_t)
+    tracks = interp_joint_tracks(p, coarse_t)
     scenes = [(tracks, 1.0)] + [(pl.reflect(tracks), pl.amplitude) for pl in planes]
     total = np.zeros(len(times), dtype=np.complex128)
     for positions, amp_scale in scenes:
@@ -237,7 +312,8 @@ def walking_scene():
 
 def short_offset_scene():
     """A turning walk at 100 kHz starting off the sample grid: uneven knot
-    segments and a last block shorter than the others."""
+    segments, and a last 1,024-sample block of the blocked oracle shorter
+    than the others."""
     pose = generate_activity(ActivityKind.CV, 2.0, seed=2)
     u = generate_waveform(4e4, 0.1, 1e5, seed=4)
     return BasebandSignal(u.samples, u.sample_rate_hz, start_time_s=0.8123), pose
@@ -270,6 +346,124 @@ class TestTargetReturnsOracle:
         assert np.array_equal(
             add_interference(clean, u, pose, sc, WALK_GEOM, InterferenceConfig()).samples,
             clean.samples)
+
+
+def scene_paths(u, pose, planes=()):
+    """Coarse grid, scatterer tracks and weights of the direct joints, or of
+    their mirror images in `planes`."""
+    coarse_t, tracks = _coarse_tracks(u, pose)
+    weights = ScattererModel().joint_weights
+    if not planes:
+        return coarse_t, tracks, weights
+    return (coarse_t, np.concatenate([pl.reflect(tracks) for pl in planes], axis=1),
+            np.concatenate([pl.amplitude * weights for pl in planes]))
+
+
+def assert_matches_blocked(u, coarse_t, positions, weights):
+    got = _target_returns(u, coarse_t, positions, weights, 2.0, WALK_GEOM)
+    want = blocked_target_returns(u, coarse_t, positions, weights, 2.0, WALK_GEOM)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
+
+
+SWEEP_POSE = generate_activity(ActivityKind.WMINUS, 2.0, seed=3)
+
+
+class TestSegmentMajorTargets:
+    """The knot-segment form against the per-sample blocked form it replaced."""
+
+    @pytest.mark.parametrize("planes", [(), (DEFAULT_PLANE,)], ids=["direct", "mirror"])
+    @pytest.mark.parametrize("scene", [walking_scene, short_offset_scene])
+    def test_matches_blocked_oracle(self, scene, planes):
+        u, pose = scene()
+        assert_matches_blocked(u, *scene_paths(u, pose, planes))
+
+    # 16 kHz puts 32 samples in a knot segment and 64 segments in a block:
+    # 0.05 s is shorter than one block, 0.2 s one full block and a partial one.
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(fs=st.floats(2e3, 5e4), start=st.floats(0.0, 1.5),
+           duration=st.floats(1e-3, 0.4), seed=st.integers(0, 2 ** 31))
+    @example(fs=16e3, start=0.0, duration=0.05, seed=1)
+    @example(fs=16e3, start=0.3, duration=0.2, seed=2)
+    @example(fs=1e5, start=0.8123, duration=0.1, seed=4)
+    @example(fs=3e3, start=1.2, duration=1e-3, seed=5)
+    def test_sweep_over_rate_offset_and_duration(self, fs, start, duration, seed):
+        w = generate_waveform(fs / 2, duration, fs, seed=seed)
+        u = BasebandSignal(w.samples, fs, start_time_s=start)
+        assert_matches_blocked(u, *scene_paths(u, SWEEP_POSE))
+
+    def test_zero_weights_and_short_signals(self):
+        u, pose = short_offset_scene()
+        coarse_t, tracks, _ = scene_paths(u, pose)
+        silent = _target_returns(u, coarse_t, tracks, np.zeros(N_JOINTS), 2.0, WALK_GEOM)
+        assert silent.shape == (len(u),) and not silent.any()
+        # joints with weight 0 drop out of the sum
+        assert_matches_blocked(u, coarse_t, tracks, one_joint_weights(5))
+        for n in (0, 1):
+            short = BasebandSignal(u.samples[:n], u.sample_rate_hz, u.start_time_s)
+            coarse_t, tracks, weights = scene_paths(short, pose)
+            out = _target_returns(short, coarse_t, tracks, weights, 2.0, WALK_GEOM)
+            assert out.shape == (n,) and not out.any()
+
+    def test_default_spectrograms_match_replaced_path(self, monkeypatch):
+        """S and M of default-config activities against the same activities
+        rendered with the blocked returns, the interpolated static paths and
+        the per-column joint tracks."""
+        cfg = harness.parse_config(json.loads(DEFAULT_CONFIG.read_text()))
+
+        def render():
+            return [harness.simulate_activity(cfg, kind, 40 + i, start_xy=(0.4, -0.3))
+                    for i, kind in enumerate(cfg.kinds[:3])]
+
+        new = render()
+        monkeypatch.setattr(wavesim, "_target_returns", blocked_target_returns)
+        monkeypatch.setattr(wavesim, "_shifted", lambda u, tau: interp_delayed(u, u.times() - tau))
+        monkeypatch.setattr(wavesim, "_joint_tracks", interp_joint_tracks)
+        old = render()
+        for a, b in zip(new, old):
+            for spec_new, spec_old in ((a[2], b[2]), (a[3], b[3])):  # S, M
+                assert np.abs(spec_new.values - spec_old.values).max() <= 1e-9
+
+
+class TestShifted:
+    # A power-of-two rate and start keep t - tau exact for whole-sample delays,
+    # so the oracle's `left=0` edge falls where the closed form puts it.
+    FS = 8192.0
+
+    @pytest.mark.parametrize("samples", [0.0, 1.0, 7.0, 1e-3, 0.5, 2.37, 6.999, 39.5, 40.0, 500.0])
+    def test_matches_interpolation(self, samples):
+        w = generate_waveform(4e3, 40 / self.FS, self.FS, seed=2)  # 40 samples
+        u = BasebandSignal(w.samples, self.FS, start_time_s=0.25)
+        tau = samples / self.FS
+        got = _shifted(u, tau)
+        want = interp_delayed(u, u.times() - tau)
+        assert np.abs(got - want).max() <= 1e-11
+        # nothing before the path arrives; a delay past the end leaves only zeros
+        arrived = u.times() - u.start_time_s >= tau * (1 - 1e-12)
+        assert not got[~arrived].any()
+        assert np.abs(got[arrived]).min(initial=1.0) > 0.0
+
+
+class TestJointTracks:
+    def test_matches_per_column_interpolation(self):
+        pose = generate_activity(ActivityKind.CV, 2.0, seed=4)
+        end = len(pose) * pose.dt
+        times = np.concatenate([np.linspace(0.0, end + 0.3, 1001),
+                                np.arange(len(pose)) * pose.dt, [end, end + 5.0]])
+        got = _joint_tracks(pose, times)
+        want = interp_joint_tracks(pose, times)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        # past the last frame the last frame holds
+        assert np.array_equal(got[-1], pose.positions[-1])
+
+    @pytest.mark.parametrize("n_frames", [1, 2])
+    def test_short_poses(self, n_frames):
+        rng = np.random.default_rng(n_frames)
+        pose = PoseSequence(rng.normal(size=(n_frames, N_JOINTS, 3)), 0.1)
+        times = np.linspace(0.0, 0.35, 57)
+        got = _joint_tracks(pose, times)
+        want = interp_joint_tracks(pose, times)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestDelayLimits:
