@@ -24,9 +24,9 @@ from . import harness
 from .caf import Spectrogram, spectrogram_pipeline
 from .denoise import denoise
 from .harness import ConfigError, load_config
-from .motion import ActivityKind, PoseSequence, differentiate, t_pose
-from .poseopt import OptModel, optimize_initial_pose, reconstruct_long_term
-from .velest import VelModel, vel_forward
+from .motion import ActivityKind, PoseSequence
+from .poseopt import OptModel
+from .velest import VelModel
 from .wavesim import BasebandSignal, generate_waveform, synthesize_reference, \
     synthesize_surveillance
 
@@ -149,10 +149,8 @@ def cmd_reconstruct(args) -> int:
     opt_model = OptModel.load(args.opt_model)
 
     spec = d_spec if args.variant == "D" else m_spec
-    est = vel_forward(vel_model, spec)
-    p0, trace = optimize_initial_pose(opt_model, t_pose(), est, cfg.opt_config,
-                                      truth=pose.positions[0])
-    rec = reconstruct_long_term(opt_model, p0, est, cfg.opt_config)
+    _est, rec, trace = harness.reconstruct(cfg, vel_model, opt_model, spec,
+                                           truth=pose.positions[0])
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -183,11 +181,11 @@ def cmd_evaluate(args) -> int:
     harness.write_metrics_csv(out / "metrics.csv", report)
     harness.write_metrics_csv(out / "metrics_absolute.csv", report, absolute=True)
     harness.write_metrics_table(out / "metrics_table.txt", report)
-    print(f"overall velocity MAE (mm/frame): "
-          + ", ".join(f"{v}={report.overall_vel[v]:.2f}" for v in report.overall_vel))
+    print("overall velocity MAE (mm/frame): " + ", ".join(
+        f"{v}={np.mean(e['overall'][0, 0]):.2f}" for v, e in report.errors.items()))
     if not args.velocity_only:
-        print(f"overall position MAE (mm): "
-              + ", ".join(f"{v}={report.overall_pos[v]:.2f}" for v in report.overall_pos))
+        print("overall position MAE (mm): " + ", ".join(
+            f"{v}={np.mean(e['overall'][1, 0]):.2f}" for v, e in report.errors.items()))
     print(f"wrote metrics.csv, metrics_absolute.csv and metrics_table.txt to {out}")
     return 0
 
@@ -195,7 +193,7 @@ def cmd_evaluate(args) -> int:
 def cmd_profile(args) -> int:
     cfg = _load(args)
     manifest = harness.load_manifest(args.data)
-    entry = manifest["entries"][manifest["split"]["test"][0]]
+    entry = harness.held_out_entries(manifest)[0]
     _pose, _vel, _s, m_spec, _d = harness.load_entry(args.data, entry)
     vel_model = VelModel.load(args.vel_model)
     opt_model = OptModel.load(args.opt_model)

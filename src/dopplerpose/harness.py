@@ -6,11 +6,12 @@ three spectrogram variants: "S" (clean synthesis, no interference), "M"
 (full interference, CLEAN-processed) and "D" (denoised M). The manifest also
 freezes the train/test split so training and evaluation always agree.
 
-Metrics follow the root-relative convention: poses are translated so the
-pelvis matches ground truth per frame (and velocities get the root velocity
-subtracted), which pins joint 1 error to zero; absolute-frame variants are
-emitted alongside. Velocity errors are reported in mm/frame via the
-(m/s) * dt * 1000 conversion; positions in mm.
+`evaluate` fills one error array of shape (2, 2, N_JOINTS) per test entry
+and variant, indexed (quantity, frame, joint). Quantity 0 is velocity in
+mm/frame, via the (m/s) * dt * 1000 conversion, and 1 is position in mm (NaN
+without pose reconstruction). Frame 0 is root-relative: poses are translated
+so the pelvis matches ground truth per frame, and velocities get the root
+velocity subtracted, which pins joint 1 error to zero. Frame 1 is absolute.
 """
 
 from __future__ import annotations
@@ -263,7 +264,7 @@ def parse_config(data: dict) -> ExperimentConfig:
 
 
 def apply_overrides(data: dict, overrides: list[str]) -> dict:
-    """Apply `dotted.key=value` CLI overrides onto the raw config dict."""
+    """Apply `dotted.key=value` CLI overrides; a numeric key component indexes a list."""
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form key=value")
@@ -272,13 +273,18 @@ def apply_overrides(data: dict, overrides: list[str]) -> dict:
             parsed = json.loads(value)
         except json.JSONDecodeError:
             parsed = value
-        node = data
-        parts = key.split(".")
-        for p in parts[:-1]:
-            node = node.setdefault(p, {})
-            if not isinstance(node, dict):
-                raise ConfigError(f"override {key!r}: {p} is not an object")
-        node[parts[-1]] = parsed
+        node, parts = data, key.split(".")
+        for depth, p in enumerate(parts):
+            if isinstance(node, list):
+                if not (p.isdigit() and int(p) < len(node)):
+                    raise ConfigError(f"override {key!r}: {p} is not an index of "
+                                      f"{parts[depth - 1]}, a list of {len(node)}")
+                p = int(p)
+            elif not isinstance(node, dict):
+                raise ConfigError(f"override {key!r}: {parts[depth - 1]} is not an object")
+            if depth < len(parts) - 1:
+                node = node[p] if isinstance(node, list) else node.setdefault(p, {})
+        node[p] = parsed
     return data
 
 
@@ -426,11 +432,7 @@ def train_velocity_model(cfg: ExperimentConfig, dataset_dir: str | Path,
         data.append((spec, vel))
     model = VelModel(manifest["doppler_bins"], seed=cfg.vel_train.seed)
     history = vel_train(model, data, cfg.vel_train)
-    model.save(checkpoint_path, meta={"epochs": cfg.vel_train.epochs,
-                                      "final_train_loss": history[-1]["train_loss"]
-                                      if history else None})
-    save_history_csv(history_path, history)
-    return model
+    return _save_trained(model, cfg.vel_train, history, checkpoint_path, history_path)
 
 
 def train_opt_model(cfg: ExperimentConfig, dataset_dir: str | Path,
@@ -443,9 +445,14 @@ def train_opt_model(cfg: ExperimentConfig, dataset_dir: str | Path,
     model = OptModel(seed=cfg.opt_train_cfg.seed)
     history = opt_train(model, mocap, cfg.opt_train_cfg, n_pairs=cfg.opt_pairs,
                         window=cfg.opt_window)
-    model.save(checkpoint_path, meta={"epochs": cfg.opt_train_cfg.epochs,
-                                      "final_train_loss": history[-1]["train_loss"]
-                                      if history else None})
+    return _save_trained(model, cfg.opt_train_cfg, history, checkpoint_path, history_path)
+
+
+def _save_trained(model, train_cfg: TrainConfig, history: list,
+                  checkpoint_path: str | Path, history_path: str | Path):
+    """Write the checkpoint, with the epoch count and final loss as meta, and the history."""
+    final_loss = history[-1]["train_loss"] if history else None
+    model.save(checkpoint_path, meta={"epochs": train_cfg.epochs, "final_train_loss": final_loss})
     save_history_csv(history_path, history)
     return model
 
@@ -489,122 +496,87 @@ def position_mae_mm(pred: PoseSequence, truth: PoseSequence,
 
 @dataclass
 class MetricsReport:
-    kinds: list
-    vel_mae: dict        # variant -> kind -> list of 17 per-joint mm/frame
-    pos_mae: dict        # variant -> kind -> list of 17 per-joint mm
-    vel_mae_abs: dict
-    pos_mae_abs: dict
-    overall_vel: dict    # variant -> scalar mm/frame
-    overall_pos: dict    # variant -> scalar mm, NaN without pose reconstruction
+    kinds: list    # the test split's activity kinds, sorted
+    errors: dict   # variant -> kind or "overall" -> mean (quantity, frame, joint) array
+
+
+def held_out_entries(manifest: dict) -> list:
+    """The manifest's test-split entries; an empty test split is an error."""
+    entries = [manifest["entries"][i] for i in manifest["split"]["test"]]
+    if not entries:
+        raise ValueError("dataset has no test entries")
+    return entries
+
+
+def reconstruct(cfg: ExperimentConfig, vel_model: VelModel, opt_model: OptModel,
+                spec: Spectrogram, truth: np.ndarray | None = None):
+    """Estimated velocities, the reconstructed pose sequence and the optimizer trace.
+
+    The initial pose is optimized from `t_pose()`; `truth` (the true first
+    frame) only changes what the trace records, see `optimize_initial_pose`.
+    """
+    est = vel_forward(vel_model, spec)
+    p0, trace = optimize_initial_pose(opt_model, t_pose(), est, cfg.opt_config, truth=truth)
+    return est, reconstruct_long_term(opt_model, p0, est, cfg.opt_config), trace
 
 
 def evaluate(cfg: ExperimentConfig, dataset_dir: str | Path, vel_model: VelModel,
              opt_model: OptModel, *, include_pose: bool = True) -> MetricsReport:
-    """Velocity and pose error tables over the manifest's test split.
+    """Velocity and pose errors over the manifest's test split.
 
-    Without `include_pose` the position tables stay empty and the overall
-    position errors are NaN.
+    "overall" pools the entries, in sorted-kind order. Without `include_pose`
+    no pose is reconstructed and the position rows are NaN.
     """
-    manifest = load_manifest(dataset_dir)
-    test_idx = manifest["split"]["test"]
-    if not test_idx:
-        raise ValueError("dataset has no test entries")
-
-    kinds = sorted({manifest["entries"][i]["kind"] for i in test_idx})
-    acc_vel = {v: {k: [] for k in kinds} for v in VARIANTS}
-    acc_pos = {v: {k: [] for k in kinds} for v in VARIANTS}
-    acc_vel_abs = {v: {k: [] for k in kinds} for v in VARIANTS}
-    acc_pos_abs = {v: {k: [] for k in kinds} for v in VARIANTS}
-
-    for i in test_idx:
-        entry = manifest["entries"][i]
+    entries = held_out_entries(load_manifest(dataset_dir))
+    kinds = sorted({e["kind"] for e in entries})
+    by_kind = {k: [] for k in kinds}  # one (variant, quantity, frame, joint) array per entry
+    for entry in entries:
         pose, vel, _, m_spec, d_spec = load_entry(dataset_dir, entry)
-        specs = {"M": m_spec, "D": d_spec}
-        for variant in VARIANTS:
-            est = vel_forward(vel_model, specs[variant])
-            acc_vel[variant][entry["kind"]].append(velocity_mae_mm_frame(est, vel))
-            acc_vel_abs[variant][entry["kind"]].append(
-                velocity_mae_mm_frame(est, vel, root_relative=False))
+        err = np.full((len(VARIANTS), 2, 2, N_JOINTS), np.nan)
+        for v, spec in enumerate((m_spec, d_spec)):  # in VARIANTS order
             if include_pose:
-                p0, _ = optimize_initial_pose(opt_model, t_pose(), est, cfg.opt_config)
-                rec = reconstruct_long_term(opt_model, p0, est, cfg.opt_config)
-                acc_pos[variant][entry["kind"]].append(position_mae_mm(rec, pose))
-                acc_pos_abs[variant][entry["kind"]].append(
-                    position_mae_mm(rec, pose, root_relative=False))
-
-    def reduce(acc):
-        out = {}
-        for variant, by_kind in acc.items():
-            out[variant] = {}
-            rows = []
-            for k in kinds:
-                if by_kind[k]:
-                    per_joint = np.mean(by_kind[k], axis=0)
-                    out[variant][k] = per_joint.tolist()
-                    rows.extend(by_kind[k])
-            if rows:
-                out[variant]["overall"] = np.mean(rows, axis=0).tolist()
-        return out
-
-    vel_tbl, pos_tbl = reduce(acc_vel), reduce(acc_pos)
-    vel_abs_tbl, pos_abs_tbl = reduce(acc_vel_abs), reduce(acc_pos_abs)
-    return MetricsReport(
-        kinds=kinds,
-        vel_mae=vel_tbl,
-        pos_mae=pos_tbl,
-        vel_mae_abs=vel_abs_tbl,
-        pos_mae_abs=pos_abs_tbl,
-        overall_vel={v: float(np.mean(vel_tbl[v]["overall"])) for v in VARIANTS},
-        overall_pos={v: float(np.mean(pos_tbl[v]["overall"])) if pos_tbl[v]
-                     else float("nan") for v in VARIANTS},
-    )
+                est, rec, _ = reconstruct(cfg, vel_model, opt_model, spec)
+                err[v, 1] = [position_mae_mm(rec, pose, root_relative=r) for r in (True, False)]
+            else:
+                est = vel_forward(vel_model, spec)
+            err[v, 0] = [velocity_mae_mm_frame(est, vel, root_relative=r)
+                         for r in (True, False)]
+        by_kind[entry["kind"]].append(err)
+    means = {k: np.mean(by_kind[k], axis=0) for k in kinds}
+    means["overall"] = np.mean([e for k in kinds for e in by_kind[k]], axis=0)
+    return MetricsReport(kinds, {variant: {k: m[v] for k, m in means.items()}
+                                 for v, variant in enumerate(VARIANTS)})
 
 
 def write_metrics_csv(path: str | Path, report: MetricsReport, absolute: bool = False):
     """One row per (activity, joint), then per-joint overall rows, then a grand row."""
-    vel = report.vel_mae_abs if absolute else report.vel_mae
-    pos = report.pos_mae_abs if absolute else report.pos_mae
-    variants = list(vel.keys())
+    frame = int(absolute)
     with open(path, "w", encoding="utf-8") as fh:
         cols = ["activity", "joint"]
-        for v in variants:
+        for v in report.errors:
             cols += [f"vel_mae_{v.lower()}_mm_frame", f"pos_mae_{v.lower()}_mm"]
         fh.write(",".join(cols) + "\n")
-
-        def row(kind, j):
-            cells = [kind, str(j + 1)]
-            for v in variants:
-                vel_val = vel[v].get(kind, [float("nan")] * N_JOINTS)[j]
-                pos_val = pos[v].get(kind, [float("nan")] * N_JOINTS)[j] \
-                    if pos[v] else float("nan")
-                cells += [f"{vel_val:.3f}", f"{pos_val:.3f}"]
-            return ",".join(cells) + "\n"
-
-        for kind in report.kinds:
+        for kind in report.kinds + ["overall"]:
             for j in range(N_JOINTS):
-                fh.write(row(kind, j))
-        for j in range(N_JOINTS):
-            fh.write(row("overall", j))
-        cells = ["overall", "all"]
-        for v in variants:
-            cells += [f"{np.mean(vel[v]['overall']):.3f}",
-                      f"{np.mean(pos[v]['overall']):.3f}" if pos[v] else "nan"]
-        fh.write(",".join(cells) + "\n")
+                cells = [f"{x:.3f}" for by_kind in report.errors.values()
+                         for x in by_kind[kind][:, frame, j]]
+                fh.write(",".join([kind, str(j + 1)] + cells) + "\n")
+        cells = [f"{np.mean(by_kind['overall'][q, frame]):.3f}"
+                 for by_kind in report.errors.values() for q in range(2)]
+        fh.write(",".join(["overall", "all"] + cells) + "\n")
 
 
 def write_metrics_table(path: str | Path, report: MetricsReport):
-    """Plain-text table: activities x joints, one row per variant."""
+    """Plain-text root-relative table: activities x joints, one row per variant."""
     lines = []
     header = "activity variant " + " ".join(f"{j + 1:>6d}" for j in range(N_JOINTS)) \
         + "  overall"
-    for name, tbl, unit in (("velocity mm/frame", report.vel_mae, "mm/frame"),
-                            ("position mm", report.pos_mae, "mm")):
-        lines.append(f"== {name} ==")
-        lines.append(header)
+    for q, name in enumerate(("velocity mm/frame", "position mm")):
+        lines += [f"== {name} ==", header]
         for kind in report.kinds + ["overall"]:
-            for variant in tbl:
-                vals = tbl[variant].get(kind)
-                if vals is None:
+            for variant, by_kind in report.errors.items():
+                vals = by_kind[kind][q, 0]
+                if np.isnan(vals).all():
                     continue
                 cells = " ".join(f"{x:6.1f}" for x in vals)
                 lines.append(f"{kind:>8s} {variant:>7s} {cells}  {np.mean(vals):7.1f}")

@@ -136,6 +136,21 @@ def test_profile_runs(config_file, pipeline_dir, tmp_path):
     assert len(rows) == 3
 
 
+@pytest.mark.parametrize("command", ["evaluate", "profile"])
+def test_empty_test_split_exits_1(config_file, pipeline_dir, tmp_path, capsys, command):
+    ds = tmp_path / "ds"
+    assert main(["build-dataset", "--config", str(config_file),
+                 "--set", "dataset.n_activities=1", "--out", str(ds)]) == 0
+    assert harness.load_manifest(ds)["split"]["test"] == []
+    capsys.readouterr()
+    rc = main([command, "--config", str(config_file), "--data", str(ds),
+               "--vel-model", str(pipeline_dir / "models" / "vel_model.dpc"),
+               "--opt-model", str(pipeline_dir / "models" / "opt_model.dpc"),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: dataset has no test entries\n"
+
+
 def test_malformed_config_exits_2_and_names_field(config_file, tmp_path, capsys):
     data = tiny_config_dict()
     data["processing"]["delay_bins"] = "lots"

@@ -1,4 +1,6 @@
 import json
+import re
+import shutil
 
 import numpy as np
 import pytest
@@ -189,6 +191,18 @@ class TestConfig:
         with pytest.raises(ConfigError, match="^config field interference.clutter.0: "):
             harness.parse_config(data)
 
+    def test_override_indexes_list_entry(self):
+        data = tiny_config_dict()
+        harness.apply_overrides(data, ["interference.clutter.0.amplitude=0.5"])
+        assert harness.parse_config(data).interference.clutter[0].amplitude == 0.5
+
+    @pytest.mark.parametrize("index", ["1", "x", "-1"])
+    def test_override_bad_list_index_named(self, index):
+        key = f"interference.clutter.{index}.amplitude"
+        with pytest.raises(ConfigError, match=re.escape(
+                f"override {key!r}: {index} is not an index of clutter, a list of 1")):
+            harness.apply_overrides(tiny_config_dict(), [f"{key}=0.5"])
+
     def test_overrides(self):
         data = tiny_config_dict()
         harness.apply_overrides(data, ["seed=9", "dataset.duration_s=4.5"])
@@ -286,11 +300,10 @@ class TestEvaluate:
         vel_model = VelModel(manifest["doppler_bins"], seed=0)
         opt_model = OptModel(seed=0)
         report = harness.evaluate(cfg, out, vel_model, opt_model, include_pose=False)
-        assert set(report.vel_mae.keys()) == {"M", "D"}
-        assert all(len(report.vel_mae["D"][k]) == N_JOINTS
-                   for k in report.vel_mae["D"])
+        assert set(report.errors.keys()) == {"M", "D"}
+        assert all(e.shape == (2, 2, N_JOINTS) for e in report.errors["D"].values())
         # root-relative convention: joint 1 is exactly zero
-        assert report.vel_mae["D"]["overall"][0] == 0.0
+        assert report.errors["D"]["overall"][0, 0, 0] == 0.0
 
         csv_path = tmp_path / "metrics.csv"
         harness.write_metrics_csv(csv_path, report)
@@ -323,10 +336,10 @@ class TestEvaluate:
         paths = []
         for run in range(2):
             report = harness.evaluate(cfg, out, vel_model, OptModel(seed=0))
-            assert all(np.isfinite(report.overall_pos[v]) for v in ("M", "D"))
+            assert all(np.isfinite(report.errors[v]["overall"][1]).all() for v in ("M", "D"))
             for variant in ("M", "D"):
-                assert all(row[0] == 0.0 for row in report.pos_mae[variant].values())
-                assert report.pos_mae_abs[variant]["overall"][0] > 0.0
+                assert all(e[1, 0, 0] == 0.0 for e in report.errors[variant].values())
+                assert report.errors[variant]["overall"][1, 1, 0] > 0.0
             paths.append(tmp_path / f"metrics_{run}.csv")
             harness.write_metrics_csv(paths[-1], report)
             assert "nan" not in paths[-1].read_text()
@@ -336,9 +349,8 @@ class TestEvaluate:
         cfg, out, manifest = dataset
         vel_model = VelModel(manifest["doppler_bins"], seed=0)
         report = harness.evaluate(cfg, out, vel_model, OptModel(seed=0), include_pose=False)
-        assert report.pos_mae == {"M": {}, "D": {}}
-        assert all(np.isnan(report.overall_pos[v]) for v in ("M", "D"))
-        assert all(np.isfinite(report.overall_vel[v]) for v in ("M", "D"))
+        errors = [e for by_kind in report.errors.values() for e in by_kind.values()]
+        assert all(np.isnan(e[1]).all() and np.isfinite(e[0]).all() for e in errors)
 
         csv_path = tmp_path / "metrics.csv"
         harness.write_metrics_csv(csv_path, report)
@@ -353,6 +365,50 @@ class TestEvaluate:
         harness.write_metrics_table(table, report)
         position_part = table.read_text().split("== position mm ==")[1]
         assert position_part.strip().split("\n")[1:] == []
+
+    def test_kind_rows_and_overall_pool_entries(self, dataset, tmp_path):
+        cfg, out, manifest = dataset
+        ds = tmp_path / "ds"
+        shutil.copytree(out, ds)
+        by_kind = {}
+        for e in manifest["entries"]:
+            by_kind.setdefault(e["kind"], []).append(e["index"])
+        # two test entries of one kind, one of another
+        (a, b), (c, _) = by_kind["W+"], by_kind["SU"]
+        test = [a, b, c]
+        uneven = dict(manifest, split={"train": sorted(set(range(len(manifest["entries"])))
+                                                       - set(test)), "test": test})
+        (ds / "manifest.json").write_text(json.dumps(uneven), encoding="utf-8")
+        vel_model = VelModel(manifest["doppler_bins"], seed=0)
+        opt_model = OptModel(seed=0)
+        report = harness.evaluate(cfg, ds, vel_model, opt_model)
+
+        per_entry = {}
+        for i in test:
+            pose, vel, _, m_spec, _ = harness.load_entry(ds, manifest["entries"][i])
+            est, rec, _ = harness.reconstruct(cfg, vel_model, opt_model, m_spec)
+            per_entry[i] = [[harness.velocity_mae_mm_frame(est, vel, root_relative=r)
+                             for r in (True, False)],
+                            [harness.position_mae_mm(rec, pose, root_relative=r)
+                             for r in (True, False)]]
+        m = report.errors["M"]
+        assert report.kinds == ["SU", "W+"]
+        np.testing.assert_allclose(m["W+"], np.mean([per_entry[a], per_entry[b]], axis=0),
+                                   rtol=1e-12)
+        np.testing.assert_allclose(m["SU"], per_entry[c], rtol=1e-12)
+        np.testing.assert_allclose(m["overall"], np.mean(list(per_entry.values()), axis=0),
+                                   rtol=1e-12)
+        assert not np.allclose(m["overall"], (m["W+"] + m["SU"]) / 2, rtol=1e-6)
+
+        csv_path = tmp_path / "metrics.csv"
+        harness.write_metrics_csv(csv_path, report)
+        header, *_, grand = csv_path.read_text().strip().split("\n")
+        cells = dict(zip(header.split(","), grand.split(",")))
+        assert cells["activity"] == "overall" and cells["joint"] == "all"
+        for v, by_kind in report.errors.items():
+            for q, col in enumerate((f"vel_mae_{v.lower()}_mm_frame", f"pos_mae_{v.lower()}_mm")):
+                assert float(cells[col]) == pytest.approx(by_kind["overall"][q, 0].mean(),
+                                                          abs=5e-4)
 
 
 class TestProfile:
