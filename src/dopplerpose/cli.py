@@ -39,6 +39,14 @@ def _common(parser):
                         metavar="KEY=VALUE", help="config override, repeatable")
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _load(args):
     overrides = list(args.overrides)
     if args.seed is not None:
@@ -277,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--vel-model", required=True)
     p.add_argument("--opt-model", required=True)
-    p.add_argument("--repeats", type=int, default=5)
+    p.add_argument("--repeats", type=_positive_int, default=5)
     p.set_defaults(fn=cmd_profile)
 
     return parser

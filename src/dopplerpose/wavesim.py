@@ -25,13 +25,15 @@ Moving scatterers are summed in one pass over all joints:
 - Phase. Delay and amplitude are linear between the 500 Hz coarse knots, so
   at sample offset m inside a knot segment they are g0 + m*gd and a0 + m*ad,
   and the carrier phasor exp(-j 2 pi f_c tau) is exp(rot*g0) * r**m with
-  r = exp(rot*gd): a cumulative product along m that starts from an exact
-  exp in every segment. The joint sums are then polynomials in m whose five
-  coefficients (weights a0, ad, a0*g0, a0*gd + ad*g0, ad*gd) come from one
-  batched real matmul of the weights with the phasors.
+  r = exp(rot*gd), built by doubling (r, r**2, r**4, ...) from an exact exp
+  in every segment: log2(segment length) whole-block steps, where a
+  cumulative product along the short sample axis takes one per sample. The
+  joint sums are then polynomials in m whose five coefficients (weights a0,
+  ad, a0*g0, a0*gd + ad*g0, ad*gd) come from one batched real matmul of the
+  phasors with the weights.
 - Blocking. Segments are processed a block of about `_BLOCK` samples at a
-  time (64 segments at 16 kHz), all joints at once, so the (segments x
-  joints x samples) work arrays stay a few hundred kB: a whole-signal
+  time (64 segments at 16 kHz), all joints at once, so the (samples x
+  segments x joints) work arrays stay a few hundred kB: a whole-signal
   (samples x joints) complex array would be tens of MB and would raise the
   peak memory of every dataset build.
 """
@@ -255,6 +257,15 @@ def synthesize_reference(u: BasebandSignal, g: Geometry) -> BasebandSignal:
     return BasebandSignal(samples, u.sample_rate_hz, u.start_time_s)
 
 
+def _ranges(x: np.ndarray, point: np.ndarray) -> np.ndarray:
+    """Distances of (..., 3) points from one point: bit-identical to
+    `np.linalg.norm(x - point, axis=-1)`, whose sum of squares adds in this
+    order, without its strided reduction over the 3-long last axis."""
+    d = x - point
+    d *= d
+    return np.sqrt(d[..., 0] + d[..., 1] + d[..., 2])
+
+
 # Samples per block of the moving-scatterer synthesis (see the module notes).
 _BLOCK = 2048
 
@@ -274,8 +285,8 @@ def _target_returns(u: BasebandSignal, coarse_t: np.ndarray, positions: np.ndarr
     total = np.zeros(n, dtype=np.complex128)
     if x.shape[1] == 0 or n < 2:
         return total
-    r1 = np.linalg.norm(x - g.tx_pos, axis=2)
-    r2 = np.linalg.norm(x - g.rx_sur_pos, axis=2)
+    r1 = _ranges(x, g.tx_pos)
+    r2 = _ranges(x, g.rx_sur_pos)
     delay = (r1 + r2) * (fs / C_LIGHT)  # samples
     if delay.max() >= 1.0:
         raise ValueError(
@@ -284,6 +295,8 @@ def _target_returns(u: BasebandSignal, coarse_t: np.ndarray, positions: np.ndarr
             f"paths shorter than c/fs = {C_LIGHT / fs:.1f} m (tx {g.tx_pos.tolist()}, "
             f"rx {g.rx_sur_pos.tolist()})")
     amp = weights[keep] * _path_amp(r1, exponent) * _path_amp(r2, exponent)
+    # The block loop is an activity's peak memory: drop what it does not read.
+    del x, r1, r2
 
     # Knot segment k holds samples first[k]:first[k + 1]; the last one runs to n.
     # A knot spacing is never shorter than 1 / fs (see `_coarse_grid`), so no
@@ -307,16 +320,29 @@ def _target_returns(u: BasebandSignal, coarse_t: np.ndarray, positions: np.ndarr
         a0 = amp[k0:k1] + frac[:, None] * rise_a
         gd = rise_d / (seg_len * fs)[:, None]
         ad = rise_a / (seg_len * fs)[:, None]
-        # Carrier phasor exp(rot * (g0 + m gd)) = exp(rot g0) * r**m.
-        phasor = np.empty(g0.shape + m.shape, dtype=np.complex128)
-        phasor[..., 0] = np.exp(rot * g0)
-        phasor[..., 1:] = np.exp(rot * gd)[..., None]
-        np.cumprod(phasor, axis=2, out=phasor)
-        # Joint sums of a*phasor and a*tau*phasor as polynomials in m.
-        w = np.stack([a0, ad, a0 * g0, a0 * gd + ad * g0, ad * gd], axis=1)
-        c = np.matmul(w, phasor.view(np.float64)).view(np.complex128)
-        s0 = c[:, 0] + m * c[:, 1]
-        s1 = c[:, 2] + m * (c[:, 3] + m * c[:, 4])
+        # Carrier phasor exp(rot * (g0 + m gd)) = exp(rot g0) * r**m, samples
+        # first, by doubling: rows m < f times r**f fill rows f..2f - 1.
+        phasor = np.empty(m.shape + g0.shape, dtype=np.complex128)
+        phasor[0] = np.exp(rot * g0)
+        r = np.exp(rot * gd)
+        done = 1
+        while done < len(m):
+            take = min(done, len(m) - done)
+            np.multiply(phasor[:take], r, out=phasor[done:done + take])
+            done += take
+            r *= r
+        # Joint sums of a*phasor and a*tau*phasor as polynomials in m: the
+        # buffer viewed as (segment, sample, joint x re/im) reals, times
+        # block-diagonal weights (joint x re/im, coefficient x re/im) that
+        # sum the real and imaginary parts alike.
+        w = np.stack([a0, ad, a0 * g0, a0 * gd + ad * g0, ad * gd], axis=2)
+        blocks = np.zeros(w.shape[:2] + (2, 5, 2))
+        blocks[:, :, 0, :, 0] = w
+        blocks[:, :, 1, :, 1] = w
+        c = np.matmul(phasor.view(np.float64).transpose(1, 0, 2),
+                      blocks.reshape(len(w), -1, 10)).view(np.complex128)
+        s0 = c[..., 0] + m * c[..., 1]
+        s1 = c[..., 2] + m * (c[..., 3] + m * c[..., 4])
         inside = m < count[:, None]
         s0, s1 = s0[inside], s1[inside]
         # sum_j a*phasor*(u[n] - tau*(u[n] - u[n-1])), u[-1] taken as 0

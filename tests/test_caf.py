@@ -36,6 +36,23 @@ def direct_caf(sur, ref, delay_bins, freqs):
     return lags @ phases.T  # (D, F)
 
 
+def fft_caf(sur, ref, delay_bins, doppler_span_hz, doppler_oversample=1):
+    """Oracle: the zero-padded FFT over time that `compute_caf` used to run,
+    keeping the bins with |f| <= span in increasing frequency order."""
+    n = len(sur)
+    fs = sur.sample_rate_hz
+    lags = np.zeros((delay_bins, n), dtype=np.complex128)
+    ref_conj = np.conj(ref.samples)
+    for k in range(delay_bins):
+        lags[k, k:] = sur.samples[k:] * ref_conj[: n - k]
+    n_fft = n * doppler_oversample
+    spectrum = np.fft.fft(lags, n=n_fft, axis=1)
+    freqs = np.fft.fftfreq(n_fft, d=1.0 / fs)
+    keep = np.where(np.abs(freqs) <= doppler_span_hz)[0]
+    order = keep[np.argsort(freqs[keep])]
+    return CafMap(spectrum[:, order], np.arange(delay_bins) / fs, freqs[order], n / fs)
+
+
 class TestComputeCaf:
     FS = 1e4
 
@@ -80,6 +97,21 @@ class TestComputeCaf:
         oracle = direct_caf(sur, ref, 6, m.doppler_axis)
         rel = np.abs(m.grid - oracle).max() / np.abs(oracle).max()
         assert rel < 1e-6
+
+    @pytest.mark.parametrize("delay_bins", [1, 4])
+    def test_default_cpi_matches_fft(self, delay_bins):
+        # the configured CPI: 0.1 s at 16 kHz, 100 Hz half-span, oversample 4
+        rng = np.random.default_rng(5)
+        n, fs = 1600, 16e3
+        sur = BasebandSignal(rng.normal(size=n) + 1j * rng.normal(size=n), fs)
+        ref = BasebandSignal(rng.normal(size=n) + 1j * rng.normal(size=n), fs)
+        m = compute_caf(sur, ref, delay_bins, 100.0, doppler_oversample=4)
+        oracle = fft_caf(sur, ref, delay_bins, 100.0, doppler_oversample=4)
+        assert np.array_equal(m.doppler_axis, oracle.doppler_axis)
+        assert np.array_equal(m.delay_axis, oracle.delay_axis)
+        assert m.grid.shape == (delay_bins, 81)
+        rel = np.abs(m.grid - oracle.grid).max() / np.abs(oracle.grid).max()
+        assert rel < 1e-12
 
     def test_rejects_mismatched_inputs(self):
         u = self._sig()
@@ -150,6 +182,54 @@ class TestSelfCaf:
         z = BasebandSignal(np.zeros(256, dtype=complex), 1e4)
         m = self_caf(z, delay_bins=4, doppler_span_hz=50.0)
         assert np.all(m.grid == 0)
+
+
+class TestSharedPlan:
+    """Maps of one CPI shape share read-only axes; the axis checks accept
+    those at once and equal-valued copies by value, and reject the rest."""
+
+    FS = 1e4
+
+    def _maps(self):
+        u = generate_waveform(4e3, 0.1, self.FS, seed=11)
+        v = generate_waveform(4e3, 0.1, self.FS, seed=12)
+        return (compute_caf(v, u, 6, 60.0, doppler_oversample=4),
+                self_caf(u, 6, 60.0, doppler_oversample=4))
+
+    def test_equal_parameters_share_read_only_axes(self):
+        a, b = self._maps()
+        cleaned = clean_dsi(a, b)
+        for name in ("delay_axis", "doppler_axis"):
+            axis = getattr(a, name)
+            assert getattr(b, name) is axis and getattr(cleaned, name) is axis
+            with pytest.raises(ValueError, match="read-only"):
+                axis[0] = 1.0
+
+    @staticmethod
+    def _with_axes(m, delay_axis, doppler_axis):
+        return CafMap(m.grid.copy(), delay_axis, doppler_axis, m.cpi_s)
+
+    def test_equal_valued_copies_accepted(self):
+        a, b = self._maps()
+        copied = self._with_axes(a, a.delay_axis.copy(), a.doppler_axis.copy())
+        assert copied.doppler_axis is not a.doppler_axis
+        assert np.array_equal(clean_dsi(copied, b, 2).grid, clean_dsi(a, b, 2).grid)
+        assert np.array_equal(assemble_spectrogram([a, copied, a]).values,
+                              assemble_spectrogram([a, a, a]).values)
+
+    @pytest.mark.parametrize("axis", ["delay_axis", "doppler_axis"])
+    def test_differing_axes_rejected(self, axis):
+        a, b = self._maps()
+        delay, doppler = a.delay_axis, a.doppler_axis
+        if axis == "delay_axis":
+            delay = delay + 1.0 / self.FS
+        else:
+            doppler = doppler + 0.5
+        moved = self._with_axes(a, delay, doppler)
+        with pytest.raises(ValueError, match="identical axes"):
+            clean_dsi(moved, b)
+        with pytest.raises(ValueError, match="same axes"):
+            assemble_spectrogram([a, moved])
 
 
 class TestCleanDsi:

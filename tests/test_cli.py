@@ -136,6 +136,21 @@ def test_profile_runs(config_file, pipeline_dir, tmp_path):
     assert len(rows) == 3
 
 
+@pytest.mark.parametrize("repeats", ["0", "-3"])
+def test_profile_rejects_repeats_below_1(config_file, pipeline_dir, tmp_path, capsys,
+                                         repeats):
+    out = tmp_path / "prof"
+    with pytest.raises(SystemExit) as exc:
+        main(["profile", "--config", str(config_file),
+              "--data", str(pipeline_dir / "ds"),
+              "--vel-model", str(pipeline_dir / "models" / "vel_model.dpc"),
+              "--opt-model", str(pipeline_dir / "models" / "opt_model.dpc"),
+              "--repeats", repeats, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"argument --repeats: must be at least 1, got {repeats}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["evaluate", "profile"])
 def test_empty_test_split_exits_1(config_file, pipeline_dir, tmp_path, capsys, command):
     ds = tmp_path / "ds"

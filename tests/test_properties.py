@@ -1,8 +1,8 @@
 """Property tests: the one-pass integrator and reconstruction against the
 per-frame loops they replaced, kept here as oracles, bit for bit; `integrate`
 and `differentiate` as inverses up to float64 round-off; bit-exact container
-round trips, raw and through each array class's save/load; and CLEAN
-cancelling a single static path."""
+round trips, raw and through each array class's save/load; the CAF against
+its direct sum; and CLEAN cancelling a single static path."""
 
 import tempfile
 from pathlib import Path
@@ -16,11 +16,32 @@ from dopplerpose.caf import Spectrogram, clean_dsi, compute_caf, self_caf
 from dopplerpose.motion import N_JOINTS, PoseSequence, VelocitySequence, differentiate, integrate
 from dopplerpose.poseopt import OptConfig, optimize_initial_pose, reconstruct_long_term
 from dopplerpose.wavesim import BasebandSignal
+from test_caf import direct_caf
 
 # Derandomized and without an example database: every run draws the same
 # cases and writes nothing.
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 SEEDS = st.integers(0, 2 ** 32 - 1)
+
+
+@given(seed=SEEDS, n=st.integers(8, 300), delay_bins=st.integers(1, 8),
+       oversample=st.integers(1, 4), fs=st.floats(1e3, 1e5),
+       span_fraction=st.floats(1e-3, 1.0 - 1e-9))
+@example(seed=0, n=257, delay_bins=8, oversample=4, fs=16e3, span_fraction=1.0 - 1e-9)
+@example(seed=1, n=293, delay_bins=3, oversample=3, fs=1e4, span_fraction=0.02)
+@example(seed=2, n=16, delay_bins=1, oversample=1, fs=1e4, span_fraction=1e-3)
+@PROPERTY
+def test_caf_equals_direct_sum(seed, n, delay_bins, oversample, fs, span_fraction):
+    """Every grid point of `compute_caf` is the direct sum at its frequency,
+    for any CPI length (primes included), delays, oversampling and span."""
+    rng = np.random.default_rng(seed)
+    sur = BasebandSignal(rng.normal(size=n) + 1j * rng.normal(size=n), fs)
+    ref = BasebandSignal(rng.normal(size=n) + 1j * rng.normal(size=n), fs)
+    span = span_fraction * fs / 2.0
+    m = compute_caf(sur, ref, delay_bins, span, doppler_oversample=oversample)
+    assert np.abs(m.doppler_axis).max() <= span
+    oracle = direct_caf(sur, ref, delay_bins, m.doppler_axis)
+    assert np.abs(m.grid - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
 
 def loop_integrate(p0, v):

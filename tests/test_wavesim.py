@@ -20,6 +20,7 @@ from dopplerpose.wavesim import (
     _coarse_tracks,
     _joint_tracks,
     _path_amp,
+    _ranges,
     _shifted,
     _target_returns,
     add_interference,
@@ -404,6 +405,14 @@ class TestSegmentMajorTargets:
             coarse_t, tracks, weights = scene_paths(short, pose)
             out = _target_returns(short, coarse_t, tracks, weights, 2.0, WALK_GEOM)
             assert out.shape == (n,) and not out.any()
+
+    def test_ranges_equal_norm_bit_for_bit(self):
+        u, pose = short_offset_scene()
+        _, tracks, _ = scene_paths(u, pose)
+        spread = np.random.default_rng(3).normal(scale=50.0, size=(300, N_JOINTS, 3))
+        for x in (tracks, spread):
+            for point in (WALK_GEOM.tx_pos, WALK_GEOM.rx_sur_pos):
+                assert np.array_equal(_ranges(x, point), np.linalg.norm(x - point, axis=2))
 
     def test_default_spectrograms_match_replaced_path(self, monkeypatch):
         """S and M of default-config activities against the same activities
