@@ -4,6 +4,7 @@ Run:  python3 demos/05_autodiff.py
 """
 
 import pathlib
+import sys
 import tempfile
 
 import numpy as np
@@ -13,6 +14,10 @@ from dopplerpose.nncore import Tensor
 from dopplerpose.nncore import tensor as ops
 from dopplerpose.poseopt import OptModel
 from dopplerpose.velest import VelModel
+
+# The finite-difference checker lives with the tests.
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tests"))
+from gradcheck import check_gradients  # noqa: E402
 
 # Tensors record the graph; backward() accumulates into .grad.
 w = Tensor(np.array([0.5, -1.0, 2.0]), requires_grad=True, dtype=np.float64)
@@ -25,7 +30,7 @@ print(f"d(sum(w*x))/dw = {w.grad}  (equals x)")
 rng = np.random.default_rng(0)
 lstm = nn.LSTM(3, 4, num_layers=2, bidirectional=True, rng=rng, dtype=np.float64)
 inp = Tensor(rng.normal(size=(2, 5, 3)), requires_grad=True, dtype=np.float64)
-err = nn.check_gradients(lambda: ops.tsum(ops.tanh(lstm(inp))), lstm.params() + [inp])
+err = check_gradients(lambda: ops.tsum(ops.tanh(lstm(inp))), lstm.params() + [inp])
 print(f"bi-LSTM gradient check vs finite differences: {err:.2e} relative error")
 
 # Adam walks a quadratic bowl to the bottom.

@@ -281,8 +281,7 @@ def spectrogram_pipeline(sur: BasebandSignal, ref: BasebandSignal, *,
     maps = []
     for i in range(n_frames):
         sl = slice(i * n_cpi, (i + 1) * n_cpi)
-        sur_i = BasebandSignal(sur.samples[sl], fs)
-        ref_i = BasebandSignal(ref.samples[sl], fs)
+        sur_i, ref_i = sur[sl], ref[sl]
         m = compute_caf(sur_i, ref_i, delay_bins, doppler_span_hz,
                         doppler_oversample=doppler_oversample)
         if clean_iterations > 0:

@@ -244,10 +244,13 @@ def _fk(tracks: dict) -> np.ndarray:
     return out
 
 
-def _standing_frame(xy, heading: float, abduction: float) -> np.ndarray:
-    return _fk(dict(x=xy[0], y=xy[1], heading=heading, root_z=STAND_ROOT_Z, torso=0.0,
-                    hip_l=0.0, hip_r=0.0, knee_l=0.0, knee_r=0.0, arm_l=0.0, arm_r=0.0,
-                    elb_l=0.0, elb_r=0.0, abd_l=abduction, abd_r=abduction))[0]
+def _standing_frame(xy, heading, abduction: float) -> np.ndarray:
+    """One (17, 3) frame at xy (2,) and a scalar heading; (n, 17, 3) at (n, 2) and (n,)."""
+    xy = np.asarray(xy, dtype=float)
+    frames = _fk(dict(x=xy[..., 0], y=xy[..., 1], heading=heading, root_z=STAND_ROOT_Z,
+                      torso=0.0, hip_l=0.0, hip_r=0.0, knee_l=0.0, knee_r=0.0, arm_l=0.0,
+                      arm_r=0.0, elb_l=0.0, elb_r=0.0, abd_l=abduction, abd_r=abduction))
+    return frames[0] if xy.ndim == 1 and np.ndim(heading) == 0 else frames
 
 
 def neutral_frame(xy=(0.0, 0.0), heading: float = 0.0) -> np.ndarray:
@@ -256,7 +259,10 @@ def neutral_frame(xy=(0.0, 0.0), heading: float = 0.0) -> np.ndarray:
 
 
 def t_pose(xy=(0.0, 0.0), heading: float = 0.0) -> np.ndarray:
-    """Universal initialisation pose: standing with arms out horizontally."""
+    """Universal initialisation pose: standing with arms out horizontally.
+
+    (17, 3); given n roots xy (n, 2) and headings (n,), the (n, 17, 3) poses.
+    """
     return _standing_frame(xy, heading, np.pi / 2)
 
 

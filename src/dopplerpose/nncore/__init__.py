@@ -27,7 +27,6 @@ from .tensor import (  # noqa: F401
     power,
     relu,
     reshape,
-    sigmoid,
     sqrt,
     tanh,
     tmean,
@@ -37,4 +36,3 @@ from .tensor import (  # noqa: F401
 from .layers import BatchNorm1d, Conv1d, LSTM, Linear  # noqa: F401
 from .optim import Adam  # noqa: F401
 from .checkpoint import load_checkpoint, save_checkpoint  # noqa: F401
-from .gradcheck import check_gradients, finite_difference, relative_error  # noqa: F401

@@ -8,6 +8,19 @@ of the last axis as one node with the closed-form backward, and `lstm_layer`:
 a whole (bi)LSTM layer as one node whose directions step together, with a
 hand-written backpropagation-through-time backward. Float32 by default;
 gradient-check tests run the same graphs in float64.
+
+Layouts, for speed:
+- `conv1d` builds its im2col columns tap-major, (K, C_in) per output
+  position (K. Chellapilla et al., "High Performance Convolutional Neural
+  Networks for Document Processing", 2006): the copy moves C_in-long runs of
+  the channel-last input, and the weights are viewed the same way. Its
+  col2im is K strided adds, one per tap, not one add per output position;
+  each tap's column gradients are their own product, so the whole
+  (B W_out, K C_in) column gradient is never held at once.
+- `lstm_layer` adds each direction's bias to its contiguous input
+  projection before copying it into step order, and its step loop works in
+  place in preallocated buffers: the gate pre-activations, the sigmoid in
+  the kept gate array, i*g and the cell state.
 """
 
 from __future__ import annotations
@@ -208,16 +221,6 @@ def tanh(a):
     return _make(out_data, (a,), backward)
 
 
-def sigmoid(a):
-    a = as_tensor(a)
-    out_data = 1.0 / (1.0 + np.exp(-a.data))
-
-    def backward(g):
-        a._accumulate(g * out_data * (1.0 - out_data))
-
-    return _make(out_data, (a,), backward)
-
-
 # -- reductions / shape -----------------------------------------------------
 
 def tsum(a, axis=None):
@@ -318,7 +321,8 @@ def batch_norm(x, gamma, beta, eps: float):
     in the same order, so the output is bit-identical to one. Backward is the
     closed form of Ioffe & Szegedy (ICML 2015),
     dx = inv/N (N g' - sum g' - xhat sum(g' xhat)) with g' = g gamma, here as
-    gamma inv/N (N g - dbeta - xhat dgamma).
+    gamma inv/N (N g - dbeta - xhat dgamma). Both directions work in place
+    where a fresh (N, F) array would only hold an intermediate.
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     x2 = x.data.reshape(-1, x.data.shape[-1])
@@ -327,20 +331,26 @@ def batch_norm(x, gamma, beta, eps: float):
     centered = x2 - mean
     var = (centered * centered).mean(axis=0)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
+    xhat = centered
+    xhat *= inv
 
     def backward(g):
         g = g.reshape(x2.shape)
         dbeta = g.sum(axis=0)
-        dgamma = (g * xhat).sum(axis=0)
+        gx = g * xhat
+        dgamma = gx.sum(axis=0)
         gamma._accumulate(dgamma)
         beta._accumulate(dbeta)
         if x.requires_grad:
-            dx = (gamma.data * inv / n) * (n * g - dbeta - xhat * dgamma)
+            dx = n * g
+            dx -= dbeta
+            dx -= np.multiply(xhat, dgamma, out=gx)
+            dx *= gamma.data * inv / n
             x._accumulate(dx.reshape(x.data.shape))
 
-    out = (xhat * gamma.data + beta.data).reshape(x.data.shape)
-    return _make(out, (x, gamma, beta), backward), mean, var
+    out = xhat * gamma.data
+    out += beta.data
+    return _make(out.reshape(x.data.shape), (x, gamma, beta), backward), mean, var
 
 
 # -- recurrence -------------------------------------------------------------
@@ -381,8 +391,9 @@ def lstm_layer(x, directions):
     x2 = x.data.reshape(bsz * t_len, in_f)
     pre = np.empty((t_len, n_dir, bsz, 4 * h_dim), dtype=dtype)
     for d, (w_ih, _, b) in enumerate(directions):
-        proj = (x2 @ w_ih.data).reshape(bsz, t_len, 4 * h_dim)
-        np.add(_steps(proj, d == 1), b.data, out=pre[:, d])
+        proj = x2 @ w_ih.data
+        proj += b.data
+        pre[:, d] = _steps(proj.reshape(bsz, t_len, 4 * h_dim), d == 1)
     w_hh = np.stack([w_hh.data for _, w_hh, _ in directions])
     # per step: sigmoid(i, f, o) with tanh(g) in its place, c, tanh(c) and h;
     # without a graph to record, one step's gates and cells are kept at a time
@@ -392,14 +403,24 @@ def lstm_layer(x, directions):
     hs = np.empty((t_len, n_dir, bsz, h_dim), dtype=dtype)
     h = np.zeros((n_dir, bsz, h_dim), dtype=dtype)
     c = np.zeros_like(h)
-    g_cols = slice(2 * h_dim, 3 * h_dim)
+    z = np.empty((n_dir, bsz, 4 * h_dim), dtype=dtype)
+    ig = np.empty_like(h)
+    i, f, g, o = (gates[..., j * h_dim:(j + 1) * h_dim] for j in range(4))
+    # in place, outputs passed positionally: at B=1 a step is a dozen small ufunc calls
     for s in range(t_len):
         k = s % kept
-        z = pre[s] + h @ w_hh
-        a = np.divide(1.0, 1.0 + np.exp(-z), out=gates[k])
-        g = np.tanh(z[..., g_cols], out=a[..., g_cols])
-        c = np.add(a[..., h_dim:2 * h_dim] * c, a[..., :h_dim] * g, out=cells[k])
-        h = np.multiply(a[..., 3 * h_dim:], np.tanh(c, out=tanh_cells[k]), out=hs[s])
+        a = gates[k]
+        np.matmul(h, w_hh, out=z)
+        np.add(z, pre[s], z)
+        np.negative(z, a)  # sigmoid: 1 / (1 + exp(-z))
+        np.exp(a, a)
+        np.add(a, 1.0, a)
+        np.divide(1.0, a, a)
+        np.tanh(z[..., 2 * h_dim:3 * h_dim], g[k])
+        np.multiply(i[k], g[k], ig)
+        c = np.multiply(f[k], c, cells[k])
+        np.add(c, ig, c)
+        h = np.multiply(o[k], np.tanh(c, tanh_cells[k]), hs[s])
     out = np.empty((bsz, t_len, n_dir * h_dim), dtype=dtype)
     for d in range(n_dir):
         _steps(out[:, :, d * h_dim:(d + 1) * h_dim], d == 1)[...] = hs[:, d]
@@ -408,7 +429,6 @@ def lstm_layer(x, directions):
         # The state each step started from: the previous step's, zero at the first.
         h_prev, c_prev = np.zeros_like(hs), np.zeros_like(cells)
         h_prev[1:], c_prev[1:] = hs[:-1], cells[:-1]
-        i, f, g, o = (gates[..., k * h_dim:(k + 1) * h_dim] for k in range(4))
         # dz_{i,f,g} = dc * k_{i,f,g}, dz_o = dh * k_o, dc gets dh * dc_dh
         k_cell = np.concatenate((g * i * (1.0 - i), c_prev * f * (1.0 - f), i * (1.0 - g * g)),
                                 axis=-1).reshape(t_len, n_dir, bsz, 3, h_dim)
@@ -463,27 +483,31 @@ def conv1d(x, w, b=None, stride: int = 1, padding: int = 0):
             f"input width {width}")
 
     xp = np.pad(x.data, ((0, 0), (padding, padding), (0, 0))) if padding else x.data
-    # (B, W_out, C_in, K) windows: im2col columns in (channel, tap) order
+    # (B, W_out, K, C_in) windows: im2col columns in (tap, channel) order, so
+    # the copy moves C_in-long runs; the weights are viewed the same way
     windows = np.lib.stride_tricks.sliding_window_view(xp, k, axis=1)[:, ::stride]
-    cols = np.ascontiguousarray(windows).reshape(bsz * w_out, c_in * k)
-    w2 = w.data.reshape(c_out, c_in * k)
+    cols = np.ascontiguousarray(windows.transpose(0, 1, 3, 2)).reshape(bsz * w_out, k * c_in)
+    w2 = w.data.transpose(0, 2, 1).reshape(c_out, k * c_in)
     out2 = cols @ w2.T
     if b is not None:
-        out2 = out2 + b.data
+        out2 += b.data
 
     parents = (x, w) if b is None else (x, w, b)
 
     def backward(g):
         g2 = g.reshape(bsz * w_out, c_out)
-        w._accumulate((g2.T @ cols).reshape(c_out, c_in, k))
+        w._accumulate((g2.T @ cols).reshape(c_out, k, c_in).transpose(0, 2, 1))
         if b is not None:
             b._accumulate(g2.sum(axis=0))
         if not x.requires_grad:
             return
-        gcols = (g2 @ w2).reshape(bsz, w_out, c_in, k).transpose(0, 1, 3, 2)
+        # col2im, one tap at a time: tap j of output o came from input row
+        # o * stride + j, and its column gradients are one (C_in wide) product
         gxp = np.zeros_like(xp)
-        for o in range(w_out):
-            gxp[:, o * stride: o * stride + k] += gcols[:, o]
+        span = stride * (w_out - 1) + 1
+        for j in range(k):
+            gcol = g2 @ w2[:, j * c_in:(j + 1) * c_in]
+            gxp[:, j: j + span: stride] += gcol.reshape(bsz, w_out, c_in)
         x._accumulate(gxp[:, padding: padding + width] if padding else gxp)
 
     return _make(out2.reshape(bsz, w_out, c_out), parents, backward)

@@ -58,13 +58,17 @@ class OptConfig:
 
 
 def opt_vector_truth(p0_guess: np.ndarray, p0_true: np.ndarray) -> np.ndarray:
-    """Per-joint unit vector from guess toward truth; zero when they coincide."""
+    """Per-joint unit vector from guess toward truth; zero when they coincide.
+
+    The frames are (17, 3), or stacks of them (..., 17, 3) of one shape.
+    """
     p0_guess = np.asarray(p0_guess, dtype=np.float64)
     p0_true = np.asarray(p0_true, dtype=np.float64)
-    if p0_guess.shape != (N_JOINTS, 3) or p0_true.shape != (N_JOINTS, 3):
-        raise ValueError(f"frames must be ({N_JOINTS}, 3)")
+    if p0_guess.shape[-2:] != (N_JOINTS, 3) or p0_true.shape != p0_guess.shape:
+        raise ValueError(f"frames must be ({N_JOINTS}, 3) or stacks of one shape, got "
+                         f"{p0_guess.shape} and {p0_true.shape}")
     d = p0_true - p0_guess
-    norms = np.linalg.norm(d, axis=1)
+    norms = np.linalg.norm(d, axis=-1)
     out = np.zeros_like(d)
     nz = norms >= 1e-9
     out[nz] = d[nz] / norms[nz, None]
@@ -72,7 +76,12 @@ def opt_vector_truth(p0_guess: np.ndarray, p0_true: np.ndarray) -> np.ndarray:
 
 
 class OptModel:
-    """biLSTM(51 x 2) over [V; P] frames -> FC 102/256 -> Tanh head to 17 x 3."""
+    """biLSTM(51 x 2) over [V; P] frames -> FC 102/256 -> Tanh head to 17 x 3.
+
+    The head reads the biLSTM's last frame only. Layer 2's reverse direction
+    starts from a zero state at that frame, so `forward` runs it for that one
+    step; it gives the value the full reversed run gives there.
+    """
 
     def __init__(self, *, seed: int = 0, dtype=np.float32):
         rng = np.random.default_rng(seed)
@@ -91,9 +100,12 @@ class OptModel:
             raise ValueError(f"expected (B, T, {FEATURE_DIM}) input, got {x.data.shape}")
         if x.data.shape[1] < 2:
             raise ValueError("optimization input needs at least 2 frames")
-        h = self.lstm(x)
-        last = h[:, -1, :]
-        h = ops.relu(self.fc1(last))
+        l1_fwd, l1_rev, l2_fwd, l2_rev = ((w["W_ih"], w["W_hh"], w["b"])
+                                          for w in self.lstm.weights)
+        h1 = ops.lstm_layer(x, [l1_fwd, l1_rev])
+        fwd = ops.lstm_layer(h1, [l2_fwd])[:, -1]
+        rev = ops.lstm_layer(h1[:, -1:], [l2_rev])[:, 0]
+        h = ops.relu(self.fc1(ops.concat([fwd, rev], axis=1)))
         h = ops.tanh(self.fc2(h))
         return h
 
@@ -156,31 +168,39 @@ def build_training_pairs(mocap: list, n_pairs: int, window: int, seed: int):
     """
     if not mocap:
         raise ValueError("mocap corpus is empty")
-    for seq in mocap:
-        if len(seq) < 2:
-            raise ValueError("every mocap sequence needs at least 2 frames")
+    if any(len(s) < 2 for s in mocap):
+        raise ValueError("every mocap sequence needs at least 2 frames")
     rng = np.random.default_rng(seed)
     w_eff = min(window, min(len(s) for s in mocap))
-    vels = [differentiate(s) for s in mocap]
-    feats = np.empty((n_pairs, w_eff, FEATURE_DIM), dtype=np.float32)
-    labels = np.empty((n_pairs, N_JOINTS, 3), dtype=np.float32)
-    for k in range(n_pairs):
-        a = rng.integers(len(mocap))
-        seq, vel = mocap[a], vels[a]
-        i0 = rng.integers(0, len(seq) - w_eff + 1)
-        true_p0 = seq.positions[i0]
-        u = rng.random()
-        if u < UNIVERSAL_FRACTION:
-            guess = t_pose(xy=true_p0[0, :2] + rng.normal(scale=0.3, size=2),
-                           heading=rng.uniform(0, 2 * np.pi))
+    # every sequence's frames in one array, sequence a from row offsets[a]
+    offsets = np.cumsum([0] + [len(s) for s in mocap])
+    poses = np.concatenate([s.positions for s in mocap])
+    vels = np.concatenate([differentiate(s).values for s in mocap])
+    dts = np.array([s.dt for s in mocap])
+    seq, start = np.empty((2, n_pairs), dtype=np.intp)  # each window's sequence and row
+    stolen = np.full(n_pairs, -1)  # the row of a stolen guess; -1 for a T-pose
+    xy, heading = np.empty((n_pairs, 2)), np.empty(n_pairs)
+    for k in range(n_pairs):  # the random draws, pair by pair
+        seq[k] = a = rng.integers(len(mocap))
+        start[k] = offsets[a] + rng.integers(0, len(mocap[a]) - w_eff + 1)
+        if rng.random() < UNIVERSAL_FRACTION:
+            xy[k] = poses[start[k], 0, :2] + rng.normal(scale=0.3, size=2)
+            heading[k] = rng.uniform(0, 2 * np.pi)
         else:
             b = rng.integers(len(mocap))
-            j = rng.integers(len(mocap[b]))
-            guess = mocap[b].positions[j]
-        v_win = vel.values[i0: i0 + w_eff]
-        p_win = integrate(guess, VelocitySequence(v_win, vel.dt)).positions
-        feats[k] = _stack_features(p_win, v_win)
-        labels[k] = opt_vector_truth(guess, true_p0)
+            stolen[k] = offsets[b] + rng.integers(len(mocap[b]))
+    universal = stolen < 0
+    guess = poses[stolen]  # a T-pose row reads the last frame here, then is replaced
+    guess[universal] = t_pose(xy[universal], heading[universal])
+    # `integrate` of each window from its guess, as one cumulative sum
+    v_win = vels[start[:, None] + np.arange(w_eff)]
+    steps = v_win * dts[seq, None, None, None]
+    steps[:, 0] = guess
+    p_win = np.cumsum(steps, axis=1)
+    feats = np.empty((n_pairs, w_eff, FEATURE_DIM), dtype=np.float32)
+    feats[..., :N_JOINTS * 3] = v_win.reshape(n_pairs, w_eff, -1)
+    feats[..., N_JOINTS * 3:] = p_win.reshape(n_pairs, w_eff, -1)
+    labels = opt_vector_truth(guess, poses[start]).astype(np.float32)
     return feats, labels
 
 

@@ -1,10 +1,10 @@
-"""Central-finite-difference gradient verification helpers."""
+"""Central-finite-difference gradient checks for the tests (and demo 05)."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor
+from dopplerpose.nncore import Tensor
 
 
 def finite_difference(loss_fn, arrays: list[np.ndarray], h: float = 1e-3) -> list[np.ndarray]:

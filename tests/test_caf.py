@@ -368,6 +368,89 @@ class TestWalkingSceneTrack:
         assert hits / (spec.n_frames - 1) >= 0.8
 
 
+def per_slice_pipeline(sur, ref, *, cpi_s, delay_bins, doppler_span_hz, doppler_oversample,
+                       clean_iterations):
+    """Oracle: `spectrogram_pipeline` as it built a checked signal for every CPI slice."""
+    fs = sur.sample_rate_hz
+    n_cpi = int(round(cpi_s * fs))
+    maps = []
+    for i in range(len(sur) // n_cpi):
+        sl = slice(i * n_cpi, (i + 1) * n_cpi)
+        sur_i = BasebandSignal(sur.samples[sl], fs)
+        ref_i = BasebandSignal(ref.samples[sl], fs)
+        m = compute_caf(sur_i, ref_i, delay_bins, doppler_span_hz,
+                        doppler_oversample=doppler_oversample)
+        if clean_iterations > 0:
+            tmpl = self_caf(ref_i, delay_bins, doppler_span_hz,
+                            doppler_oversample=doppler_oversample)
+            m = clean_dsi(m, tmpl, iterations=clean_iterations)
+        maps.append(m)
+    return assemble_spectrogram(maps)
+
+
+class TestPipelineSlices:
+    """CPI slices of the checked input signals are not scanned again."""
+
+    FS = 16e3
+
+    def _scene(self):
+        geom = Geometry(tx_pos=[-4, 8, 1.5], rx_sur_pos=[0, 8, 1.0],
+                        rx_ref_pos=[-3.8, 8, 1.5])
+        pose = generate_activity(ActivityKind.WPLUS, 2.0, seed=3)
+        u = generate_waveform(8e3, 1.0, self.FS, seed=2)
+        sur = synthesize_surveillance(u, pose, ScattererModel(), geom,
+                                      InterferenceConfig(dsi_amplitude=0.05, noise_floor=0.1))
+        return sur, u
+
+    @pytest.mark.parametrize("clean_iterations", [0, 2])
+    def test_bit_identical_with_one_caf_per_cpi_and_no_rescan(self, clean_iterations,
+                                                               monkeypatch):
+        sur, ref = self._scene()
+        kw = dict(cpi_s=0.1, delay_bins=2, doppler_span_hz=100.0, doppler_oversample=4,
+                  clean_iterations=clean_iterations)
+        want = per_slice_pipeline(sur, ref, **kw)
+        calls = {"caf": 0, "checks": 0}
+        caf_fn, check_fn = compute_caf, BasebandSignal.__post_init__
+
+        def counted_caf(*args, **kwargs):
+            calls["caf"] += 1
+            return caf_fn(*args, **kwargs)
+
+        def counted_check(self):
+            calls["checks"] += 1
+            check_fn(self)
+
+        monkeypatch.setattr("dopplerpose.caf.compute_caf", counted_caf)
+        monkeypatch.setattr(BasebandSignal, "__post_init__", counted_check)
+        got = spectrogram_pipeline(sur, ref, **kw)
+        # one map a CPI, plus the CLEAN template's through `self_caf`
+        assert calls == {"caf": 10 if clean_iterations == 0 else 20, "checks": 0}
+        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(got.doppler_axis, want.doppler_axis) and got.dt == want.dt
+
+    def test_non_finite_sample_still_rejected(self):
+        sur, ref = self._scene()
+        bad = sur.samples.copy()
+        bad[1234] = complex(np.nan, 0.0)
+        with pytest.raises(ValueError, match="signal samples must be finite"):
+            spectrogram_pipeline(BasebandSignal(bad, self.FS), ref, cpi_s=0.1, delay_bins=1,
+                                 doppler_span_hz=100.0)
+
+    def test_slice_is_a_signal_from_its_first_sample(self):
+        u = BasebandSignal(np.arange(10.0) + 1j, 100.0, start_time_s=0.5)
+        part = u[3:7]
+        assert isinstance(part, BasebandSignal)
+        assert np.array_equal(part.samples, u.samples[3:7])
+        assert np.shares_memory(part.samples, u.samples)
+        assert part.sample_rate_hz == 100.0 and part.start_time_s == 0.5 + 3 / 100.0
+        assert np.array_equal(part.times(), u.times()[3:7])
+        assert u.start_time_s == 0.5 and len(u) == 10
+        with pytest.raises(ValueError, match="step 2"):
+            u[::2]
+        with pytest.raises(TypeError, match="slice"):
+            u[3]
+
+
 class TestSpectrogramIO:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)

@@ -202,6 +202,16 @@ class TestBoneLengths:
         assert np.abs(first - last).max() < 1e-6
 
 
+def test_t_pose_stack_equals_one_by_one():
+    rng = np.random.default_rng(4)
+    xy, heading = rng.normal(size=(9, 2)), rng.uniform(0, 2 * np.pi, size=9)
+    stack = motion.t_pose(xy, heading)
+    assert stack.shape == (9, 17, 3)
+    assert np.array_equal(stack, [motion.t_pose(xy[k], heading[k]) for k in range(9)])
+    assert motion.t_pose(xy[:0], heading[:0]).shape == (0, 17, 3)
+    assert motion.t_pose(xy[0], heading[0]).shape == (17, 3)
+
+
 class TestPoseIO:
     def test_round_trip(self, tmp_path):
         p = generate_activity(ActivityKind.BR, 3.0, seed=5)

@@ -8,6 +8,18 @@ from dopplerpose import nncore as nn
 from dopplerpose.nncore import Tensor
 from dopplerpose.nncore import tensor as ops
 from dopplerpose.velest import VelModel
+from gradcheck import check_gradients, relative_error
+
+
+def sigmoid(a):
+    """The logistic op of the composite LSTM oracle below (no model uses it)."""
+    a = ops.as_tensor(a)
+    out_data = 1.0 / (1.0 + np.exp(-a.data))
+
+    def backward(g):
+        a._accumulate(g * out_data * (1.0 - out_data))
+
+    return ops._make(out_data, (a,), backward)
 
 
 def rng64(seed):
@@ -96,7 +108,7 @@ class TestAutogradBasics:
 
     @pytest.mark.parametrize("op,dfn", [
         (ops.tanh, lambda x: 1 - np.tanh(x) ** 2),
-        (ops.sigmoid, lambda x: (1 / (1 + np.exp(-x))) * (1 - 1 / (1 + np.exp(-x)))),
+        (sigmoid, lambda x: (1 / (1 + np.exp(-x))) * (1 - 1 / (1 + np.exp(-x)))),
         (ops.relu, lambda x: (x > 0).astype(float)),
         (ops.absolute, lambda x: np.sign(x)),
     ])
@@ -155,13 +167,73 @@ class TestConv1d:
             ops.conv1d(Tensor(np.zeros((1, 3, 2))), Tensor(np.zeros((3, 2, 5))), None)
 
 
+def channel_major_conv1d(x, w, b, stride, padding):
+    """Oracle: `conv1d` with (channel, tap) im2col columns and a col2im add per output."""
+    bsz, width, c_in = x.data.shape
+    c_out, _, k = w.data.shape
+    w_out = (width + 2 * padding - k) // stride + 1
+    xp = np.pad(x.data, ((0, 0), (padding, padding), (0, 0))) if padding else x.data
+    windows = np.lib.stride_tricks.sliding_window_view(xp, k, axis=1)[:, ::stride]
+    cols = np.ascontiguousarray(windows).reshape(bsz * w_out, c_in * k)
+    w2 = w.data.reshape(c_out, c_in * k)
+    out2 = cols @ w2.T + b.data
+
+    def backward(g):
+        g2 = g.reshape(bsz * w_out, c_out)
+        w._accumulate((g2.T @ cols).reshape(c_out, c_in, k))
+        b._accumulate(g2.sum(axis=0))
+        gcols = (g2 @ w2).reshape(bsz, w_out, c_in, k).transpose(0, 1, 3, 2)
+        gxp = np.zeros_like(xp)
+        for o in range(w_out):
+            gxp[:, o * stride: o * stride + k] += gcols[:, o]
+        x._accumulate(gxp[:, padding: padding + width] if padding else gxp)
+
+    return ops._make(out2.reshape(bsz, w_out, c_out), (x, w, b), backward)
+
+
+# (batch, width, C_in, C_out, kernel, stride, padding): VelModel's three convs
+# on 81 Doppler bins, and a padded case
+CONV_SHAPES = [(6, 81, 1, 32, 5, 2, 0), (6, 39, 32, 64, 5, 2, 0), (6, 18, 64, 64, 5, 2, 0),
+               (3, 9, 3, 4, 4, 2, 2)]
+
+
+class TestTapMajorConv:
+    """`conv1d`'s (tap, channel) columns against the channel-major layout it replaced."""
+
+    @staticmethod
+    def _inputs(shape, seed):
+        bsz, width, c_in, c_out, k, stride, padding = shape
+        rng = rng64(seed)
+        layer = nn.Conv1d(c_in, c_out, k, stride=stride, padding=padding, rng=rng,
+                          dtype=np.float64)
+        return layer, t64(rng, (bsz, width, c_in), grad=True)
+
+    @pytest.mark.parametrize("shape", CONV_SHAPES)
+    def test_float64_forward_and_gradients_match_channel_major(self, shape):
+        layer, x = self._inputs(shape, seed=sum(shape))
+        params = [x, layer.weight, layer.bias]
+        runs = []
+        for conv in (ops.conv1d, channel_major_conv1d):
+            for p in params:
+                p.grad = None
+            out = conv(x, layer.weight, layer.bias, layer.stride, layer.padding)
+            ops.tsum(ops.mul(ops.tanh(out), t64(rng64(1), out.data.shape))).backward()
+            runs.append((out.data, [p.grad.copy() for p in params]))
+        (out, grads), (want, want_grads) = runs
+        assert out.shape == want.shape
+        assert np.abs(out - want).max() <= 1e-12 * np.abs(want).max()
+        for got, ref in zip(grads, want_grads):
+            assert got.shape == ref.shape
+            assert relative_error(got, ref) <= 1e-10
+
+
 class TestGradientChecks:
     """Every layer type against central finite differences (<= 1e-4 relative)."""
 
     TOL = 1e-4
 
     def _check(self, build, params):
-        err = nn.check_gradients(build, params)
+        err = check_gradients(build, params)
         assert err <= self.TOL, f"gradient mismatch: {err:.2e}"
 
     @pytest.mark.parametrize("seed", range(10))
@@ -293,10 +365,10 @@ def composite_direction(x, w, reverse):
     outputs = [None] * t_len
     for t in order:
         z = ops.add(pre[:, t, :], ops.matmul(h, w["W_hh"]))
-        i = ops.sigmoid(z[:, 0:h_dim])
-        f = ops.sigmoid(z[:, h_dim:2 * h_dim])
+        i = sigmoid(z[:, 0:h_dim])
+        f = sigmoid(z[:, h_dim:2 * h_dim])
         g = ops.tanh(z[:, 2 * h_dim:3 * h_dim])
-        o = ops.sigmoid(z[:, 3 * h_dim:4 * h_dim])
+        o = sigmoid(z[:, 3 * h_dim:4 * h_dim])
         c = ops.add(ops.mul(f, c), ops.mul(i, g))
         h = ops.mul(o, ops.tanh(c))
         outputs[t] = h
@@ -374,7 +446,7 @@ class TestFusedLstm:
             ops.tsum(ops.mul(ops.tanh(run(x)), weights)).backward()
             grads.append([p.grad.copy() for p in layer.params() + [x]])
         for fused, oracle in zip(*grads):
-            assert nn.relative_error(fused, oracle) <= 1e-10
+            assert relative_error(fused, oracle) <= 1e-10
 
     @pytest.mark.parametrize("seed", range(3))
     def test_reverse_direction_gradcheck(self, seed):
@@ -384,7 +456,7 @@ class TestFusedLstm:
                     for _ in range(2))
         x = t64(rng, (2, 5, 3), grad=True)
         build = lambda: ops.tsum(ops.tanh(ops.lstm_layer(x, [fwd, rev])[:, :, 4:]))
-        assert nn.check_gradients(build, rev + [x]) <= 1e-4
+        assert check_gradients(build, rev + [x]) <= 1e-4
         assert not any(p.grad.any() for p in fwd)
 
     @pytest.mark.parametrize("t_len", [1, 6])
@@ -395,7 +467,7 @@ class TestFusedLstm:
         x = t64(rng, (2, t_len, 3), grad=True)
         weights = t64(rng, (2, t_len, 6))
         build = lambda: ops.tsum(ops.mul(ops.tanh(ops.lstm_layer(x, directions)), weights))
-        assert nn.check_gradients(build, directions[0] + directions[1] + [x]) <= 1e-4
+        assert check_gradients(build, directions[0] + directions[1] + [x]) <= 1e-4
 
     def test_mixed_dtypes_rejected(self):
         layer, x = self._layer_and_input((2, 4, 3, 5, 1, True), np.float64)
@@ -417,7 +489,7 @@ class TestFusedLstm:
         layer = nn.LSTM(3, 4, num_layers=2, bidirectional=True, rng=rng, dtype=np.float64)
         x = t64(rng, (2, 1, 3), grad=True)
         build = lambda: ops.tsum(ops.tanh(layer(x)))
-        assert nn.check_gradients(build, layer.params() + [x]) <= 1e-4
+        assert check_gradients(build, layer.params() + [x]) <= 1e-4
 
     def test_graph_size_independent_of_length(self):
         # stands in for "backward cost per step flat in T": the composite
@@ -499,7 +571,7 @@ class TestFusedBatchNorm:
             ops.tsum(ops.mul(ops.tanh(out), weights)).backward()
             grads.append([p.grad.copy() for p in (x, gamma, beta)])
         for fused, oracle in zip(*grads):
-            assert nn.relative_error(fused, oracle) <= 1e-10
+            assert relative_error(fused, oracle) <= 1e-10
 
     @pytest.mark.parametrize("seed", range(3))
     def test_gradcheck(self, seed):
@@ -507,7 +579,7 @@ class TestFusedBatchNorm:
         weights = t64(rng64(seed), (6, 3))
         build = lambda: ops.tsum(ops.mul(ops.tanh(ops.batch_norm(x, gamma, beta, 1e-5)[0]),
                                          weights))
-        assert nn.check_gradients(build, [x, gamma, beta]) <= 1e-4
+        assert check_gradients(build, [x, gamma, beta]) <= 1e-4
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_layer_matches_composite_on_channel_last_input(self, dtype):

@@ -17,6 +17,7 @@ from dopplerpose.motion import (
     t_pose,
 )
 from dopplerpose.nncore import Tensor
+from dopplerpose.nncore import tensor as ops
 from dopplerpose.poseopt import (
     OptConfig,
     OptModel,
@@ -27,6 +28,10 @@ from dopplerpose.poseopt import (
     reconstruct_long_term,
 )
 from dopplerpose.velest import TrainConfig, VelModel
+from gradcheck import check_gradients, relative_error
+
+PINNED_OPT_MODEL = (Path(__file__).resolve().parents[1] / "perfbench" / "checkpoints"
+                    / "opt_model.dpc")
 
 
 def opt_loss(pred: np.ndarray, truth: np.ndarray) -> float:
@@ -86,6 +91,37 @@ def own_loop_opt_train(m, mocap, cfg, *, n_pairs, window):
     return history
 
 
+def per_pair_training_pairs(mocap, n_pairs, window, seed):
+    """Oracle: `build_training_pairs` as one integration and one label per pair."""
+    rng = np.random.default_rng(seed)
+    w_eff = min(window, min(len(s) for s in mocap))
+    vels = [differentiate(s) for s in mocap]
+    feats = np.empty((n_pairs, w_eff, poseopt.FEATURE_DIM), dtype=np.float32)
+    labels = np.empty((n_pairs, N_JOINTS, 3), dtype=np.float32)
+    for k in range(n_pairs):
+        a = rng.integers(len(mocap))
+        seq, vel = mocap[a], vels[a]
+        i0 = rng.integers(0, len(seq) - w_eff + 1)
+        true_p0 = seq.positions[i0]
+        if rng.random() < poseopt.UNIVERSAL_FRACTION:
+            guess = t_pose(xy=true_p0[0, :2] + rng.normal(scale=0.3, size=2),
+                           heading=rng.uniform(0, 2 * np.pi))
+        else:
+            b = rng.integers(len(mocap))
+            guess = mocap[b].positions[rng.integers(len(mocap[b]))]
+        v_win = vel.values[i0: i0 + w_eff]
+        p_win = integrate(guess, VelocitySequence(v_win, vel.dt)).positions
+        feats[k] = np.concatenate([v_win.reshape(w_eff, -1), p_win.reshape(w_eff, -1)], axis=1)
+        labels[k] = opt_vector_truth(guess, true_p0)
+    return feats, labels
+
+
+def full_lstm_forward(m, x):
+    """Oracle: `OptModel.forward` with both layer-2 directions run over every frame."""
+    h = m.lstm(x)[:, -1, :]
+    return ops.tanh(m.fc2(ops.relu(m.fc1(h))))
+
+
 def predictor(fn):
     """A predictor for the pose loop: its `opt_vectors(P, V)` is fn."""
     return SimpleNamespace(opt_vectors=fn)
@@ -126,6 +162,18 @@ class TestOptVectorTruth:
         a = opt_vector_truth(guess, guess + 0.5 * d)
         b = opt_vector_truth(guess, guess + 7.0 * d)
         assert np.allclose(a, b)
+
+    def test_stack_equals_frame_by_frame(self):
+        rng = np.random.default_rng(3)
+        guess, truth = rng.normal(size=(2, 5, N_JOINTS, 3))
+        truth[2] = guess[2]
+        stack = opt_vector_truth(guess, truth)
+        assert np.array_equal(stack, [opt_vector_truth(g, t) for g, t in zip(guess, truth)])
+        assert not stack[2].any()
+        with pytest.raises(ValueError, match="stacks of one shape"):
+            opt_vector_truth(guess, truth[:4])
+        with pytest.raises(ValueError, match="stacks of one shape"):
+            opt_vector_truth(guess[..., :2], truth[..., :2])
 
 
 class TestOptLoss:
@@ -197,6 +245,59 @@ class TestOptForward:
         v = differentiate(p)
         with pytest.raises(ValueError, match="lengths differ"):
             m.opt_vectors(p.positions, v.values[:-1])
+
+
+class TestOptModelLastStep:
+    """Layer 2's reverse direction run for the last frame only, against the full run."""
+
+    @staticmethod
+    def _frames(bsz, t_len, dtype, seed=0):
+        x = np.random.default_rng(seed).normal(scale=0.5, size=(bsz, t_len, 102))
+        return Tensor(x.astype(dtype), requires_grad=dtype == np.float64)
+
+    @pytest.mark.parametrize("bsz", [2, 26, 128])
+    def test_float32_batches_bit_identical(self, bsz):
+        m = OptModel.load(PINNED_OPT_MODEL)
+        x = self._frames(bsz, 30, np.float32)
+        with nn.no_grad():
+            want = full_lstm_forward(m, x).data
+            assert np.array_equal(m.forward(x).data, want)
+        assert np.array_equal(m.forward(x, training=True).data, want)
+
+    @pytest.mark.parametrize("t_len", [10, 50])
+    def test_float32_one_problem_within_1e6(self, t_len):
+        # a one-row input projection takes another BLAS path than the full run's
+        m = OptModel.load(PINNED_OPT_MODEL)
+        x = self._frames(1, t_len, np.float32)
+        with nn.no_grad():
+            got, want = m.forward(x).data, full_lstm_forward(m, x).data
+        assert np.abs(got - want).max() <= 1e-6
+
+    @pytest.mark.parametrize("bsz, t_len", [(3, 6), (1, 2)])
+    def test_float64_gradients_match_full_run(self, bsz, t_len):
+        m = OptModel(seed=3, dtype=np.float64)
+        x = self._frames(bsz, t_len, np.float64, seed=1)
+        weights = np.random.default_rng(2).normal(size=(bsz, N_JOINTS * 3))
+        params = m.params() + [x]
+        runs = []
+        for run in (m.forward, lambda inp: full_lstm_forward(m, inp)):
+            for p in params:
+                p.grad = None
+            out = run(x)
+            ops.tsum(ops.mul(out, weights)).backward()
+            runs.append((out.data, [p.grad.copy() for p in params]))
+        (out, grads), (want, want_grads) = runs
+        assert np.abs(out - want).max() <= 1e-12
+        for got, ref in zip(grads, want_grads):
+            assert relative_error(got, ref) <= 1e-10
+
+    def test_gradcheck(self):
+        m = OptModel(seed=4, dtype=np.float64)
+        x = self._frames(2, 3, np.float64, seed=5)
+        weights = np.random.default_rng(6).normal(size=(2, N_JOINTS * 3))
+        build = lambda: ops.tsum(ops.mul(m.forward(x, training=True), weights))
+        # the input, and the bias of layer 2's one-step reverse direction
+        assert check_gradients(build, [x, m.lstm.weights[3]["b"]]) <= 1e-4
 
 
 class TestOptimizeInitialPose:
@@ -401,6 +502,20 @@ class TestOptTrain:
                          n_pairs=1, window=6)
         assert hist[-1]["train_loss"] < 0.1 * hist[0]["train_loss"]
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n_pairs, window", [(64, 8), (40, 100), (1, 6)])
+    def test_bit_identical_to_per_pair_loop(self, n_pairs, window, seed):
+        # sequences of 20, 25 and 30 frames; window 100 is cut to the shortest
+        corpus = [generate_activity(k, d, seed=i) for i, (k, d) in enumerate(
+            [(ActivityKind.WPLUS, 2.0), (ActivityKind.SD, 2.5), (ActivityKind.HT, 3.0),
+             (ActivityKind.BR, 2.0)])]
+        got = build_training_pairs(corpus, n_pairs, window, seed)
+        want = per_pair_training_pairs(corpus, n_pairs, window, seed)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype == np.float32
+            assert a.shape == b.shape
+            assert np.array_equal(a, b)
+
     def test_float64_model_trains_in_float64(self):
         m = OptModel(seed=4, dtype=np.float64)
         opt_train(m, self._tiny_corpus(), TrainConfig(epochs=1, batch_size=4, seed=6),
@@ -444,10 +559,9 @@ class TestOptModelIO:
 
     def test_pinned_checkpoint_with_layer_specs_loads_exactly(self):
         # Written before checkpoints dropped their `layers` field; read only.
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "checkpoints" / "opt_model.dpc"
-        header, payload = containers.read_container(path)
+        header, payload = containers.read_container(PINNED_OPT_MODEL)
         assert "layers" in header and header["state_shapes"] == []
-        m = OptModel.load(path)
+        m = OptModel.load(PINNED_OPT_MODEL)
         restored = np.concatenate([p.data.ravel() for p in m.params()])
         assert np.array_equal(restored, payload)
 
