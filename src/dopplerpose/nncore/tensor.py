@@ -9,18 +9,21 @@ a whole (bi)LSTM layer as one node whose directions step together, with a
 hand-written backpropagation-through-time backward. Float32 by default;
 gradient-check tests run the same graphs in float64.
 
-Layouts, for speed:
-- `conv1d` builds its im2col columns tap-major, (K, C_in) per output
-  position (K. Chellapilla et al., "High Performance Convolutional Neural
-  Networks for Document Processing", 2006): the copy moves C_in-long runs of
-  the channel-last input, and the weights are viewed the same way. Its
-  col2im is K strided adds, one per tap, not one add per output position;
-  each tap's column gradients are their own product, so the whole
-  (B W_out, K C_in) column gradient is never held at once.
-- `lstm_layer` adds each direction's bias to its contiguous input
-  projection before copying it into step order, and its step loop works in
-  place in preallocated buffers: the gate pre-activations, the sigmoid in
-  the kept gate array, i*g and the cell state.
+What each training node keeps for its backward, besides its parents:
+- `conv1d`: nothing unpadded, the padded input with `padding` > 0. Its
+  im2col columns, tap major, (K, C_in) per output position (K. Chellapilla
+  et al., "High Performance Convolutional Neural Networks for Document
+  Processing", 2006), live only for the forward GEMM. Backward takes the
+  weight gradient one tap at a time from the (padded) input, and col2im is
+  K strided adds, one product each, so neither the columns nor their
+  gradient is ever held whole (storing less and recomputing the rest:
+  T. Chen et al., "Training Deep Nets with Sublinear Memory Cost", 2016).
+- `batch_norm`: the F-long mean and 1/std. Backward recomputes the
+  normalised input from the input with the forward's ops.
+- `lstm_layer`: the gates, cells, tanh(cells) and hidden states of every
+  step. Its step loop works in place in preallocated buffers, and each
+  direction's bias is added to its contiguous input projection before the
+  copy into step order.
 """
 
 from __future__ import annotations
@@ -321,35 +324,38 @@ def batch_norm(x, gamma, beta, eps: float):
     in the same order, so the output is bit-identical to one. Backward is the
     closed form of Ioffe & Szegedy (ICML 2015),
     dx = inv/N (N g' - sum g' - xhat sum(g' xhat)) with g' = g gamma, here as
-    gamma inv/N (N g - dbeta - xhat dgamma). Both directions work in place
-    where a fresh (N, F) array would only hold an intermediate.
+    gamma inv/N (N g - dbeta - xhat dgamma). The node keeps only the F-long
+    mean and 1/std: backward recomputes xhat from the input with the forward's
+    ops, so bit for bit, and works in that buffer and one more.
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     x2 = x.data.reshape(-1, x.data.shape[-1])
     n = len(x2)
     mean = x2.mean(axis=0)
-    centered = x2 - mean
-    var = (centered * centered).mean(axis=0)
+    out = x2 - mean
+    var = (out * out).mean(axis=0)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered
-    xhat *= inv
+    out *= inv
+    out *= gamma.data
+    out += beta.data
 
     def backward(g):
         g = g.reshape(x2.shape)
         dbeta = g.sum(axis=0)
+        xhat = x2 - mean
+        xhat *= inv
         gx = g * xhat
         dgamma = gx.sum(axis=0)
         gamma._accumulate(dgamma)
         beta._accumulate(dbeta)
         if x.requires_grad:
-            dx = n * g
+            dx = np.multiply(g, n, out=gx)
             dx -= dbeta
-            dx -= np.multiply(xhat, dgamma, out=gx)
+            xhat *= dgamma
+            dx -= xhat
             dx *= gamma.data * inv / n
             x._accumulate(dx.reshape(x.data.shape))
 
-    out = xhat * gamma.data
-    out += beta.data
     return _make(out.reshape(x.data.shape), (x, gamma, beta), backward), mean, var
 
 
@@ -487,24 +493,29 @@ def conv1d(x, w, b=None, stride: int = 1, padding: int = 0):
     # the copy moves C_in-long runs; the weights are viewed the same way
     windows = np.lib.stride_tricks.sliding_window_view(xp, k, axis=1)[:, ::stride]
     cols = np.ascontiguousarray(windows.transpose(0, 1, 3, 2)).reshape(bsz * w_out, k * c_in)
-    w2 = w.data.transpose(0, 2, 1).reshape(c_out, k * c_in)
-    out2 = cols @ w2.T
+    out2 = cols @ w.data.transpose(0, 2, 1).reshape(c_out, k * c_in).T
     if b is not None:
         out2 += b.data
 
     parents = (x, w) if b is None else (x, w, b)
+    # tap j of output o reads input row o * stride + j: (B, W_out, C_in) a tap
+    span = stride * (w_out - 1) + 1
 
     def backward(g):
         g2 = g.reshape(bsz * w_out, c_out)
-        w._accumulate((g2.T @ cols).reshape(c_out, k, c_in).transpose(0, 2, 1))
+        # the weight gradient one tap at a time, from the input the node keeps
+        gw = np.empty((c_out, k, c_in), dtype=g2.dtype)
+        for j in range(k):
+            gw[:, j] = g2.T @ xp[:, j: j + span: stride].reshape(bsz * w_out, c_in)
+        w._accumulate(gw.transpose(0, 2, 1))
         if b is not None:
             b._accumulate(g2.sum(axis=0))
         if not x.requires_grad:
             return
-        # col2im, one tap at a time: tap j of output o came from input row
-        # o * stride + j, and its column gradients are one (C_in wide) product
+        # col2im, one tap at a time: each tap's column gradients are one
+        # (C_in wide) product
         gxp = np.zeros_like(xp)
-        span = stride * (w_out - 1) + 1
+        w2 = w.data.transpose(0, 2, 1).reshape(c_out, k * c_in)
         for j in range(k):
             gcol = g2 @ w2[:, j * c_in:(j + 1) * c_in]
             gxp[:, j: j + span: stride] += gcol.reshape(bsz, w_out, c_in)

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -225,6 +226,83 @@ class TestTapMajorConv:
         for got, ref in zip(grads, want_grads):
             assert got.shape == ref.shape
             assert relative_error(got, ref) <= 1e-10
+
+
+def im2col_conv1d(x, w, b, stride, padding):
+    """Oracle: `conv1d` as it was when its node kept the (tap, channel) im2col
+    columns for a one-GEMM weight gradient."""
+    bsz, width, c_in = x.data.shape
+    c_out, _, k = w.data.shape
+    w_out = (width + 2 * padding - k) // stride + 1
+    xp = np.pad(x.data, ((0, 0), (padding, padding), (0, 0))) if padding else x.data
+    windows = np.lib.stride_tricks.sliding_window_view(xp, k, axis=1)[:, ::stride]
+    cols = np.ascontiguousarray(windows.transpose(0, 1, 3, 2)).reshape(bsz * w_out, k * c_in)
+    w2 = w.data.transpose(0, 2, 1).reshape(c_out, k * c_in)
+    out2 = cols @ w2.T
+    out2 += b.data
+
+    def backward(g):
+        g2 = g.reshape(bsz * w_out, c_out)
+        w._accumulate((g2.T @ cols).reshape(c_out, k, c_in).transpose(0, 2, 1))
+        b._accumulate(g2.sum(axis=0))
+        gxp = np.zeros_like(xp)
+        span = stride * (w_out - 1) + 1
+        for j in range(k):
+            gcol = g2 @ w2[:, j * c_in:(j + 1) * c_in]
+            gxp[:, j: j + span: stride] += gcol.reshape(bsz, w_out, c_in)
+        x._accumulate(gxp[:, padding: padding + width] if padding else gxp)
+
+    return ops._make(out2.reshape(bsz, w_out, c_out), (x, w, b), backward)
+
+
+# (batch, width, C_in, C_out, kernel, stride, padding): VelModel's conv2 and
+# conv3 on 81 Doppler bins over 200 frames, and a padded stride-1 case
+PER_TAP_SHAPES = [(200, 39, 32, 64, 5, 2, 0), (200, 18, 64, 64, 5, 2, 0),
+                  (5, 12, 3, 4, 3, 1, 2)]
+
+
+class TestPerTapConv:
+    """`conv1d`'s per-tap weight gradient against the kept-column node it replaced."""
+
+    @staticmethod
+    def _run(conv, shape, dtype):
+        bsz, width, c_in, c_out, k, stride, padding = shape
+        rng = rng64(sum(shape))
+        layer = nn.Conv1d(c_in, c_out, k, stride=stride, padding=padding, rng=rng, dtype=dtype)
+        x = Tensor(rng.normal(size=(bsz, width, c_in)).astype(dtype), requires_grad=True)
+        out = conv(x, layer.weight, layer.bias, layer.stride, layer.padding)
+        weights = Tensor(rng.normal(size=out.data.shape).astype(dtype))
+        ops.tsum(ops.mul(ops.tanh(out), weights)).backward()
+        return out.data, [p.grad for p in (x, layer.weight, layer.bias)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", PER_TAP_SHAPES)
+    def test_bit_identical_to_im2col(self, shape, dtype):
+        (out, grads), (want, want_grads) = (self._run(conv, shape, dtype)
+                                            for conv in (ops.conv1d, im2col_conv1d))
+        assert np.array_equal(out, want)
+        for got, ref in zip(grads, want_grads):
+            assert got.dtype == ref.dtype == dtype
+            assert np.array_equal(got, ref)
+
+    def test_one_input_channel_within_rounding(self):
+        # VelModel's conv1: at C_in = 1 a tap's product is a matrix-vector
+        # product, which rounds differently from the one GEMM
+        shape = (200, 81, 1, 32, 5, 2, 0)
+        (out, grads), (want, want_grads) = (self._run(conv, shape, np.float64)
+                                            for conv in (ops.conv1d, im2col_conv1d))
+        assert np.array_equal(out, want)
+        for got, ref in zip(grads, want_grads):
+            assert relative_error(got, ref) <= 1e-10
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_padded_strided_gradcheck(self, seed):
+        # the last tap reads the right padding; stride 3 skips rows between taps
+        rng = rng64(900 + seed)
+        layer = nn.Conv1d(3, 2, kernel=4, stride=3, padding=1, rng=rng, dtype=np.float64)
+        x = t64(rng, (2, 11, 3), grad=True)
+        build = lambda: ops.tsum(ops.tanh(layer(x)))
+        assert check_gradients(build, layer.params() + [x]) <= 1e-4
 
 
 class TestGradientChecks:
@@ -517,6 +595,34 @@ class TestFusedLstm:
         assert all(p.grad is not None for p in layer.params())
 
 
+def stored_xhat_batch_norm(x, gamma, beta, eps):
+    """Oracle: `batch_norm` as it was when its node kept the normalised copy xhat."""
+    x2 = x.data.reshape(-1, x.data.shape[-1])
+    n = len(x2)
+    mean = x2.mean(axis=0)
+    xhat = x2 - mean
+    var = (xhat * xhat).mean(axis=0)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat *= inv
+
+    def backward(g):
+        g = g.reshape(x2.shape)
+        dbeta = g.sum(axis=0)
+        gx = g * xhat
+        dgamma = gx.sum(axis=0)
+        gamma._accumulate(dgamma)
+        beta._accumulate(dbeta)
+        dx = n * g
+        dx -= dbeta
+        dx -= np.multiply(xhat, dgamma, out=gx)
+        dx *= gamma.data * inv / n
+        x._accumulate(dx.reshape(x.data.shape))
+
+    out = xhat * gamma.data
+    out += beta.data
+    return ops._make(out.reshape(x.data.shape), (x, gamma, beta), backward), mean, var
+
+
 def composite_batch_norm(x, gamma, beta, eps):
     """Oracle: training-mode batch norm of x (..., F) from elementwise and reduction ops.
 
@@ -634,6 +740,60 @@ class TestFusedBatchNorm:
         monkeypatch.setattr(ops, "batch_norm", composite_batch_norm)
         composite = graph_size(model.forward(x, training=True))
         assert composite - fused == 4 * 13
+
+
+class TestRecomputedBatchNorm:
+    """`batch_norm`, which recomputes xhat in backward, against the node that stored it."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", BATCH_NORM_SHAPES)
+    def test_bit_identical_to_stored_xhat(self, shape, dtype):
+        x, gamma, beta = TestFusedBatchNorm._inputs(shape, dtype, seed=3)
+        weights = Tensor(rng64(4).normal(size=shape).astype(dtype))
+        runs = []
+        for run in (ops.batch_norm, stored_xhat_batch_norm):
+            for p in (x, gamma, beta):
+                p.grad = None
+            out, mean, var = run(x, gamma, beta, nn.BatchNorm1d.eps)
+            ops.tsum(ops.mul(ops.tanh(out), weights)).backward()
+            runs.append([out.data, mean, var] + [p.grad for p in (x, gamma, beta)])
+        for got, ref in zip(*runs):
+            assert got.dtype == ref.dtype == dtype
+            assert np.array_equal(got, ref)
+
+
+class TestTrainingGraphMemory:
+    """What a VelModel training forward leaves alive for its backward."""
+
+    @staticmethod
+    def _held_bytes(model, x):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = model.forward(x, training=True)  # noqa: F841 (alive while measured)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        return held
+
+    def test_graph_keeps_no_columns_and_no_xhat(self, monkeypatch):
+        bsz, t_len, bins = 2, 10, 81
+        model = VelModel(bins)
+        x = Tensor(rng64(8).random((bsz, t_len, bins)), dtype=np.float32)
+        item = np.dtype(np.float32).itemsize
+        frames, width, cols, xhat = bsz * t_len, bins, 0, 0
+        for conv in (model.conv1, model.conv2, model.conv3):
+            c_out, c_in, k = conv.weight.shape
+            width = conv.out_width(width)
+            cols += frames * width * k * c_in * item
+            xhat += frames * width * c_out * item
+        xhat += frames * model.fc1.weight.shape[1] * item  # bn_fc
+        model.forward(x, training=True)  # first-call allocations out of the way
+        new = self._held_bytes(model, x)
+        monkeypatch.setattr(ops, "conv1d", im2col_conv1d)
+        monkeypatch.setattr(ops, "batch_norm", stored_xhat_batch_norm)
+        old = self._held_bytes(model, x)
+        assert old - new >= cols + xhat, (old, new, cols, xhat)
 
 
 @dataclass

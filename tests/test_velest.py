@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -252,6 +253,24 @@ class TestVelTrain:
         vel_train(VelModel(WIDTH, seed=9, dtype=np.float64), data,
                   TrainConfig(epochs=1, seed=1, val_fraction=0.34))
         assert seen and all(d == (np.float64, np.float64) for d in seen)
+
+    def test_step_graph_dies_before_the_next_step(self):
+        # One batch an epoch: a graph kept past its step would be alive during
+        # the next epoch's forward, so three epochs would peak well above one.
+        rng = np.random.default_rng(14)
+        x = rng.random((11, 40, 81))
+        y = rng.normal(scale=0.5, size=(11, 40, N_JOINTS, 3))
+        peaks = []
+        for epochs in (1, 3):
+            model = VelModel(81, seed=10)
+            cfg = TrainConfig(epochs=epochs, seed=4, val_fraction=0.1)
+            tracemalloc.start()
+            try:
+                velest.fit(model, x, y, velest._loss_tensor, cfg, np.random.default_rng(4))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0], peaks
 
     def test_history_csv(self, tmp_path):
         rows = [{"epoch": 0, "train_loss": 1.0, "val_loss": 1.5, "wall_seconds": 0.2}]
