@@ -18,10 +18,8 @@ small. Measured on a 1,600-sample CPI with oversample 4 (one BLAS thread,
 2-vCPU x86 VM), one delay bin: the configured 100 Hz half-span of 16 kHz
 keeps 81 bins and takes 65 us against 139 us for the FFT; the two break even
 near 320 bins (a 400 Hz half-span), and at the full band (6,399 bins) the FFT
-is ten times faster. So a plan whose n*K exceeds `_FFT_BREAK_EVEN` = 6.3
-times N log2 N, the ratio at that break-even (1,600 * 320 against
-6,400 log2 6,400), takes the FFT form: the zero-padded FFT of all N bins,
-of which it keeps the K. The configured span stays on the pruned form.
+is ten times faster. Every caller here runs the configured span, so there is
+no FFT path.
 
 Range resolution at WiFi bandwidths cannot separate body parts, so the
 spectrogram step sums each map over all its delay bins and keeps Doppler
@@ -39,9 +37,6 @@ import numpy as np
 
 from . import containers
 from .wavesim import BasebandSignal
-
-# n*K / (N log2 N) at which the pruned DFT and the FFT take equal time (module notes)
-_FFT_BREAK_EVEN = 6.3
 
 
 @dataclass
@@ -138,28 +133,23 @@ def check_doppler_span(doppler_span_hz, sample_rate_hz: float) -> float:
 def _plan(n: int, oversample: int, fs: float, span: float, delay_bins: int):
     """Read-only DFT tables and axes of one CPI shape (see the module notes).
 
-    Returns (tables, doppler_axis, delay_axis). The kept bins and their
-    frequencies are those of the zero-padded FFT's `fftfreq` axis with
-    |f| <= span, in increasing order. The pruned form's tables are
-    (inner, twiddle), inner (n2, K) and twiddle (n1, K); the FFT form's are
-    (columns,), the kept bins' columns of the N-point FFT.
+    Returns (inner, twiddle, doppler_axis, delay_axis): inner is (n2, K),
+    twiddle (n1, K). The kept bins and their frequencies are those of the
+    zero-padded FFT's `fftfreq` axis with |f| <= span, in increasing order.
     """
     n_fft = n * oversample
     step = 1.0 / (n_fft * (1.0 / fs))  # fftfreq's bin spacing, rounded alike
     k = np.arange(-(n_fft // 2), (n_fft - 1) // 2 + 1)
     k = k[np.abs(k * step) <= span]
-    if n * len(k) > _FFT_BREAK_EVEN * n_fft * np.log2(n_fft):
-        tables = (k % n_fft,)
-    else:
-        n1 = next(d for d in range(isqrt(n), 0, -1) if n % d == 0)
-        p = np.arange(n // n1)[:, None]
-        q = np.arange(n1)[:, None]
-        tables = (np.exp((-2j * np.pi / n_fft) * ((p * n1 * k) % n_fft)),
-                  np.exp((-2j * np.pi / n_fft) * ((q * k) % n_fft)))
-    axes = (k * step, np.arange(delay_bins) / fs)
-    for a in tables + axes:
+    n1 = next(d for d in range(isqrt(n), 0, -1) if n % d == 0)
+    p = np.arange(n // n1)[:, None]
+    q = np.arange(n1)[:, None]
+    inner = np.exp((-2j * np.pi / n_fft) * ((p * n1 * k) % n_fft))
+    twiddle = np.exp((-2j * np.pi / n_fft) * ((q * k) % n_fft))
+    tables = (inner, twiddle, k * step, np.arange(delay_bins) / fs)
+    for a in tables:
         a.flags.writeable = False
-    return (tables,) + axes
+    return tables
 
 
 def _same_axis(a: np.ndarray, b: np.ndarray) -> bool:
@@ -187,23 +177,19 @@ def compute_caf(sur: BasebandSignal, ref: BasebandSignal, delay_bins: int,
         raise ValueError("doppler_oversample must be >= 1")
     fs = sur.sample_rate_hz
     span = check_doppler_span(doppler_span_hz, fs)
-    tables, doppler_axis, delay_axis = _plan(n, doppler_oversample, fs, span, delay_bins)
+    inner, twiddle, doppler_axis, delay_axis = _plan(
+        n, doppler_oversample, fs, span, delay_bins)
 
     lags = np.zeros((delay_bins, n), dtype=np.complex128)
     ref_conj = np.conj(ref.samples)
     for k in range(delay_bins):
         lags[k, k:] = sur.samples[k:] * ref_conj[: n - k]
 
-    if len(tables) == 1:  # the FFT form
-        grid = np.fft.fft(lags, n=n * doppler_oversample, axis=1)[:, tables[0]]
-    else:
-        inner, twiddle = tables
-        # lag index p*n1 + q: rows q, columns p
-        partial = lags.reshape(delay_bins, -1, len(twiddle)).transpose(0, 2, 1) @ inner
-        partial *= twiddle
-        grid = partial.sum(axis=1)
+    # lag index p*n1 + q: rows q, columns p
+    partial = lags.reshape(delay_bins, -1, len(twiddle)).transpose(0, 2, 1) @ inner
+    partial *= twiddle
     return CafMap(
-        grid=grid,
+        grid=partial.sum(axis=1),
         delay_axis=delay_axis,
         doppler_axis=doppler_axis,
         cpi_s=n / fs,
