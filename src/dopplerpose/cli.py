@@ -13,7 +13,6 @@ OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -37,14 +36,6 @@ def _common(parser):
     parser.add_argument("--out", required=True, help="output file or directory")
     parser.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="KEY=VALUE", help="config override, repeatable")
-
-
-def _positive_int(text: str) -> int:
-    """argparse type: an integer of at least 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
 
 
 def _load(args):
@@ -182,8 +173,7 @@ def cmd_evaluate(args) -> int:
     cfg = _load(args)
     vel_model = VelModel.load(args.vel_model)
     opt_model = OptModel.load(args.opt_model)
-    report = harness.evaluate(cfg, args.data, vel_model, opt_model,
-                              include_pose=not args.velocity_only)
+    report = harness.evaluate(cfg, args.data, vel_model, opt_model)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     harness.write_metrics_csv(out / "metrics.csv", report)
@@ -191,32 +181,9 @@ def cmd_evaluate(args) -> int:
     harness.write_metrics_table(out / "metrics_table.txt", report)
     print("overall velocity MAE (mm/frame): " + ", ".join(
         f"{v}={np.mean(e['overall'][0, 0]):.2f}" for v, e in report.errors.items()))
-    if not args.velocity_only:
-        print("overall position MAE (mm): " + ", ".join(
-            f"{v}={np.mean(e['overall'][1, 0]):.2f}" for v, e in report.errors.items()))
+    print("overall position MAE (mm): " + ", ".join(
+        f"{v}={np.mean(e['overall'][1, 0]):.2f}" for v, e in report.errors.items()))
     print(f"wrote metrics.csv, metrics_absolute.csv and metrics_table.txt to {out}")
-    return 0
-
-
-def cmd_profile(args) -> int:
-    cfg = _load(args)
-    manifest = harness.load_manifest(args.data)
-    entry = harness.held_out_entries(manifest)[0]
-    _pose, _vel, _s, m_spec, _d = harness.load_entry(args.data, entry)
-    vel_model = VelModel.load(args.vel_model)
-    opt_model = OptModel.load(args.opt_model)
-    rows = [harness.profile_runtime(cfg, vel_model, opt_model, m_spec)
-            for _ in range(args.repeats)]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "runtime.csv", "w", encoding="utf-8") as fh:
-        fh.write("run,denoise_s,velocity_s,optimization_s,total_s\n")
-        for i, r in enumerate(rows):
-            fh.write(f"{i},{r['denoise']:.6f},{r['velocity']:.6f},"
-                     f"{r['optimization']:.6f},{r['total']:.6f}\n")
-    mean = {k: float(np.mean([r[k] for r in rows])) for k in rows[0]}
-    print("mean seconds per stage on a 10-frame window: "
-          + json.dumps(mean, sort_keys=True))
     return 0
 
 
@@ -276,17 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--vel-model", required=True)
     p.add_argument("--opt-model", required=True)
-    p.add_argument("--velocity-only", action="store_true",
-                   help="skip the pose reconstruction metrics")
     p.set_defaults(fn=cmd_evaluate)
-
-    p = sub.add_parser("profile", help="wall-clock per stage on a 10-frame window")
-    _common(p)
-    p.add_argument("--data", required=True, help="dataset directory")
-    p.add_argument("--vel-model", required=True)
-    p.add_argument("--opt-model", required=True)
-    p.add_argument("--repeats", type=_positive_int, default=5)
-    p.set_defaults(fn=cmd_profile)
 
     return parser
 

@@ -1,4 +1,4 @@
-"""End-to-end experiment harness: dataset builds, metric tables, profiling.
+"""End-to-end experiment harness: dataset builds, training and metric tables.
 
 A dataset is a directory of containers plus a JSON manifest. For every
 generated activity it holds the ground-truth pose and velocity sequences and
@@ -8,16 +8,15 @@ freezes the train/test split so training and evaluation always agree.
 
 `evaluate` fills one error array of shape (2, 2, N_JOINTS) per test entry
 and variant, indexed (quantity, frame, joint). Quantity 0 is velocity in
-mm/frame, via the (m/s) * dt * 1000 conversion, and 1 is position in mm (NaN
-without pose reconstruction). Frame 0 is root-relative: poses are translated
-so the pelvis matches ground truth per frame, and velocities get the root
-velocity subtracted, which pins joint 1 error to zero. Frame 1 is absolute.
+mm/frame, via the (m/s) * dt * 1000 conversion, and 1 is position in mm.
+Frame 0 is root-relative: poses are translated so the pelvis matches ground
+truth per frame, and velocities get the root velocity subtracted, which pins
+joint 1 error to zero. Frame 1 is absolute.
 """
 
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -62,7 +61,9 @@ class ConfigError(ValueError):
 def _get_field(d: dict, path: str, typ, default=None, required=False, low=None):
     """The value at a dotted path; a numeric component indexes a list of objects.
 
-    With `low`, a given value must be finite and at least `low`.
+    The value must have `typ`'s JSON type, except that a float field also
+    takes an integer; no field takes a bool. With `low`, it must be finite
+    and at least `low`.
     """
     node = d
     parts = path.split(".")
@@ -77,12 +78,10 @@ def _get_field(d: dict, path: str, typ, default=None, required=False, low=None):
         return default
     val = node[parts[-1]]
     try:
-        if typ is bool:
-            if not isinstance(val, bool):
-                raise TypeError
-            return val
+        if isinstance(val, bool) or not isinstance(val, (int, float) if typ is float else typ):
+            raise TypeError
         val = typ(val)
-    except (TypeError, ValueError):
+    except (TypeError, OverflowError):
         raise ConfigError(f"config field {path}: expected {typ.__name__}, got {val!r}")
     if low is not None and not low <= val < np.inf:
         raise ConfigError(f"config field {path}: must be finite and >= {low}, got {val}")
@@ -521,26 +520,24 @@ def reconstruct(cfg: ExperimentConfig, vel_model: VelModel, opt_model: OptModel,
 
 
 def evaluate(cfg: ExperimentConfig, dataset_dir: str | Path, vel_model: VelModel,
-             opt_model: OptModel, *, include_pose: bool = True) -> MetricsReport:
+             opt_model: OptModel) -> MetricsReport:
     """Velocity and pose errors over the manifest's test split.
 
-    "overall" pools the entries, in sorted-kind order. Without `include_pose`
-    no pose is reconstructed and the position rows are NaN.
+    "overall" pools the entries, in sorted-kind order. With
+    `optimization.max_epochs` 0 the poses are the estimated velocities
+    integrated from `t_pose()`, and `opt_model` is never called.
     """
     entries = held_out_entries(load_manifest(dataset_dir))
     kinds = sorted({e["kind"] for e in entries})
     by_kind = {k: [] for k in kinds}  # one (variant, quantity, frame, joint) array per entry
     for entry in entries:
         pose, vel, _, m_spec, d_spec = load_entry(dataset_dir, entry)
-        err = np.full((len(VARIANTS), 2, 2, N_JOINTS), np.nan)
+        err = np.empty((len(VARIANTS), 2, 2, N_JOINTS))
         for v, spec in enumerate((m_spec, d_spec)):  # in VARIANTS order
-            if include_pose:
-                est, rec, _ = reconstruct(cfg, vel_model, opt_model, spec)
-                err[v, 1] = [position_mae_mm(rec, pose, root_relative=r) for r in (True, False)]
-            else:
-                est = vel_forward(vel_model, spec)
+            est, rec, _ = reconstruct(cfg, vel_model, opt_model, spec)
             err[v, 0] = [velocity_mae_mm_frame(est, vel, root_relative=r)
                          for r in (True, False)]
+            err[v, 1] = [position_mae_mm(rec, pose, root_relative=r) for r in (True, False)]
         by_kind[entry["kind"]].append(err)
     means = {k: np.mean(by_kind[k], axis=0) for k in kinds}
     means["overall"] = np.mean([e for k in kinds for e in by_kind[k]], axis=0)
@@ -576,37 +573,7 @@ def write_metrics_table(path: str | Path, report: MetricsReport):
         for kind in report.kinds + ["overall"]:
             for variant, by_kind in report.errors.items():
                 vals = by_kind[kind][q, 0]
-                if np.isnan(vals).all():
-                    continue
                 cells = " ".join(f"{x:6.1f}" for x in vals)
                 lines.append(f"{kind:>8s} {variant:>7s} {cells}  {np.mean(vals):7.1f}")
         lines.append("")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-# ---------------------------------------------------------------------------
-# Runtime profiling
-# ---------------------------------------------------------------------------
-
-def profile_runtime(cfg: ExperimentConfig, vel_model: VelModel, opt_model: OptModel,
-                    m_spec: Spectrogram, *, n_frames: int = 10) -> dict:
-    """Wall-clock seconds per pipeline stage on an n-frame spectrogram window."""
-    window = Spectrogram(m_spec.values[:, :n_frames].copy(), m_spec.doppler_axis,
-                         m_spec.dt)
-    t_total0 = time.perf_counter()
-
-    t0 = time.perf_counter()
-    den = denoise(window, cfg.denoise_params)
-    t_denoise = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    est = vel_forward(vel_model, den)
-    t_velocity = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    optimize_initial_pose(opt_model, t_pose(), est, cfg.opt_config)
-    t_opt = time.perf_counter() - t0
-
-    total = time.perf_counter() - t_total0
-    return {"denoise": t_denoise, "velocity": t_velocity, "optimization": t_opt,
-            "total": total}

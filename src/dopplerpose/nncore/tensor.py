@@ -81,10 +81,12 @@ class Tensor:
             self.grad = (self.grad + g).astype(self.data.dtype, copy=False)
 
     def backward(self):
-        """Reverse-mode accumulation from a scalar root.
+        """Reverse-mode accumulation from a scalar root; it consumes the graph.
 
-        Leaves keep their gradients; an interior node's is dropped as soon as
-        its own backward has passed it on.
+        Leaves keep their gradients. An interior node drops its gradient, its
+        backward closure and its parent links as soon as that closure has
+        run, so what the closure saved is freed during the pass; a second
+        backward from the same root does nothing.
         """
         if self.data.size != 1:
             raise ValueError(f"backward() requires a scalar root, got shape {self.data.shape}")
@@ -104,9 +106,10 @@ class Tensor:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
-                node.grad = None
+            if node._backward is not None:
+                if node.grad is not None:
+                    node._backward(node.grad)
+                node.grad, node._backward, node._parents = None, None, ()
 
     def __getitem__(self, idx):
         return getitem(self, idx)

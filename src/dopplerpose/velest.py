@@ -168,7 +168,6 @@ def fit(model, x: np.ndarray, y: np.ndarray, loss, cfg: TrainConfig, rng: np.ran
             batch_loss.backward()
             opt.step()
             total += float(batch_loss.data) * len(batch)
-            del batch_loss  # its graph would live through the next forward
         train_loss = total / len(train_idx)
         if len(val_idx):
             with nn.no_grad():

@@ -110,48 +110,23 @@ def test_reconstruct_writes_pose_and_drift(config_file, pipeline_dir, tmp_path):
     assert len(drift) == 31
 
 
-def test_evaluate_csv_row_count(config_file, pipeline_dir, tmp_path):
+def test_evaluate_csv_row_count(config_file, pipeline_dir, tmp_path, capsys):
     out = tmp_path / "eval"
     rc = main(["evaluate", "--config", str(config_file),
                "--data", str(pipeline_dir / "ds"),
                "--vel-model", str(pipeline_dir / "models" / "vel_model.dpc"),
                "--opt-model", str(pipeline_dir / "models" / "opt_model.dpc"),
-               "--velocity-only", "--out", str(out)])
+               "--set", "optimization.max_epochs=0", "--out", str(out)])
     assert rc == 0
+    printed = capsys.readouterr().out
+    assert "overall velocity MAE" in printed and "overall position MAE" in printed
     rows = (out / "metrics.csv").read_text().strip().split("\n")
     manifest = harness.load_manifest(pipeline_dir / "ds")
     n_kinds = len({manifest["entries"][i]["kind"] for i in manifest["split"]["test"]})
     assert len(rows) == 1 + 17 * n_kinds + 17 + 1
 
 
-def test_profile_runs(config_file, pipeline_dir, tmp_path):
-    out = tmp_path / "prof"
-    rc = main(["profile", "--config", str(config_file),
-               "--data", str(pipeline_dir / "ds"),
-               "--vel-model", str(pipeline_dir / "models" / "vel_model.dpc"),
-               "--opt-model", str(pipeline_dir / "models" / "opt_model.dpc"),
-               "--repeats", "2", "--out", str(out)])
-    assert rc == 0
-    rows = (out / "runtime.csv").read_text().strip().split("\n")
-    assert len(rows) == 3
-
-
-@pytest.mark.parametrize("repeats", ["0", "-3"])
-def test_profile_rejects_repeats_below_1(config_file, pipeline_dir, tmp_path, capsys,
-                                         repeats):
-    out = tmp_path / "prof"
-    with pytest.raises(SystemExit) as exc:
-        main(["profile", "--config", str(config_file),
-              "--data", str(pipeline_dir / "ds"),
-              "--vel-model", str(pipeline_dir / "models" / "vel_model.dpc"),
-              "--opt-model", str(pipeline_dir / "models" / "opt_model.dpc"),
-              "--repeats", repeats, "--out", str(out)])
-    assert exc.value.code == 2
-    assert f"argument --repeats: must be at least 1, got {repeats}" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("command", ["evaluate", "profile"])
+@pytest.mark.parametrize("command", ["evaluate"])
 def test_empty_test_split_exits_1(config_file, pipeline_dir, tmp_path, capsys, command):
     ds = tmp_path / "ds"
     assert main(["build-dataset", "--config", str(config_file),

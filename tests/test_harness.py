@@ -1,6 +1,7 @@
 import json
 import re
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -138,13 +139,26 @@ class TestConfig:
         assert cfg.vel_train.learning_rate == 0.0 and cfg.start_jitter_m == 0.0
         assert cfg.clean_iterations == 0
 
-    @pytest.mark.parametrize("path", ["denoise.quantile", "training.vel.batch_size",
-                                      "optimization.tol"])
-    def test_bad_type_in_checked_section_named_once(self, path):
-        data = tiny_config_dict(**{path: "lots"})
+    # A value is never converted: a fraction, a string or a bool for a number fails.
+    BAD_TYPES = [("denoise.quantile", "lots"), ("training.vel.batch_size", "lots"),
+                 ("optimization.tol", "lots"), ("training.vel.batch_size", 64.9),
+                 ("seed", 1.5), ("processing.delay_bins", 1.9),
+                 ("dataset.n_activities", "20"), ("training.vel.epochs", True),
+                 ("dataset.dt", "0.1"), ("optimization.tol", False),
+                 ("geometry.tx_pos", "[0, 0, 0]"), ("denoise.method", 1)]
+
+    @pytest.mark.parametrize("path,value", BAD_TYPES, ids=[
+        p if v == "lots" else f"{p}={json.dumps(v)}" for p, v in BAD_TYPES])
+    def test_bad_type_in_checked_section_named_once(self, path, value):
+        data = tiny_config_dict(**{path: value})
         with pytest.raises(ConfigError) as info:
             harness.parse_config(data)
         assert str(info.value).startswith(f"config field {path}: expected")
+        assert str(info.value).endswith(f"got {value!r}")
+
+    def test_integer_accepted_for_float_field(self):
+        cfg = harness.parse_config(tiny_config_dict(**{"dataset.duration_s": 2}))
+        assert cfg.duration_s == 2.0 and type(cfg.duration_s) is float
 
     def test_doppler_span_bound_follows_sample_rate(self):
         data = tiny_config_dict()
@@ -294,12 +308,23 @@ class TestMetrics:
         assert harness.mm_per_frame(0.041, 0.1) == pytest.approx(4.1)
 
 
+def without_pose_loop(cfg):
+    """cfg with `optimization.max_epochs` 0: poses are integrated from `t_pose()`."""
+    return replace(cfg, opt_config=replace(cfg.opt_config, max_epochs=0))
+
+
+class NoPredictor:
+    """An opt model that must never be called."""
+
+    def opt_vectors(self, *args):
+        raise AssertionError("opt_vectors called")
+
+
 class TestEvaluate:
     def test_report_and_csvs(self, dataset, tmp_path):
         cfg, out, manifest = dataset
         vel_model = VelModel(manifest["doppler_bins"], seed=0)
-        opt_model = OptModel(seed=0)
-        report = harness.evaluate(cfg, out, vel_model, opt_model, include_pose=False)
+        report = harness.evaluate(without_pose_loop(cfg), out, vel_model, NoPredictor())
         assert set(report.errors.keys()) == {"M", "D"}
         assert all(e.shape == (2, 2, N_JOINTS) for e in report.errors["D"].values())
         # root-relative convention: joint 1 is exactly zero
@@ -318,11 +343,9 @@ class TestEvaluate:
     def test_evaluate_rerun_is_identical(self, dataset, tmp_path):
         cfg, out, manifest = dataset
         vel_model = VelModel(manifest["doppler_bins"], seed=0)
-        opt_model = OptModel(seed=0)
         paths = []
         for run in range(2):
-            report = harness.evaluate(cfg, out, vel_model, opt_model,
-                                      include_pose=False)
+            report = harness.evaluate(without_pose_loop(cfg), out, vel_model, NoPredictor())
             p = tmp_path / f"metrics_{run}.csv"
             harness.write_metrics_csv(p, report)
             paths.append(p)
@@ -345,26 +368,21 @@ class TestEvaluate:
             assert "nan" not in paths[-1].read_text()
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    def test_velocity_only_reports_no_position_error(self, dataset, tmp_path):
+    def test_without_pose_loop_velocities_match_and_positions_finite(self, dataset, tmp_path):
+        # period 10 < T, so the drift corrections run their zero-epoch loops too
         cfg, out, manifest = dataset
         vel_model = VelModel(manifest["doppler_bins"], seed=0)
-        report = harness.evaluate(cfg, out, vel_model, OptModel(seed=0), include_pose=False)
-        errors = [e for by_kind in report.errors.values() for e in by_kind.values()]
-        assert all(np.isnan(e[1]).all() and np.isfinite(e[0]).all() for e in errors)
-
-        csv_path = tmp_path / "metrics.csv"
-        harness.write_metrics_csv(csv_path, report)
-        header, *rows = csv_path.read_text().strip().split("\n")
-        pos_cols = [k for k, name in enumerate(header.split(",")) if name.startswith("pos_")]
-        assert len(pos_cols) == 2
-        for row in rows:
-            cells = row.split(",")
-            assert all(cells[k] == "nan" for k in pos_cols)
+        fast = harness.evaluate(without_pose_loop(cfg), out, vel_model, NoPredictor())
+        full = harness.evaluate(cfg, out, vel_model, OptModel(seed=0))
+        for variant in ("M", "D"):
+            for kind, e in fast.errors[variant].items():
+                assert np.array_equal(e[0], full.errors[variant][kind][0])
+                assert np.isfinite(e[1]).all() and e[1, 1].min() > 0.0
 
         table = tmp_path / "table.txt"
-        harness.write_metrics_table(table, report)
+        harness.write_metrics_table(table, fast)
         position_part = table.read_text().split("== position mm ==")[1]
-        assert position_part.strip().split("\n")[1:] == []
+        assert len(position_part.strip().split("\n")[1:]) == 2 * (len(fast.kinds) + 1)
 
     def test_kind_rows_and_overall_pool_entries(self, dataset, tmp_path):
         cfg, out, manifest = dataset
@@ -409,19 +427,3 @@ class TestEvaluate:
             for q, col in enumerate((f"vel_mae_{v.lower()}_mm_frame", f"pos_mae_{v.lower()}_mm")):
                 assert float(cells[col]) == pytest.approx(by_kind["overall"][q, 0].mean(),
                                                           abs=5e-4)
-
-
-class TestProfile:
-    def test_stage_timings(self, dataset):
-        cfg, out, manifest = dataset
-        vel_model = VelModel(manifest["doppler_bins"], seed=0)
-        opt_model = OptModel(seed=0)
-        entry = manifest["entries"][0]
-        _, _, _, m_spec, _ = harness.load_entry(out, entry)
-        rows = [harness.profile_runtime(cfg, vel_model, opt_model, m_spec)
-                for _ in range(3)]
-        for r in rows:
-            assert r["total"] >= max(r["denoise"], r["velocity"], r["optimization"])
-            assert r["denoise"] + r["velocity"] + r["optimization"] <= r["total"] * 1.1
-        totals = [r["total"] for r in rows]
-        assert np.std(totals) / np.mean(totals) < 0.5

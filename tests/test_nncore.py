@@ -100,6 +100,27 @@ class TestAutogradBasics:
         assert np.array_equal(a.grad, b.data + 1.0)
         assert np.array_equal(b.grad, a.data)
 
+    def test_backward_consumes_the_graph(self):
+        # a VelModel training step: conv, batch norm, LSTM, linear and loss nodes
+        model = VelModel(81, seed=2)
+        x = Tensor(rng64(5).random((2, 6, 81)), dtype=np.float32)
+        y = rng64(6).normal(size=(2, 6, 51))
+        loss = ops.tmean(ops.absolute(ops.add(model.forward(x, training=True), -y)))
+        nodes, stack = {}, [loss]
+        while stack:
+            node = stack.pop()
+            if id(node) not in nodes:
+                nodes[id(node)] = node
+                stack.extend(node._parents)
+        leaves = [n for n in nodes.values() if n._backward is None]
+        interior = [n for n in nodes.values() if n._backward is not None]
+        assert len(interior) > 20 and loss in interior
+        loss.backward()
+        assert all(n._backward is None and n._parents == () for n in interior)
+        params = [n for n in leaves if n.requires_grad]
+        assert len(params) == len(model.params())
+        assert all(n.grad is not None and np.isfinite(n.grad).all() for n in params)
+
     def test_no_grad_blocks_graph(self):
         x = Tensor(np.ones(3), requires_grad=True)
         with nn.no_grad():
