@@ -18,10 +18,10 @@ print(f"M (interfered): median {np.median(m_spec.values):.3f}  "
 print(f"D (denoised)  : median {np.median(d_spec.values):.3f}  "
       f"|D-S| = {np.abs(d_spec.values - s_spec.values).mean():.4f}")
 
-# Passthrough leaves the input untouched; the threshold baseline estimates a
-# per-column noise floor at a quantile and shrinks toward zero.
-same = denoise(m_spec, DenoiseParams(method="passthrough"))
-print(f"passthrough is exact: {np.array_equal(same.values, m_spec.values)}")
+# M is the undenoised input; the denoiser estimates a per-column noise floor
+# at a quantile, subtracts it and clips at zero.
+print(f"D against M   : |D-M| = {np.abs(d_spec.values - m_spec.values).mean():.4f}, "
+      f"zeroed fraction {np.mean(m_spec.values == 0):.2f} -> {np.mean(d_spec.values == 0):.2f}")
 
 for q in (0.4, 0.6, 0.8):
     d = denoise(m_spec, DenoiseParams(quantile=q))

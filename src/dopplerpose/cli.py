@@ -2,9 +2,10 @@
 
 Every subcommand takes a JSON config file (see configs/) plus optional
 `--set dotted.key=value` overrides; `--seed` and `--out` are shorthand
-overrides shared by all commands. Exit status is 0 on success, 2 on a
-configuration problem (the message names the offending field), 1 on any
-other failure.
+overrides shared by all commands. `evaluate` and `reconstruct` need
+`--opt-model` only when `optimization.max_epochs` > 0. Exit status is 0 on
+success, 2 on a configuration problem (the message names the offending field
+or option), 1 on any other failure.
 
 For bit-reproducible artifacts run single-threaded, e.g.
 OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1.
@@ -23,7 +24,7 @@ from . import harness
 from .caf import Spectrogram, spectrogram_pipeline
 from .denoise import denoise
 from .harness import ConfigError, load_config
-from .motion import ActivityKind, PoseSequence
+from .motion import PoseSequence
 from .poseopt import OptModel
 from .velest import VelModel
 from .wavesim import BasebandSignal, generate_waveform, synthesize_reference, \
@@ -45,18 +46,19 @@ def _load(args):
     return load_config(args.config, overrides)
 
 
-def _parse_kind(value: str) -> ActivityKind:
-    for k in ActivityKind:
-        if value in (k.value, k.name):
-            return k
-    raise ConfigError(f"unknown activity kind {value!r}; "
-                      f"choose from {[k.value for k in ActivityKind]}")
+def _load_models(args, cfg):
+    """(vel model, opt model), the second None when no optimization epoch runs."""
+    needs_opt = cfg.opt_config.max_epochs > 0
+    if needs_opt and args.opt_model is None:
+        raise ConfigError("--opt-model is required when optimization.max_epochs > 0")
+    return (VelModel.load(args.vel_model),
+            OptModel.load(args.opt_model) if needs_opt else None)
 
 
 def cmd_gen_motion(args) -> int:
     cfg = _load(args)
-    kind = _parse_kind(args.kind)
-    pose = harness.generate_activity(kind, args.duration, cfg.seed, dt=cfg.dt)
+    kind = harness.parse_kind(args.kind, "--kind")
+    pose = harness.generate_activity(kind, cfg.duration_s, cfg.seed, dt=cfg.dt)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     pose.save(out)
@@ -139,13 +141,12 @@ def cmd_train_opt(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     cfg = _load(args)
+    vel_model, opt_model = _load_models(args, cfg)
     manifest = harness.load_manifest(args.data)
     entry = next((e for e in manifest["entries"] if e["index"] == args.index), None)
     if entry is None:
         raise ConfigError(f"dataset has no entry with index {args.index}")
     pose, _vel, _s, m_spec, d_spec = harness.load_entry(args.data, entry)
-    vel_model = VelModel.load(args.vel_model)
-    opt_model = OptModel.load(args.opt_model)
 
     spec = d_spec if args.variant == "D" else m_spec
     _est, rec, trace = harness.reconstruct(cfg, vel_model, opt_model, spec,
@@ -171,8 +172,7 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = _load(args)
-    vel_model = VelModel.load(args.vel_model)
-    opt_model = OptModel.load(args.opt_model)
+    vel_model, opt_model = _load_models(args, cfg)
     report = harness.evaluate(cfg, args.data, vel_model, opt_model)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -196,7 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-motion", help="generate a synthetic activity pose file")
     _common(p)
     p.add_argument("--kind", required=True, help="activity kind, e.g. W+ or SU")
-    p.add_argument("--duration", type=float, default=5.0)
     p.set_defaults(fn=cmd_gen_motion)
 
     p = sub.add_parser("simulate", help="synthesize reference/surveillance signals")
@@ -235,14 +234,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", type=int, default=0, help="dataset entry index")
     p.add_argument("--variant", choices=["M", "D"], default="D")
     p.add_argument("--vel-model", required=True)
-    p.add_argument("--opt-model", required=True)
+    p.add_argument("--opt-model", help="needed when optimization.max_epochs > 0")
     p.set_defaults(fn=cmd_reconstruct)
 
     p = sub.add_parser("evaluate", help="error tables over the test split")
     _common(p)
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--vel-model", required=True)
-    p.add_argument("--opt-model", required=True)
+    p.add_argument("--opt-model", help="needed when optimization.max_epochs > 0")
     p.set_defaults(fn=cmd_evaluate)
 
     return parser

@@ -51,11 +51,18 @@ from .wavesim import (
 SCHEMA_VERSION = 1
 VARIANTS = ("M", "D")  # the spectrogram variants `evaluate` reports on
 
-_KIND_BY_VALUE = {k.value: k for k in ActivityKind}
-
 
 class ConfigError(ValueError):
     """Malformed experiment configuration; the message names the field."""
+
+
+def parse_kind(value, where: str) -> ActivityKind:
+    """The activity kind whose value (e.g. "W+", not the name "WPLUS") is `value`."""
+    try:
+        return ActivityKind(value)
+    except ValueError:
+        raise ConfigError(f"{where}: unknown activity kind {value!r}; "
+                          f"choose from {[k.value for k in ActivityKind]}")
 
 
 def _get_field(d: dict, path: str, typ, default=None, required=False, low=None):
@@ -175,17 +182,10 @@ def parse_config(data: dict) -> ExperimentConfig:
         noise_floor=get("interference.noise_floor", float, 0.0),
     )
 
-    kinds_raw = get("dataset.kinds", list, [k.value for k in ActivityKind])
-    kinds = []
-    for k in kinds_raw:
-        if k not in _KIND_BY_VALUE:
-            raise ConfigError(f"config field dataset.kinds: unknown activity {k!r}")
-        kinds.append(_KIND_BY_VALUE[k])
+    kinds = [parse_kind(k, "config field dataset.kinds")
+             for k in get("dataset.kinds", list, [k.value for k in ActivityKind])]
 
-    den = _build("denoise", DenoiseParams,
-                 method=get("denoise.method", str, "threshold"),
-                 quantile=get("denoise.quantile", float, 0.6),
-                 slope=get("denoise.slope", float, 0.0))
+    den = _build("denoise", DenoiseParams, quantile=get("denoise.quantile", float, 0.6))
 
     train_fraction = get("dataset.train_fraction", float, 0.23)
     if not 0.0 < train_fraction < 1.0:
@@ -507,12 +507,13 @@ def held_out_entries(manifest: dict) -> list:
     return entries
 
 
-def reconstruct(cfg: ExperimentConfig, vel_model: VelModel, opt_model: OptModel,
+def reconstruct(cfg: ExperimentConfig, vel_model: VelModel, opt_model: OptModel | None,
                 spec: Spectrogram, truth: np.ndarray | None = None):
     """Estimated velocities, the reconstructed pose sequence and the optimizer trace.
 
     The initial pose is optimized from `t_pose()`; `truth` (the true first
     frame) only changes what the trace records, see `optimize_initial_pose`.
+    With `optimization.max_epochs` 0 `opt_model` is never called and may be None.
     """
     est = vel_forward(vel_model, spec)
     p0, trace = optimize_initial_pose(opt_model, t_pose(), est, cfg.opt_config, truth=truth)
@@ -520,12 +521,12 @@ def reconstruct(cfg: ExperimentConfig, vel_model: VelModel, opt_model: OptModel,
 
 
 def evaluate(cfg: ExperimentConfig, dataset_dir: str | Path, vel_model: VelModel,
-             opt_model: OptModel) -> MetricsReport:
+             opt_model: OptModel | None) -> MetricsReport:
     """Velocity and pose errors over the manifest's test split.
 
     "overall" pools the entries, in sorted-kind order. With
     `optimization.max_epochs` 0 the poses are the estimated velocities
-    integrated from `t_pose()`, and `opt_model` is never called.
+    integrated from `t_pose()`, and `opt_model` is never called (it may be None).
     """
     entries = held_out_entries(load_manifest(dataset_dir))
     kinds = sorted({e["kind"] for e in entries})

@@ -1,10 +1,11 @@
 """Layer set for the spectrogram and pose networks.
 
-Covers exactly what the two model stacks need: 1-D convolution over the
-Doppler axis, batch normalization, (bi)LSTM and fully-connected layers (the
-activations are the plain `tensor.relu`/`tensor.tanh` ops). Parameters are
-initialized with uniform fan-in scaling from a caller-supplied numpy
-Generator so models are reproducible per seed.
+Covers exactly what the two model stacks need: strided, unpadded 1-D
+convolution with a bias over the Doppler axis, batch normalization, (bi)LSTM
+and fully-connected layers (the activations are the plain
+`tensor.relu`/`tensor.tanh` ops). Parameters are initialized with uniform
+fan-in scaling from a caller-supplied numpy Generator so models are
+reproducible per seed.
 """
 
 from __future__ import annotations
@@ -36,29 +37,27 @@ class Linear:
 
 
 class Conv1d:
-    """1-D convolution over channel-last (B, W, C_in) input -> (B, W_out, C_out)."""
+    """Unpadded 1-D convolution over channel-last (B, W, C_in) input -> (B, W_out, C_out)."""
 
     def __init__(self, in_channels: int, out_channels: int, kernel: int,
-                 stride: int = 1, padding: int = 0, *, rng=None, dtype=np.float32):
-        if min(in_channels, out_channels, kernel, stride) < 1 or padding < 0:
+                 stride: int = 1, *, rng=None, dtype=np.float32):
+        if min(in_channels, out_channels, kernel, stride) < 1:
             raise ValueError("Conv1d dimensions must be positive")
         rng = rng or np.random.default_rng()
         fan_in = in_channels * kernel
         self.weight = _uniform(rng, fan_in, (out_channels, in_channels, kernel), dtype)
         self.bias = _uniform(rng, fan_in, (out_channels,), dtype)
         self.stride = stride
-        self.padding = padding
 
     def params(self):
         return [self.weight, self.bias]
 
     def out_width(self, in_width: int) -> int:
         k = self.weight.shape[2]
-        return (in_width + 2 * self.padding - k) // self.stride + 1
+        return (in_width - k) // self.stride + 1
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.conv1d(x, self.weight, self.bias, stride=self.stride,
-                        padding=self.padding)
+        return T.conv1d(x, self.weight, self.bias, self.stride)
 
 
 class BatchNorm1d:

@@ -10,14 +10,14 @@ hand-written backpropagation-through-time backward. Float32 by default;
 gradient-check tests run the same graphs in float64.
 
 What each training node keeps for its backward, besides its parents:
-- `conv1d`: nothing unpadded, the padded input with `padding` > 0. Its
-  im2col columns, tap major, (K, C_in) per output position (K. Chellapilla
-  et al., "High Performance Convolutional Neural Networks for Document
-  Processing", 2006), live only for the forward GEMM. Backward takes the
-  weight gradient one tap at a time from the (padded) input, and col2im is
-  K strided adds, one product each, so neither the columns nor their
-  gradient is ever held whole (storing less and recomputing the rest:
-  T. Chen et al., "Training Deep Nets with Sublinear Memory Cost", 2016).
+- `conv1d` (unpadded, always with a bias): nothing. Its im2col columns,
+  tap major, (K, C_in) per output position (K. Chellapilla et al., "High
+  Performance Convolutional Neural Networks for Document Processing", 2006),
+  live only for the forward GEMM. Backward takes the weight gradient one tap
+  at a time from the input, its parent, and col2im is K strided adds, one
+  product each, so neither the columns nor their gradient is ever held whole
+  (storing less and recomputing the rest: T. Chen et al., "Training Deep
+  Nets with Sublinear Memory Cost", 2016).
 - `batch_norm`: the F-long mean and 1/std. Backward recomputes the
   normalised input from the input with the forward's ops.
 - `lstm_layer`: the gates, cells, tanh(cells) and hidden states of every
@@ -476,31 +476,24 @@ def lstm_layer(x, directions):
 
 # -- convolution ------------------------------------------------------------
 
-def conv1d(x, w, b=None, stride: int = 1, padding: int = 0):
+def conv1d(x, w, b, stride: int = 1):
     """Channel-last cross-correlation: x (B, W, C_in), w (C_out, C_in, K) -> (B, W_out, C_out)."""
-    x, w = as_tensor(x), as_tensor(w)
-    if b is not None:
-        b = as_tensor(b)
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     bsz, width, c_in = x.data.shape
     c_out, c_in_w, k = w.data.shape
     if c_in != c_in_w:
         raise ValueError(f"input channels {c_in} do not match kernel channels {c_in_w}")
-    w_out = (width + 2 * padding - k) // stride + 1
+    w_out = (width - k) // stride + 1
     if w_out < 1:
-        raise ValueError(
-            f"kernel {k} with stride {stride} and padding {padding} does not fit "
-            f"input width {width}")
+        raise ValueError(f"kernel {k} with stride {stride} does not fit input width {width}")
 
-    xp = np.pad(x.data, ((0, 0), (padding, padding), (0, 0))) if padding else x.data
     # (B, W_out, K, C_in) windows: im2col columns in (tap, channel) order, so
     # the copy moves C_in-long runs; the weights are viewed the same way
-    windows = np.lib.stride_tricks.sliding_window_view(xp, k, axis=1)[:, ::stride]
+    windows = np.lib.stride_tricks.sliding_window_view(x.data, k, axis=1)[:, ::stride]
     cols = np.ascontiguousarray(windows.transpose(0, 1, 3, 2)).reshape(bsz * w_out, k * c_in)
     out2 = cols @ w.data.transpose(0, 2, 1).reshape(c_out, k * c_in).T
-    if b is not None:
-        out2 += b.data
+    out2 += b.data
 
-    parents = (x, w) if b is None else (x, w, b)
     # tap j of output o reads input row o * stride + j: (B, W_out, C_in) a tap
     span = stride * (w_out - 1) + 1
 
@@ -509,19 +502,18 @@ def conv1d(x, w, b=None, stride: int = 1, padding: int = 0):
         # the weight gradient one tap at a time, from the input the node keeps
         gw = np.empty((c_out, k, c_in), dtype=g2.dtype)
         for j in range(k):
-            gw[:, j] = g2.T @ xp[:, j: j + span: stride].reshape(bsz * w_out, c_in)
+            gw[:, j] = g2.T @ x.data[:, j: j + span: stride].reshape(bsz * w_out, c_in)
         w._accumulate(gw.transpose(0, 2, 1))
-        if b is not None:
-            b._accumulate(g2.sum(axis=0))
+        b._accumulate(g2.sum(axis=0))
         if not x.requires_grad:
             return
         # col2im, one tap at a time: each tap's column gradients are one
         # (C_in wide) product
-        gxp = np.zeros_like(xp)
+        gx = np.zeros_like(x.data)
         w2 = w.data.transpose(0, 2, 1).reshape(c_out, k * c_in)
         for j in range(k):
             gcol = g2 @ w2[:, j * c_in:(j + 1) * c_in]
-            gxp[:, j: j + span: stride] += gcol.reshape(bsz, w_out, c_in)
-        x._accumulate(gxp[:, padding: padding + width] if padding else gxp)
+            gx[:, j: j + span: stride] += gcol.reshape(bsz, w_out, c_in)
+        x._accumulate(gx)
 
-    return _make(out2.reshape(bsz, w_out, c_out), parents, backward)
+    return _make(out2.reshape(bsz, w_out, c_out), (x, w, b), backward)

@@ -223,9 +223,9 @@ def optimize_initial_pose(model, p0_init: np.ndarray, v: VelocitySequence,
     `truth` after every epoch when truth is given (index 0 = starting error),
     otherwise the mean pose change per epoch. A tentative step is halved,
     per joint, whenever re-predicting at the stepped pose reverses that
-    joint's direction (overshoot), so steps never cross the target.
+    joint's direction (overshoot), so steps never cross the target. Only an
+    epoch calls the model, so with `cfg.max_epochs` 0 it may be None.
     """
-    predict = model.opt_vectors
     p = np.array(p0_init, dtype=np.float64)
     if p.shape != (N_JOINTS, 3):
         raise ValueError(f"p0_init must be ({N_JOINTS}, 3)")
@@ -237,13 +237,13 @@ def optimize_initial_pose(model, p0_init: np.ndarray, v: VelocitySequence,
     ov = None  # the prediction at p, when the last epoch already made it
     for _ in range(cfg.max_epochs):
         if ov is None:
-            ov = predict(integrate(p, v).positions, v.values)
+            ov = model.opt_vectors(integrate(p, v).positions, v.values)
         steps = np.full(N_JOINTS, cfg.optr)
         moved = ov * steps[:, None]
         next_ov = None
         for _halving in range(cfg.max_halvings):
             cand = p + moved
-            ov2 = predict(integrate(cand, v).positions, v.values)
+            ov2 = model.opt_vectors(integrate(cand, v).positions, v.values)
             flipped = (ov * ov2).sum(axis=1) < 0
             if not flipped.any() or steps.max() < cfg.tol:
                 next_ov = ov2  # the step commits to exactly cand

@@ -5,7 +5,7 @@ import pytest
 
 from dopplerpose import harness
 from dopplerpose.cli import main
-from dopplerpose.motion import PoseSequence
+from dopplerpose.motion import ActivityKind, PoseSequence
 from dopplerpose.caf import Spectrogram
 from test_harness import tiny_config_dict
 
@@ -33,16 +33,42 @@ def pipeline_dir(tmp_path_factory, config_file):
 def test_gen_motion(config_file, tmp_path):
     out = tmp_path / "pose.dpc"
     rc = main(["gen-motion", "--config", str(config_file), "--kind", "W+",
-               "--duration", "3.0", "--out", str(out)])
+               "--set", "dataset.duration_s=4.0", "--out", str(out)])
     assert rc == 0
     pose = PoseSequence.load(out)
-    assert len(pose) == 30
+    assert len(pose) == 40
 
 
 def test_gen_motion_unknown_kind(config_file, tmp_path):
     rc = main(["gen-motion", "--config", str(config_file), "--kind", "FLY",
                "--out", str(tmp_path / "x.dpc")])
     assert rc == 2
+
+
+def test_gen_motion_kind_is_a_value_not_a_name(config_file, tmp_path, capsys):
+    # the same lookup as dataset.kinds: "W+", not the member name "WPLUS"
+    rc = main(["gen-motion", "--config", str(config_file), "--kind", "WPLUS",
+               "--out", str(tmp_path / "x.dpc")])
+    assert rc == 2
+    assert "--kind: unknown activity kind 'WPLUS'" in capsys.readouterr().err
+    assert not (tmp_path / "x.dpc").exists()
+
+
+def test_gen_motion_out_of_range_duration_exits_2_and_names_field(config_file, tmp_path,
+                                                                 capsys):
+    rc = main(["gen-motion", "--config", str(config_file), "--kind", "W+",
+               "--set", "dataset.duration_s=1", "--out", str(tmp_path / "x.dpc")])
+    assert rc == 2
+    assert "config field dataset.duration_s" in capsys.readouterr().err
+    assert not (tmp_path / "x.dpc").exists()
+
+
+@pytest.mark.parametrize("setting", ["denoise.method=threshold", "denoise.slope=0"])
+def test_removed_denoise_settings_exit_2(config_file, tmp_path, capsys, setting):
+    rc = main(["denoise", "--config", str(config_file), "--set", setting,
+               "--input", str(tmp_path / "spec.dpc"), "--out", str(tmp_path / "den.dpc")])
+    assert rc == 2
+    assert f"unknown config field {setting.split('=')[0]}" in capsys.readouterr().err
 
 
 def test_unknown_override_field_exits_2(config_file, tmp_path, capsys):
@@ -70,7 +96,7 @@ def test_simulate_leaves_config_unchanged(config_file, tmp_path, monkeypatch):
     monkeypatch.setattr("dopplerpose.cli.load_config", lambda *args: cfg)
     pose_file = tmp_path / "pose.dpc"
     assert main(["gen-motion", "--config", str(config_file), "--kind", "W+",
-                 "--duration", "2.0", "--out", str(pose_file)]) == 0
+                 "--out", str(pose_file)]) == 0
     assert main(["simulate", "--config", str(config_file), "--pose", str(pose_file),
                  "--out", str(tmp_path / "sigs")]) == 0
     assert cfg.interference.noise_seed == seed_before != cfg.seed + 1
@@ -79,7 +105,7 @@ def test_simulate_leaves_config_unchanged(config_file, tmp_path, monkeypatch):
 def test_simulate_and_caf(config_file, tmp_path):
     pose_file = tmp_path / "pose.dpc"
     main(["gen-motion", "--config", str(config_file), "--kind", "SU",
-          "--duration", "2.0", "--out", str(pose_file)])
+          "--set", "dataset.duration_s=2.0", "--out", str(pose_file)])
     sig_dir = tmp_path / "sigs"
     assert main(["simulate", "--config", str(config_file), "--pose", str(pose_file),
                  "--out", str(sig_dir)]) == 0
@@ -93,6 +119,29 @@ def test_simulate_and_caf(config_file, tmp_path):
     assert main(["denoise", "--config", str(config_file), "--input", str(spec_file),
                  "--out", str(den_file)]) == 0
     assert Spectrogram.load(den_file).values.shape == spec.values.shape
+
+
+@pytest.mark.parametrize("kind", ["W+", "SU", "HT"])
+def test_stage_chain_reproduces_simulate_activity(config_file, tmp_path, kind):
+    # gen-motion -> simulate -> caf -> denoise against the dataset build's one
+    # call; the files hold float32 poses and complex64 signals
+    cfg = harness.load_config(config_file)
+    pose, _vel, _s, m_spec, d_spec = harness.simulate_activity(cfg, ActivityKind(kind),
+                                                               cfg.seed)
+    common = ["--config", str(config_file)]
+    pose_file, sigs = tmp_path / "pose.dpc", tmp_path / "sigs"
+    m_file, d_file = tmp_path / "m.dpc", tmp_path / "d.dpc"
+    for argv in (["gen-motion", "--kind", kind, "--out", str(pose_file)],
+                 ["simulate", "--pose", str(pose_file), "--out", str(sigs)],
+                 ["caf", "--sur", str(sigs / "sur.dpc"), "--ref", str(sigs / "ref.dpc"),
+                  "--out", str(m_file)],
+                 ["denoise", "--input", str(m_file), "--out", str(d_file)]):
+        assert main(argv[:1] + common + argv[1:]) == 0
+    assert np.abs(PoseSequence.load(pose_file).positions - pose.positions).max() <= 1e-6
+    for path, want in ((m_file, m_spec), (d_file, d_spec)):
+        got = Spectrogram.load(path)
+        assert got.values.shape == want.values.shape
+        assert np.abs(got.values - want.values).max() <= 1e-4
 
 
 def test_reconstruct_writes_pose_and_drift(config_file, pipeline_dir, tmp_path):
@@ -124,6 +173,33 @@ def test_evaluate_csv_row_count(config_file, pipeline_dir, tmp_path, capsys):
     manifest = harness.load_manifest(pipeline_dir / "ds")
     n_kinds = len({manifest["entries"][i]["kind"] for i in manifest["split"]["test"]})
     assert len(rows) == 1 + 17 * n_kinds + 17 + 1
+
+
+@pytest.mark.parametrize("command", ["evaluate", "reconstruct"])
+def test_no_pose_loop_needs_no_opt_model(config_file, pipeline_dir, tmp_path, command):
+    # with optimization.max_epochs 0 the opt model is never called; an
+    # --opt-model naming a missing file is not read either
+    models = pipeline_dir / "models"
+    outs = []
+    for opt in ([], ["--opt-model", str(models / "opt_model.dpc")],
+                ["--opt-model", str(tmp_path / "missing.dpc")]):
+        outs.append(tmp_path / f"out{len(outs)}")
+        assert main([command, "--config", str(config_file), "--data", str(pipeline_dir / "ds"),
+                     "--vel-model", str(models / "vel_model.dpc"), *opt,
+                     "--set", "optimization.max_epochs=0", "--out", str(outs[-1])]) == 0
+    name = "metrics.csv" if command == "evaluate" else "drift.csv"
+    assert len({(out / name).read_text() for out in outs}) == 1
+
+
+@pytest.mark.parametrize("command", ["evaluate", "reconstruct"])
+def test_missing_opt_model_exits_2_before_loading(config_file, tmp_path, capsys, command):
+    # nothing named here exists: the missing option is reported first
+    rc = main([command, "--config", str(config_file), "--data", str(tmp_path / "ds"),
+               "--vel-model", str(tmp_path / "vel.dpc"), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "--opt-model" in err and "optimization.max_epochs" in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["evaluate"])

@@ -19,13 +19,13 @@ def make_spec(values):
     return Spectrogram(values, axis, dt=0.1)
 
 
-def test_passthrough_identity():
-    rng = np.random.default_rng(0)
-    s = make_spec(rng.random((9, 6)))
-    out = denoise(s, DenoiseParams(method="passthrough"))
-    assert np.array_equal(out.values, s.values)
-    assert np.array_equal(out.doppler_axis, s.doppler_axis)
-    assert out.dt == s.dt
+@pytest.mark.parametrize("q", [0.0, 0.3, 0.6, 0.95])
+def test_closed_form_oracle(q):
+    # max(x - quantile(x, q, axis=0), 0) / max, bit for bit
+    x = np.random.default_rng(int(q * 100)).random((81, 12))
+    floor = np.maximum(x - np.quantile(x, q, axis=0), 0.0)
+    out = denoise(make_spec(x), DenoiseParams(quantile=q))
+    assert np.array_equal(out.values, floor / floor.max())
 
 
 def test_all_zero_stays_zero():
@@ -37,7 +37,7 @@ def test_all_zero_stays_zero():
 def test_shape_axis_dt_preserved():
     rng = np.random.default_rng(1)
     s = make_spec(rng.random((11, 8)))
-    out = denoise(s, DenoiseParams(quantile=0.4, slope=0.05))
+    out = denoise(s, DenoiseParams(quantile=0.4))
     assert out.values.shape == s.values.shape
     assert np.array_equal(out.doppler_axis, s.doppler_axis)
     assert out.dt == s.dt
@@ -53,10 +53,9 @@ def test_output_range_in_unit_interval():
 
 
 def test_invalid_params_rejected():
-    with pytest.raises(ValueError):
-        DenoiseParams(method="wavelet")
-    with pytest.raises(ValueError):
-        DenoiseParams(quantile=1.0)
+    for q in (-0.1, 1.0):
+        with pytest.raises(ValueError):
+            DenoiseParams(quantile=q)
     with pytest.raises(ValueError):
         denoise(make_spec(np.zeros((3, 3))), "threshold")
 

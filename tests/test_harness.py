@@ -27,7 +27,7 @@ def tiny_config_dict(**overrides):
                                         "amplitude": 0.25}]},
         "processing": {"delay_bins": 1, "doppler_span_hz": 100.0,
                        "doppler_oversample": 4, "clean_iterations": 2},
-        "denoise": {"method": "threshold", "quantile": 0.6},
+        "denoise": {"quantile": 0.6},
         "dataset": {"n_activities": 6, "duration_s": 3.0, "dt": 0.1,
                     "kinds": ["W+", "SU", "HT"], "start_jitter_m": 0.2,
                     "train_fraction": 0.5},
@@ -145,7 +145,7 @@ class TestConfig:
                  ("seed", 1.5), ("processing.delay_bins", 1.9),
                  ("dataset.n_activities", "20"), ("training.vel.epochs", True),
                  ("dataset.dt", "0.1"), ("optimization.tol", False),
-                 ("geometry.tx_pos", "[0, 0, 0]"), ("denoise.method", 1)]
+                 ("geometry.tx_pos", "[0, 0, 0]")]
 
     @pytest.mark.parametrize("path,value", BAD_TYPES, ids=[
         p if v == "lots" else f"{p}={json.dumps(v)}" for p, v in BAD_TYPES])

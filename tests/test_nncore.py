@@ -147,13 +147,11 @@ class TestConv1d:
         x[0, 5, 0] = 1.0
         w = np.zeros((1, 1, 5))
         w[0, 0, 0] = 1.0
-        layer_out = ops.conv1d(Tensor(x, dtype=np.float64),
-                               Tensor(w, dtype=np.float64), None,
-                               stride=1, padding=2).data
+        layer_out = ops.conv1d(*(Tensor(a, dtype=np.float64) for a in (x, w, np.zeros(1)))).data
         # independent oracle: direct sliding dot product
-        xp = np.pad(x[0, :, 0], 2)
-        oracle = np.array([xp[i:i + 5] @ w[0, 0] for i in range(11)])
+        oracle = np.array([x[0, i:i + 5, 0] @ w[0, 0] for i in range(7)])
         assert np.allclose(layer_out[0, :, 0], oracle)
+        assert layer_out[0, 5, 0] == 1.0
 
     def test_random_conv_matches_naive(self):
         rng = rng64(4)
@@ -162,19 +160,18 @@ class TestConv1d:
         b = rng.normal(size=5)
         out = ops.conv1d(Tensor(x.transpose(0, 2, 1), dtype=np.float64),
                          Tensor(w, dtype=np.float64),
-                         Tensor(b, dtype=np.float64), stride=2, padding=1).data
-        xp = np.pad(x, ((0, 0), (0, 0), (1, 1)))
-        w_out = (16 + 2 - 4) // 2 + 1
+                         Tensor(b, dtype=np.float64), stride=2).data
+        w_out = (16 - 4) // 2 + 1
         oracle = np.zeros((2, 5, w_out))
         for n in range(2):
             for f in range(5):
                 for o in range(w_out):
-                    oracle[n, f, o] = np.sum(xp[n, :, 2 * o: 2 * o + 4] * w[f]) + b[f]
+                    oracle[n, f, o] = np.sum(x[n, :, 2 * o: 2 * o + 4] * w[f]) + b[f]
         assert np.allclose(out, oracle.transpose(0, 2, 1))
 
     def test_input_without_grad_gets_none(self):
         rng = rng64(5)
-        layer = nn.Conv1d(2, 3, kernel=5, stride=2, padding=1, rng=rng, dtype=np.float64)
+        layer = nn.Conv1d(2, 3, kernel=5, stride=2, rng=rng, dtype=np.float64)
         x = t64(rng, (3, 13, 2))
         ops.tsum(layer(x)).backward()
         assert x.grad is None
@@ -182,20 +179,19 @@ class TestConv1d:
 
     def test_shape_mismatch_rejected(self):
         x = Tensor(np.zeros((1, 8, 2)))
-        w = Tensor(np.zeros((3, 4, 3)))
+        w, b = Tensor(np.zeros((3, 4, 3))), Tensor(np.zeros(3))
         with pytest.raises(ValueError):
-            ops.conv1d(x, w, None)
+            ops.conv1d(x, w, b)
         with pytest.raises(ValueError):
-            ops.conv1d(Tensor(np.zeros((1, 3, 2))), Tensor(np.zeros((3, 2, 5))), None)
+            ops.conv1d(Tensor(np.zeros((1, 3, 2))), Tensor(np.zeros((3, 2, 5))), b)
 
 
-def channel_major_conv1d(x, w, b, stride, padding):
+def channel_major_conv1d(x, w, b, stride):
     """Oracle: `conv1d` with (channel, tap) im2col columns and a col2im add per output."""
     bsz, width, c_in = x.data.shape
     c_out, _, k = w.data.shape
-    w_out = (width + 2 * padding - k) // stride + 1
-    xp = np.pad(x.data, ((0, 0), (padding, padding), (0, 0))) if padding else x.data
-    windows = np.lib.stride_tricks.sliding_window_view(xp, k, axis=1)[:, ::stride]
+    w_out = (width - k) // stride + 1
+    windows = np.lib.stride_tricks.sliding_window_view(x.data, k, axis=1)[:, ::stride]
     cols = np.ascontiguousarray(windows).reshape(bsz * w_out, c_in * k)
     w2 = w.data.reshape(c_out, c_in * k)
     out2 = cols @ w2.T + b.data
@@ -205,18 +201,18 @@ def channel_major_conv1d(x, w, b, stride, padding):
         w._accumulate((g2.T @ cols).reshape(c_out, c_in, k))
         b._accumulate(g2.sum(axis=0))
         gcols = (g2 @ w2).reshape(bsz, w_out, c_in, k).transpose(0, 1, 3, 2)
-        gxp = np.zeros_like(xp)
+        gx = np.zeros_like(x.data)
         for o in range(w_out):
-            gxp[:, o * stride: o * stride + k] += gcols[:, o]
-        x._accumulate(gxp[:, padding: padding + width] if padding else gxp)
+            gx[:, o * stride: o * stride + k] += gcols[:, o]
+        x._accumulate(gx)
 
     return ops._make(out2.reshape(bsz, w_out, c_out), (x, w, b), backward)
 
 
-# (batch, width, C_in, C_out, kernel, stride, padding): VelModel's three convs
-# on 81 Doppler bins, and a padded case
-CONV_SHAPES = [(6, 81, 1, 32, 5, 2, 0), (6, 39, 32, 64, 5, 2, 0), (6, 18, 64, 64, 5, 2, 0),
-               (3, 9, 3, 4, 4, 2, 2)]
+# (batch, width, C_in, C_out, kernel, stride): VelModel's three convs on 81
+# Doppler bins, and a stride-3 case whose last input row no tap reads
+CONV_SHAPES = [(6, 81, 1, 32, 5, 2), (6, 39, 32, 64, 5, 2), (6, 18, 64, 64, 5, 2),
+               (3, 11, 3, 4, 4, 3)]
 
 
 class TestTapMajorConv:
@@ -224,10 +220,9 @@ class TestTapMajorConv:
 
     @staticmethod
     def _inputs(shape, seed):
-        bsz, width, c_in, c_out, k, stride, padding = shape
+        bsz, width, c_in, c_out, k, stride = shape
         rng = rng64(seed)
-        layer = nn.Conv1d(c_in, c_out, k, stride=stride, padding=padding, rng=rng,
-                          dtype=np.float64)
+        layer = nn.Conv1d(c_in, c_out, k, stride=stride, rng=rng, dtype=np.float64)
         return layer, t64(rng, (bsz, width, c_in), grad=True)
 
     @pytest.mark.parametrize("shape", CONV_SHAPES)
@@ -238,7 +233,7 @@ class TestTapMajorConv:
         for conv in (ops.conv1d, channel_major_conv1d):
             for p in params:
                 p.grad = None
-            out = conv(x, layer.weight, layer.bias, layer.stride, layer.padding)
+            out = conv(x, layer.weight, layer.bias, layer.stride)
             ops.tsum(ops.mul(ops.tanh(out), t64(rng64(1), out.data.shape))).backward()
             runs.append((out.data, [p.grad.copy() for p in params]))
         (out, grads), (want, want_grads) = runs
@@ -249,14 +244,13 @@ class TestTapMajorConv:
             assert relative_error(got, ref) <= 1e-10
 
 
-def im2col_conv1d(x, w, b, stride, padding):
+def im2col_conv1d(x, w, b, stride):
     """Oracle: `conv1d` as it was when its node kept the (tap, channel) im2col
     columns for a one-GEMM weight gradient."""
     bsz, width, c_in = x.data.shape
     c_out, _, k = w.data.shape
-    w_out = (width + 2 * padding - k) // stride + 1
-    xp = np.pad(x.data, ((0, 0), (padding, padding), (0, 0))) if padding else x.data
-    windows = np.lib.stride_tricks.sliding_window_view(xp, k, axis=1)[:, ::stride]
+    w_out = (width - k) // stride + 1
+    windows = np.lib.stride_tricks.sliding_window_view(x.data, k, axis=1)[:, ::stride]
     cols = np.ascontiguousarray(windows.transpose(0, 1, 3, 2)).reshape(bsz * w_out, k * c_in)
     w2 = w.data.transpose(0, 2, 1).reshape(c_out, k * c_in)
     out2 = cols @ w2.T
@@ -266,20 +260,19 @@ def im2col_conv1d(x, w, b, stride, padding):
         g2 = g.reshape(bsz * w_out, c_out)
         w._accumulate((g2.T @ cols).reshape(c_out, k, c_in).transpose(0, 2, 1))
         b._accumulate(g2.sum(axis=0))
-        gxp = np.zeros_like(xp)
+        gx = np.zeros_like(x.data)
         span = stride * (w_out - 1) + 1
         for j in range(k):
             gcol = g2 @ w2[:, j * c_in:(j + 1) * c_in]
-            gxp[:, j: j + span: stride] += gcol.reshape(bsz, w_out, c_in)
-        x._accumulate(gxp[:, padding: padding + width] if padding else gxp)
+            gx[:, j: j + span: stride] += gcol.reshape(bsz, w_out, c_in)
+        x._accumulate(gx)
 
     return ops._make(out2.reshape(bsz, w_out, c_out), (x, w, b), backward)
 
 
-# (batch, width, C_in, C_out, kernel, stride, padding): VelModel's conv2 and
-# conv3 on 81 Doppler bins over 200 frames, and a padded stride-1 case
-PER_TAP_SHAPES = [(200, 39, 32, 64, 5, 2, 0), (200, 18, 64, 64, 5, 2, 0),
-                  (5, 12, 3, 4, 3, 1, 2)]
+# (batch, width, C_in, C_out, kernel, stride): VelModel's conv2 and conv3 on
+# 81 Doppler bins over 200 frames, and a stride-1 case
+PER_TAP_SHAPES = [(200, 39, 32, 64, 5, 2), (200, 18, 64, 64, 5, 2), (5, 12, 3, 4, 3, 1)]
 
 
 class TestPerTapConv:
@@ -287,11 +280,11 @@ class TestPerTapConv:
 
     @staticmethod
     def _run(conv, shape, dtype):
-        bsz, width, c_in, c_out, k, stride, padding = shape
+        bsz, width, c_in, c_out, k, stride = shape
         rng = rng64(sum(shape))
-        layer = nn.Conv1d(c_in, c_out, k, stride=stride, padding=padding, rng=rng, dtype=dtype)
+        layer = nn.Conv1d(c_in, c_out, k, stride=stride, rng=rng, dtype=dtype)
         x = Tensor(rng.normal(size=(bsz, width, c_in)).astype(dtype), requires_grad=True)
-        out = conv(x, layer.weight, layer.bias, layer.stride, layer.padding)
+        out = conv(x, layer.weight, layer.bias, layer.stride)
         weights = Tensor(rng.normal(size=out.data.shape).astype(dtype))
         ops.tsum(ops.mul(ops.tanh(out), weights)).backward()
         return out.data, [p.grad for p in (x, layer.weight, layer.bias)]
@@ -309,7 +302,7 @@ class TestPerTapConv:
     def test_one_input_channel_within_rounding(self):
         # VelModel's conv1: at C_in = 1 a tap's product is a matrix-vector
         # product, which rounds differently from the one GEMM
-        shape = (200, 81, 1, 32, 5, 2, 0)
+        shape = (200, 81, 1, 32, 5, 2)
         (out, grads), (want, want_grads) = (self._run(conv, shape, np.float64)
                                             for conv in (ops.conv1d, im2col_conv1d))
         assert np.array_equal(out, want)
@@ -318,11 +311,13 @@ class TestPerTapConv:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_padded_strided_gradcheck(self, seed):
-        # the last tap reads the right padding; stride 3 skips rows between taps
+        # a caller pads by concatenating zero rows; the last tap reads the
+        # right pad, and stride 3 skips rows between taps
         rng = rng64(900 + seed)
-        layer = nn.Conv1d(3, 2, kernel=4, stride=3, padding=1, rng=rng, dtype=np.float64)
+        layer = nn.Conv1d(3, 2, kernel=4, stride=3, rng=rng, dtype=np.float64)
         x = t64(rng, (2, 11, 3), grad=True)
-        build = lambda: ops.tsum(ops.tanh(layer(x)))
+        pad = Tensor(np.zeros((2, 1, 3)), dtype=np.float64)
+        build = lambda: ops.tsum(ops.tanh(layer(ops.concat([pad, x, pad], axis=1))))
         assert check_gradients(build, layer.params() + [x]) <= 1e-4
 
 
@@ -346,17 +341,8 @@ class TestGradientChecks:
     @pytest.mark.parametrize("seed", range(10))
     def test_conv1d(self, seed):
         rng = rng64(100 + seed)
-        layer = nn.Conv1d(2, 3, kernel=5, stride=2, padding=0, rng=rng, dtype=np.float64)
+        layer = nn.Conv1d(2, 3, kernel=5, stride=2, rng=rng, dtype=np.float64)
         x = t64(rng, (3, 13, 2), grad=True)
-        build = lambda: ops.tsum(ops.tanh(layer(x)))
-        self._check(build, layer.params() + [x])
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_padded_conv1d(self, seed):
-        # the input gradient's padded branch; VelModel's convs use no padding
-        rng = rng64(150 + seed)
-        layer = nn.Conv1d(2, 3, kernel=3, stride=2, padding=2, rng=rng, dtype=np.float64)
-        x = t64(rng, (2, 9, 2), grad=True)
         build = lambda: ops.tsum(ops.tanh(layer(x)))
         self._check(build, layer.params() + [x])
 

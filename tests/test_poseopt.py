@@ -334,6 +334,17 @@ class TestOptimizeInitialPose:
         final, _ = optimize_initial_pose(exact_stub(p_true.positions[0]), start, v, cfg)
         assert np.array_equal(final, start)
 
+    def test_no_epoch_calls_no_model(self):
+        # with max_epochs 0 the model is never read, so None stands in for it
+        p_true = generate_activity(ActivityKind.WPLUS, 3.0, seed=3)
+        v = differentiate(p_true)
+        start = p_true.positions[0] + 0.3
+        cfg = OptConfig(max_epochs=0, period=10)
+        final, trace = optimize_initial_pose(None, start, v, cfg, truth=p_true.positions[0])
+        assert np.array_equal(final, start) and len(trace) == 1
+        out = reconstruct_long_term(None, start, v, cfg)
+        assert np.allclose(out.positions, integrate(start, v).positions)
+
     def test_single_epoch_step_bounded_by_sqrt3_optr(self):
         rng = np.random.default_rng(9)
         p_true = generate_activity(ActivityKind.WPLUS, 2.0, seed=4)
