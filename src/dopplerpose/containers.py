@@ -82,6 +82,8 @@ def read_container(path: str | Path) -> tuple[dict, np.ndarray]:
         header = json.loads(blob[:nl].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ContainerError(f"{path}: bad JSON header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise ContainerError(f"{path}: header is a JSON {type(header).__name__}, not an object")
     dtype_tag = header.get("dtype")
     if dtype_tag not in _DTYPES:
         raise ContainerError(f"{path}: unsupported dtype tag {dtype_tag!r}")

@@ -23,12 +23,15 @@ What each training node keeps for its backward, besides its parents:
 - `lstm_layer`: the gates, cells, tanh(cells) and hidden states of every
   step. Its step loop works in place in preallocated buffers, and each
   direction's bias is added to its contiguous input projection before the
-  copy into step order.
+  copy into step order. The loop walks zipped per-step rows of those
+  buffers, so a step indexes no array: without a graph to record, the one
+  kept row of gates and cells is repeated for every step.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from itertools import repeat
 
 import numpy as np
 
@@ -378,12 +381,14 @@ def lstm_layer(x, directions):
     each starts from a zero state. The input projections, one GEMM a direction,
     are stored step-ordered, so one loop of T steps advances all directions with
     one stacked (D, B, H) @ (D, H, 4H) matmul, one sigmoid over the 4H gate
-    columns (i, f and o are read from it) and one tanh over the g columns. Each
-    value is the one a per-direction, per-step composite computes, so the output
-    is bit-identical to one. Backward is backpropagation through time (Hochreiter
-    & Schmidhuber 1997; Graves 2012, "Supervised Sequence Labelling with RNNs",
-    ch. 4) down the same loop; each direction's weight, bias and input gradients
-    then take one matmul or sum each.
+    columns (i, f and o are read from it) and one tanh over the g columns. The
+    loop walks zipped per-step rows and indexes no array, since at B=1 indexing
+    costs more than the arithmetic. Each value is the one a per-direction,
+    per-step composite computes, so the output is bit-identical to one. Backward
+    is backpropagation through time (Hochreiter & Schmidhuber 1997; Graves 2012,
+    "Supervised Sequence Labelling with RNNs", ch. 4) down the same loop; each
+    direction's weight, bias and input gradients then take one matmul or sum
+    each.
     """
     x = as_tensor(x)
     directions = [tuple(as_tensor(t) for t in d) for d in directions]
@@ -403,7 +408,7 @@ def lstm_layer(x, directions):
         proj = x2 @ w_ih.data
         proj += b.data
         pre[:, d] = _steps(proj.reshape(bsz, t_len, 4 * h_dim), d == 1)
-    w_hh = np.stack([w_hh.data for _, w_hh, _ in directions])
+    w_hh = directions[0][1].data[None] if n_dir == 1 else np.stack([d[1].data for d in directions])
     # per step: sigmoid(i, f, o) with tanh(g) in its place, c, tanh(c) and h;
     # without a graph to record, one step's gates and cells are kept at a time
     kept = t_len if _GRAD_ENABLED and any(t.requires_grad for t in parents) else 1
@@ -413,23 +418,29 @@ def lstm_layer(x, directions):
     h = np.zeros((n_dir, bsz, h_dim), dtype=dtype)
     c = np.zeros_like(h)
     z = np.empty((n_dir, bsz, 4 * h_dim), dtype=dtype)
+    z_g = z[..., 2 * h_dim:3 * h_dim]
     ig = np.empty_like(h)
     i, f, g, o = (gates[..., j * h_dim:(j + 1) * h_dim] for j in range(4))
-    # in place, outputs passed positionally: at B=1 a step is a dozen small ufunc calls
-    for s in range(t_len):
-        k = s % kept
-        a = gates[k]
-        np.matmul(h, w_hh, out=z)
-        np.add(z, pre[s], z)
-        np.negative(z, a)  # sigmoid: 1 / (1 + exp(-z))
-        np.exp(a, a)
-        np.add(a, 1.0, a)
-        np.divide(1.0, a, a)
-        np.tanh(z[..., 2 * h_dim:3 * h_dim], g[k])
-        np.multiply(i[k], g[k], ig)
-        c = np.multiply(f[k], c, cells[k])
-        np.add(c, ig, c)
-        h = np.multiply(o[k], np.tanh(c, tanh_cells[k]), hs[s])
+    # each step's rows of the kept buffers: its own when recording, else the one row
+    rows = zip(gates, i, f, g, o, cells, tanh_cells)
+    rows = rows if kept == t_len else repeat(next(rows))
+    matmul, add, negative, exp, divide, tanh, multiply = (
+        np.matmul, np.add, np.negative, np.exp, np.divide, np.tanh, np.multiply)
+    one = np.ones((), dtype)  # a 0-d array: no scalar conversion per call
+    # in place, outputs passed positionally and nothing indexed: at B=1 a step
+    # is a dozen small ufunc calls
+    for pre_s, hs_s, (a, i_s, f_s, g_s, o_s, c_s, tc_s) in zip(pre, hs, rows):
+        matmul(h, w_hh, out=z)
+        add(z, pre_s, z)
+        negative(z, a)  # sigmoid: 1 / (1 + exp(-z))
+        exp(a, a)
+        add(a, one, a)
+        divide(one, a, a)
+        tanh(z_g, g_s)
+        multiply(i_s, g_s, ig)
+        c = multiply(f_s, c, c_s)
+        add(c, ig, c)
+        h = multiply(o_s, tanh(c, tc_s), hs_s)
     out = np.empty((bsz, t_len, n_dir * h_dim), dtype=dtype)
     for d in range(n_dir):
         _steps(out[:, :, d * h_dim:(d + 1) * h_dim], d == 1)[...] = hs[:, d]

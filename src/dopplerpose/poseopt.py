@@ -55,6 +55,8 @@ class OptConfig:
             raise ValueError("max_epochs must be >= 0")
         if not self.tol >= 0:
             raise ValueError("tol must be non-negative")
+        if self.max_halvings < 0:
+            raise ValueError(f"max_halvings must be >= 0, got {self.max_halvings}")
 
 
 def opt_vector_truth(p0_guess: np.ndarray, p0_true: np.ndarray) -> np.ndarray:

@@ -217,6 +217,16 @@ def test_empty_test_split_exits_1(config_file, pipeline_dir, tmp_path, capsys, c
     assert capsys.readouterr().err == "error: dataset has no test entries\n"
 
 
+def test_non_object_container_header_exits_1(config_file, tmp_path, capsys):
+    bad = tmp_path / "spec.dpc"
+    bad.write_bytes(b"[1]\n")
+    rc = main(["denoise", "--config", str(config_file), "--input", str(bad),
+               "--out", str(tmp_path / "out.dpc")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {bad}: header is a JSON list, not an object\n"
+    assert not (tmp_path / "out.dpc").exists()
+
+
 def test_malformed_config_exits_2_and_names_field(config_file, tmp_path, capsys):
     data = tiny_config_dict()
     data["processing"]["delay_bins"] = "lots"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dopplerpose import containers
+from dopplerpose import nncore as nn
 from dopplerpose.caf import Spectrogram
 from dopplerpose.motion import PoseSequence, VelocitySequence
 from dopplerpose.wavesim import BasebandSignal
@@ -60,6 +61,19 @@ def test_missing_header_field_rejected(tmp_path):
     path.write_bytes(b'{"dtype": "f32le"}\n' + b"\x00" * 12)
     with pytest.raises(containers.ContainerError):
         containers.read_array(path, "pose")
+
+
+@pytest.mark.parametrize("header", [b"[1]", b"3", b'"pose"', b"null"])
+@pytest.mark.parametrize("read", [
+    containers.read_container,
+    lambda p: containers.read_array(p, "pose"),
+    lambda p: nn.load_checkpoint(p, "optmodel", None),
+], ids=["read_container", "read_array", "load_checkpoint"])
+def test_non_object_header_rejected_with_file(tmp_path, header, read):
+    path = tmp_path / "odd.dpc"
+    path.write_bytes(header + b"\n" + b"\x00" * 12)
+    with pytest.raises(containers.ContainerError, match="odd.dpc: header is a JSON"):
+        read(path)
 
 
 def test_bad_dtype_rejected(tmp_path):

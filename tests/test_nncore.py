@@ -491,9 +491,12 @@ def graph_size(root):
 
 
 # (batch, time, features, hidden, layers, bidirectional): OptModel's and
-# VelModel's biLSTMs at their real sizes, and a unidirectional single layer.
+# VelModel's biLSTMs at their real sizes, a unidirectional single layer, and
+# OptModel's one-direction layer-2 calls of the pose loop (T=10 forward,
+# one-step reverse).
 LSTM_SHAPES = [(1, 50, 102, 51, 2, True), (41, 50, 320, 64, 2, True),
-               (3, 17, 8, 5, 1, False)]
+               (3, 17, 8, 5, 1, False), (1, 10, 102, 51, 1, False),
+               (1, 1, 102, 51, 1, False)]
 
 
 class TestFusedLstm:
@@ -600,6 +603,44 @@ class TestFusedLstm:
         ops.tsum(layer(x)).backward()
         assert x.grad is None
         assert all(p.grad is not None for p in layer.params())
+
+
+class TestLstmNoGradRows:
+    """Without a graph to record, `lstm_layer` keeps one step's gates and cells."""
+
+    @staticmethod
+    def _peak_bytes(x, directions, grad):
+        tracemalloc.start()
+        try:
+            if grad:
+                ops.lstm_layer(x, directions)
+            else:
+                with nn.no_grad():
+                    ops.lstm_layer(x, directions)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("n_dir", [1, 2])
+    def test_gate_and_cell_memory_flat_in_length(self, n_dir):
+        # OptModel's sizes at B=1: T=50 against T=5
+        bsz, in_f, h_dim, item, grow = 1, 102, 51, 4, 45
+        rng = rng64(800 + n_dir)
+        directions = [[Tensor(rng.normal(size=shape), requires_grad=True, dtype=np.float32)
+                       for shape in ((in_f, 4 * h_dim), (h_dim, 4 * h_dim), (4 * h_dim,))]
+                      for _ in range(n_dir)]
+        peaks = {}
+        for grad in (False, True):
+            for t_len in (5, 5 + grow):
+                x = Tensor(rng.normal(size=(bsz, t_len, in_f)), dtype=np.float32)
+                peaks[grad, t_len] = self._peak_bytes(x, directions, grad)
+        no_grad = peaks[False, 5 + grow] - peaks[False, 5]
+        # only pre, hs, out and the input projections (at most two alive) grow
+        # with T; an extra step of gates, cells and tanh(cells) is 6H a direction
+        per_step = bsz * item * (n_dir * 4 * h_dim + 2 * 4 * h_dim + 2 * n_dir * h_dim)
+        assert no_grad <= grow * per_step
+        # a recorded graph keeps every step's rows, and the bound sees it
+        assert peaks[True, 5 + grow] - peaks[True, 5] > grow * per_step
 
 
 def stored_xhat_batch_norm(x, gamma, beta, eps):

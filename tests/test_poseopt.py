@@ -366,6 +366,13 @@ def test_opt_config_rejects_tolerance_never_met(tol):
         OptConfig(tol=tol)
 
 
+@pytest.mark.parametrize("halvings", [-1, -20])
+def test_opt_config_rejects_negative_halvings(halvings):
+    # `range` of a negative count is empty: it would act as 0 without a word
+    with pytest.raises(ValueError, match="max_halvings must be >= 0"):
+        OptConfig(max_halvings=halvings)
+
+
 def two_call_loop(model, p0_init, v, cfg, truth=None):
     """Oracle: the pose loop that predicts afresh at the start of every epoch.
 
