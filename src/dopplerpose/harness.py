@@ -175,7 +175,8 @@ def parse_config(data: dict) -> ExperimentConfig:
     clutter = entries("interference.clutter", Clutter, position=list, amplitude=float)
     multipath = entries("interference.multipath", MirrorPlane,
                         point=list, normal=list, amplitude=float)
-    interference = InterferenceConfig(
+    interference = _build(
+        "interference", InterferenceConfig,
         dsi_amplitude=get("interference.dsi_amplitude", float, 0.0),
         clutter=clutter,
         multipath=multipath,
@@ -230,8 +231,8 @@ def parse_config(data: dict) -> ExperimentConfig:
         geometry=geometry,
         bandwidth_hz=get("waveform.bandwidth_hz", float, 8e3),
         sample_rate_hz=sample_rate_hz,
-        scatterer=ScattererModel(
-            path_loss_exponent=get("scatterer.path_loss_exponent", float, 2.0)),
+        scatterer=_build("scatterer", ScattererModel,
+                         path_loss_exponent=get("scatterer.path_loss_exponent", float, 2.0)),
         interference=interference,
         delay_bins=get("processing.delay_bins", int, 1),
         doppler_span_hz=doppler_span_hz,

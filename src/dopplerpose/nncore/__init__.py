@@ -4,18 +4,19 @@ IO.
 
 After `backward` only leaf tensors (parameters, inputs) hold a `.grad`;
 `Adam` keeps its moment buffers itself and updates the parameters in place.
-Layers hold parameters (batch norm also its running statistics); the
-activations are the `relu`/`tanh` ops. A model is persisted as its
-`params()` and `state_arrays()` lists (see `checkpoint`): `save_checkpoint`
-records their shapes, and `load_checkpoint` rebuilds the model from its
-constructor meta and restores the arrays only when every shape matches.
+Layers hold parameters (batch norm also its running statistics); batch norm
+applies its ReLU itself, and the other activations are the `relu`/`tanh`
+ops. A model is persisted as its `params()` and `state_arrays()` lists (see
+`checkpoint`): `save_checkpoint` records their shapes, and `load_checkpoint`
+rebuilds the model from its constructor meta and restores the arrays only
+when every shape matches.
 """
 
 from .tensor import (  # noqa: F401
     Tensor,
     absolute,
     add,
-    batch_norm,
+    batch_norm_relu,
     concat,
     conv1d,
     div,

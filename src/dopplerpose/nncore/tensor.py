@@ -3,13 +3,15 @@
 Small on purpose: dense tensors, the op set needed by the conv/recurrent
 models in this package, and a topological-order backward pass. The ops are
 elementwise arithmetic and activations, reductions, reshape/transpose/
-indexing/concat, 2-D matmul, channel-last (B, W, C) `conv1d`, `batch_norm`
-of the last axis as one node with the closed-form backward, and `lstm_layer`:
-a whole (bi)LSTM layer as one node whose directions step together, with a
+indexing/concat, 2-D matmul, channel-last (B, W, C) `conv1d`,
+`batch_norm_relu` (batch normalization of the last axis and the ReLU after
+it) as one node with the closed-form backward, and `lstm_layer`: a whole
+(bi)LSTM layer as one node whose directions step together, with a
 hand-written backpropagation-through-time backward. Float32 by default;
 gradient-check tests run the same graphs in float64.
 
-What each training node keeps for its backward, besides its parents:
+What each training node keeps for its backward, besides its parents and its
+output:
 - `conv1d` (unpadded, always with a bias): nothing. Its im2col columns,
   tap major, (K, C_in) per output position (K. Chellapilla et al., "High
   Performance Convolutional Neural Networks for Document Processing", 2006),
@@ -18,20 +20,24 @@ What each training node keeps for its backward, besides its parents:
   product each, so neither the columns nor their gradient is ever held whole
   (storing less and recomputing the rest: T. Chen et al., "Training Deep
   Nets with Sublinear Memory Cost", 2016).
-- `batch_norm`: the F-long mean and 1/std. Backward recomputes the
-  normalised input from the input with the forward's ops.
-- `lstm_layer`: the gates, cells, tanh(cells) and hidden states of every
-  step. Its step loop works in place in preallocated buffers, and each
-  direction's bias is added to its contiguous input projection before the
-  copy into step order. The loop walks zipped per-step rows of those
-  buffers, so a step indexes no array: without a graph to record, the one
-  kept row of gates and cells is repeated for every step.
+- `batch_norm_relu`: the F-long mean and 1/std. Backward recomputes the
+  normalised input from the input with the forward's ops, and masks the
+  incoming gradient with its output, so no pre-ReLU copy is kept.
+- `lstm_layer`: the gates, cells and tanh(cells) of every step; the hidden
+  states the weight gradient pairs with dz are read from its output. Its step
+  loop works in place in preallocated buffers, and each direction's bias is
+  added to its contiguous input projection, which one direction steps through
+  in place and two copy into one step-ordered buffer. The loop walks zipped
+  per-step rows of those buffers, so a step indexes no array: without a graph
+  to record, the one kept row of gates and cells is repeated for every step.
+  Backward walks the same rows back and computes each step's derivative
+  factors from them, so it builds no whole-sequence derivative array.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -86,10 +92,13 @@ class Tensor:
     def backward(self):
         """Reverse-mode accumulation from a scalar root; it consumes the graph.
 
-        Leaves keep their gradients. An interior node drops its gradient, its
-        backward closure and its parent links as soon as that closure has
-        run, so what the closure saved is freed during the pass; a second
-        backward from the same root does nothing.
+        Leaves keep their gradients. The pass pops each node off the
+        topological list as it runs it, and an interior node drops its
+        gradient, its backward closure and its parent links as soon as that
+        closure has run. Its consumers have all run by then, so a node the
+        caller does not hold is freed, with its array and what its closure
+        saved, before the next node runs; one the caller holds keeps its
+        `.data`. A second backward from the same root does nothing.
         """
         if self.data.size != 1:
             raise ValueError(f"backward() requires a scalar root, got shape {self.data.shape}")
@@ -108,7 +117,8 @@ class Tensor:
                 if id(p) not in seen:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             if node._backward is not None:
                 if node.grad is not None:
                     node._backward(node.grad)
@@ -320,19 +330,23 @@ def matmul(a, b):
 
 # -- normalization ----------------------------------------------------------
 
-def batch_norm(x, gamma, beta, eps: float):
-    """Training-mode batch normalization of x (..., F) -> (out, mean, var), one graph node.
+def batch_norm_relu(x, gamma, beta, eps: float):
+    """Training-mode batch normalization of x (..., F), then ReLU -> (out, mean, var), one node.
 
     Statistics are per feature (last axis) over the N rows of x as (N, F), for a
     (B, W, C) conv activation over batch and width; `mean` and `var` are (F,).
     Everything is computed in x's dtype, with the numpy calls of the mean /
     centre / square / mean / add eps / sqrt / divide / scale / shift composite
-    in the same order, so the output is bit-identical to one. Backward is the
-    closed form of Ioffe & Szegedy (ICML 2015),
+    and then `relu` in the same order, so the output is bit-identical to
+    relu(composite). The ReLU works in place on the output, so no pre-ReLU copy
+    is ever held. Backward masks the incoming gradient with out > 0, which
+    holds exactly where the pre-ReLU value is positive, as `relu` does; then
+    the closed form of Ioffe & Szegedy (ICML 2015),
     dx = inv/N (N g' - sum g' - xhat sum(g' xhat)) with g' = g gamma, here as
-    gamma inv/N (N g - dbeta - xhat dgamma). The node keeps only the F-long
-    mean and 1/std: backward recomputes xhat from the input with the forward's
-    ops, so bit for bit, and works in that buffer and one more.
+    gamma inv/N (N g - dbeta - xhat dgamma). Besides its output, the node keeps
+    only the F-long mean and 1/std: backward recomputes xhat from the input
+    with the forward's ops, so bit for bit, and works in that buffer and one
+    more.
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     x2 = x.data.reshape(-1, x.data.shape[-1])
@@ -344,9 +358,10 @@ def batch_norm(x, gamma, beta, eps: float):
     out *= inv
     out *= gamma.data
     out += beta.data
+    np.maximum(out, 0, out=out)
 
     def backward(g):
-        g = g.reshape(x2.shape)
+        g = g.reshape(x2.shape) * (out > 0)
         dbeta = g.sum(axis=0)
         xhat = x2 - mean
         xhat *= inv
@@ -386,9 +401,13 @@ def lstm_layer(x, directions):
     costs more than the arithmetic. Each value is the one a per-direction,
     per-step composite computes, so the output is bit-identical to one. Backward
     is backpropagation through time (Hochreiter & Schmidhuber 1997; Graves 2012,
-    "Supervised Sequence Labelling with RNNs", ch. 4) down the same loop; each
-    direction's weight, bias and input gradients then take one matmul or sum
-    each.
+    "Supervised Sequence Labelling with RNNs", ch. 4) back up the same zipped
+    rows: each step's derivative factors come from that step's stored gates and
+    cells, and its dz is copied into one time-ordered (B, T, D*4H) buffer. Then
+    one GEMM gives every direction's W_ih gradient, split by columns, one
+    against the stacked W_ih the input gradient, summed over directions inside
+    the GEMM, and a GEMM a direction the W_hh gradient, pairing dz with the
+    output shifted by one step, zero before each direction's first.
     """
     x = as_tensor(x)
     directions = [tuple(as_tensor(t) for t in d) for d in directions]
@@ -403,11 +422,22 @@ def lstm_layer(x, directions):
     n_dir = len(directions)
     h_dim = directions[0][1].data.shape[0]
     x2 = x.data.reshape(bsz * t_len, in_f)
-    pre = np.empty((t_len, n_dir, bsz, 4 * h_dim), dtype=dtype)
-    for d, (w_ih, _, b) in enumerate(directions):
+
+    def projection(d):
+        """Direction d's input projection plus its bias, a (T, B, 4H) view in step order."""
+        w_ih, _, b = directions[d]
         proj = x2 @ w_ih.data
         proj += b.data
-        pre[:, d] = _steps(proj.reshape(bsz, t_len, 4 * h_dim), d == 1)
+        return _steps(proj.reshape(bsz, t_len, 4 * h_dim), d == 1)
+
+    # one direction steps through its projection in place; two through a
+    # stacked copy, made one projection at a time
+    if n_dir == 1:
+        pre = projection(0)[:, None]
+    else:
+        pre = np.empty((t_len, n_dir, bsz, 4 * h_dim), dtype=dtype)
+        for d in range(n_dir):
+            pre[:, d] = projection(d)
     w_hh = directions[0][1].data[None] if n_dir == 1 else np.stack([d[1].data for d in directions])
     # per step: sigmoid(i, f, o) with tanh(g) in its place, c, tanh(c) and h;
     # without a graph to record, one step's gates and cells are kept at a time
@@ -446,41 +476,67 @@ def lstm_layer(x, directions):
         _steps(out[:, :, d * h_dim:(d + 1) * h_dim], d == 1)[...] = hs[:, d]
 
     def backward(gout):
-        # The state each step started from: the previous step's, zero at the first.
-        h_prev, c_prev = np.zeros_like(hs), np.zeros_like(cells)
-        h_prev[1:], c_prev[1:] = hs[:-1], cells[:-1]
-        # dz_{i,f,g} = dc * k_{i,f,g}, dz_o = dh * k_o, dc gets dh * dc_dh
-        k_cell = np.concatenate((g * i * (1.0 - i), c_prev * f * (1.0 - f), i * (1.0 - g * g)),
-                                axis=-1).reshape(t_len, n_dir, bsz, 3, h_dim)
-        k_o = tanh_cells * o * (1.0 - o)
-        dc_dh = o * (1.0 - tanh_cells * tanh_cells)
-        gh = np.empty_like(hs)
+        gh = np.empty((t_len, n_dir, bsz, h_dim), dtype=dtype)  # gout in step order
         for d in range(n_dir):
             gh[:, d] = _steps(gout[:, :, d * h_dim:(d + 1) * h_dim], d == 1)
-        dz = np.empty_like(gates)
-        dz5 = dz.reshape(t_len, n_dir, bsz, 4, h_dim)
-        dh_next = np.zeros((n_dir, bsz, h_dim), dtype=dz.dtype)
+        # dz in time order, rows (b, t) as the input's, the directions side by
+        # side; the loop works out each step's dz in one (D, B, 4H) buffer and
+        # copies it into that step's rows, a direction each
+        dz_t = np.empty((bsz, t_len, n_dir, 4 * h_dim), dtype=dtype)
+        dz = np.empty((n_dir, bsz, 4 * h_dim), dtype=dtype)
+        dz_i, dz_f, dz_g, dz_o = (dz[..., j * h_dim:(j + 1) * h_dim] for j in range(4))
+        dh_next = np.zeros((n_dir, bsz, h_dim), dtype=dtype)
         dc_next = np.zeros_like(dh_next)
+        dc = np.empty_like(dh_next)
         w_hh_t = w_hh.transpose(0, 2, 1)
-        for s in range(t_len - 1, -1, -1):
-            dh = gh[s] + dh_next
-            dc = dh * dc_dh[s] + dc_next
-            dz5[s, :, :, 0:3] = k_cell[s] * dc[:, :, None, :]
-            dz5[s, :, :, 3] = dh * k_o[s]
-            dc_next = dc * f[s]
-            dh_next = dz[s] @ w_hh_t
-        # weight gradients in time order, rows (b, t) as the input's
-        dz_t = np.empty((bsz, t_len, 4 * h_dim), dtype=dz.dtype)
-        hp_t = np.empty((bsz, t_len, h_dim), dtype=dz.dtype)
+        # walking back, each step's rows and the cell it started from (zero at
+        # the first step): its derivative factors come from those rows
+        c_prev = chain(cells[-2::-1], [np.zeros_like(dh_next)])
+        dz_rows = zip(*(_steps(dz_t[:, :, d], d == 1)[::-1] for d in range(n_dir)))
+        back = (a[::-1] for a in (gh, gates, i, f, g, o, tanh_cells))
+        for gh_s, a, i_s, f_s, g_s, o_s, tc_s, cp_s, rows_s in zip(*back, c_prev, dz_rows):
+            dh = gh_s + dh_next
+            np.multiply(tc_s, tc_s, dc)  # dc = dh o (1 - tanh(c)^2) + dc_next
+            np.subtract(one, dc, dc)
+            dc *= o_s
+            dc *= dh
+            dc += dc_next
+            # dz_i, dz_f, dz_g, dz_o = dc g, dc c_prev, dc i, dh tanh(c) times
+            # their gate's derivative: a (1 - a) for the sigmoids, 1 - g^2 for g
+            np.subtract(one, a, dz)
+            dz *= a
+            np.multiply(g_s, g_s, dz_g)
+            np.subtract(one, dz_g, dz_g)
+            dz_i *= g_s
+            dz_i *= dc
+            dz_f *= cp_s
+            dz_f *= dc
+            dz_g *= i_s
+            dz_g *= dc
+            dz_o *= tc_s
+            dz_o *= dh
+            for row, dz_d in zip(rows_s, dz):
+                row[...] = dz_d
+            dc_next = dc * f_s
+            dh_next = dz @ w_hh_t
+        # one GEMM gives every direction's W_ih gradient, and one against the
+        # stacked W_ih the input gradient, summed over directions
+        dz2 = dz_t.reshape(bsz * t_len, n_dir * 4 * h_dim)
+        gw_ih, gb = x2.T @ dz2, dz2.sum(axis=0)
+        if x.requires_grad:
+            w_ih_all = np.concatenate([w_ih.data for w_ih, _, _ in directions], axis=1)
+            x._accumulate((dz2 @ w_ih_all.T).reshape(bsz, t_len, in_f))
+        # W_hh pairs each step's dz with the hidden state of the step before,
+        # zero at the first: with dz zeroed there, each (b, t) row of dz meets
+        # the output row one step earlier in time (later, reversed)
+        out2 = out.reshape(bsz * t_len, n_dir * h_dim)
         for d, (w_ih, w_hh_d, b) in enumerate(directions):
-            _steps(dz_t, d == 1)[...] = dz[:, d]
-            _steps(hp_t, d == 1)[...] = h_prev[:, d]
-            dz2 = dz_t.reshape(bsz * t_len, 4 * h_dim)
-            w_ih._accumulate(x2.T @ dz2)
-            w_hh_d._accumulate(hp_t.reshape(bsz * t_len, h_dim).T @ dz2)
-            b._accumulate(dz2.sum(axis=0))
-            if x.requires_grad:
-                x._accumulate((dz2 @ w_ih.data.T).reshape(bsz, t_len, in_f))
+            cols = slice(d * 4 * h_dim, (d + 1) * 4 * h_dim)
+            w_ih._accumulate(gw_ih[:, cols])
+            b._accumulate(gb[cols])
+            _steps(dz_t[:, :, d], d == 1)[0] = 0
+            h_rows, z_rows = (out2[:-1], dz2[1:]) if d == 0 else (out2[1:], dz2[:-1])
+            w_hh_d._accumulate(h_rows[:, d * h_dim:(d + 1) * h_dim].T @ z_rows[:, cols])
 
     return _make(out, parents, backward)
 

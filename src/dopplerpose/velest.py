@@ -90,14 +90,14 @@ class VelModel:
         if f != self.doppler_bins:
             raise ValueError(f"model expects {self.doppler_bins} Doppler bins, got {f}")
         h = ops.reshape(x, (b * t_len, f, 1))
-        h = ops.relu(self.bn1(self.conv1(h), training))
-        h = ops.relu(self.bn2(self.conv2(h), training))
-        h = ops.relu(self.bn3(self.conv3(h), training))
+        h = self.bn1(self.conv1(h), training)
+        h = self.bn2(self.conv2(h), training)
+        h = self.bn3(self.conv3(h), training)
         # channel-major features per frame: the order saved LSTM input weights expect
         h = ops.reshape(ops.transpose(h, (0, 2, 1)), (b, t_len, 64 * self.feat_width))
         h = self.lstm(h)
         h = ops.reshape(h, (b * t_len, h.data.shape[2]))
-        h = ops.relu(self.bn_fc(self.fc1(h), training))
+        h = self.bn_fc(self.fc1(h), training)
         h = self.fc2(h)
         h = self.fc3(h)
         return ops.reshape(h, (b, t_len, OUTPUT_DIM))

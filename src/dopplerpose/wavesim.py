@@ -68,6 +68,20 @@ DEFAULT_JOINT_WEIGHTS = np.array([
 ])
 
 
+def _vector3(name: str, v) -> np.ndarray:
+    """v as a float64 3-vector; anything else, or a non-finite entry, is a ValueError."""
+    v = np.asarray(v, dtype=np.float64)
+    if v.shape != (3,) or not np.isfinite(v).all():
+        raise ValueError(f"{name} must be a finite 3-vector, got {v.tolist()}")
+    return v
+
+
+def _check_level(name: str, value: float) -> None:
+    """An amplitude, floor or exponent: finite and >= 0, so NaN is rejected too."""
+    if not 0.0 <= value < np.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
+
+
 @dataclass
 class Geometry:
     """Transmitter / receiver placement and carrier for one bistatic scene."""
@@ -78,13 +92,9 @@ class Geometry:
     carrier_hz: float = 5.8e9
 
     def __post_init__(self):
-        self.tx_pos = np.asarray(self.tx_pos, dtype=np.float64)
-        self.rx_sur_pos = np.asarray(self.rx_sur_pos, dtype=np.float64)
-        self.rx_ref_pos = np.asarray(self.rx_ref_pos, dtype=np.float64)
-        for name, v in (("tx_pos", self.tx_pos), ("rx_sur_pos", self.rx_sur_pos),
-                        ("rx_ref_pos", self.rx_ref_pos)):
-            if v.shape != (3,) or not np.isfinite(v).all():
-                raise ValueError(f"{name} must be a finite 3-vector")
+        self.tx_pos = _vector3("tx_pos", self.tx_pos)
+        self.rx_sur_pos = _vector3("rx_sur_pos", self.rx_sur_pos)
+        self.rx_ref_pos = _vector3("rx_ref_pos", self.rx_ref_pos)
         if not self.carrier_hz > 0:
             raise ValueError("carrier_hz must be positive")
 
@@ -151,8 +161,9 @@ class ScattererModel:
         self.joint_weights = np.asarray(self.joint_weights, dtype=np.float64)
         if self.joint_weights.shape != (N_JOINTS,):
             raise ValueError(f"joint_weights must have shape ({N_JOINTS},)")
-        if (self.joint_weights < 0).any():
-            raise ValueError("joint weights must be non-negative")
+        if not ((self.joint_weights >= 0) & np.isfinite(self.joint_weights)).all():
+            raise ValueError("joint weights must be finite and non-negative")
+        _check_level("path_loss_exponent", self.path_loss_exponent)
 
 
 @dataclass
@@ -164,14 +175,13 @@ class MirrorPlane:
     amplitude: float = 0.0
 
     def __post_init__(self):
-        self.point = np.asarray(self.point, dtype=np.float64)
-        self.normal = np.asarray(self.normal, dtype=np.float64)
+        self.point = _vector3("point", self.point)
+        self.normal = _vector3("normal", self.normal)
         n = np.linalg.norm(self.normal)
         if n < 1e-12:
             raise ValueError("mirror plane normal must be nonzero")
         self.normal = self.normal / n
-        if self.amplitude < 0:
-            raise ValueError("multipath amplitude must be non-negative")
+        _check_level("amplitude", self.amplitude)
 
     def reflect(self, points: np.ndarray) -> np.ndarray:
         d = (points - self.point) @ self.normal
@@ -186,9 +196,8 @@ class Clutter:
     amplitude: float
 
     def __post_init__(self):
-        self.position = np.asarray(self.position, dtype=np.float64)
-        if self.amplitude < 0:
-            raise ValueError("clutter amplitude must be non-negative")
+        self.position = _vector3("position", self.position)
+        _check_level("amplitude", self.amplitude)
 
 
 @dataclass
@@ -202,8 +211,8 @@ class InterferenceConfig:
     noise_seed: int = 0
 
     def __post_init__(self):
-        if self.dsi_amplitude < 0 or self.noise_floor < 0:
-            raise ValueError("interference amplitudes must be non-negative")
+        _check_level("dsi_amplitude", self.dsi_amplitude)
+        _check_level("noise_floor", self.noise_floor)
 
 
 def _path_amp(ranges: np.ndarray, exponent: float) -> np.ndarray:

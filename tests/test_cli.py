@@ -256,7 +256,8 @@ def test_bad_frame_step_exits_2_and_names_field(config_file, tmp_path, capsys, d
 
 @pytest.mark.parametrize("setting", ["processing.clean_iterations=-1",
                                      "training.opt.learning_rate=NaN",
-                                     "training.opt.window=1"])
+                                     "training.opt.window=1",
+                                     "interference.noise_floor=NaN"])
 def test_out_of_range_setting_exits_2_and_names_field(config_file, tmp_path, capsys,
                                                       setting):
     rc = main(["build-dataset", "--config", str(config_file), "--set", setting,

@@ -108,6 +108,27 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"^config field {section}: {key}"):
             harness.parse_config(data)
 
+    @pytest.mark.parametrize("section, key, value", [
+        # NaN floors turned the `> 0` guards off: no noise, no DSI
+        ("interference", "noise_floor", float("nan")),
+        ("interference", "dsi_amplitude", float("nan")),
+        # one element broadcast to (2.5, 2.5, 2.5); two failed inside synthesis
+        ("interference.clutter.0", "position", [2.5]),
+        ("interference.clutter.0", "position", [2.5, 5.0]),
+        ("interference.multipath.0", "normal", [1, 0]),
+        ("interference.multipath.0", "point", [3.5, float("inf"), 0]),
+        # these failed only as "signal samples must be finite"
+        ("interference.clutter.0", "amplitude", float("nan")),
+        ("interference.multipath.0", "amplitude", float("nan")),
+        ("scatterer", "path_loss_exponent", float("nan")),
+        ("interference.clutter.0", "amplitude", -0.5),
+    ])
+    def test_rejected_interference_and_scatterer_values_named(self, section, key, value):
+        data = harness.apply_overrides(tiny_config_dict(),
+                                       [f"{section}.{key}={json.dumps(value)}"])
+        with pytest.raises(ConfigError, match=f"^config field {re.escape(section)}: {key}"):
+            harness.parse_config(data)
+
     @pytest.mark.parametrize("key, value", [("duration_s", 1.0), ("duration_s", 61.0),
                                             ("duration_s", float("nan")),
                                             ("dt", 0.0), ("dt", -0.1), ("dt", 2.0),

@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +30,19 @@ def rng64(seed):
 
 def t64(rng, shape, grad=False):
     return Tensor(rng.normal(size=shape), requires_grad=grad, dtype=np.float64)
+
+
+def kink_free_beta(x, gamma, eps=1e-5):
+    """A batch norm shift that puts its ReLU's kink mid-way in each feature's widest gap.
+
+    Every pre-activation is then |gamma| times half that gap from zero, so central
+    differences do not cross the kink, and each feature has rows on both sides of it.
+    """
+    x2 = x.reshape(-1, x.shape[-1])
+    xhat = np.sort((x2 - x2.mean(axis=0)) / np.sqrt(x2.var(axis=0) + eps), axis=0)
+    k = np.argmax(np.diff(xhat, axis=0), axis=0)
+    cols = np.arange(x2.shape[1])
+    return -gamma * (xhat[k, cols] + xhat[k + 1, cols]) / 2
 
 
 class TestAutogradBasics:
@@ -321,6 +335,37 @@ class TestPerTapConv:
         assert check_gradients(build, layer.params() + [x]) <= 1e-4
 
 
+class TestBackwardRelease:
+    """`Tensor.backward` frees each node the caller does not hold once it has run."""
+
+    def test_interior_node_freed_before_later_nodes_run(self):
+        rng = rng64(21)
+        x, w = t64(rng, (3, 4), grad=True), t64(rng, (3, 4), grad=True)
+        alive = []
+
+        def probe_backward(g):  # runs after every node downstream of it
+            alive.append(mid_data() is not None)
+            x._accumulate(g)
+
+        probe = ops._make(x.data.copy(), (x,), probe_backward)
+        mid = ops.mul(probe, w)
+        mid_data = weakref.ref(mid.data)
+        loss = ops.tsum(ops.tanh(mid))
+        del mid  # the caller holds only the root (and the probe)
+        loss.backward()
+        assert alive == [False]
+        assert np.allclose(w.grad, (1.0 - np.tanh(x.data * w.data) ** 2) * x.data)
+
+    def test_held_tensor_keeps_its_data(self):
+        rng = rng64(22)
+        x, w = t64(rng, (3, 4), grad=True), t64(rng, (3, 4), grad=True)
+        mid = ops.mul(x, w)
+        want = x.data * w.data
+        ops.tsum(ops.tanh(mid)).backward()
+        assert np.array_equal(mid.data, want)
+        assert mid._backward is None and mid.grad is None
+
+
 class TestGradientChecks:
     """Every layer type against central finite differences (<= 1e-4 relative)."""
 
@@ -353,6 +398,8 @@ class TestGradientChecks:
         layer.gamma.data = rng.normal(size=4)
         layer.beta.data = rng.normal(size=4)
         x = t64(rng, (7, 4), grad=True)
+        # the layer ends in a ReLU: keep every pre-activation away from its kink
+        layer.beta.data = kink_free_beta(x.data, layer.gamma.data, layer.eps)
 
         def build():
             # keep running stats untouched by the repeated FD evaluations
@@ -401,19 +448,21 @@ class TestLayerContracts:
         out = ops.relu(Tensor(np.array([-1.0, 0.0, 2.0])))
         assert np.array_equal(out.data, [0.0, 0.0, 2.0])
 
-    def test_batchnorm_inference_is_affine(self):
+    def test_batchnorm_inference_is_relu_of_affine(self):
+        # the running statistics' affine map, then the ReLU the layer carries
         rng = rng64(7)
         layer = nn.BatchNorm1d(3)
         layer.running_mean = rng.normal(size=3).astype(np.float32)
         layer.running_var = rng.uniform(0.5, 2.0, size=3).astype(np.float32)
-        x1 = Tensor(rng.normal(size=(4, 3)).astype(np.float32))
-        x2 = Tensor(rng.normal(size=(4, 3)).astype(np.float32))
-        a, b = 2.0, -0.7
-        lhs = layer(Tensor(a * x1.data + b * x2.data + 1.0)).data
-        rhs = (a * layer(x1).data + b * layer(x2).data
-               + layer(Tensor(np.ones((4, 3), dtype=np.float32))).data
-               - (a + b) * layer(Tensor(np.zeros((4, 3), dtype=np.float32))).data)
-        assert np.allclose(lhs, rhs, atol=1e-5)
+        layer.gamma.data = rng.normal(size=3).astype(np.float32)
+        layer.beta.data = rng.normal(size=3).astype(np.float32)
+        x = rng.normal(size=(6, 3))
+        affine = ((x - layer.running_mean) / np.sqrt(layer.running_var + layer.eps)
+                  * layer.gamma.data + layer.beta.data)
+        assert (affine < 0).any() and (affine > 0).any()
+        out = layer(Tensor(x.astype(np.float32))).data
+        assert np.allclose(out, np.maximum(affine, 0.0), atol=1e-5)
+        assert (out[affine < 0] == 0).all()
 
     def test_lstm_bidirectional_output_width(self):
         rng = rng64(8)
@@ -635,12 +684,47 @@ class TestLstmNoGradRows:
                 x = Tensor(rng.normal(size=(bsz, t_len, in_f)), dtype=np.float32)
                 peaks[grad, t_len] = self._peak_bytes(x, directions, grad)
         no_grad = peaks[False, 5 + grow] - peaks[False, 5]
-        # only pre, hs, out and the input projections (at most two alive) grow
-        # with T; an extra step of gates, cells and tanh(cells) is 6H a direction
-        per_step = bsz * item * (n_dir * 4 * h_dim + 2 * 4 * h_dim + 2 * n_dir * h_dim)
-        assert no_grad <= grow * per_step
+        # only pre, hs and out grow with T, 6H a step and direction: one
+        # direction steps through its input projection itself, and two are
+        # stacked into pre one projection at a time, so no more is alive then.
+        # An extra step of gates, cells and tanh(cells) is 6H a direction too.
+        # Allowed on top: numpy's ufunc buffer, which the broadcast bias add
+        # takes up to its size.
+        per_step = bsz * item * n_dir * 6 * h_dim
+        bound = grow * per_step + np.getbufsize() * item
+        assert no_grad <= bound
         # a recorded graph keeps every step's rows, and the bound sees it
-        assert peaks[True, 5 + grow] - peaks[True, 5] > grow * per_step
+        assert peaks[True, 5 + grow] - peaks[True, 5] > bound
+
+
+class TestLstmBackwardMemory:
+    """`lstm_layer`'s backward keeps no whole-sequence derivative arrays."""
+
+    @pytest.mark.parametrize("n_dir", [1, 2])
+    def test_backward_peak_grows_only_by_its_gradients(self, n_dir):
+        bsz, in_f, h_dim, item, grow = 8, 40, 16, 8, 30
+        rng = rng64(830 + n_dir)
+        directions = [[t64(rng, shape, True) for shape in ((in_f, 4 * h_dim),
+                                                           (h_dim, 4 * h_dim), (4 * h_dim,))]
+                      for _ in range(n_dir)]
+        peaks = {}
+        for t_len in (10, 10 + grow):
+            for p in (p for d in directions for p in d):
+                p.grad = None
+            x = t64(rng, (bsz, t_len, in_f), grad=True)
+            loss = ops.tsum(ops.lstm_layer(x, directions))  # a broadcast, unallocated gout
+            tracemalloc.start()
+            try:
+                loss.backward()
+                peaks[t_len] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # a step adds the output gradient in step order (H) and dz in time
+        # order (4H) a direction, and the input gradient (F). The backward
+        # this replaced also built whole-sequence derivative factors and
+        # previous states (7H a direction) and a step-ordered dz (4H).
+        per_step = bsz * item * (n_dir * 5 * h_dim + in_f)
+        assert peaks[10 + grow] - peaks[10] <= grow * per_step + np.getbufsize() * item
 
 
 def stored_xhat_batch_norm(x, gamma, beta, eps):
@@ -688,12 +772,25 @@ def composite_batch_norm(x, gamma, beta, eps):
     return out, mean.data, var.data
 
 
+def with_relu(batch_norm):
+    """Oracle: a batch norm node followed by the `relu` node, which `batch_norm_relu` fuses."""
+
+    def run(x, gamma, beta, eps):
+        out, mean, var = batch_norm(x, gamma, beta, eps)
+        return ops.relu(out), mean, var
+
+    return run
+
+
+composite_batch_norm_relu = with_relu(composite_batch_norm)
+stored_xhat_batch_norm_relu = with_relu(stored_xhat_batch_norm)
+
 # (rows, features): VelModel's bn1 (B=41, T=50, 39 widths) and bn_fc, and a small case.
 BATCH_NORM_SHAPES = [(41 * 50 * 39, 32), (41 * 50, 128), (7, 4)]
 
 
 class TestFusedBatchNorm:
-    """The fused `batch_norm` op against the composite it replaced."""
+    """The fused `batch_norm_relu` op against the composite and `relu` it replaced."""
 
     @staticmethod
     def _inputs(shape, dtype, seed=0):
@@ -707,8 +804,9 @@ class TestFusedBatchNorm:
     @pytest.mark.parametrize("shape", BATCH_NORM_SHAPES)
     def test_forward_bit_identical_to_composite(self, shape, dtype):
         x, gamma, beta = self._inputs(shape, dtype)
-        out, mean, var = ops.batch_norm(x, gamma, beta, nn.BatchNorm1d.eps)
-        oracle = composite_batch_norm(x, gamma, beta, nn.BatchNorm1d.eps)
+        out, mean, var = ops.batch_norm_relu(x, gamma, beta, nn.BatchNorm1d.eps)
+        oracle = composite_batch_norm_relu(x, gamma, beta, nn.BatchNorm1d.eps)
+        assert (oracle[0].data == 0).any() and (oracle[0].data > 0).any()
         for fused, ref in zip((out.data, mean, var), (oracle[0].data,) + oracle[1:]):
             assert fused.dtype == ref.dtype == dtype
             assert np.array_equal(fused, ref)
@@ -718,7 +816,7 @@ class TestFusedBatchNorm:
         x, gamma, beta = self._inputs(shape, np.float64, seed=1)
         weights = t64(rng64(2), shape)
         grads = []
-        for run in (ops.batch_norm, composite_batch_norm):
+        for run in (ops.batch_norm_relu, composite_batch_norm_relu):
             for p in (x, gamma, beta):
                 p.grad = None
             out = run(x, gamma, beta, nn.BatchNorm1d.eps)[0]
@@ -729,11 +827,13 @@ class TestFusedBatchNorm:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_gradcheck(self, seed):
+        # float64, with every pre-activation away from the ReLU's kink
         x, gamma, beta = self._inputs((6, 3), np.float64, seed=800 + seed)
+        beta.data = kink_free_beta(x.data, gamma.data)
         weights = t64(rng64(seed), (6, 3))
-        build = lambda: ops.tsum(ops.mul(ops.tanh(ops.batch_norm(x, gamma, beta, 1e-5)[0]),
-                                         weights))
-        assert check_gradients(build, [x, gamma, beta]) <= 1e-4
+        build = lambda: ops.tsum(ops.mul(
+            ops.tanh(ops.batch_norm_relu(x, gamma, beta, 1e-5)[0]), weights))
+        assert (build().data != 0) and check_gradients(build, [x, gamma, beta]) <= 1e-4
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_layer_matches_composite_on_channel_last_input(self, dtype):
@@ -744,7 +844,7 @@ class TestFusedBatchNorm:
                    requires_grad=True)
         out = layer(x, training=True).data
         flat = Tensor(x.data.reshape(24, 5))
-        oracle, mean, var = composite_batch_norm(flat, layer.gamma, layer.beta, layer.eps)
+        oracle, mean, var = composite_batch_norm_relu(flat, layer.gamma, layer.beta, layer.eps)
         assert out.dtype == dtype
         assert np.array_equal(out, oracle.data.reshape(4, 6, 5))
         assert np.array_equal(layer.running_mean, 0.9 * np.zeros(5, dtype) + 0.1 * mean)
@@ -763,7 +863,8 @@ class TestFusedBatchNorm:
     def test_input_without_grad_gets_none(self):
         x, gamma, beta = self._inputs((7, 4), np.float64)
         x.requires_grad = False
-        ops.tsum(ops.mul(ops.batch_norm(x, gamma, beta, 1e-5)[0], t64(rng64(5), (7, 4)))).backward()
+        ops.tsum(ops.mul(ops.batch_norm_relu(x, gamma, beta, 1e-5)[0],
+                         t64(rng64(5), (7, 4)))).backward()
         assert x.grad is None
         assert gamma.grad is not None and beta.grad is not None
 
@@ -777,21 +878,24 @@ class TestFusedBatchNorm:
     def test_velmodel_training_graph_size(self):
         model = VelModel(29, dtype=np.float64)
         x = Tensor(rng64(6).normal(size=(2, 5, 29)), dtype=np.float64)
-        assert graph_size(model.forward(x, training=True)) == 56
+        # 56 while a `relu` node followed each of the four batch norms
+        assert graph_size(model.forward(x, training=True)) == 52
 
     def test_velmodel_training_graph_shrinks(self, monkeypatch):
-        # each composite is 11 ops and 3 constants, the fused node one node:
-        # 13 fewer for each of VelModel's four batch norms
+        # each composite is 11 ops and 3 constants, and its `relu` one more
+        # op; the fused node is one node: 14 fewer for each of VelModel's four
+        # batch norms
         model = VelModel(29, dtype=np.float64)
         x = Tensor(rng64(6).normal(size=(2, 3, 29)), dtype=np.float64)
         fused = graph_size(model.forward(x, training=True))
-        monkeypatch.setattr(ops, "batch_norm", composite_batch_norm)
+        monkeypatch.setattr(ops, "batch_norm_relu", composite_batch_norm_relu)
         composite = graph_size(model.forward(x, training=True))
-        assert composite - fused == 4 * 13
+        assert composite - fused == 4 * 14
 
 
 class TestRecomputedBatchNorm:
-    """`batch_norm`, which recomputes xhat in backward, against the node that stored it."""
+    """`batch_norm_relu`, which recomputes xhat in backward, against the node that
+    stored it followed by `relu`: values and gradients bit for bit."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("shape", BATCH_NORM_SHAPES)
@@ -799,7 +903,7 @@ class TestRecomputedBatchNorm:
         x, gamma, beta = TestFusedBatchNorm._inputs(shape, dtype, seed=3)
         weights = Tensor(rng64(4).normal(size=shape).astype(dtype))
         runs = []
-        for run in (ops.batch_norm, stored_xhat_batch_norm):
+        for run in (ops.batch_norm_relu, stored_xhat_batch_norm_relu):
             for p in (x, gamma, beta):
                 p.grad = None
             out, mean, var = run(x, gamma, beta, nn.BatchNorm1d.eps)
@@ -825,23 +929,26 @@ class TestTrainingGraphMemory:
         return held
 
     def test_graph_keeps_no_columns_and_no_xhat(self, monkeypatch):
+        # against the im2col conv node, and batch norm nodes that stored xhat
+        # with a `relu` node after each, which kept the pre-ReLU output alive
         bsz, t_len, bins = 2, 10, 81
         model = VelModel(bins)
         x = Tensor(rng64(8).random((bsz, t_len, bins)), dtype=np.float32)
         item = np.dtype(np.float32).itemsize
-        frames, width, cols, xhat = bsz * t_len, bins, 0, 0
+        frames, width, cols, act = bsz * t_len, bins, 0, 0
         for conv in (model.conv1, model.conv2, model.conv3):
             c_out, c_in, k = conv.weight.shape
             width = conv.out_width(width)
             cols += frames * width * k * c_in * item
-            xhat += frames * width * c_out * item
-        xhat += frames * model.fc1.weight.shape[1] * item  # bn_fc
+            act += frames * width * c_out * item
+        act += frames * model.fc1.weight.shape[1] * item  # bn_fc
         model.forward(x, training=True)  # first-call allocations out of the way
         new = self._held_bytes(model, x)
         monkeypatch.setattr(ops, "conv1d", im2col_conv1d)
-        monkeypatch.setattr(ops, "batch_norm", stored_xhat_batch_norm)
+        monkeypatch.setattr(ops, "batch_norm_relu", stored_xhat_batch_norm_relu)
         old = self._held_bytes(model, x)
-        assert old - new >= cols + xhat, (old, new, cols, xhat)
+        # xhat and the pre-ReLU output are each one batch-norm activation
+        assert old - new >= cols + 2 * act, (old, new, cols, act)
 
 
 @dataclass
