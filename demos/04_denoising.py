@@ -5,7 +5,7 @@ Run:  python3 demos/04_denoising.py
 
 import numpy as np
 
-from dopplerpose import DenoiseParams, denoise
+from dopplerpose import denoise
 from dopplerpose.harness import load_config, simulate_activity
 from dopplerpose.motion import ActivityKind
 
@@ -24,6 +24,6 @@ print(f"D against M   : |D-M| = {np.abs(d_spec.values - m_spec.values).mean():.4
       f"zeroed fraction {np.mean(m_spec.values == 0):.2f} -> {np.mean(d_spec.values == 0):.2f}")
 
 for q in (0.4, 0.6, 0.8):
-    d = denoise(m_spec, DenoiseParams(quantile=q))
+    d = denoise(m_spec, q)
     print(f"quantile {q:.1f}: zeroed fraction {np.mean(d.values == 0):.2f}, "
           f"|D-S| = {np.abs(d.values - s_spec.values).mean():.4f}")

@@ -42,7 +42,7 @@ from .caf import (  # noqa: F401
     self_caf,
     spectrogram_pipeline,
 )
-from .denoise import DenoiseParams, denoise  # noqa: F401
+from .denoise import denoise  # noqa: F401
 from .velest import TrainConfig, VelModel, vel_forward, vel_train  # noqa: F401
 from .poseopt import (  # noqa: F401
     OptConfig,

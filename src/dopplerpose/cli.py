@@ -1,8 +1,8 @@
 """Command-line interface for the micro-Doppler pose pipeline.
 
 Every subcommand takes a JSON config file (see configs/) plus optional
-`--set dotted.key=value` overrides; `--seed` and `--out` are shorthand
-overrides shared by all commands. `evaluate` and `reconstruct` need
+`--set dotted.key=value` overrides (`--set seed=N` sets the seed); every
+command writes to `--out`. `evaluate` and `reconstruct` need
 `--opt-model` only when `optimization.max_epochs` > 0. Exit status is 0 on
 success, 2 on a configuration problem (the message names the offending field
 or option), 1 on any other failure.
@@ -33,17 +33,13 @@ from .wavesim import BasebandSignal, generate_waveform, synthesize_reference, \
 
 def _common(parser):
     parser.add_argument("--config", required=True, help="JSON experiment config")
-    parser.add_argument("--seed", type=int, default=None, help="override config seed")
     parser.add_argument("--out", required=True, help="output file or directory")
     parser.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="KEY=VALUE", help="config override, repeatable")
 
 
 def _load(args):
-    overrides = list(args.overrides)
-    if args.seed is not None:
-        overrides.append(f"seed={args.seed}")
-    return load_config(args.config, overrides)
+    return load_config(args.config, args.overrides)
 
 
 def _load_models(args, cfg):
@@ -102,7 +98,7 @@ def cmd_caf(args) -> int:
 def cmd_denoise(args) -> int:
     cfg = _load(args)
     spec = Spectrogram.load(args.input)
-    den = denoise(spec, cfg.denoise_params)
+    den = denoise(spec, cfg.denoise_quantile)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     den.save(out)

@@ -1,8 +1,8 @@
 """Self-describing binary containers: one UTF-8 JSON header line + raw payload.
 
-Every on-disk artifact (poses, velocities, baseband signals, spectrograms,
-model checkpoints) uses the same layout so files stay greppable and the
-payload stays mmap-friendly:
+Every on-disk artifact (poses, baseband signals, spectrograms, model
+checkpoints) uses the same layout so files stay greppable and the payload
+stays mmap-friendly:
 
     {"version": 1, "kind": "pose", ...}\n
     <raw little-endian payload bytes>
@@ -13,7 +13,6 @@ constant fields and the meta fields its class stores:
 
     kind         axes               dtype  constant        meta
     pose         (T, joints, 3)     f32le  layout "T×J×3"  dt
-    velocity     (T, joints, 3)     f32le  layout "T×J×3"  dt
     signal       (n,)               c64le                  sample_rate_hz, start_time_s
     spectrogram  (doppler_bins, T)  f32le                  dt, doppler_min_hz, doppler_max_hz
 
@@ -37,12 +36,9 @@ _DTYPES = {
     "c64le": np.dtype("<c8"),
 }
 
-_FRAMES = (("T", "joints", 3), "f32le", {"layout": "T×J×3"}, ("dt",))
-
 # kind -> (axes, dtype tag, constant fields, required meta fields)
 KINDS = {
-    "pose": _FRAMES,
-    "velocity": _FRAMES,
+    "pose": (("T", "joints", 3), "f32le", {"layout": "T×J×3"}, ("dt",)),
     "signal": (("n",), "c64le", {}, ("sample_rate_hz", "start_time_s")),
     "spectrogram": (("doppler_bins", "T"), "f32le", {},
                     ("dt", "doppler_min_hz", "doppler_max_hz")),

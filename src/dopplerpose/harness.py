@@ -1,10 +1,12 @@
 """End-to-end experiment harness: dataset builds, training and metric tables.
 
 A dataset is a directory of containers plus a JSON manifest. For every
-generated activity it holds the ground-truth pose and velocity sequences and
-three spectrogram variants: "S" (clean synthesis, no interference), "M"
-(full interference, CLEAN-processed) and "D" (denoised M). The manifest also
-freezes the train/test split so training and evaluation always agree.
+generated activity it holds the ground-truth pose sequence and three
+spectrogram variants: "S" (clean synthesis, no interference), "M" (full
+interference, CLEAN-processed) and "D" (denoised M). Ground-truth velocities
+are not stored: they are the pose's backward difference (`differentiate`),
+taken on load. The manifest also freezes the train/test split so training and
+evaluation always agree.
 
 `evaluate` fills one error array of shape (2, 2, N_JOINTS) per test entry
 and variant, indexed (quantity, frame, joint). Quantity 0 is velocity in
@@ -23,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .caf import Spectrogram, check_doppler_span, spectrogram_pipeline
-from .denoise import DenoiseParams, denoise
+from .denoise import denoise
 from .motion import (
     ActivityKind,
     N_JOINTS,
@@ -133,7 +135,7 @@ class ExperimentConfig:
     doppler_span_hz: float
     doppler_oversample: int
     clean_iterations: int
-    denoise_params: DenoiseParams
+    denoise_quantile: float
     n_activities: int
     duration_s: float
     dt: float
@@ -157,6 +159,7 @@ def parse_config(data: dict) -> ExperimentConfig:
 
     if get("schema_version", int, required=True) != SCHEMA_VERSION:
         raise ConfigError(f"config field schema_version: expected {SCHEMA_VERSION}")
+    seed = get("seed", int, 0, low=0)
     geometry = _build(
         "geometry", Geometry,
         tx_pos=get("geometry.tx_pos", list, required=True),
@@ -185,8 +188,12 @@ def parse_config(data: dict) -> ExperimentConfig:
 
     kinds = [parse_kind(k, "config field dataset.kinds")
              for k in get("dataset.kinds", list, [k.value for k in ActivityKind])]
+    if not kinds:
+        raise ConfigError("config field dataset.kinds: must name at least one activity kind")
 
-    den = _build("denoise", DenoiseParams, quantile=get("denoise.quantile", float, 0.6))
+    quantile = get("denoise.quantile", float, 0.6)
+    if not 0.0 <= quantile < 1.0:
+        raise ConfigError(f"config field denoise.quantile: must be in [0, 1), got {quantile}")
 
     train_fraction = get("dataset.train_fraction", float, 0.23)
     if not 0.0 < train_fraction < 1.0:
@@ -197,7 +204,7 @@ def parse_config(data: dict) -> ExperimentConfig:
         learning_rate=get("training.vel.learning_rate", float, 0.001),
         batch_size=get("training.vel.batch_size", int, 64),
         epochs=get("training.vel.epochs", int, 60),
-        seed=get("seed", int, 0),
+        seed=seed,
         val_fraction=get("training.vel.val_fraction", float, 0.1),
     )
     opt_cfg = _build(
@@ -205,7 +212,7 @@ def parse_config(data: dict) -> ExperimentConfig:
         learning_rate=get("training.opt.learning_rate", float, 0.001),
         batch_size=get("training.opt.batch_size", int, 128),
         epochs=get("training.opt.epochs", int, 40),
-        seed=get("seed", int, 0) + 1,
+        seed=seed + 1,
         val_fraction=get("training.opt.val_fraction", float, 0.1),
     )
 
@@ -220,6 +227,21 @@ def parse_config(data: dict) -> ExperimentConfig:
                           f"2 frames of dataset.duration_s {duration_s}, got {dt}")
 
     sample_rate_hz = get("waveform.sample_rate_hz", float, 16e3)
+    if not 0.0 < sample_rate_hz < np.inf:
+        raise ConfigError(f"config field waveform.sample_rate_hz: must be positive and finite, "
+                          f"got {sample_rate_hz}")
+    bandwidth_hz = get("waveform.bandwidth_hz", float, 8e3)
+    if not 0.0 < bandwidth_hz <= sample_rate_hz:
+        raise ConfigError(f"config field waveform.bandwidth_hz: must be in (0, sample rate "
+                          f"{sample_rate_hz:g}], got {bandwidth_hz}")
+    cpi_samples = int(round(dt * sample_rate_hz))  # as `spectrogram_pipeline` slices a frame
+    if cpi_samples < 2:
+        raise ConfigError(f"config field dataset.dt: a CPI of {dt} s holds {cpi_samples} "
+                          f"samples at {sample_rate_hz:g} Hz, fewer than 2")
+    delay_bins = get("processing.delay_bins", int, 1, low=1)
+    if delay_bins > cpi_samples:
+        raise ConfigError(f"config field processing.delay_bins: must be at most the "
+                          f"{cpi_samples} samples of one CPI, got {delay_bins}")
     try:
         doppler_span_hz = check_doppler_span(
             get("processing.doppler_span_hz", float, 100.0), sample_rate_hz)
@@ -227,18 +249,18 @@ def parse_config(data: dict) -> ExperimentConfig:
         raise ConfigError(f"config field processing.doppler_span_hz: {exc}")
 
     cfg = ExperimentConfig(
-        seed=get("seed", int, 0),
+        seed=seed,
         geometry=geometry,
-        bandwidth_hz=get("waveform.bandwidth_hz", float, 8e3),
+        bandwidth_hz=bandwidth_hz,
         sample_rate_hz=sample_rate_hz,
         scatterer=_build("scatterer", ScattererModel,
                          path_loss_exponent=get("scatterer.path_loss_exponent", float, 2.0)),
         interference=interference,
-        delay_bins=get("processing.delay_bins", int, 1),
+        delay_bins=delay_bins,
         doppler_span_hz=doppler_span_hz,
-        doppler_oversample=get("processing.doppler_oversample", int, 4),
+        doppler_oversample=get("processing.doppler_oversample", int, 4, low=1),
         clean_iterations=get("processing.clean_iterations", int, 2, low=0),
-        denoise_params=den,
+        denoise_quantile=quantile,
         n_activities=n_activities,
         duration_s=duration_s,
         dt=dt,
@@ -324,7 +346,7 @@ def simulate_activity(cfg: ExperimentConfig, kind: ActivityKind, seed: int,
     sur_noisy = add_interference(sur_clean, u, pose, cfg.scatterer, cfg.geometry, noisy_ic)
     m_spec = spectrogram_pipeline(sur_noisy, ref, clean_iterations=cfg.clean_iterations,
                                   **pipe)
-    d_spec = denoise(m_spec, cfg.denoise_params)
+    d_spec = denoise(m_spec, cfg.denoise_quantile)
     return pose, vel, s_spec, m_spec, d_spec
 
 
@@ -362,18 +384,16 @@ def build_dataset(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
         act_seed = cfg.seed * 1_000_003 + i
         rng = np.random.default_rng(act_seed)
         start_xy = rng.uniform(-cfg.start_jitter_m, cfg.start_jitter_m, size=2)
-        pose, vel, s_spec, m_spec, d_spec = simulate_activity(
+        pose, _vel, s_spec, m_spec, d_spec = simulate_activity(
             cfg, kind, act_seed, start_xy=start_xy)
         stem = f"act_{i:04d}"
         files = {
             "pose": f"{stem}_pose.dpc",
-            "velocity": f"{stem}_vel.dpc",
             "spec_s": f"{stem}_spec_s.dpc",
             "spec_m": f"{stem}_spec_m.dpc",
             "spec_d": f"{stem}_spec_d.dpc",
         }
         pose.save(out / files["pose"])
-        vel.save(out / files["velocity"])
         s_spec.save(out / files["spec_s"])
         m_spec.save(out / files["spec_m"])
         d_spec.save(out / files["spec_d"])
@@ -405,11 +425,15 @@ def load_manifest(dataset_dir: str | Path) -> dict:
 
 
 def load_entry(dataset_dir: str | Path, entry: dict):
-    """Load one manifest entry: (pose, velocity, spec_s, spec_m, spec_d)."""
+    """Load one manifest entry: (pose, velocity, spec_s, spec_m, spec_d).
+
+    The velocity is `differentiate(pose)`; a stored velocity file, which
+    older datasets list, is not read.
+    """
     base = Path(dataset_dir)
     f = entry["files"]
-    return (PoseSequence.load(base / f["pose"]),
-            VelocitySequence.load(base / f["velocity"]),
+    pose = PoseSequence.load(base / f["pose"])
+    return (pose, differentiate(pose),
             Spectrogram.load(base / f["spec_s"]),
             Spectrogram.load(base / f["spec_m"]),
             Spectrogram.load(base / f["spec_d"]))
@@ -428,8 +452,8 @@ def train_velocity_model(cfg: ExperimentConfig, dataset_dir: str | Path,
     for i in manifest["split"]["train"]:
         entry = manifest["entries"][i]
         spec = Spectrogram.load(base / entry["files"]["spec_s"])
-        vel = VelocitySequence.load(base / entry["files"]["velocity"])
-        data.append((spec, vel))
+        pose = PoseSequence.load(base / entry["files"]["pose"])
+        data.append((spec, differentiate(pose)))
     model = VelModel(manifest["doppler_bins"], seed=cfg.vel_train.seed)
     history = vel_train(model, data, cfg.vel_train)
     return _save_trained(model, cfg.vel_train, history, checkpoint_path, history_path)

@@ -108,10 +108,6 @@ class PoseSequence:
     def __len__(self) -> int:
         return len(self.positions)
 
-    @property
-    def duration(self) -> float:
-        return len(self.positions) * self.dt
-
     def save(self, path: str | Path) -> None:
         containers.write_array(path, "pose", self.positions, dt=float(self.dt))
 
@@ -139,14 +135,6 @@ class VelocitySequence:
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def save(self, path: str | Path) -> None:
-        containers.write_array(path, "velocity", self.values, dt=float(self.dt))
-
-    @classmethod
-    def load(cls, path: str | Path) -> "VelocitySequence":
-        values, header = containers.read_array(path, "velocity")
-        return cls(values, float(header["dt"]))
 
 
 # ---------------------------------------------------------------------------

@@ -257,7 +257,10 @@ def test_bad_frame_step_exits_2_and_names_field(config_file, tmp_path, capsys, d
 @pytest.mark.parametrize("setting", ["processing.clean_iterations=-1",
                                      "training.opt.learning_rate=NaN",
                                      "training.opt.window=1",
-                                     "interference.noise_floor=NaN"])
+                                     "interference.noise_floor=NaN",
+                                     "processing.delay_bins=0",
+                                     "seed=-1",
+                                     "dataset.kinds=[]"])
 def test_out_of_range_setting_exits_2_and_names_field(config_file, tmp_path, capsys,
                                                       setting):
     rc = main(["build-dataset", "--config", str(config_file), "--set", setting,
@@ -279,7 +282,16 @@ def test_seed_override_changes_artifacts(config_file, tmp_path):
     outs = []
     for seed in (1, 2):
         out = tmp_path / f"pose_{seed}.dpc"
-        main(["gen-motion", "--config", str(config_file), "--kind", "W+",
-              "--seed", str(seed), "--out", str(out)])
+        assert main(["gen-motion", "--config", str(config_file), "--kind", "W+",
+                     "--set", f"seed={seed}", "--out", str(out)]) == 0
         outs.append(PoseSequence.load(out).positions)
     assert not np.array_equal(outs[0], outs[1])
+
+
+def test_seed_option_removed(config_file, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen-motion", "--config", str(config_file), "--kind", "W+",
+              "--seed", "1", "--out", str(tmp_path / "pose.dpc")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert not (tmp_path / "pose.dpc").exists()

@@ -6,7 +6,7 @@ import pytest
 from dopplerpose import containers
 from dopplerpose import nncore as nn
 from dopplerpose.caf import Spectrogram
-from dopplerpose.motion import PoseSequence, VelocitySequence
+from dopplerpose.motion import PoseSequence
 from dopplerpose.wavesim import BasebandSignal
 
 
@@ -87,9 +87,6 @@ SAVED = {
     "pose": (lambda: PoseSequence(np.zeros((3, 17, 3)), 0.1),
              {"version": 1, "kind": "pose", "T": 3, "joints": 17, "dt": 0.1,
               "layout": "T×J×3", "dtype": "f32le"}),
-    "velocity": (lambda: VelocitySequence(np.zeros((4, 17, 3)), 0.05),
-                 {"version": 1, "kind": "velocity", "T": 4, "joints": 17, "dt": 0.05,
-                  "layout": "T×J×3", "dtype": "f32le"}),
     "signal": (lambda: BasebandSignal(np.zeros(5, dtype=complex), 1e4, start_time_s=0.5),
                {"version": 1, "kind": "signal", "n": 5, "sample_rate_hz": 10000.0,
                 "start_time_s": 0.5, "dtype": "c64le"}),

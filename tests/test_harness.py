@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dopplerpose import harness
+from dopplerpose import containers, harness
 from dopplerpose.caf import Spectrogram
 from dopplerpose.harness import ConfigError
 from dopplerpose.motion import N_JOINTS, PoseSequence, VelocitySequence, differentiate
@@ -128,6 +128,34 @@ class TestConfig:
                                        [f"{section}.{key}={json.dumps(value)}"])
         with pytest.raises(ConfigError, match=f"^config field {re.escape(section)}: {key}"):
             harness.parse_config(data)
+
+    @pytest.mark.parametrize("path, value", [
+        # all but the quantile failed only inside the build, naming no field
+        # or the wrong one, or (an empty kinds list) with a ZeroDivisionError
+        ("processing.delay_bins", 0),
+        ("processing.delay_bins", 1601),  # one CPI is 0.1 s x 16 kHz = 1,600 samples
+        ("processing.doppler_oversample", 0),
+        ("seed", -1),
+        ("waveform.sample_rate_hz", -5.0),
+        ("waveform.sample_rate_hz", 0.0),
+        ("waveform.sample_rate_hz", float("inf")),
+        ("waveform.bandwidth_hz", 20000.0),
+        ("waveform.bandwidth_hz", 0.0),
+        ("waveform.bandwidth_hz", float("nan")),
+        ("dataset.dt", 5e-5),  # a one-sample CPI
+        ("dataset.kinds", []),
+        ("denoise.quantile", -0.1),
+        ("denoise.quantile", 1.0),
+        ("denoise.quantile", float("nan")),
+    ])
+    def test_rejected_values_named_by_path(self, path, value):
+        data = harness.apply_overrides(tiny_config_dict(), [f"{path}={json.dumps(value)}"])
+        with pytest.raises(ConfigError, match=f"^config field {re.escape(path)}: "):
+            harness.parse_config(data)
+
+    def test_largest_delay_bins_accepted(self):
+        cfg = harness.parse_config(tiny_config_dict(**{"processing.delay_bins": 1600}))
+        assert cfg.delay_bins == 1600
 
     @pytest.mark.parametrize("key, value", [("duration_s", 1.0), ("duration_s", 61.0),
                                             ("duration_s", float("nan")),
@@ -262,10 +290,50 @@ class TestBuildDataset:
 
     def test_velocities_match_differentiated_pose(self, dataset):
         cfg, out, manifest = dataset
-        pose, vel, *_ = harness.load_entry(out, manifest["entries"][0])
-        expect = differentiate(pose)
-        # both sides went through an f32 container once; allow that rounding
-        assert np.allclose(vel.values, expect.values, atol=1e-4)
+        for entry in manifest["entries"]:
+            pose, vel, *_ = harness.load_entry(out, entry)
+            expect = differentiate(PoseSequence.load(out / entry["files"]["pose"]))
+            assert vel.dt == expect.dt
+            assert np.array_equal(vel.values, expect.values)
+
+    def test_no_velocity_file_written_or_listed(self, dataset):
+        cfg, out, manifest = dataset
+        assert not list(out.glob("*_vel.dpc"))
+        for entry in manifest["entries"]:
+            assert sorted(entry["files"]) == ["pose", "spec_d", "spec_m", "spec_s"]
+
+    def test_dataset_listing_velocity_files_loads_trains_and_evaluates(self, dataset, tmp_path):
+        # Datasets used to ship each entry's velocity as a float32 container
+        # and list it in the manifest; such a dataset must work unchanged.
+        cfg, out, manifest = dataset
+        old = tmp_path / "old"
+        shutil.copytree(out, old)
+        old_manifest = json.loads((old / "manifest.json").read_text(encoding="utf-8"))
+        for entry in old_manifest["entries"]:
+            files = entry["files"]
+            files["velocity"] = files["pose"].replace("_pose", "_vel")
+            pose = PoseSequence.load(old / files["pose"])
+            containers.write_container(
+                old / files["velocity"],
+                {"kind": "velocity", "dtype": "f32le", "layout": "T×J×3", "T": len(pose),
+                 "joints": N_JOINTS, "dt": pose.dt},
+                differentiate(pose).values)
+        (old / "manifest.json").write_text(json.dumps(old_manifest), encoding="utf-8")
+
+        # the float32 file is not read: the velocity is the pose's, in float64
+        entry = old_manifest["entries"][0]
+        assert np.array_equal(harness.load_entry(old, entry)[1].values,
+                              harness.load_entry(out, entry)[1].values)
+        reports = []
+        for ds, name in ((old, "old"), (out, "new")):
+            vel_model = harness.train_velocity_model(cfg, ds, tmp_path / f"{name}_vel.dpc",
+                                                     tmp_path / f"{name}_hist.csv")
+            reports.append(harness.evaluate(without_pose_loop(cfg), ds, vel_model,
+                                            NoPredictor()))
+        assert (tmp_path / "old_vel.dpc").read_bytes() == (tmp_path / "new_vel.dpc").read_bytes()
+        for variant in ("M", "D"):
+            for kind, err in reports[0].errors[variant].items():
+                assert np.array_equal(err, reports[1].errors[variant][kind])
 
     def test_zero_interference_makes_m_equal_s(self, tmp_path):
         data = tiny_config_dict()

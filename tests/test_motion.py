@@ -227,11 +227,3 @@ class TestPoseIO:
         p.save(a)
         PoseSequence.load(a).save(b)
         assert a.read_bytes() == b.read_bytes()
-
-    def test_velocity_round_trip(self, tmp_path):
-        rng = np.random.default_rng(0)
-        v = VelocitySequence(rng.normal(size=(7, 17, 3)).astype(np.float32), dt=0.1)
-        path = tmp_path / "vel.dpc"
-        v.save(path)
-        back = VelocitySequence.load(path)
-        assert np.array_equal(back.values, v.values)

@@ -174,8 +174,6 @@ def _saved_object(kind, rng, length, width, step, scale):
 
     if kind == "pose":
         return PoseSequence(f32((length, N_JOINTS, 3)), step)
-    if kind == "velocity":
-        return VelocitySequence(f32((length, N_JOINTS, 3)), step)
     if kind == "signal":
         return BasebandSignal(f32(length) + 1j * f32(length), 1.0 / step, start_time_s=scale)
     return Spectrogram(np.abs(f32((width, length))),
@@ -183,7 +181,7 @@ def _saved_object(kind, rng, length, width, step, scale):
 
 
 @PROPERTY
-@given(seed=SEEDS, kind=st.sampled_from(["pose", "velocity", "signal", "spectrogram"]),
+@given(seed=SEEDS, kind=st.sampled_from(["pose", "signal", "spectrogram"]),
        length=st.integers(1, 60), width=st.integers(2, 40), step=st.floats(1e-3, 1.0),
        scale=st.floats(1e-3, 1e3))
 def test_class_save_load_round_trip_is_bit_exact(seed, kind, length, width, step, scale):
