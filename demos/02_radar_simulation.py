@@ -49,8 +49,11 @@ interference = InterferenceConfig(
     multipath=[MirrorPlane(point=[3.5, 0, 0], normal=[1, 0, 0], amplitude=0.25)],
     noise_floor=0.1,
 )
-sur = synthesize_surveillance(u, pose, ScattererModel(), geom, interference)
-print(f"surveillance channel: {len(sur)} samples, rms {np.abs(sur.samples).std():.3f}")
+# One call renders the scene: the target returns alone, and with the
+# interference added.
+targets, sur = synthesize_surveillance(u, pose, ScattererModel(), geom, interference)
+print(f"surveillance channel: {len(sur)} samples, rms {np.abs(sur.samples).std():.3f} "
+      f"(targets alone {np.abs(targets.samples).std():.3f})")
 
 # One CPI's ambiguity surface: the walking torso sits off zero Doppler.
 n_cpi = int(0.1 * fs)

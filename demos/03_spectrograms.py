@@ -27,9 +27,11 @@ pose = generate_activity(ActivityKind.WPLUS, 5.0, seed=5)
 u = generate_waveform(8e3, 5.0, fs, seed=1)
 ref = synthesize_reference(u, geom)
 
+# One scene, two channels: the targets alone, and with DSI added.
+sur_clean, sur = synthesize_surveillance(u, pose, ScattererModel(), geom,
+                                         InterferenceConfig(dsi_amplitude=0.05))
+
 # DSI-dominated channel first: watch CLEAN strip the zero-Doppler ridge.
-sur = synthesize_surveillance(u, pose, ScattererModel(), geom,
-                              InterferenceConfig(dsi_amplitude=0.05))
 n = int(0.1 * fs)
 sl = slice(20 * n, 21 * n)
 caf = compute_caf(BasebandSignal(sur.samples[sl], fs), BasebandSignal(ref.samples[sl], fs),
@@ -42,8 +44,7 @@ cleaned = clean_dsi(caf, tmpl)
 after = max(np.abs(cleaned.grid[:, f0]).max(), 1e-12 * before)
 print(f"CLEAN: zero-Doppler ridge {20 * np.log10(after / before):.1f} dB after one pass")
 
-# Full spectrogram of the clean scene: the walking track sweeps ~+30 Hz.
-sur_clean = synthesize_surveillance(u, pose, ScattererModel(), geom, InterferenceConfig())
+# Full spectrogram of the clean channel: the walking track sweeps ~+30 Hz.
 spec = spectrogram_pipeline(sur_clean, ref, cpi_s=0.1, delay_bins=1,
                             doppler_span_hz=100.0, doppler_oversample=4)
 print(f"spectrogram: {spec.values.shape[0]} Doppler bins x {spec.n_frames} frames, "

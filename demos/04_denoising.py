@@ -10,7 +10,7 @@ from dopplerpose.harness import load_config, simulate_activity
 from dopplerpose.motion import ActivityKind
 
 cfg = load_config("configs/default.json")
-pose, vel, s_spec, m_spec, d_spec = simulate_activity(cfg, ActivityKind.WPLUS, seed=9)
+pose, s_spec, m_spec, d_spec = simulate_activity(cfg, ActivityKind.WPLUS, seed=9)
 
 print(f"S (clean)     : median {np.median(s_spec.values):.3f}")
 print(f"M (interfered): median {np.median(m_spec.values):.3f}  "

@@ -27,7 +27,6 @@ from .wavesim import (  # noqa: F401
     InterferenceConfig,
     MirrorPlane,
     ScattererModel,
-    add_interference,
     bistatic_doppler,
     generate_waveform,
     synthesize_reference,

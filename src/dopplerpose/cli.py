@@ -5,7 +5,9 @@ Every subcommand takes a JSON config file (see configs/) plus optional
 command writes to `--out`. `evaluate` and `reconstruct` need
 `--opt-model` only when `optimization.max_epochs` > 0. Exit status is 0 on
 success, 2 on a configuration problem (the message names the offending field
-or option), 1 on any other failure.
+or option), 1 on any other failure (a malformed input file is named).
+`simulate` and `caf` run the dataset build's recipe at the config seed, so
+the stage chain reproduces `harness.simulate_activity` up to file precision.
 
 For bit-reproducible artifacts run single-threaded, e.g.
 OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1.
@@ -15,20 +17,18 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import harness
-from .caf import Spectrogram, spectrogram_pipeline
+from .caf import Spectrogram
 from .denoise import denoise
 from .harness import ConfigError, load_config
 from .motion import PoseSequence
 from .poseopt import OptModel
 from .velest import VelModel
-from .wavesim import BasebandSignal, generate_waveform, synthesize_reference, \
-    synthesize_surveillance
+from .wavesim import BasebandSignal
 
 
 def _common(parser):
@@ -64,13 +64,7 @@ def cmd_gen_motion(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _load(args)
-    pose = PoseSequence.load(args.pose)
-    sig_duration = len(pose) * pose.dt
-    u = generate_waveform(cfg.bandwidth_hz, sig_duration, cfg.sample_rate_hz,
-                          seed=cfg.seed)
-    ref = synthesize_reference(u, cfg.geometry)
-    ic = replace(cfg.interference, noise_seed=cfg.seed + 1)
-    sur = synthesize_surveillance(u, pose, cfg.scatterer, cfg.geometry, ic)
+    ref, _targets, sur = harness.render_channels(cfg, PoseSequence.load(args.pose), cfg.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     ref.save(out / "ref.dpc")
@@ -81,13 +75,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_caf(args) -> int:
     cfg = _load(args)
-    sur = BasebandSignal.load(args.sur)
-    ref = BasebandSignal.load(args.ref)
-    spec = spectrogram_pipeline(
-        sur, ref, cpi_s=cfg.dt, delay_bins=cfg.delay_bins,
-        doppler_span_hz=cfg.doppler_span_hz,
-        doppler_oversample=cfg.doppler_oversample,
-        clean_iterations=cfg.clean_iterations)
+    spec = harness.process_channel(cfg, BasebandSignal.load(args.sur),
+                                   BasebandSignal.load(args.ref), cfg.clean_iterations)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     spec.save(out)
@@ -115,23 +104,14 @@ def cmd_build_dataset(args) -> int:
     return 0
 
 
-def cmd_train_vel(args) -> int:
+def cmd_train(args) -> int:
+    """train-vel or train-opt: `args.net` ("vel" or "opt") names the network and its files."""
     cfg = _load(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    harness.train_velocity_model(cfg, args.data, out / "vel_model.dpc",
-                                 out / "vel_history.csv")
-    print(f"wrote vel_model.dpc and vel_history.csv to {out}")
-    return 0
-
-
-def cmd_train_opt(args) -> int:
-    cfg = _load(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    harness.train_opt_model(cfg, args.data, out / "opt_model.dpc",
-                            out / "opt_history.csv")
-    print(f"wrote opt_model.dpc and opt_history.csv to {out}")
+    train = harness.train_velocity_model if args.net == "vel" else harness.train_opt_model
+    train(cfg, args.data, out / f"{args.net}_model.dpc", out / f"{args.net}_history.csv")
+    print(f"wrote {args.net}_model.dpc and {args.net}_history.csv to {out}")
     return 0
 
 
@@ -217,12 +197,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-vel", help="train the velocity estimation network")
     _common(p)
     p.add_argument("--data", required=True, help="dataset directory")
-    p.set_defaults(fn=cmd_train_vel)
+    p.set_defaults(fn=cmd_train, net="vel")
 
     p = sub.add_parser("train-opt", help="train the pose optimization network")
     _common(p)
     p.add_argument("--data", required=True, help="dataset directory")
-    p.set_defaults(fn=cmd_train_opt)
+    p.set_defaults(fn=cmd_train, net="opt")
 
     p = sub.add_parser("reconstruct", help="full pipeline on one dataset entry")
     _common(p)

@@ -83,8 +83,11 @@ def read_container(path: str | Path) -> tuple[dict, np.ndarray]:
     dtype_tag = header.get("dtype")
     if dtype_tag not in _DTYPES:
         raise ContainerError(f"{path}: unsupported dtype tag {dtype_tag!r}")
-    payload = np.frombuffer(blob[nl + 1 :], dtype=_DTYPES[dtype_tag])
-    return header, payload
+    body, dtype = blob[nl + 1 :], _DTYPES[dtype_tag]
+    if len(body) % dtype.itemsize:
+        raise ContainerError(f"{path}: payload of {len(body)} bytes is not a whole number "
+                             f"of {dtype_tag} values ({dtype.itemsize} bytes each)")
+    return header, np.frombuffer(body, dtype=dtype)
 
 
 def write_array(path: str | Path, kind: str, values, **meta) -> None:

@@ -6,7 +6,11 @@ spectrogram variants: "S" (clean synthesis, no interference), "M" (full
 interference, CLEAN-processed) and "D" (denoised M). Ground-truth velocities
 are not stored: they are the pose's backward difference (`differentiate`),
 taken on load. The manifest also freezes the train/test split so training and
-evaluation always agree.
+evaluation always agree; `load_manifest` checks its shape.
+
+The dataset build and the CLI's `simulate` and `caf` stages share one recipe:
+`render_channels` makes a scene's target-only (S) and full (M) channels, and
+`process_channel` applies the config's processing settings to either.
 
 `evaluate` fills one error array of shape (2, 2, N_JOINTS) per test entry
 and variant, indexed (quantity, frame, joint). Quantity 0 is velocity in
@@ -39,12 +43,12 @@ from .motion import (
 from .poseopt import OptConfig, OptModel, opt_train, optimize_initial_pose, reconstruct_long_term
 from .velest import TrainConfig, VelModel, save_history_csv, vel_forward, vel_train
 from .wavesim import (
+    BasebandSignal,
     Clutter,
     Geometry,
     InterferenceConfig,
     MirrorPlane,
     ScattererModel,
-    add_interference,
     generate_waveform,
     synthesize_reference,
     synthesize_surveillance,
@@ -326,28 +330,33 @@ def load_config(path: str | Path, overrides: list[str] | None = None) -> Experim
 # Dataset build
 # ---------------------------------------------------------------------------
 
+def render_channels(cfg: ExperimentConfig, pose: PoseSequence, seed: int):
+    """The (reference, target-only, full surveillance) signals of `pose`, lasting
+    `len(pose) * pose.dt`: the waveform drawn from `seed`, the noise from `seed + 1`."""
+    u = generate_waveform(cfg.bandwidth_hz, len(pose) * pose.dt, cfg.sample_rate_hz, seed=seed)
+    ic = replace(cfg.interference, noise_seed=seed + 1)
+    targets, full = synthesize_surveillance(u, pose, cfg.scatterer, cfg.geometry, ic)
+    return synthesize_reference(u, cfg.geometry), targets, full
+
+
+def process_channel(cfg: ExperimentConfig, sur: BasebandSignal, ref: BasebandSignal,
+                    clean_iterations: int) -> Spectrogram:
+    """`spectrogram_pipeline` of one surveillance channel at the config's
+    processing settings, with `clean_iterations` CLEAN passes."""
+    return spectrogram_pipeline(sur, ref, cpi_s=cfg.dt, delay_bins=cfg.delay_bins,
+                                doppler_span_hz=cfg.doppler_span_hz,
+                                doppler_oversample=cfg.doppler_oversample,
+                                clean_iterations=clean_iterations)
+
+
 def simulate_activity(cfg: ExperimentConfig, kind: ActivityKind, seed: int,
                       start_xy=(0.0, 0.0)):
-    """Render one activity to its (pose, velocity, S, M, D) tuple."""
+    """Render one activity to its (pose, S, M, D) tuple."""
     pose = generate_activity(kind, cfg.duration_s, seed, dt=cfg.dt, start_xy=start_xy)
-    vel = differentiate(pose)
-    sig_duration = len(pose) * cfg.dt
-    u = generate_waveform(cfg.bandwidth_hz, sig_duration, cfg.sample_rate_hz, seed=seed)
-    ref = synthesize_reference(u, cfg.geometry)
-
-    pipe = dict(cpi_s=cfg.dt, delay_bins=cfg.delay_bins,
-                doppler_span_hz=cfg.doppler_span_hz,
-                doppler_oversample=cfg.doppler_oversample)
-    # M shares S's target returns; only the interference is added on top.
-    sur_clean = synthesize_surveillance(u, pose, cfg.scatterer, cfg.geometry,
-                                        InterferenceConfig())
-    s_spec = spectrogram_pipeline(sur_clean, ref, clean_iterations=0, **pipe)
-    noisy_ic = replace(cfg.interference, noise_seed=seed + 1)
-    sur_noisy = add_interference(sur_clean, u, pose, cfg.scatterer, cfg.geometry, noisy_ic)
-    m_spec = spectrogram_pipeline(sur_noisy, ref, clean_iterations=cfg.clean_iterations,
-                                  **pipe)
-    d_spec = denoise(m_spec, cfg.denoise_quantile)
-    return pose, vel, s_spec, m_spec, d_spec
+    ref, targets, full = render_channels(cfg, pose, seed)
+    s_spec = process_channel(cfg, targets, ref, 0)
+    m_spec = process_channel(cfg, full, ref, cfg.clean_iterations)
+    return pose, s_spec, m_spec, denoise(m_spec, cfg.denoise_quantile)
 
 
 def _stratified_split(kinds_per_entry: list, fraction: float, seed: int):
@@ -375,7 +384,7 @@ def build_dataset(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
         probe.write_text("")
         probe.unlink()
     except OSError as exc:
-        raise RuntimeError(f"output directory {out} is not writable: {exc}")
+        raise OSError(f"output directory {out} is not writable: {exc}") from exc
 
     entries = []
     kinds_per_entry = []
@@ -384,8 +393,8 @@ def build_dataset(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
         act_seed = cfg.seed * 1_000_003 + i
         rng = np.random.default_rng(act_seed)
         start_xy = rng.uniform(-cfg.start_jitter_m, cfg.start_jitter_m, size=2)
-        pose, _vel, s_spec, m_spec, d_spec = simulate_activity(
-            cfg, kind, act_seed, start_xy=start_xy)
+        pose, s_spec, m_spec, d_spec = simulate_activity(cfg, kind, act_seed,
+                                                         start_xy=start_xy)
         stem = f"act_{i:04d}"
         files = {
             "pose": f"{stem}_pose.dpc",
@@ -418,10 +427,30 @@ def build_dataset(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
 
 
 def load_manifest(dataset_dir: str | Path) -> dict:
+    """The dataset's manifest.json; a shape `build_dataset` does not write is a
+    ValueError naming the file and the key."""
     path = Path(dataset_dir) / "manifest.json"
     if not path.exists():
         raise FileNotFoundError(f"no manifest.json in {dataset_dir}")
-    return json.loads(path.read_text(encoding="utf-8"))
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # a JSON or UTF-8 decoding error
+        raise ValueError(f"{path}: invalid JSON: {exc}") from exc
+
+    def check(ok, key, what):
+        if not ok:
+            raise ValueError(f"{path}: {key} must be {what}")
+
+    check(isinstance(manifest, dict), "the manifest", "a JSON object")
+    check(isinstance(manifest.get("entries"), list), "entries", "a list")
+    check(isinstance(manifest.get("split"), dict), "split", "an object")
+    n = len(manifest["entries"])
+    for key in ("train", "test"):
+        idx = manifest["split"].get(key)
+        check(isinstance(idx, list) and all(type(i) is int and 0 <= i < n for i in idx),
+              f"split.{key}", f"a list of indices into the {n} entries")
+    check(type(manifest.get("doppler_bins")) is int, "doppler_bins", "an integer")
+    return manifest
 
 
 def load_entry(dataset_dir: str | Path, entry: dict):
@@ -524,14 +553,6 @@ class MetricsReport:
     errors: dict   # variant -> kind or "overall" -> mean (quantity, frame, joint) array
 
 
-def held_out_entries(manifest: dict) -> list:
-    """The manifest's test-split entries; an empty test split is an error."""
-    entries = [manifest["entries"][i] for i in manifest["split"]["test"]]
-    if not entries:
-        raise ValueError("dataset has no test entries")
-    return entries
-
-
 def reconstruct(cfg: ExperimentConfig, vel_model: VelModel, opt_model: OptModel | None,
                 spec: Spectrogram, truth: np.ndarray | None = None):
     """Estimated velocities, the reconstructed pose sequence and the optimizer trace.
@@ -553,7 +574,10 @@ def evaluate(cfg: ExperimentConfig, dataset_dir: str | Path, vel_model: VelModel
     `optimization.max_epochs` 0 the poses are the estimated velocities
     integrated from `t_pose()`, and `opt_model` is never called (it may be None).
     """
-    entries = held_out_entries(load_manifest(dataset_dir))
+    manifest = load_manifest(dataset_dir)
+    entries = [manifest["entries"][i] for i in manifest["split"]["test"]]
+    if not entries:
+        raise ValueError("dataset has no test entries")
     kinds = sorted({e["kind"] for e in entries})
     by_kind = {k: [] for k in kinds}  # one (variant, quantity, frame, joint) array per entry
     for entry in entries:

@@ -5,10 +5,10 @@ target returns with time-varying bistatic delay (whose carrier-phase rotation
 produces the micro-Doppler), single-bounce multipath ghosts via mirrored
 joint images, direct-signal interference, and static clutter returns, plus a
 white noise floor. The reference channel is a delayed, scaled copy of the
-transmitted waveform. `synthesize_surveillance` renders the target returns
-and hands them to `add_interference`, which adds the other terms, so a
-caller that needs both the clean and the full channel renders the targets
-once.
+transmitted waveform. `synthesize_surveillance` renders one scene: it
+returns the target returns alone (the clean channel) and their sum with the
+other terms (the full channel), so the joint tracks are interpolated and the
+targets rendered once for both.
 
 Amplitudes follow a two-leg free-space law weight / (R_tx * R_rx) with a
 configurable path-loss exponent. Static paths (reference, DSI, clutter) have
@@ -412,30 +412,20 @@ def _coarse_tracks(u: BasebandSignal, p: PoseSequence):
     return coarse_t, _joint_tracks(p, coarse_t)
 
 
-def synthesize_surveillance(u: BasebandSignal, p: PoseSequence, sc: ScattererModel,
-                            g: Geometry, ic: InterferenceConfig) -> BasebandSignal:
-    """Surveillance channel: targets + multipath + DSI + clutter + noise."""
+def synthesize_surveillance(u: BasebandSignal, p: PoseSequence, sc: ScattererModel, g: Geometry,
+                            ic: InterferenceConfig) -> tuple[BasebandSignal, BasebandSignal]:
+    """The surveillance channel of one scene, as (targets, full) signals.
+
+    `targets` holds the live-target returns alone; `full` adds multipath,
+    DSI, clutter and noise from `ic` to them. With an empty `ic` the two are
+    equal.
+    """
     coarse_t, tracks = _coarse_tracks(u, p)
     targets = _target_returns(u, coarse_t, tracks, sc.joint_weights,
                               sc.path_loss_exponent, g)
-    return add_interference(BasebandSignal(targets, u.sample_rate_hz, u.start_time_s),
-                            u, p, sc, g, ic)
-
-
-def add_interference(clean: BasebandSignal, u: BasebandSignal, p: PoseSequence,
-                     sc: ScattererModel, g: Geometry,
-                     ic: InterferenceConfig) -> BasebandSignal:
-    """Add multipath, DSI, clutter and noise to a target-only channel.
-
-    `clean` is `synthesize_surveillance` of the same scene without
-    interference; the result equals `synthesize_surveillance` with `ic`.
-    """
-    if len(clean) != len(u) or clean.sample_rate_hz != u.sample_rate_hz:
-        raise ValueError("clean channel and waveform must share length and sample rate")
-    total = clean.samples.copy()
+    total = targets.copy()
 
     if ic.multipath:
-        coarse_t, tracks = _coarse_tracks(u, p)
         images = np.concatenate([plane.reflect(tracks) for plane in ic.multipath], axis=1)
         weights = np.concatenate([plane.amplitude * sc.joint_weights
                                   for plane in ic.multipath])
@@ -459,7 +449,8 @@ def add_interference(clean: BasebandSignal, u: BasebandSignal, p: PoseSequence,
         total += rng.normal(scale=scale, size=len(u)) \
             + 1j * rng.normal(scale=scale, size=len(u))
 
-    return BasebandSignal(total, u.sample_rate_hz, u.start_time_s)
+    return (BasebandSignal(targets, u.sample_rate_hz, u.start_time_s),
+            BasebandSignal(total, u.sample_rate_hz, u.start_time_s))
 
 
 def bistatic_doppler(g: Geometry, x: np.ndarray, v: np.ndarray) -> float:

@@ -274,7 +274,7 @@ class TestCleanDsi:
             pose = single_scatterer_pose([0, 4, 1.0], [0, 0, 0], n_frames=3)
             sc = ScattererModel(joint_weights=np.zeros(17))
         ic = InterferenceConfig(dsi_amplitude=1.0)
-        sur = synthesize_surveillance(u, pose, sc, geom, ic)
+        _, sur = synthesize_surveillance(u, pose, sc, geom, ic)
         caf0 = compute_caf(sur, u, delay_bins=6, doppler_span_hz=80.0)
         tmpl = self_caf(u, delay_bins=6, doppler_span_hz=80.0)
         return caf0, tmpl
@@ -352,8 +352,8 @@ class TestWalkingSceneTrack:
                         rx_ref_pos=[-3.8, 8, 1.5])
         pose = generate_activity(ActivityKind.WPLUS, 5.0, seed=5)
         u = generate_waveform(8e3, 5.0, fs, seed=1)
-        sur = synthesize_surveillance(u, pose, ScattererModel(), geom,
-                                      InterferenceConfig())
+        sur, _ = synthesize_surveillance(u, pose, ScattererModel(), geom,
+                                         InterferenceConfig())
         spec = spectrogram_pipeline(sur, u, cpi_s=0.1, delay_bins=4,
                                     doppler_span_hz=100.0, doppler_oversample=4)
         bin_hz = spec.doppler_axis[1] - spec.doppler_axis[0]
@@ -398,8 +398,8 @@ class TestPipelineSlices:
                         rx_ref_pos=[-3.8, 8, 1.5])
         pose = generate_activity(ActivityKind.WPLUS, 2.0, seed=3)
         u = generate_waveform(8e3, 1.0, self.FS, seed=2)
-        sur = synthesize_surveillance(u, pose, ScattererModel(), geom,
-                                      InterferenceConfig(dsi_amplitude=0.05, noise_floor=0.1))
+        ic = InterferenceConfig(dsi_amplitude=0.05, noise_floor=0.1)
+        _, sur = synthesize_surveillance(u, pose, ScattererModel(), geom, ic)
         return sur, u
 
     @pytest.mark.parametrize("clean_iterations", [0, 2])

@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from dopplerpose import harness
+from dopplerpose import containers, harness
 from dopplerpose.cli import main
 from dopplerpose.motion import ActivityKind, PoseSequence
 from dopplerpose.caf import Spectrogram
+from dopplerpose.wavesim import BasebandSignal
 from test_harness import tiny_config_dict
 
 
@@ -121,13 +122,38 @@ def test_simulate_and_caf(config_file, tmp_path):
     assert Spectrogram.load(den_file).values.shape == spec.values.shape
 
 
+def test_simulate_and_caf_write_the_harness_recipe(config_file, tmp_path):
+    # simulate writes the recipe's reference and full channel for the config
+    # seed, caf the recipe's spectrogram of the signals it reads, both cast to
+    # their file dtypes and nothing else
+    cfg = harness.load_config(config_file)
+    common = ["--config", str(config_file)]
+    pose_file, sigs, spec_file = tmp_path / "pose.dpc", tmp_path / "sigs", tmp_path / "m.dpc"
+    for argv in (["gen-motion", "--kind", "SD", "--out", str(pose_file)],
+                 ["simulate", "--pose", str(pose_file), "--out", str(sigs)],
+                 ["caf", "--sur", str(sigs / "sur.dpc"), "--ref", str(sigs / "ref.dpc"),
+                  "--out", str(spec_file)]):
+        assert main(argv[:1] + common + argv[1:]) == 0
+    ref, targets, full = harness.render_channels(cfg, PoseSequence.load(pose_file), cfg.seed)
+    assert not np.array_equal(targets.samples, full.samples)
+    for name, want in (("ref.dpc", ref), ("sur.dpc", full)):
+        got, header = containers.read_array(sigs / name, "signal")
+        assert np.array_equal(got, want.samples.astype(np.complex64))
+        assert header["sample_rate_hz"] == want.sample_rate_hz
+        assert header["start_time_s"] == want.start_time_s
+    spec = harness.process_channel(cfg, BasebandSignal.load(sigs / "sur.dpc"),
+                                   BasebandSignal.load(sigs / "ref.dpc"), cfg.clean_iterations)
+    got, header = containers.read_array(spec_file, "spectrogram")
+    assert np.array_equal(got, spec.values.astype(np.float32))
+    assert header["dt"] == spec.dt
+
+
 @pytest.mark.parametrize("kind", ["W+", "SU", "HT"])
 def test_stage_chain_reproduces_simulate_activity(config_file, tmp_path, kind):
     # gen-motion -> simulate -> caf -> denoise against the dataset build's one
     # call; the files hold float32 poses and complex64 signals
     cfg = harness.load_config(config_file)
-    pose, _vel, _s, m_spec, d_spec = harness.simulate_activity(cfg, ActivityKind(kind),
-                                                               cfg.seed)
+    pose, _s, m_spec, d_spec = harness.simulate_activity(cfg, ActivityKind(kind), cfg.seed)
     common = ["--config", str(config_file)]
     pose_file, sigs = tmp_path / "pose.dpc", tmp_path / "sigs"
     m_file, d_file = tmp_path / "m.dpc", tmp_path / "d.dpc"
@@ -225,6 +251,45 @@ def test_non_object_container_header_exits_1(config_file, tmp_path, capsys):
     assert rc == 1
     assert capsys.readouterr().err == f"error: {bad}: header is a JSON list, not an object\n"
     assert not (tmp_path / "out.dpc").exists()
+
+
+def test_truncated_container_exits_1_and_names_file(config_file, tmp_path, capsys):
+    spec_file = tmp_path / "spec.dpc"
+    Spectrogram(np.ones((5, 4)), np.linspace(-10.0, 10.0, 5), 0.1).save(spec_file)
+    spec_file.write_bytes(spec_file.read_bytes()[:-3])
+    rc = main(["denoise", "--config", str(config_file), "--input", str(spec_file),
+               "--out", str(tmp_path / "out.dpc")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {spec_file}: payload of 77 bytes") and "f32le" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out.dpc").exists()
+
+
+def test_build_dataset_onto_a_file_exits_1(config_file, tmp_path, capsys):
+    existing = tmp_path / "afile"
+    existing.write_text("keep")
+    rc = main(["build-dataset", "--config", str(config_file), "--out", str(existing)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: output directory {existing} is not writable")
+    assert existing.read_text() == "keep"
+
+
+@pytest.mark.parametrize("command", ["train-vel", "evaluate"])
+def test_malformed_manifest_exits_1_and_names_file(config_file, pipeline_dir, tmp_path,
+                                                    capsys, command):
+    ds = tmp_path / "ds"
+    ds.mkdir()
+    manifest = ds / "manifest.json"
+    manifest.write_text('{"entries": []}')
+    models = pipeline_dir / "models"
+    extra = [] if command == "train-vel" else [
+        "--vel-model", str(models / "vel_model.dpc"), "--set", "optimization.max_epochs=0"]
+    rc = main([command, "--config", str(config_file), "--data", str(ds), *extra,
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {manifest}: split must be an object\n"
 
 
 def test_malformed_config_exits_2_and_names_field(config_file, tmp_path, capsys):

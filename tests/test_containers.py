@@ -56,6 +56,26 @@ def test_truncated_payload_rejected(tmp_path):
         containers.read_array(path, "pose")
 
 
+@pytest.mark.parametrize("save, load, cut, tag", [
+    (lambda p: PoseSequence(np.zeros((2, 17, 3)), 0.1).save(p), PoseSequence.load, 3, "f32le"),
+    (lambda p: BasebandSignal(np.ones(4, dtype=complex), 1e3).save(p), BasebandSignal.load, 5,
+     "c64le"),
+    (lambda p: Spectrogram(np.ones((5, 4)), np.linspace(-10.0, 10.0, 5), 0.1).save(p),
+     Spectrogram.load, 1, "f32le"),
+    (lambda p: nn.save_checkpoint(p, kind="optmodel", params=[np.ones(4)]),
+     lambda p: nn.load_checkpoint(p, "optmodel", None), 14, "f32le"),
+], ids=["pose", "signal", "spectrogram", "checkpoint"])
+def test_partial_element_payload_names_file_size_and_dtype(tmp_path, save, load, cut, tag):
+    path = tmp_path / "cut.dpc"
+    save(path)
+    blob = path.read_bytes()
+    path.write_bytes(blob[:-cut])
+    size = len(blob) - cut - blob.index(b"\n") - 1
+    with pytest.raises(containers.ContainerError,
+                       match=f"cut.dpc: payload of {size} bytes is not a whole number of {tag}"):
+        load(path)
+
+
 def test_missing_header_field_rejected(tmp_path):
     path = tmp_path / "bad.dpc"
     path.write_bytes(b'{"dtype": "f32le"}\n' + b"\x00" * 12)

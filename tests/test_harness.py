@@ -363,6 +363,64 @@ class TestBuildDataset:
             (tmp_path / "manifest.json").read_bytes()
 
 
+    def test_existing_file_as_out_dir_is_an_os_error(self, tmp_path):
+        cfg = harness.parse_config(tiny_config_dict(**{"dataset.n_activities": 1}))
+        existing = tmp_path / "afile"
+        existing.write_text("keep")
+        with pytest.raises(OSError, match=f"output directory {existing} is not writable"):
+            harness.build_dataset(cfg, existing)
+        assert existing.read_text() == "keep"
+
+
+MANIFEST = {"schema_version": 1, "seed": 0, "doppler_bins": 81,
+            "entries": [{"index": 0}, {"index": 1}], "split": {"train": [0], "test": [1]}}
+
+
+class TestLoadManifest:
+    def _write(self, tmp_path, text):
+        (tmp_path / "manifest.json").write_text(text, encoding="utf-8")
+        return tmp_path / "manifest.json"
+
+    @pytest.mark.parametrize("train, test", [([0], [1]), ([], [0, 1]), ([1, 1, 0], [])])
+    def test_valid_splits_accepted(self, tmp_path, train, test):
+        manifest = dict(MANIFEST, split={"train": train, "test": test})
+        self._write(tmp_path, json.dumps(manifest))
+        assert harness.load_manifest(tmp_path) == manifest
+
+    @pytest.mark.parametrize("change, key", [
+        ({"entries": None}, "entries"),
+        ({"entries": {"0": {}}}, "entries"),
+        ({"split": None}, "split"),
+        ({"split": [[0], [1]]}, "split"),
+        ({"split": {"test": [1]}}, "split.train"),
+        ({"split": {"train": [0], "test": [2]}}, "split.test"),
+        ({"split": {"train": [-1], "test": [1]}}, "split.train"),
+        ({"split": {"train": [0.0], "test": [1]}}, "split.train"),
+        ({"split": {"train": [True], "test": [1]}}, "split.train"),
+        ({"split": {"train": [0], "test": "1"}}, "split.test"),
+        ({"doppler_bins": None}, "doppler_bins"),
+        ({"doppler_bins": 81.0}, "doppler_bins"),
+    ])
+    def test_malformed_field_named_with_file(self, tmp_path, change, key):
+        manifest = {k: v for k, v in dict(MANIFEST, **change).items() if v is not None}
+        path = self._write(tmp_path, json.dumps(manifest))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {key} must be"):
+            harness.load_manifest(tmp_path)
+
+    def test_bare_entries_names_split(self, tmp_path):
+        path = self._write(tmp_path, '{"entries": []}')
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: split must be an object"):
+            harness.load_manifest(tmp_path)
+
+    # single-quoted keys, a JSON list, and a byte that is not UTF-8
+    @pytest.mark.parametrize("text", ["{'entries': []}", "[1, 2]", "\udcff"])
+    def test_not_a_json_object_names_file(self, tmp_path, text):
+        path = tmp_path / "manifest.json"
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+            harness.load_manifest(tmp_path)
+
+
 class TestMetrics:
     def test_root_relative_pins_joint1(self):
         rng = np.random.default_rng(0)

@@ -23,7 +23,6 @@ from dopplerpose.wavesim import (
     _ranges,
     _shifted,
     _target_returns,
-    add_interference,
     bistatic_doppler,
     generate_waveform,
     synthesize_reference,
@@ -247,7 +246,7 @@ class TestSynthesizeSurveillance:
         pose = single_scatterer_pose([0, 2, 1], [0, 0, 0])
         sc = ScattererModel(joint_weights=np.zeros(N_JOINTS))
         ic = InterferenceConfig(dsi_amplitude=0.7)
-        sur = synthesize_surveillance(u, pose, sc, self.GEOM, ic)
+        _, sur = synthesize_surveillance(u, pose, sc, self.GEOM, ic)
         tau = np.linalg.norm(self.GEOM.tx_pos - self.GEOM.rx_sur_pos) / C_LIGHT
         grid = u.times()
         expect = 0.7 * np.exp(-2j * np.pi * self.GEOM.carrier_hz * tau) * (
@@ -261,19 +260,15 @@ class TestSynthesizeSurveillance:
         sc = ScattererModel(joint_weights=one_joint_weights())
         plane = MirrorPlane(point=[3, 0, 0], normal=[1, 0, 0], amplitude=0.3)
         cl = Clutter(position=[2, 5, 0.5], amplitude=0.8)
-        full = synthesize_surveillance(
+        _, full = synthesize_surveillance(
             u, pose, sc, self.GEOM,
             InterferenceConfig(dsi_amplitude=0.5, clutter=[cl], multipath=[plane]))
-        parts = []
-        parts.append(synthesize_surveillance(
-            u, pose, sc, self.GEOM, InterferenceConfig()))
         zero_targets = ScattererModel(joint_weights=np.zeros(N_JOINTS))
-        parts.append(synthesize_surveillance(
-            u, pose, zero_targets, self.GEOM, InterferenceConfig(dsi_amplitude=0.5)))
-        parts.append(synthesize_surveillance(
-            u, pose, zero_targets, self.GEOM, InterferenceConfig(clutter=[cl])))
-        parts.append(synthesize_surveillance(
-            u, pose, sc, self.GEOM, InterferenceConfig(multipath=[plane])))
+        parts = [synthesize_surveillance(u, pose, model, self.GEOM, ic)[1] for model, ic in (
+            (sc, InterferenceConfig()),
+            (zero_targets, InterferenceConfig(dsi_amplitude=0.5)),
+            (zero_targets, InterferenceConfig(clutter=[cl])),
+            (sc, InterferenceConfig(multipath=[plane])))]
         # the multipath-only piece also re-synthesizes the direct target sum
         summed = sum(p.samples for p in parts) - parts[0].samples
         rel = np.abs(full.samples - summed).max() / np.abs(full.samples).max()
@@ -283,12 +278,9 @@ class TestSynthesizeSurveillance:
         u = self._waveform()
         pose = single_scatterer_pose([1, 4, 1], [0, 0, 0])
         sc = ScattererModel(joint_weights=one_joint_weights())
-        a = synthesize_surveillance(u, pose, sc, self.GEOM,
-                                    InterferenceConfig(noise_floor=0.1, noise_seed=3))
-        b = synthesize_surveillance(u, pose, sc, self.GEOM,
-                                    InterferenceConfig(noise_floor=0.1, noise_seed=3))
-        c = synthesize_surveillance(u, pose, sc, self.GEOM,
-                                    InterferenceConfig(noise_floor=0.1, noise_seed=4))
+        a, b, c = (synthesize_surveillance(u, pose, sc, self.GEOM,
+                                           InterferenceConfig(noise_floor=0.1, noise_seed=s))[1]
+                   for s in (3, 3, 4))
         assert np.array_equal(a.samples, b.samples)
         assert not np.array_equal(a.samples, c.samples)
 
@@ -326,27 +318,46 @@ class TestTargetReturnsOracle:
         u, pose = scene()
         sc = ScattererModel()
         for planes in ((), (DEFAULT_PLANE,)):
-            new = synthesize_surveillance(u, pose, sc, WALK_GEOM,
-                                          InterferenceConfig(multipath=list(planes)))
+            _, new = synthesize_surveillance(u, pose, sc, WALK_GEOM,
+                                             InterferenceConfig(multipath=list(planes)))
             want = direct_target_returns(u, pose, sc, WALK_GEOM, planes)
             rel = np.abs(new.samples - want).max() / np.abs(want).max()
             assert rel < 1e-9
             # interpolation at t - tau < t_0 reads 0: nothing has arrived yet
             assert want[0] == 0 and new.samples[0] == 0
 
-    def test_interference_on_clean_equals_full_synthesis(self):
+
+class TestSceneChannels:
+    """The target-only and full channels of one `synthesize_surveillance` call."""
+
+    def test_empty_interference_gives_equal_channels(self):
         u, pose = walking_scene()
-        sc = ScattererModel()
-        ic = InterferenceConfig(dsi_amplitude=0.05, noise_floor=0.1, noise_seed=7,
-                                clutter=[Clutter([2.5, 5.0, 0.5], 0.6)],
-                                multipath=[DEFAULT_PLANE])
-        clean = synthesize_surveillance(u, pose, sc, WALK_GEOM, InterferenceConfig())
-        full = synthesize_surveillance(u, pose, sc, WALK_GEOM, ic)
-        again = add_interference(clean, u, pose, sc, WALK_GEOM, ic)
-        assert np.array_equal(again.samples, full.samples)
-        assert np.array_equal(
-            add_interference(clean, u, pose, sc, WALK_GEOM, InterferenceConfig()).samples,
-            clean.samples)
+        targets, full = synthesize_surveillance(u, pose, ScattererModel(), WALK_GEOM,
+                                                InterferenceConfig())
+        assert np.array_equal(targets.samples, full.samples)
+        assert targets.sample_rate_hz == full.sample_rate_hz == u.sample_rate_hz
+        assert targets.start_time_s == full.start_time_s == u.start_time_s
+
+    def test_targets_unchanged_by_default_interference(self, monkeypatch):
+        cfg = harness.parse_config(json.loads(DEFAULT_CONFIG.read_text()))
+        ic = cfg.interference
+        assert ic.multipath and ic.clutter and ic.dsi_amplitude > 0 and ic.noise_floor > 0
+        u, pose = walking_scene()
+        clean, _ = synthesize_surveillance(u, pose, cfg.scatterer, cfg.geometry,
+                                           InterferenceConfig())
+        calls = []
+        tracks_fn = wavesim._coarse_tracks
+
+        def counted_tracks(*args):
+            calls.append(args)
+            return tracks_fn(*args)
+
+        monkeypatch.setattr(wavesim, "_coarse_tracks", counted_tracks)
+        targets, full = synthesize_surveillance(u, pose, cfg.scatterer, cfg.geometry, ic)
+        assert np.array_equal(targets.samples, clean.samples)
+        assert not np.array_equal(full.samples, targets.samples)
+        # the mirror images reuse the direct joints' tracks
+        assert len(calls) == 1
 
 
 def scene_paths(u, pose, planes=()):
@@ -430,7 +441,7 @@ class TestSegmentMajorTargets:
         monkeypatch.setattr(wavesim, "_joint_tracks", interp_joint_tracks)
         old = render()
         for a, b in zip(new, old):
-            for spec_new, spec_old in ((a[2], b[2]), (a[3], b[3])):  # S, M
+            for spec_new, spec_old in ((a[1], b[1]), (a[2], b[2])):  # S, M
                 assert np.abs(spec_new.values - spec_old.values).max() <= 1e-9
 
 
@@ -495,7 +506,7 @@ class TestDelayLimits:
         g = Geometry(tx_pos=[-4, 2, 1], rx_sur_pos=[0, 2.5, 1], rx_ref_pos=[0, 0, 0])
         far_wall = MirrorPlane(point=[self.ONE_SAMPLE_M / 2, 0, 0], normal=[1, 0, 0],
                                amplitude=0.3)
-        ok = synthesize_surveillance(u, pose, ScattererModel(), g, InterferenceConfig())
+        _, ok = synthesize_surveillance(u, pose, ScattererModel(), g, InterferenceConfig())
         assert np.abs(ok.samples).max() > 0
         with pytest.raises(ValueError, match="rx"):
             synthesize_surveillance(u, pose, ScattererModel(), g,
@@ -510,10 +521,10 @@ class TestDelayLimits:
         extra = (clutter_samples - dsi_samples) / 2 * self.ONE_SAMPLE_M
         cl = Clutter([d + extra, 0, 0], amplitude=1.0)
         no_targets = ScattererModel(joint_weights=np.zeros(N_JOINTS))
-        dsi = synthesize_surveillance(u, pose, no_targets, g,
-                                      InterferenceConfig(dsi_amplitude=1.0))
-        clutter = synthesize_surveillance(u, pose, no_targets, g,
-                                          InterferenceConfig(clutter=[cl]))
+        _, dsi = synthesize_surveillance(u, pose, no_targets, g,
+                                         InterferenceConfig(dsi_amplitude=1.0))
+        _, clutter = synthesize_surveillance(u, pose, no_targets, g,
+                                             InterferenceConfig(clutter=[cl]))
         for sig, k in ((dsi, dsi_samples), (clutter, clutter_samples)):
             lag = np.abs([np.vdot(u.samples[: len(u) - m], sig.samples[m:])
                           for m in range(30)])
