@@ -6,7 +6,7 @@ spectrogram variants: "S" (clean synthesis, no interference), "M" (full
 interference, CLEAN-processed) and "D" (denoised M). Ground-truth velocities
 are not stored: they are the pose's backward difference (`differentiate`),
 taken on load. The manifest also freezes the train/test split so training and
-evaluation always agree; `load_manifest` checks its shape.
+evaluation always agree; `load_manifest` checks its shape, entries included.
 
 The dataset build and the CLI's `simulate` and `caf` stages share one recipe:
 `render_channels` makes a scene's target-only (S) and full (M) channels, and
@@ -56,6 +56,7 @@ from .wavesim import (
 
 SCHEMA_VERSION = 1
 VARIANTS = ("M", "D")  # the spectrogram variants `evaluate` reports on
+ENTRY_FILES = ("pose", "spec_s", "spec_m", "spec_d")  # the files of a manifest entry
 
 
 class ConfigError(ValueError):
@@ -395,17 +396,9 @@ def build_dataset(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
         start_xy = rng.uniform(-cfg.start_jitter_m, cfg.start_jitter_m, size=2)
         pose, s_spec, m_spec, d_spec = simulate_activity(cfg, kind, act_seed,
                                                          start_xy=start_xy)
-        stem = f"act_{i:04d}"
-        files = {
-            "pose": f"{stem}_pose.dpc",
-            "spec_s": f"{stem}_spec_s.dpc",
-            "spec_m": f"{stem}_spec_m.dpc",
-            "spec_d": f"{stem}_spec_d.dpc",
-        }
-        pose.save(out / files["pose"])
-        s_spec.save(out / files["spec_s"])
-        m_spec.save(out / files["spec_m"])
-        d_spec.save(out / files["spec_d"])
+        files = {key: f"act_{i:04d}_{key}.dpc" for key in ENTRY_FILES}
+        for key, item in zip(ENTRY_FILES, (pose, s_spec, m_spec, d_spec)):
+            item.save(out / files[key])
         doppler_bins = s_spec.values.shape[0]  # the same for every activity of one config
         entries.append({
             "index": i, "kind": kind.value, "seed": act_seed,
@@ -443,6 +436,13 @@ def load_manifest(dataset_dir: str | Path) -> dict:
 
     check(isinstance(manifest, dict), "the manifest", "a JSON object")
     check(isinstance(manifest.get("entries"), list), "entries", "a list")
+    for k, entry in enumerate(manifest["entries"]):
+        files = entry.get("files") if isinstance(entry, dict) else None
+        check(isinstance(files, dict) and type(entry.get("index")) is int
+              and isinstance(entry.get("kind"), str)
+              and all(isinstance(files.get(key), str) for key in ENTRY_FILES),
+              f"entries.{k}", "an object with an integer index, a string kind and a "
+              f"files object naming {', '.join(ENTRY_FILES)} as strings")
     check(isinstance(manifest.get("split"), dict), "split", "an object")
     n = len(manifest["entries"])
     for key in ("train", "test"):
@@ -453,19 +453,20 @@ def load_manifest(dataset_dir: str | Path) -> dict:
     return manifest
 
 
+def _entry_paths(dataset_dir: str | Path, entry: dict) -> list:
+    """The paths of a manifest entry's files, in `ENTRY_FILES` order."""
+    return [Path(dataset_dir) / entry["files"][key] for key in ENTRY_FILES]
+
+
 def load_entry(dataset_dir: str | Path, entry: dict):
     """Load one manifest entry: (pose, velocity, spec_s, spec_m, spec_d).
 
     The velocity is `differentiate(pose)`; a stored velocity file, which
     older datasets list, is not read.
     """
-    base = Path(dataset_dir)
-    f = entry["files"]
-    pose = PoseSequence.load(base / f["pose"])
-    return (pose, differentiate(pose),
-            Spectrogram.load(base / f["spec_s"]),
-            Spectrogram.load(base / f["spec_m"]),
-            Spectrogram.load(base / f["spec_d"]))
+    pose_path, *spec_paths = _entry_paths(dataset_dir, entry)
+    pose = PoseSequence.load(pose_path)
+    return (pose, differentiate(pose), *(Spectrogram.load(p) for p in spec_paths))
 
 
 # ---------------------------------------------------------------------------
@@ -476,36 +477,27 @@ def train_velocity_model(cfg: ExperimentConfig, dataset_dir: str | Path,
                          checkpoint_path: str | Path, history_path: str | Path) -> VelModel:
     """Train the velocity net on the train split's clean (S) spectrograms."""
     manifest = load_manifest(dataset_dir)
-    base = Path(dataset_dir)
     data = []
     for i in manifest["split"]["train"]:
-        entry = manifest["entries"][i]
-        spec = Spectrogram.load(base / entry["files"]["spec_s"])
-        pose = PoseSequence.load(base / entry["files"]["pose"])
-        data.append((spec, differentiate(pose)))
+        pose_path, s_path, _, _ = _entry_paths(dataset_dir, manifest["entries"][i])
+        data.append((Spectrogram.load(s_path), differentiate(PoseSequence.load(pose_path))))
     model = VelModel(manifest["doppler_bins"], seed=cfg.vel_train.seed)
     history = vel_train(model, data, cfg.vel_train)
-    return _save_trained(model, cfg.vel_train, history, checkpoint_path, history_path)
+    model.save(checkpoint_path)
+    save_history_csv(history_path, history)
+    return model
 
 
 def train_opt_model(cfg: ExperimentConfig, dataset_dir: str | Path,
                     checkpoint_path: str | Path, history_path: str | Path) -> OptModel:
     """Train the optimization-vector net on the train split's mocap poses."""
     manifest = load_manifest(dataset_dir)
-    base = Path(dataset_dir)
-    mocap = [PoseSequence.load(base / manifest["entries"][i]["files"]["pose"])
+    mocap = [PoseSequence.load(_entry_paths(dataset_dir, manifest["entries"][i])[0])
              for i in manifest["split"]["train"]]
     model = OptModel(seed=cfg.opt_train_cfg.seed)
     history = opt_train(model, mocap, cfg.opt_train_cfg, n_pairs=cfg.opt_pairs,
                         window=cfg.opt_window)
-    return _save_trained(model, cfg.opt_train_cfg, history, checkpoint_path, history_path)
-
-
-def _save_trained(model, train_cfg: TrainConfig, history: list,
-                  checkpoint_path: str | Path, history_path: str | Path):
-    """Write the checkpoint, with the epoch count and final loss as meta, and the history."""
-    final_loss = history[-1]["train_loss"] if history else None
-    model.save(checkpoint_path, meta={"epochs": train_cfg.epochs, "final_train_loss": final_loss})
+    model.save(checkpoint_path)
     save_history_csv(history_path, history)
     return model
 

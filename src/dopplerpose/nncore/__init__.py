@@ -8,8 +8,8 @@ Layers hold parameters (batch norm also its running statistics); batch norm
 applies its ReLU itself, and the other activations are the `relu`/`tanh`
 ops. A model is persisted as its `params()` and `state_arrays()` lists (see
 `checkpoint`): `save_checkpoint` records their shapes, and `load_checkpoint`
-rebuilds the model from its constructor meta and restores the arrays only
-when every shape matches.
+rebuilds the model from its meta, which holds only the constructor arguments
+that set those shapes, and restores the arrays only when every shape matches.
 """
 
 from .tensor import (  # noqa: F401
@@ -25,7 +25,6 @@ from .tensor import (  # noqa: F401
     matmul,
     mul,
     no_grad,
-    power,
     relu,
     reshape,
     sqrt,

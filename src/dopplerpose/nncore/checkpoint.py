@@ -2,10 +2,13 @@
 
 The manifest records the model kind, the constructor `meta`, and the shape of
 every parameter array and every state array (batch-norm running statistics),
-in the model's own `params()`/`state_arrays()` order. That list of shapes is
-the whole layout contract: `load_checkpoint` rebuilds the model from `meta`
-and restores it only if its arrays match the manifest one for one. Files
-written before this layout also carry a `layers` field; it is ignored.
+in the model's own `params()`/`state_arrays()` order. `meta` holds only what
+the model's `load` rebuilds it from: the constructor arguments that set the
+array shapes, not how the model was trained (the training history has its own
+file). That list of shapes is the whole layout contract: `load_checkpoint`
+rebuilds the model from `meta` and restores it only if its arrays match the
+manifest one for one. Older files also carry a `layers` field and more meta
+keys (`seed`, `epochs`, `final_train_loss`); no reader reads them.
 """
 
 from __future__ import annotations

@@ -111,10 +111,12 @@ class BatchNorm1d:
 class LSTM:
     """Standard LSTM over (B, T, F); bidirectional stacks concatenate outputs.
 
-    Each layer is one `lstm_layer` graph node whose directions step together
-    in one loop, and whose backward is backpropagation through time
-    (Hochreiter & Schmidhuber 1997; Graves 2012, ch. 4): its cost per step
-    does not grow with the sequence length.
+    `layers` holds, per layer, one `(W_ih, W_hh, b)` triple per direction
+    (forward first): the argument `tensor.lstm_layer` takes. Each layer is one
+    such graph node whose directions step together in one loop, and whose
+    backward is backpropagation through time (Hochreiter & Schmidhuber 1997;
+    Graves 2012, ch. 4): its cost per step does not grow with the sequence
+    length.
     """
 
     def __init__(self, input_size: int, hidden_size: int, num_layers: int = 1,
@@ -124,24 +126,18 @@ class LSTM:
         rng = rng or np.random.default_rng()
         self.input_size = input_size
         self.hidden_size = hidden_size
-        self.num_layers = num_layers
-        self.bidirectional = bidirectional
         self.dirs = 2 if bidirectional else 1
-        self.weights = []  # per (layer, direction): dict of W_ih, W_hh, b
+        self.layers = []
         for layer in range(num_layers):
             in_f = input_size if layer == 0 else hidden_size * self.dirs
-            for _ in range(self.dirs):
-                self.weights.append({
-                    "W_ih": _uniform(rng, in_f, (in_f, 4 * hidden_size), dtype),
-                    "W_hh": _uniform(rng, hidden_size, (hidden_size, 4 * hidden_size), dtype),
-                    "b": _uniform(rng, hidden_size, (4 * hidden_size,), dtype),
-                })
+            self.layers.append([
+                (_uniform(rng, in_f, (in_f, 4 * hidden_size), dtype),
+                 _uniform(rng, hidden_size, (hidden_size, 4 * hidden_size), dtype),
+                 _uniform(rng, hidden_size, (4 * hidden_size,), dtype))
+                for _ in range(self.dirs)])
 
     def params(self):
-        out = []
-        for w in self.weights:
-            out.extend([w["W_ih"], w["W_hh"], w["b"]])
-        return out
+        return [w for directions in self.layers for triple in directions for w in triple]
 
     def __call__(self, x: Tensor) -> Tensor:
         if x.data.ndim != 3:
@@ -150,8 +146,6 @@ class LSTM:
             raise ValueError(
                 f"LSTM built for {self.input_size} input features, got {x.data.shape[2]}")
         out = x
-        for layer in range(self.num_layers):
-            layer_weights = self.weights[layer * self.dirs:(layer + 1) * self.dirs]
-            out = T.lstm_layer(out, [(w["W_ih"], w["W_hh"], w["b"]) for w in layer_weights])
+        for directions in self.layers:
+            out = T.lstm_layer(out, directions)
         return out
-

@@ -193,15 +193,6 @@ def div(a, b):
     return _make(a.data / b.data, (a, b), backward)
 
 
-def power(a, p: float):
-    a = as_tensor(a)
-
-    def backward(g):
-        a._accumulate(g * p * a.data ** (p - 1))
-
-    return _make(a.data ** p, (a,), backward)
-
-
 def sqrt(a):
     a = as_tensor(a)
     out_data = np.sqrt(a.data)

@@ -87,7 +87,6 @@ class OptModel:
 
     def __init__(self, *, seed: int = 0, dtype=np.float32):
         rng = np.random.default_rng(seed)
-        self.seed = int(seed)
         self.lstm = nn.LSTM(FEATURE_DIM, N_JOINTS * 3, num_layers=2,
                             bidirectional=True, rng=rng, dtype=dtype)
         self.fc1 = nn.Linear(FEATURE_DIM, 256, rng=rng, dtype=dtype)
@@ -102,9 +101,8 @@ class OptModel:
             raise ValueError(f"expected (B, T, {FEATURE_DIM}) input, got {x.data.shape}")
         if x.data.shape[1] < 2:
             raise ValueError("optimization input needs at least 2 frames")
-        l1_fwd, l1_rev, l2_fwd, l2_rev = ((w["W_ih"], w["W_hh"], w["b"])
-                                          for w in self.lstm.weights)
-        h1 = ops.lstm_layer(x, [l1_fwd, l1_rev])
+        layer1, (l2_fwd, l2_rev) = self.lstm.layers
+        h1 = ops.lstm_layer(x, layer1)
         fwd = ops.lstm_layer(h1, [l2_fwd])[:, -1]
         rev = ops.lstm_layer(h1[:, -1:], [l2_rev])[:, 0]
         h = ops.relu(self.fc1(ops.concat([fwd, rev], axis=1)))
@@ -115,29 +113,30 @@ class OptModel:
         """Predict 17 x 3 optimization vectors for one (T, 17, 3) pose/velocity window."""
         if len(p) != len(v):
             raise ValueError(f"pose ({len(p)}) and velocity ({len(v)}) lengths differ")
-        x = _stack_features(p, v)[None]
+        x = _stack_features(p, v, self.fc1.weight.data.dtype)[None]
         with nn.no_grad():
-            out = self.forward(Tensor(x, dtype=self.fc1.weight.data.dtype), training=False)
+            out = self.forward(Tensor(x), training=False)
         return out.data[0].reshape(N_JOINTS, 3).astype(np.float64)
 
     def state_arrays(self):
         return []
 
-    def save(self, path: str | Path, meta: dict | None = None) -> None:
-        all_meta = {"seed": self.seed}
-        all_meta.update(meta or {})
-        nn.save_checkpoint(path, kind="optmodel", params=self.params(), meta=all_meta)
+    def save(self, path: str | Path) -> None:
+        """Write the parameters; the architecture is fixed, so the meta is empty."""
+        nn.save_checkpoint(path, kind="optmodel", params=self.params())
 
     @classmethod
     def load(cls, path: str | Path) -> "OptModel":
-        return nn.load_checkpoint(path, "optmodel",
-                                  lambda meta: cls(seed=int(meta.get("seed", 0))))
+        """The model `save` wrote; meta keys, which older files carry, are ignored."""
+        return nn.load_checkpoint(path, "optmodel", lambda meta: cls())
 
 
-def _stack_features(p: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Per-frame [velocities(51); positions(51)] feature rows."""
-    t_len = p.shape[0]
-    return np.concatenate([v.reshape(t_len, -1), p.reshape(t_len, -1)], axis=1)
+def _stack_features(p: np.ndarray, v: np.ndarray, dtype) -> np.ndarray:
+    """The [velocities(51); positions(51)] frames of (..., T, 17, 3) windows, in `dtype`."""
+    out = np.empty(p.shape[:-2] + (FEATURE_DIM,), dtype=dtype)
+    out[..., :N_JOINTS * 3] = v.reshape(out.shape[:-1] + (-1,))
+    out[..., N_JOINTS * 3:] = p.reshape(out.shape[:-1] + (-1,))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +154,8 @@ def _loss_tensor(pred: Tensor, truth: np.ndarray) -> Tensor:
     mask = (tnorm > 0.5).astype(pred.data.dtype)
     cos = ops.div(dot, norm)  # truth vectors are unit where mask is 1
     cos_term = ops.tmean(ops.mul(ops.add(ops.mul(cos, -1.0), mask), mask), axis=1)
-    norm_term = ops.tmean(ops.power(ops.add(ops.mul(norm, -1.0), 1.0), 2.0), axis=1)
+    gap = ops.add(ops.mul(norm, -1.0), 1.0)
+    norm_term = ops.tmean(ops.mul(gap, gap), axis=1)
     return ops.tmean(ops.add(cos_term, norm_term))
 
 
@@ -199,11 +199,8 @@ def build_training_pairs(mocap: list, n_pairs: int, window: int, seed: int):
     steps = v_win * dts[seq, None, None, None]
     steps[:, 0] = guess
     p_win = np.cumsum(steps, axis=1)
-    feats = np.empty((n_pairs, w_eff, FEATURE_DIM), dtype=np.float32)
-    feats[..., :N_JOINTS * 3] = v_win.reshape(n_pairs, w_eff, -1)
-    feats[..., N_JOINTS * 3:] = p_win.reshape(n_pairs, w_eff, -1)
     labels = opt_vector_truth(guess, poses[start]).astype(np.float32)
-    return feats, labels
+    return _stack_features(p_win, v_win, np.float32), labels
 
 
 def opt_train(m: OptModel, mocap: list, cfg: TrainConfig, *, n_pairs: int = 1024,

@@ -56,7 +56,6 @@ class VelModel:
     def __init__(self, doppler_bins: int, *, seed: int = 0, dtype=np.float32):
         rng = np.random.default_rng(seed)
         self.doppler_bins = int(doppler_bins)
-        self.seed = int(seed)
         self.conv1 = nn.Conv1d(1, 32, 5, stride=2, rng=rng, dtype=dtype)
         self.bn1 = nn.BatchNorm1d(32, dtype=dtype)
         self.conv2 = nn.Conv1d(32, 64, 5, stride=2, rng=rng, dtype=dtype)
@@ -107,24 +106,19 @@ class VelModel:
         return [a for bn in (self.bn1, self.bn2, self.bn3, self.bn_fc)
                 for a in bn.state_arrays()]
 
-    def save(self, path: str | Path, meta: dict | None = None) -> None:
-        all_meta = {"doppler_bins": self.doppler_bins, "seed": self.seed}
-        all_meta.update(meta or {})
+    def save(self, path: str | Path) -> None:
+        """Write the parameters and running statistics, with `doppler_bins` as the only meta."""
         nn.save_checkpoint(path, kind="velmodel", params=self.params(),
-                           state=self.state_arrays(), meta=all_meta)
+                           state=self.state_arrays(), meta={"doppler_bins": self.doppler_bins})
 
     @classmethod
     def load(cls, path: str | Path) -> "VelModel":
-        return nn.load_checkpoint(path, "velmodel", lambda meta: cls(
-            int(meta["doppler_bins"]), seed=int(meta.get("seed", 0))))
+        """The model `save` wrote, built from its `doppler_bins`; other meta keys are ignored."""
+        return nn.load_checkpoint(path, "velmodel", lambda meta: cls(int(meta["doppler_bins"])))
 
 
 def vel_forward(m: VelModel, s: Spectrogram) -> VelocitySequence:
     """Run the trained model on one spectrogram (inference mode)."""
-    if s.values.shape[0] != m.doppler_bins:
-        raise ValueError(
-            f"spectrogram has {s.values.shape[0]} Doppler bins, model expects "
-            f"{m.doppler_bins}")
     with nn.no_grad():
         x = Tensor(s.values.T[None, :, :], dtype=m.conv1.weight.data.dtype)
         out = m.forward(x, training=False)

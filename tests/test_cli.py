@@ -292,6 +292,23 @@ def test_malformed_manifest_exits_1_and_names_file(config_file, pipeline_dir, tm
     assert capsys.readouterr().err == f"error: {manifest}: split must be an object\n"
 
 
+@pytest.mark.parametrize("entry", [{}, 1])
+@pytest.mark.parametrize("command", ["train-vel", "train-opt"])
+def test_malformed_manifest_entry_exits_1_and_names_file(config_file, tmp_path, capsys,
+                                                         command, entry):
+    ds = tmp_path / "ds"
+    ds.mkdir()
+    manifest = ds / "manifest.json"
+    manifest.write_text(json.dumps({"entries": [entry], "split": {"train": [0], "test": [0]},
+                                    "doppler_bins": 81}))
+    rc = main([command, "--config", str(config_file), "--data", str(ds),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {manifest}: entries.0 must be an object")
+    assert "Traceback" not in err
+
+
 def test_malformed_config_exits_2_and_names_field(config_file, tmp_path, capsys):
     data = tiny_config_dict()
     data["processing"]["delay_bins"] = "lots"

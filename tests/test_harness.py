@@ -372,8 +372,17 @@ class TestBuildDataset:
         assert existing.read_text() == "keep"
 
 
+def manifest_entry(i, **change):
+    """Entry i as `build_dataset` writes it, with `change` applied; a None value drops the key."""
+    files = {key: f"act_{i:04d}_{key}.dpc" for key in ("pose", "spec_s", "spec_m", "spec_d")}
+    entry = {"index": i, "kind": "W+", "seed": i, "T": 50, "dt": 0.1, "files": files}
+    entry.update(change)
+    return {key: value for key, value in entry.items() if value is not None}
+
+
 MANIFEST = {"schema_version": 1, "seed": 0, "doppler_bins": 81,
-            "entries": [{"index": 0}, {"index": 1}], "split": {"train": [0], "test": [1]}}
+            "entries": [manifest_entry(0), manifest_entry(1)],
+            "split": {"train": [0], "test": [1]}}
 
 
 class TestLoadManifest:
@@ -400,6 +409,14 @@ class TestLoadManifest:
         ({"split": {"train": [0], "test": "1"}}, "split.test"),
         ({"doppler_bins": None}, "doppler_bins"),
         ({"doppler_bins": 81.0}, "doppler_bins"),
+        ({"entries": [1]}, "entries.0"),
+        ({"entries": [{}]}, "entries.0"),
+        ({"entries": [manifest_entry(0), manifest_entry(1, files={
+            "pose": "p.dpc", "spec_s": "s.dpc", "spec_m": "m.dpc"})]}, "entries.1"),
+        ({"entries": [manifest_entry(0, index="0"), manifest_entry(1)]}, "entries.0"),
+        ({"entries": [manifest_entry(0, index=0.0), manifest_entry(1)]}, "entries.0"),
+        ({"entries": [manifest_entry(0), manifest_entry(1, kind=None)]}, "entries.1"),
+        ({"entries": [manifest_entry(0, files=["act_0000_pose.dpc"])]}, "entries.0"),
     ])
     def test_malformed_field_named_with_file(self, tmp_path, change, key):
         manifest = {k: v for k, v in dict(MANIFEST, **change).items() if v is not None}

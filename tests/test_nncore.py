@@ -486,19 +486,21 @@ class TestLayerContracts:
 
 
 def composite_direction(x, w, reverse):
-    """One LSTM direction built step by step from matmul/sigmoid/tanh graph ops."""
+    """One LSTM direction, its (W_ih, W_hh, b) triple `w`, built step by step
+    from matmul/sigmoid/tanh graph ops."""
+    w_ih, w_hh, b = w
     bsz, t_len, in_f = x.data.shape
-    h_dim = w["W_hh"].data.shape[0]
+    h_dim = w_hh.data.shape[0]
     dtype = x.data.dtype
-    pre = ops.reshape(ops.matmul(ops.reshape(x, (bsz * t_len, in_f)), w["W_ih"]),
+    pre = ops.reshape(ops.matmul(ops.reshape(x, (bsz * t_len, in_f)), w_ih),
                       (bsz, t_len, 4 * h_dim))
-    pre = ops.add(pre, w["b"])
+    pre = ops.add(pre, b)
     h = Tensor(np.zeros((bsz, h_dim), dtype=dtype))
     c = Tensor(np.zeros((bsz, h_dim), dtype=dtype))
     order = range(t_len - 1, -1, -1) if reverse else range(t_len)
     outputs = [None] * t_len
     for t in order:
-        z = ops.add(pre[:, t, :], ops.matmul(h, w["W_hh"]))
+        z = ops.add(pre[:, t, :], ops.matmul(h, w_hh))
         i = sigmoid(z[:, 0:h_dim])
         f = sigmoid(z[:, h_dim:2 * h_dim])
         g = ops.tanh(z[:, 2 * h_dim:3 * h_dim])
@@ -518,10 +520,10 @@ def stack_time(tensors):
 def composite_lstm(layer, x):
     """Oracle: `layer` run through the per-step composite (about 12 graph nodes a step)."""
     out = x
-    for k in range(layer.num_layers):
-        fwd = composite_direction(out, layer.weights[k * layer.dirs], reverse=False)
-        if layer.bidirectional:
-            bwd = composite_direction(out, layer.weights[k * layer.dirs + 1], reverse=True)
+    for directions in layer.layers:
+        fwd = composite_direction(out, directions[0], reverse=False)
+        if len(directions) == 2:
+            bwd = composite_direction(out, directions[1], reverse=True)
             steps = [ops.concat([f, b], axis=1) for f, b in zip(fwd, bwd)]
         else:
             steps = fwd

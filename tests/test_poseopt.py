@@ -215,6 +215,17 @@ class TestOptLoss:
         want = np.mean([opt_loss(p, t) for p, t in zip(pred, truth)])
         assert float(got.data) == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_float64_gradcheck(self, seed):
+        rng = np.random.default_rng(20 + seed)
+        truth = np.stack([self._unit_field(rng) for _ in range(3)])
+        truth[1, :5] = 0.0  # joints already at their target: norm penalty only
+        pred = Tensor(np.tanh(rng.normal(size=(3, N_JOINTS * 3))), requires_grad=True,
+                      dtype=np.float64)
+        build = lambda: poseopt._loss_tensor(pred, truth)
+        # the loss is smooth here, so central differences converge as h^2
+        assert check_gradients(build, [pred], h=1e-5) <= 1e-7
+
 
 class TestOptForward:
     def test_tanh_range_shape_and_determinism(self):
@@ -297,7 +308,7 @@ class TestOptModelLastStep:
         weights = np.random.default_rng(6).normal(size=(2, N_JOINTS * 3))
         build = lambda: ops.tsum(ops.mul(m.forward(x, training=True), weights))
         # the input, and the bias of layer 2's one-step reverse direction
-        assert check_gradients(build, [x, m.lstm.weights[3]["b"]]) <= 1e-4
+        assert check_gradients(build, [x, m.lstm.layers[1][1][2]]) <= 1e-4
 
 
 class TestOptimizeInitialPose:
@@ -568,6 +579,23 @@ class TestOptModelIO:
         back = OptModel.load(path)
         assert np.allclose(m.opt_vectors(p.positions, v.values),
                            back.opt_vectors(p.positions, v.values), atol=1e-6)
+
+    def test_saved_meta_is_empty(self, tmp_path):
+        path = tmp_path / "opt.dpc"
+        OptModel(seed=6).save(path)
+        assert containers.read_container(path)[0]["meta"] == {}
+
+    def test_old_meta_keys_ignored(self, tmp_path):
+        # perfbench/checkpoints/opt_model.dpc carries these; `load` reads none of them
+        path = tmp_path / "opt.dpc"
+        m = OptModel(seed=6)
+        m.save(path)
+        header, payload = containers.read_container(path)
+        header["meta"] = {"seed": 6, "epochs": 40, "final_train_loss": 0.24}
+        containers.write_container(path, header, payload)
+        back = OptModel.load(path)
+        assert np.array_equal(np.concatenate([p.data.ravel() for p in back.params()]), payload)
+        assert all(np.array_equal(a.data, b.data) for a, b in zip(back.params(), m.params()))
 
     def test_velocity_checkpoint_rejected(self, tmp_path):
         path = tmp_path / "vel.dpc"

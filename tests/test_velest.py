@@ -289,11 +289,30 @@ class TestVelModelIO:
         vel_train(m, data, TrainConfig(epochs=2, seed=4, val_fraction=0.0))
         s = random_spectrogram(rng, 7)
         path = tmp_path / "vel.dpc"
-        m.save(path, meta={"note": "test"})
+        m.save(path)
         back = VelModel.load(path)
         a = vel_forward(m, s)
         b = vel_forward(back, s)
         assert np.allclose(a.values, b.values, atol=1e-6)
+
+    def test_saved_meta_is_doppler_bins_only(self, tmp_path):
+        path = tmp_path / "vel.dpc"
+        VelModel(WIDTH, seed=3).save(path)
+        assert containers.read_container(path)[0]["meta"] == {"doppler_bins": WIDTH}
+
+    def test_old_meta_keys_ignored(self, tmp_path):
+        # perfbench/checkpoints/vel_model.dpc carries these; `load` reads none of them
+        path = tmp_path / "vel.dpc"
+        m = VelModel(WIDTH, seed=3)
+        m.save(path)
+        header, payload = containers.read_container(path)
+        header["meta"].update(seed=11, epochs=80, final_train_loss=0.17)
+        containers.write_container(path, header, payload)
+        back = VelModel.load(path)
+        restored = np.concatenate([a.ravel() for a in
+                                   [p.data for p in back.params()] + back.state_arrays()])
+        assert np.array_equal(restored, payload)
+        assert all(np.array_equal(a.data, b.data) for a, b in zip(back.params(), m.params()))
 
     def _rewrite_state(self, tmp_path, shapes):
         """A saved checkpoint whose state manifest and payload tail are replaced."""
