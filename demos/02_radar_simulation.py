@@ -51,7 +51,8 @@ interference = InterferenceConfig(
 )
 # One call renders the scene: the target returns alone, and with the
 # interference added.
-targets, sur = synthesize_surveillance(u, pose, ScattererModel(), geom, interference)
+targets, sur = synthesize_surveillance(u, pose, ScattererModel(), geom, interference,
+                                       noise_seed=0)
 print(f"surveillance channel: {len(sur)} samples, rms {np.abs(sur.samples).std():.3f} "
       f"(targets alone {np.abs(targets.samples).std():.3f})")
 

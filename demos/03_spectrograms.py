@@ -29,7 +29,7 @@ ref = synthesize_reference(u, geom)
 
 # One scene, two channels: the targets alone, and with DSI added.
 sur_clean, sur = synthesize_surveillance(u, pose, ScattererModel(), geom,
-                                         InterferenceConfig(dsi_amplitude=0.05))
+                                         InterferenceConfig(dsi_amplitude=0.05), 0)
 
 # DSI-dominated channel first: watch CLEAN strip the zero-Doppler ridge.
 n = int(0.1 * fs)

@@ -32,8 +32,7 @@ for i in manifest["split"]["train"]:
     train_pairs.append((s_spec, vel))
 
 model = VelModel(manifest["doppler_bins"], seed=0)
-history = vel_train(model, train_pairs,
-                    TrainConfig(epochs=40, seed=0, val_fraction=0.0))
+history = vel_train(model, train_pairs, TrainConfig(epochs=40, val_fraction=0.0), 0)
 print(f"train loss: {history[0]['train_loss']:.3f} -> {history[-1]['train_loss']:.3f} m/s "
       f"({history[-1]['wall_seconds']:.0f}s)")
 

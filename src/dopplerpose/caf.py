@@ -80,8 +80,8 @@ class Spectrogram:
             raise ValueError(
                 f"values shape {self.values.shape} does not match "
                 f"{self.doppler_axis.size} Doppler bins")
-        if (self.values < 0).any():
-            raise ValueError("spectrogram values must be non-negative")
+        if not ((self.values >= 0) & (self.values < np.inf)).all():
+            raise ValueError("spectrogram values must be finite and non-negative")
         if not np.allclose(self.doppler_axis, -self.doppler_axis[::-1], atol=1e-6):
             raise ValueError("doppler_axis must be symmetric around 0")
         if not self.dt > 0:

@@ -38,10 +38,6 @@ def _common(parser):
                         metavar="KEY=VALUE", help="config override, repeatable")
 
 
-def _load(args):
-    return load_config(args.config, args.overrides)
-
-
 def _load_models(args, cfg):
     """(vel model, opt model), the second None when no optimization epoch runs."""
     needs_opt = cfg.opt_config.max_epochs > 0
@@ -52,7 +48,7 @@ def _load_models(args, cfg):
 
 
 def cmd_gen_motion(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config, args.overrides)
     kind = harness.parse_kind(args.kind, "--kind")
     pose = harness.generate_activity(kind, cfg.duration_s, cfg.seed, dt=cfg.dt)
     out = Path(args.out)
@@ -63,7 +59,7 @@ def cmd_gen_motion(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config, args.overrides)
     ref, _targets, sur = harness.render_channels(cfg, PoseSequence.load(args.pose), cfg.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -74,7 +70,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_caf(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config, args.overrides)
     spec = harness.process_channel(cfg, BasebandSignal.load(args.sur),
                                    BasebandSignal.load(args.ref), cfg.clean_iterations)
     out = Path(args.out)
@@ -85,7 +81,7 @@ def cmd_caf(args) -> int:
 
 
 def cmd_denoise(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config, args.overrides)
     spec = Spectrogram.load(args.input)
     den = denoise(spec, cfg.denoise_quantile)
     out = Path(args.out)
@@ -96,7 +92,7 @@ def cmd_denoise(args) -> int:
 
 
 def cmd_build_dataset(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config, args.overrides)
     manifest = harness.build_dataset(cfg, args.out)
     print(f"wrote {len(manifest['entries'])} activities "
           f"({len(manifest['split']['train'])} train / "
@@ -106,7 +102,7 @@ def cmd_build_dataset(args) -> int:
 
 def cmd_train(args) -> int:
     """train-vel or train-opt: `args.net` ("vel" or "opt") names the network and its files."""
-    cfg = _load(args)
+    cfg = load_config(args.config, args.overrides)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     train = harness.train_velocity_model if args.net == "vel" else harness.train_opt_model
@@ -116,7 +112,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config, args.overrides)
     vel_model, opt_model = _load_models(args, cfg)
     manifest = harness.load_manifest(args.data)
     entry = next((e for e in manifest["entries"] if e["index"] == args.index), None)
@@ -147,7 +143,7 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config, args.overrides)
     vel_model, opt_model = _load_models(args, cfg)
     report = harness.evaluate(cfg, args.data, vel_model, opt_model)
     out = Path(args.out)

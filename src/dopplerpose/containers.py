@@ -104,8 +104,8 @@ def write_array(path: str | Path, kind: str, values, **meta) -> None:
 def read_array(path: str | Path, kind: str) -> tuple[np.ndarray, dict]:
     """Load a `kind` container as (array shaped by its axes, header).
 
-    The kind, dtype, axis and meta fields and the payload size are all
-    checked; any mismatch raises a ContainerError naming the file.
+    The kind, dtype, axis and meta fields, the payload size and its finiteness
+    are all checked; any mismatch raises a ContainerError naming the file.
     """
     axes, dtype_tag, _, meta = KINDS[kind]
     header, payload = read_container(path)
@@ -122,4 +122,6 @@ def read_array(path: str | Path, kind: str) -> tuple[np.ndarray, dict]:
     if payload.size != math.prod(shape):
         raise ContainerError(
             f"{path}: payload has {payload.size} values, header promises {math.prod(shape)}")
+    if not np.isfinite(payload).all():
+        raise ContainerError(f"{path}: payload holds a non-finite value")
     return payload.reshape(shape), header

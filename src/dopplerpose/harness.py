@@ -12,6 +12,15 @@ The dataset build and the CLI's `simulate` and `caf` stages share one recipe:
 `render_channels` makes a scene's target-only (S) and full (M) channels, and
 `process_channel` applies the config's processing settings to either.
 
+Every random stream is seeded here, from the config's `seed`; the
+other modules take their seeds as arguments and do no arithmetic on them:
+- dataset activity i: its start jitter, motion and waveform from
+  a = seed * 1_000_003 + i, its noise from a + 1 (activity i + 1's a)
+- the train/test split: seed; the CLI's single-activity stages: a = seed
+- VelModel: its init and `vel_train`'s split and shuffles, both from seed
+- OptModel: its init and its pair sampling from seed + 1, its fit from seed + 2
+Streams that share an integer are not independent of each other.
+
 `evaluate` fills one error array of shape (2, 2, N_JOINTS) per test entry
 and variant, indexed (quantity, frame, joint). Quantity 0 is velocity in
 mm/frame, via the (m/s) * dt * 1000 conversion, and 1 is position in mm.
@@ -23,7 +32,7 @@ joint 1 error to zero. Frame 1 is absolute.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -204,22 +213,13 @@ def parse_config(data: dict) -> ExperimentConfig:
     if not 0.0 < train_fraction < 1.0:
         raise ConfigError("config field dataset.train_fraction: must be in (0, 1)")
 
-    vel_cfg = _build(
-        "training.vel", TrainConfig,
-        learning_rate=get("training.vel.learning_rate", float, 0.001),
-        batch_size=get("training.vel.batch_size", int, 64),
-        epochs=get("training.vel.epochs", int, 60),
-        seed=seed,
-        val_fraction=get("training.vel.val_fraction", float, 0.1),
-    )
-    opt_cfg = _build(
-        "training.opt", TrainConfig,
-        learning_rate=get("training.opt.learning_rate", float, 0.001),
-        batch_size=get("training.opt.batch_size", int, 128),
-        epochs=get("training.opt.epochs", int, 40),
-        seed=seed + 1,
-        val_fraction=get("training.opt.val_fraction", float, 0.1),
-    )
+    def train_cfg(net, batch_size, epochs):
+        """The TrainConfig of `training.<net>`, with these defaults."""
+        return _build(f"training.{net}", TrainConfig,
+                      learning_rate=get(f"training.{net}.learning_rate", float, 0.001),
+                      batch_size=get(f"training.{net}.batch_size", int, batch_size),
+                      epochs=get(f"training.{net}.epochs", int, epochs),
+                      val_fraction=get(f"training.{net}.val_fraction", float, 0.1))
 
     n_activities = get("dataset.n_activities", int, 200, low=1)
     try:
@@ -272,8 +272,8 @@ def parse_config(data: dict) -> ExperimentConfig:
         kinds=kinds,
         start_jitter_m=get("dataset.start_jitter_m", float, 0.25, low=0.0),
         train_fraction=train_fraction,
-        vel_train=vel_cfg,
-        opt_train_cfg=opt_cfg,
+        vel_train=train_cfg("vel", 64, 60),
+        opt_train_cfg=train_cfg("opt", 128, 40),
         opt_pairs=get("training.opt.n_pairs", int, 1024, low=1),
         opt_window=get("training.opt.window", int, 30, low=2),
         opt_config=_build(
@@ -284,6 +284,9 @@ def parse_config(data: dict) -> ExperimentConfig:
             period=get("optimization.period", int, 50),
         ),
     )
+    if cfg.opt_config.period < 2:  # OptConfig takes 1: an oracle predictor can run it
+        raise ConfigError(f"config field optimization.period: must be >= 2, the frames a drift "
+                          f"correction hands OptModel, got {cfg.opt_config.period}")
     for path in _leaf_paths(data):
         if path not in read:
             raise ConfigError(f"unknown config field {path}")
@@ -335,8 +338,8 @@ def render_channels(cfg: ExperimentConfig, pose: PoseSequence, seed: int):
     """The (reference, target-only, full surveillance) signals of `pose`, lasting
     `len(pose) * pose.dt`: the waveform drawn from `seed`, the noise from `seed + 1`."""
     u = generate_waveform(cfg.bandwidth_hz, len(pose) * pose.dt, cfg.sample_rate_hz, seed=seed)
-    ic = replace(cfg.interference, noise_seed=seed + 1)
-    targets, full = synthesize_surveillance(u, pose, cfg.scatterer, cfg.geometry, ic)
+    targets, full = synthesize_surveillance(u, pose, cfg.scatterer, cfg.geometry,
+                                            cfg.interference, seed + 1)
     return synthesize_reference(u, cfg.geometry), targets, full
 
 
@@ -361,19 +364,15 @@ def simulate_activity(cfg: ExperimentConfig, kind: ActivityKind, seed: int,
 
 
 def _stratified_split(kinds_per_entry: list, fraction: float, seed: int):
+    """Sorted (train, test) indices: per kind, in value order, a shuffle drawn
+    from `seed` whose first round(fraction * count) entries, at least 1, train."""
     rng = np.random.default_rng(seed)
     train = []
-    by_kind = {}
-    for i, k in enumerate(kinds_per_entry):
-        by_kind.setdefault(k, []).append(i)
-    for k in sorted(by_kind, key=lambda a: a.value):
-        idx = np.array(by_kind[k])
+    for k in sorted(set(kinds_per_entry), key=lambda a: a.value):
+        idx = np.flatnonzero([e == k for e in kinds_per_entry])
         rng.shuffle(idx)
-        n_train = max(1, int(round(fraction * len(idx))))
-        train.extend(int(i) for i in idx[:n_train])
-    train = sorted(train)
-    test = sorted(set(range(len(kinds_per_entry))) - set(train))
-    return train, test
+        train += idx[:max(1, int(round(fraction * len(idx))))].tolist()
+    return sorted(train), sorted(set(range(len(kinds_per_entry))) - set(train))
 
 
 def build_dataset(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
@@ -481,8 +480,8 @@ def train_velocity_model(cfg: ExperimentConfig, dataset_dir: str | Path,
     for i in manifest["split"]["train"]:
         pose_path, s_path, _, _ = _entry_paths(dataset_dir, manifest["entries"][i])
         data.append((Spectrogram.load(s_path), differentiate(PoseSequence.load(pose_path))))
-    model = VelModel(manifest["doppler_bins"], seed=cfg.vel_train.seed)
-    history = vel_train(model, data, cfg.vel_train)
+    model = VelModel(manifest["doppler_bins"], seed=cfg.seed)
+    history = vel_train(model, data, cfg.vel_train, cfg.seed)
     model.save(checkpoint_path)
     save_history_csv(history_path, history)
     return model
@@ -494,9 +493,9 @@ def train_opt_model(cfg: ExperimentConfig, dataset_dir: str | Path,
     manifest = load_manifest(dataset_dir)
     mocap = [PoseSequence.load(_entry_paths(dataset_dir, manifest["entries"][i])[0])
              for i in manifest["split"]["train"]]
-    model = OptModel(seed=cfg.opt_train_cfg.seed)
-    history = opt_train(model, mocap, cfg.opt_train_cfg, n_pairs=cfg.opt_pairs,
-                        window=cfg.opt_window)
+    model = OptModel(seed=cfg.seed + 1)
+    history = opt_train(model, mocap, cfg.opt_train_cfg, cfg.seed + 1, cfg.seed + 2,
+                        n_pairs=cfg.opt_pairs, window=cfg.opt_window)
     model.save(checkpoint_path)
     save_history_csv(history_path, history)
     return model

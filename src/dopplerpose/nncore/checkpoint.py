@@ -56,8 +56,8 @@ def load_checkpoint(path: str | Path, kind: str, build):
     """Rebuild a `kind` model with `build(meta)` and restore its arrays in place.
 
     The model must expose `params()` (Tensors) and `state_arrays()` (numpy
-    arrays), both in the order `save_checkpoint` was given them. Any
-    mismatch with the manifest raises a ValueError naming the file.
+    arrays), both in the order `save_checkpoint` was given them. A non-finite
+    value or any mismatch with the manifest raises a ValueError naming the file.
     """
     header, payload = containers.read_container(path)
     if header.get("kind") != "checkpoint":
@@ -76,6 +76,8 @@ def load_checkpoint(path: str | Path, kind: str, build):
     if payload.size != expected:
         raise containers.ContainerError(
             f"{path}: payload has {payload.size} values, manifest promises {expected}")
+    if not np.isfinite(payload).all():
+        raise containers.ContainerError(f"{path}: payload holds a non-finite value")
     offset = 0
     for target in params + state:
         target[...] = payload[offset: offset + target.size].reshape(target.shape)

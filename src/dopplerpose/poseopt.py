@@ -203,11 +203,12 @@ def build_training_pairs(mocap: list, n_pairs: int, window: int, seed: int):
     return _stack_features(p_win, v_win, np.float32), labels
 
 
-def opt_train(m: OptModel, mocap: list, cfg: TrainConfig, *, n_pairs: int = 1024,
-              window: int = 30):
-    """Train the optimization-vector network on sampled wrong-start pairs through `fit`."""
-    feats, labels = build_training_pairs(mocap, n_pairs, window, cfg.seed)
-    return fit(m, feats, labels, _loss_tensor, cfg, np.random.default_rng(cfg.seed + 1))
+def opt_train(m: OptModel, mocap: list, cfg: TrainConfig, pair_seed, fit_seed, *,
+              n_pairs: int, window: int):
+    """Train the optimization-vector network through `fit` on wrong-start pairs
+    sampled from `pair_seed`, `fit`'s generator drawn from `fit_seed`."""
+    feats, labels = build_training_pairs(mocap, n_pairs, window, pair_seed)
+    return fit(m, feats, labels, _loss_tensor, cfg, np.random.default_rng(fit_seed))
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,6 @@ class TrainConfig:
     learning_rate: float = 0.001
     batch_size: int = 64
     epochs: int = 60
-    seed: int = 0
     val_fraction: float = 0.1
 
     def __post_init__(self):
@@ -174,8 +173,8 @@ def fit(model, x: np.ndarray, y: np.ndarray, loss, cfg: TrainConfig, rng: np.ran
     return history
 
 
-def vel_train(m: VelModel, dataset: list, cfg: TrainConfig):
-    """Train on (Spectrogram, VelocitySequence) pairs of one length through `fit`."""
+def vel_train(m: VelModel, dataset: list, cfg: TrainConfig, seed):
+    """Fit on (Spectrogram, VelocitySequence) pairs of one length, `fit` seeded by `seed`."""
     if not dataset:
         raise ValueError("training dataset is empty")
     if any(spec.values.shape[0] != m.doppler_bins for spec, _ in dataset):
@@ -185,7 +184,7 @@ def vel_train(m: VelModel, dataset: list, cfg: TrainConfig):
         raise ValueError(f"spectrograms and velocities must share one length, got {lengths}")
     x = np.stack([spec.values.T for spec, _ in dataset])
     y = np.stack([vel.values for _, vel in dataset])
-    return fit(m, x, y, _loss_tensor, cfg, np.random.default_rng(cfg.seed))
+    return fit(m, x, y, _loss_tensor, cfg, np.random.default_rng(seed))
 
 
 def save_history_csv(path: str | Path, history: list) -> None:

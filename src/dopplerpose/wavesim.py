@@ -208,7 +208,6 @@ class InterferenceConfig:
     clutter: list = field(default_factory=list)
     multipath: list = field(default_factory=list)
     noise_floor: float = 0.0
-    noise_seed: int = 0
 
     def __post_init__(self):
         _check_level("dsi_amplitude", self.dsi_amplitude)
@@ -413,12 +412,13 @@ def _coarse_tracks(u: BasebandSignal, p: PoseSequence):
 
 
 def synthesize_surveillance(u: BasebandSignal, p: PoseSequence, sc: ScattererModel, g: Geometry,
-                            ic: InterferenceConfig) -> tuple[BasebandSignal, BasebandSignal]:
+                            ic: InterferenceConfig,
+                            noise_seed) -> tuple[BasebandSignal, BasebandSignal]:
     """The surveillance channel of one scene, as (targets, full) signals.
 
     `targets` holds the live-target returns alone; `full` adds multipath,
-    DSI, clutter and noise from `ic` to them. With an empty `ic` the two are
-    equal.
+    DSI, clutter and noise from `ic` to them, the noise drawn from
+    `noise_seed`. With an empty `ic` the two are equal.
     """
     coarse_t, tracks = _coarse_tracks(u, p)
     targets = _target_returns(u, coarse_t, tracks, sc.joint_weights,
@@ -444,7 +444,7 @@ def synthesize_surveillance(u: BasebandSignal, p: PoseSequence, sc: ScattererMod
         total += amp * np.exp(-2j * np.pi * g.carrier_hz * tau) * _shifted(u, tau)
 
     if ic.noise_floor > 0:
-        rng = np.random.default_rng(ic.noise_seed)
+        rng = np.random.default_rng(noise_seed)
         scale = ic.noise_floor / np.sqrt(2.0)
         total += rng.normal(scale=scale, size=len(u)) \
             + 1j * rng.normal(scale=scale, size=len(u))

@@ -274,7 +274,7 @@ class TestCleanDsi:
             pose = single_scatterer_pose([0, 4, 1.0], [0, 0, 0], n_frames=3)
             sc = ScattererModel(joint_weights=np.zeros(17))
         ic = InterferenceConfig(dsi_amplitude=1.0)
-        _, sur = synthesize_surveillance(u, pose, sc, geom, ic)
+        _, sur = synthesize_surveillance(u, pose, sc, geom, ic, 0)
         caf0 = compute_caf(sur, u, delay_bins=6, doppler_span_hz=80.0)
         tmpl = self_caf(u, delay_bins=6, doppler_span_hz=80.0)
         return caf0, tmpl
@@ -353,7 +353,7 @@ class TestWalkingSceneTrack:
         pose = generate_activity(ActivityKind.WPLUS, 5.0, seed=5)
         u = generate_waveform(8e3, 5.0, fs, seed=1)
         sur, _ = synthesize_surveillance(u, pose, ScattererModel(), geom,
-                                         InterferenceConfig())
+                                         InterferenceConfig(), 0)
         spec = spectrogram_pipeline(sur, u, cpi_s=0.1, delay_bins=4,
                                     doppler_span_hz=100.0, doppler_oversample=4)
         bin_hz = spec.doppler_axis[1] - spec.doppler_axis[0]
@@ -399,7 +399,7 @@ class TestPipelineSlices:
         pose = generate_activity(ActivityKind.WPLUS, 2.0, seed=3)
         u = generate_waveform(8e3, 1.0, self.FS, seed=2)
         ic = InterferenceConfig(dsi_amplitude=0.05, noise_floor=0.1)
-        _, sur = synthesize_surveillance(u, pose, ScattererModel(), geom, ic)
+        _, sur = synthesize_surveillance(u, pose, ScattererModel(), geom, ic, 0)
         return sur, u
 
     @pytest.mark.parametrize("clean_iterations", [0, 2])
@@ -452,6 +452,13 @@ class TestPipelineSlices:
 
 
 class TestSpectrogramIO:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.5])
+    def test_non_finite_or_negative_value_rejected(self, bad):
+        vals = np.ones((9, 7))
+        vals[4, 3] = bad
+        with pytest.raises(ValueError, match="spectrogram values must be finite and non-negative"):
+            Spectrogram(vals, np.linspace(-40, 40, 9), dt=0.1)
+
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)
         vals = rng.random((9, 7)).astype(np.float32)

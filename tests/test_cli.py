@@ -1,4 +1,7 @@
+import copy
 import json
+import shutil
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from dopplerpose.cli import main
 from dopplerpose.motion import ActivityKind, PoseSequence
 from dopplerpose.caf import Spectrogram
 from dopplerpose.wavesim import BasebandSignal
+from test_containers import with_non_finite
 from test_harness import tiny_config_dict
 
 
@@ -93,14 +97,22 @@ def test_config_setting_removed_cpi_exits_2(tmp_path, capsys):
 
 def test_simulate_leaves_config_unchanged(config_file, tmp_path, monkeypatch):
     cfg = harness.load_config(config_file)
-    seed_before = cfg.interference.noise_seed
+    before = copy.deepcopy(cfg.interference)
     monkeypatch.setattr("dopplerpose.cli.load_config", lambda *args: cfg)
     pose_file = tmp_path / "pose.dpc"
     assert main(["gen-motion", "--config", str(config_file), "--kind", "W+",
                  "--out", str(pose_file)]) == 0
     assert main(["simulate", "--config", str(config_file), "--pose", str(pose_file),
                  "--out", str(tmp_path / "sigs")]) == 0
-    assert cfg.interference.noise_seed == seed_before != cfg.seed + 1
+    for field in fields(before):
+        got, want = getattr(cfg.interference, field.name), getattr(before, field.name)
+        if isinstance(want, list):  # of Clutter or MirrorPlane, whose fields are arrays
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert all(np.array_equal(getattr(g, f.name), getattr(w, f.name))
+                           for f in fields(w))
+        else:
+            assert got == want
 
 
 def test_simulate_and_caf(config_file, tmp_path):
@@ -266,6 +278,32 @@ def test_truncated_container_exits_1_and_names_file(config_file, tmp_path, capsy
     assert not (tmp_path / "out.dpc").exists()
 
 
+@pytest.mark.parametrize("stage", ["simulate", "caf", "denoise", "evaluate", "reconstruct"])
+def test_non_finite_input_file_exits_1_and_names_it(config_file, pipeline_dir, tmp_path,
+                                                    capsys, stage):
+    ds, models = tmp_path / "ds", tmp_path / "models"
+    shutil.copytree(pipeline_dir / "ds", ds)
+    shutil.copytree(pipeline_dir / "models", models)
+    manifest = harness.load_manifest(ds)
+    entry = manifest["entries"][manifest["split"]["test"][0]]
+    pose, spec_d = (ds / entry["files"][key] for key in ("pose", "spec_d"))
+    sig = tmp_path / "sig.dpc"
+    BasebandSignal(np.ones(1600), 16e3).save(sig)
+    run = ["--data", str(ds), "--vel-model", str(models / "vel_model.dpc"),
+           "--opt-model", str(models / "opt_model.dpc")]
+    bad, args = {"simulate": (pose, ["--pose", str(pose)]),
+                 "caf": (sig, ["--sur", str(sig), "--ref", str(sig)]),
+                 "denoise": (spec_d, ["--input", str(spec_d)]),
+                 "evaluate": (spec_d, run),
+                 "reconstruct": (models / "vel_model.dpc", run)}[stage]
+    with_non_finite(bad)
+    out = tmp_path / "out"
+    rc = main([stage, "--config", str(config_file), *args, "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {bad}: payload holds a non-finite value\n"
+    assert not out.exists()
+
+
 def test_build_dataset_onto_a_file_exits_1(config_file, tmp_path, capsys):
     existing = tmp_path / "afile"
     existing.write_text("keep")
@@ -342,7 +380,8 @@ def test_bad_frame_step_exits_2_and_names_field(config_file, tmp_path, capsys, d
                                      "interference.noise_floor=NaN",
                                      "processing.delay_bins=0",
                                      "seed=-1",
-                                     "dataset.kinds=[]"])
+                                     "dataset.kinds=[]",
+                                     "optimization.period=1"])
 def test_out_of_range_setting_exits_2_and_names_field(config_file, tmp_path, capsys,
                                                       setting):
     rc = main(["build-dataset", "--config", str(config_file), "--set", setting,

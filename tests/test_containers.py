@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from dopplerpose import containers
 from dopplerpose import nncore as nn
 from dopplerpose.caf import Spectrogram
 from dopplerpose.motion import PoseSequence
+from dopplerpose.poseopt import OptModel
 from dopplerpose.wavesim import BasebandSignal
 
 
@@ -166,3 +168,30 @@ def test_zero_size_array_rejected_on_write(tmp_path, save):
                        match="empty.dpc: field '(n|T)' must be a positive integer, got 0"):
         save(path)
     assert not path.exists()
+
+
+def with_non_finite(path, value=np.nan):
+    """Rewrite a container with its payload's last float32, the imaginary part
+    of a signal's last sample, set to `value`; the header is kept."""
+    header, payload = containers.read_container(path)
+    payload = payload.copy()
+    payload.view(np.float32)[-1] = value
+    containers.write_container(path, header, payload)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("kind", sorted(SAVED) + ["checkpoint"])
+def test_non_finite_value_rejected_naming_file(tmp_path, kind, value):
+    path = tmp_path / f"{kind}.dpc"
+    if kind == "checkpoint":
+        OptModel(seed=0).save(path)
+        load = OptModel.load
+    else:
+        saved = SAVED[kind][0]()
+        saved.save(path)
+        load = type(saved).load
+    load(path)
+    with_non_finite(path, value)
+    with pytest.raises(containers.ContainerError,
+                       match=f"^{re.escape(str(path))}: payload holds a non-finite value$"):
+        load(path)

@@ -65,7 +65,7 @@ def test_noise_reduction_against_clean_pipeline():
     pose = generate_activity(ActivityKind.WPLUS, 4.0, seed=3)
     u = generate_waveform(8e3, 4.0, fs, seed=2)
     sc = ScattererModel()
-    clean_sur, _ = synthesize_surveillance(u, pose, sc, geom, InterferenceConfig())
+    clean_sur, _ = synthesize_surveillance(u, pose, sc, geom, InterferenceConfig(), 0)
     clean = spectrogram_pipeline(clean_sur, u, cpi_s=0.1, delay_bins=1,
                                  doppler_span_hz=100.0, doppler_oversample=4)
 

@@ -9,9 +9,17 @@ import pytest
 from dopplerpose import containers, harness
 from dopplerpose.caf import Spectrogram
 from dopplerpose.harness import ConfigError
-from dopplerpose.motion import N_JOINTS, PoseSequence, VelocitySequence, differentiate
-from dopplerpose.poseopt import OptModel
-from dopplerpose.velest import VelModel
+from dopplerpose.motion import (
+    ActivityKind,
+    N_JOINTS,
+    PoseSequence,
+    VelocitySequence,
+    differentiate,
+    generate_activity,
+)
+from dopplerpose.poseopt import OptModel, opt_train
+from dopplerpose.velest import VelModel, vel_train
+from dopplerpose.wavesim import generate_waveform, synthesize_reference, synthesize_surveillance
 
 
 def tiny_config_dict(**overrides):
@@ -147,6 +155,8 @@ class TestConfig:
         ("denoise.quantile", -0.1),
         ("denoise.quantile", 1.0),
         ("denoise.quantile", float("nan")),
+        # OptConfig takes 1, but a drift correction then hands OptModel one frame
+        ("optimization.period", 1),
     ])
     def test_rejected_values_named_by_path(self, path, value):
         data = harness.apply_overrides(tiny_config_dict(), [f"{path}={json.dumps(value)}"])
@@ -482,6 +492,62 @@ class NoPredictor:
 
     def opt_vectors(self, *args):
         raise AssertionError("opt_vectors called")
+
+
+class TestStreamTable:
+    """The integer each random stream draws from, as the module docstring lists it."""
+
+    def _train_split(self, dataset):
+        _, out, manifest = dataset
+        return [[out / manifest["entries"][i]["files"][key] for key in ("pose", "spec_s")]
+                for i in manifest["split"]["train"]]
+
+    def test_velocity_model_init_and_fit_from_seed(self, dataset, tmp_path):
+        # batches of 1 and a held-out sequence, so the fit's draws change the weights
+        cfg = harness.parse_config(tiny_config_dict(**{"training.vel.batch_size": 1,
+                                                       "training.vel.val_fraction": 0.34}))
+        harness.train_velocity_model(cfg, dataset[1], tmp_path / "got.dpc", tmp_path / "h.csv")
+        data = [(Spectrogram.load(s), differentiate(PoseSequence.load(p)))
+                for p, s in self._train_split(dataset)]
+        files = []
+        for init, fit in ((cfg.seed, cfg.seed), (cfg.seed, cfg.seed + 1),
+                          (cfg.seed + 1, cfg.seed)):
+            model = VelModel(dataset[2]["doppler_bins"], seed=init)
+            vel_train(model, data, cfg.vel_train, fit)
+            model.save(tmp_path / "want.dpc")
+            files.append((tmp_path / "want.dpc").read_bytes())
+        got = (tmp_path / "got.dpc").read_bytes()
+        assert got == files[0] and got not in files[1:]
+
+    def test_opt_model_init_and_pairs_from_seed_plus_1_and_fit_from_seed_plus_2(
+            self, dataset, tmp_path):
+        cfg = dataset[0]
+        harness.train_opt_model(cfg, dataset[1], tmp_path / "got.dpc", tmp_path / "h.csv")
+        mocap = [PoseSequence.load(p) for p, _ in self._train_split(dataset)]
+        s = cfg.seed
+        files = []
+        for init, pairs, fit in ((s + 1, s + 1, s + 2), (s, s + 1, s + 2),
+                                 (s + 1, s, s + 2), (s + 1, s + 1, s + 1)):
+            model = OptModel(seed=init)
+            opt_train(model, mocap, cfg.opt_train_cfg, pairs, fit,
+                      n_pairs=cfg.opt_pairs, window=cfg.opt_window)
+            model.save(tmp_path / "want.dpc")
+            files.append((tmp_path / "want.dpc").read_bytes())
+        got = (tmp_path / "got.dpc").read_bytes()
+        assert got == files[0] and got not in files[1:]
+
+    def test_render_draws_waveform_from_seed_and_noise_from_seed_plus_1(self, dataset):
+        cfg = dataset[0]
+        assert cfg.interference.noise_floor > 0
+        pose = generate_activity(ActivityKind.HT, cfg.duration_s, 5, dt=cfg.dt)
+        u = generate_waveform(cfg.bandwidth_hz, len(pose) * pose.dt, cfg.sample_rate_hz, seed=5)
+        got = harness.render_channels(cfg, pose, 5)
+        for noise_seed, equal in ((6, True), (5, False)):
+            want = (synthesize_reference(u, cfg.geometry),
+                    *synthesize_surveillance(u, pose, cfg.scatterer, cfg.geometry,
+                                             cfg.interference, noise_seed))
+            assert [np.array_equal(g.samples, w.samples) for g, w in zip(got, want)] == \
+                [True, True, equal]
 
 
 class TestEvaluate:

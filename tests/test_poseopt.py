@@ -59,11 +59,11 @@ def opt_loss(pred: np.ndarray, truth: np.ndarray) -> float:
     return float(cos_terms.mean() + norm_terms.mean())
 
 
-def own_loop_opt_train(m, mocap, cfg, *, n_pairs, window):
+def own_loop_opt_train(m, mocap, cfg, pair_seed, fit_seed, *, n_pairs, window):
     """Oracle: the training loop `opt_train` ran before `fit`."""
-    feats, labels = build_training_pairs(mocap, n_pairs, window, cfg.seed)
+    feats, labels = build_training_pairs(mocap, n_pairs, window, pair_seed)
     feats = feats.astype(m.fc1.weight.data.dtype, copy=False)
-    rng = np.random.default_rng(cfg.seed + 1)
+    rng = np.random.default_rng(fit_seed)
     perm = rng.permutation(n_pairs)
     n_val = int(round(n_pairs * cfg.val_fraction))
     val_idx, train_idx = perm[:n_val], perm[n_val:]
@@ -526,9 +526,8 @@ class TestOptTrain:
     def test_single_pair_overfit(self):
         corpus = self._tiny_corpus()
         m = OptModel(seed=4)
-        hist = opt_train(m, corpus, TrainConfig(epochs=200, batch_size=1, seed=6,
-                                                val_fraction=0.0),
-                         n_pairs=1, window=6)
+        hist = opt_train(m, corpus, TrainConfig(epochs=200, batch_size=1, val_fraction=0.0),
+                         6, 7, n_pairs=1, window=6)
         assert hist[-1]["train_loss"] < 0.1 * hist[0]["train_loss"]
 
     @pytest.mark.parametrize("seed", range(4))
@@ -547,22 +546,22 @@ class TestOptTrain:
 
     def test_float64_model_trains_in_float64(self):
         m = OptModel(seed=4, dtype=np.float64)
-        opt_train(m, self._tiny_corpus(), TrainConfig(epochs=1, batch_size=4, seed=6),
+        opt_train(m, self._tiny_corpus(), TrainConfig(epochs=1, batch_size=4), 6, 7,
                   n_pairs=8, window=6)
         assert all(p.data.dtype == np.float64 for p in m.params())
 
     def test_empty_corpus_rejected(self):
         m = OptModel(seed=5)
         with pytest.raises(ValueError):
-            opt_train(m, [], TrainConfig())
+            opt_train(m, [], TrainConfig(), 0, 1, n_pairs=1024, window=30)
 
     @pytest.mark.parametrize("batch_size, val_fraction", [(5, 0.25), (64, 0.1), (3, 0.0)])
     def test_matches_own_loop_oracle(self, batch_size, val_fraction):
         corpus = self._tiny_corpus()
-        cfg = TrainConfig(epochs=3, batch_size=batch_size, seed=8, val_fraction=val_fraction)
+        cfg = TrainConfig(epochs=3, batch_size=batch_size, val_fraction=val_fraction)
         m_new, m_old = OptModel(seed=4), OptModel(seed=4)
-        got = opt_train(m_new, corpus, cfg, n_pairs=20, window=6)
-        want = own_loop_opt_train(m_old, corpus, cfg, n_pairs=20, window=6)
+        got = opt_train(m_new, corpus, cfg, 8, 9, n_pairs=20, window=6)
+        want = own_loop_opt_train(m_old, corpus, cfg, 8, 9, n_pairs=20, window=6)
         for a, b in zip(m_new.params(), m_old.params()):
             assert np.array_equal(a.data, b.data)
         assert [(h["train_loss"], h["val_loss"]) for h in got] == \

@@ -30,14 +30,14 @@ def vel_loss(pred: VelocitySequence, truth: VelocitySequence) -> float:
     return float(np.abs(pred.values - truth.values).sum(axis=2).mean())
 
 
-def bucketed_vel_train(m, dataset, cfg):
+def bucketed_vel_train(m, dataset, cfg, seed):
     """Oracle: the loop `vel_train` ran before `fit`.
 
     It shuffled and batched each spectrogram length apart, then permuted the
     batches, and validated each held-out sequence at B=1 through
     `vel_forward` and the float64 `vel_loss`.
     """
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     perm = rng.permutation(len(dataset))
     n_val = int(round(len(dataset) * cfg.val_fraction))
     val_idx, train_idx = perm[:n_val], perm[n_val:]
@@ -183,8 +183,7 @@ class TestVelTrain:
         data = self._tiny_dataset(rng)
         m = VelModel(WIDTH, seed=5)
         before = [p.data.copy() for p in m.params()]
-        hist = vel_train(m, data, TrainConfig(learning_rate=0.0, epochs=3, seed=1,
-                                              val_fraction=0.0))
+        hist = vel_train(m, data, TrainConfig(learning_rate=0.0, epochs=3, val_fraction=0.0), 1)
         for p, b in zip(m.params(), before):
             assert np.array_equal(p.data, b)
         assert len(hist) == 3
@@ -193,8 +192,7 @@ class TestVelTrain:
         rng = np.random.default_rng(8)
         data = self._tiny_dataset(rng, n=1)
         m = VelModel(WIDTH, seed=6)
-        hist = vel_train(m, data, TrainConfig(epochs=300, batch_size=1, seed=2,
-                                              val_fraction=0.0))
+        hist = vel_train(m, data, TrainConfig(epochs=300, batch_size=1, val_fraction=0.0), 2)
         assert hist[-1]["train_loss"] < 0.1 * hist[0]["train_loss"]
 
     def test_deterministic_per_seed(self):
@@ -203,7 +201,7 @@ class TestVelTrain:
         runs = []
         for _ in range(2):
             m = VelModel(WIDTH, seed=7)
-            hist = vel_train(m, data, TrainConfig(epochs=3, seed=3, val_fraction=0.0))
+            hist = vel_train(m, data, TrainConfig(epochs=3, val_fraction=0.0), 3)
             runs.append(([p.data.copy() for p in m.params()],
                          [h["train_loss"] for h in hist]))
         assert runs[0][1] == runs[1][1]
@@ -213,7 +211,7 @@ class TestVelTrain:
     def test_empty_dataset_rejected(self):
         m = VelModel(WIDTH, seed=8)
         with pytest.raises(ValueError):
-            vel_train(m, [], TrainConfig())
+            vel_train(m, [], TrainConfig(), 0)
 
     @pytest.mark.parametrize("spec_lens, vel_lens, named", [
         ((6, 6, 5), (6, 6, 5), "[5, 6]"),
@@ -224,16 +222,17 @@ class TestVelTrain:
         data = [(random_spectrogram(rng, a), random_velocities(rng, b))
                 for a, b in zip(spec_lens, vel_lens)]
         with pytest.raises(ValueError, match=re.escape(named)):
-            vel_train(VelModel(WIDTH, seed=8), data, TrainConfig(epochs=1))
+            vel_train(VelModel(WIDTH, seed=8), data, TrainConfig(epochs=1), 0)
 
     @pytest.mark.parametrize("seed, n, val_fraction", [(0, 6, 0.34), (5, 4, 0.25), (9, 5, 0.0)])
     def test_one_batch_epochs_match_bucketed_oracle(self, seed, n, val_fraction):
         # With every epoch's training split in one batch, the old loop drew
         # the same shuffle and nothing for the batch order.
         data = self._tiny_dataset(np.random.default_rng(seed), n=n)
-        cfg = TrainConfig(epochs=4, seed=seed, val_fraction=val_fraction)
+        cfg = TrainConfig(epochs=4, val_fraction=val_fraction)
         m_new, m_old = VelModel(WIDTH, seed=seed), VelModel(WIDTH, seed=seed)
-        got, want = vel_train(m_new, data, cfg), bucketed_vel_train(m_old, data, cfg)
+        got = vel_train(m_new, data, cfg, seed)
+        want = bucketed_vel_train(m_old, data, cfg, seed)
         for a, b in zip([p.data for p in m_new.params()] + m_new.state_arrays(),
                         [p.data for p in m_old.params()] + m_old.state_arrays()):
             assert np.array_equal(a, b)
@@ -251,7 +250,7 @@ class TestVelTrain:
         monkeypatch.setattr(velest, "_loss_tensor", spy)
         data = self._tiny_dataset(np.random.default_rng(13))
         vel_train(VelModel(WIDTH, seed=9, dtype=np.float64), data,
-                  TrainConfig(epochs=1, seed=1, val_fraction=0.34))
+                  TrainConfig(epochs=1, val_fraction=0.34), 1)
         assert seen and all(d == (np.float64, np.float64) for d in seen)
 
     def test_step_graph_dies_before_the_next_step(self):
@@ -263,7 +262,7 @@ class TestVelTrain:
         peaks = []
         for epochs in (1, 3):
             model = VelModel(81, seed=10)
-            cfg = TrainConfig(epochs=epochs, seed=4, val_fraction=0.1)
+            cfg = TrainConfig(epochs=epochs, val_fraction=0.1)
             tracemalloc.start()
             try:
                 velest.fit(model, x, y, velest._loss_tensor, cfg, np.random.default_rng(4))
@@ -286,7 +285,7 @@ class TestVelModelIO:
         rng = np.random.default_rng(10)
         data = [(random_spectrogram(rng, 5), random_velocities(rng, 5))]
         m = VelModel(WIDTH, seed=9)
-        vel_train(m, data, TrainConfig(epochs=2, seed=4, val_fraction=0.0))
+        vel_train(m, data, TrainConfig(epochs=2, val_fraction=0.0), 4)
         s = random_spectrogram(rng, 7)
         path = tmp_path / "vel.dpc"
         m.save(path)

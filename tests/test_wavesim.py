@@ -246,7 +246,7 @@ class TestSynthesizeSurveillance:
         pose = single_scatterer_pose([0, 2, 1], [0, 0, 0])
         sc = ScattererModel(joint_weights=np.zeros(N_JOINTS))
         ic = InterferenceConfig(dsi_amplitude=0.7)
-        _, sur = synthesize_surveillance(u, pose, sc, self.GEOM, ic)
+        _, sur = synthesize_surveillance(u, pose, sc, self.GEOM, ic, 0)
         tau = np.linalg.norm(self.GEOM.tx_pos - self.GEOM.rx_sur_pos) / C_LIGHT
         grid = u.times()
         expect = 0.7 * np.exp(-2j * np.pi * self.GEOM.carrier_hz * tau) * (
@@ -262,9 +262,9 @@ class TestSynthesizeSurveillance:
         cl = Clutter(position=[2, 5, 0.5], amplitude=0.8)
         _, full = synthesize_surveillance(
             u, pose, sc, self.GEOM,
-            InterferenceConfig(dsi_amplitude=0.5, clutter=[cl], multipath=[plane]))
+            InterferenceConfig(dsi_amplitude=0.5, clutter=[cl], multipath=[plane]), 0)
         zero_targets = ScattererModel(joint_weights=np.zeros(N_JOINTS))
-        parts = [synthesize_surveillance(u, pose, model, self.GEOM, ic)[1] for model, ic in (
+        parts = [synthesize_surveillance(u, pose, model, self.GEOM, ic, 0)[1] for model, ic in (
             (sc, InterferenceConfig()),
             (zero_targets, InterferenceConfig(dsi_amplitude=0.5)),
             (zero_targets, InterferenceConfig(clutter=[cl])),
@@ -279,7 +279,7 @@ class TestSynthesizeSurveillance:
         pose = single_scatterer_pose([1, 4, 1], [0, 0, 0])
         sc = ScattererModel(joint_weights=one_joint_weights())
         a, b, c = (synthesize_surveillance(u, pose, sc, self.GEOM,
-                                           InterferenceConfig(noise_floor=0.1, noise_seed=s))[1]
+                                           InterferenceConfig(noise_floor=0.1), s)[1]
                    for s in (3, 3, 4))
         assert np.array_equal(a.samples, b.samples)
         assert not np.array_equal(a.samples, c.samples)
@@ -289,7 +289,7 @@ class TestSynthesizeSurveillance:
         pose = single_scatterer_pose([0, 2, 1], [0, 0, 0], n_frames=5)  # 0.5 s
         sc = ScattererModel()
         with pytest.raises(ValueError):
-            synthesize_surveillance(u, pose, sc, self.GEOM, InterferenceConfig())
+            synthesize_surveillance(u, pose, sc, self.GEOM, InterferenceConfig(), 0)
 
 
 WALK_GEOM = Geometry(tx_pos=[-4, 8, 1.5], rx_sur_pos=[0, 8, 1.0],
@@ -319,7 +319,7 @@ class TestTargetReturnsOracle:
         sc = ScattererModel()
         for planes in ((), (DEFAULT_PLANE,)):
             _, new = synthesize_surveillance(u, pose, sc, WALK_GEOM,
-                                             InterferenceConfig(multipath=list(planes)))
+                                             InterferenceConfig(multipath=list(planes)), 0)
             want = direct_target_returns(u, pose, sc, WALK_GEOM, planes)
             rel = np.abs(new.samples - want).max() / np.abs(want).max()
             assert rel < 1e-9
@@ -333,7 +333,7 @@ class TestSceneChannels:
     def test_empty_interference_gives_equal_channels(self):
         u, pose = walking_scene()
         targets, full = synthesize_surveillance(u, pose, ScattererModel(), WALK_GEOM,
-                                                InterferenceConfig())
+                                                InterferenceConfig(), 0)
         assert np.array_equal(targets.samples, full.samples)
         assert targets.sample_rate_hz == full.sample_rate_hz == u.sample_rate_hz
         assert targets.start_time_s == full.start_time_s == u.start_time_s
@@ -344,7 +344,7 @@ class TestSceneChannels:
         assert ic.multipath and ic.clutter and ic.dsi_amplitude > 0 and ic.noise_floor > 0
         u, pose = walking_scene()
         clean, _ = synthesize_surveillance(u, pose, cfg.scatterer, cfg.geometry,
-                                           InterferenceConfig())
+                                           InterferenceConfig(), 0)
         calls = []
         tracks_fn = wavesim._coarse_tracks
 
@@ -353,7 +353,7 @@ class TestSceneChannels:
             return tracks_fn(*args)
 
         monkeypatch.setattr(wavesim, "_coarse_tracks", counted_tracks)
-        targets, full = synthesize_surveillance(u, pose, cfg.scatterer, cfg.geometry, ic)
+        targets, full = synthesize_surveillance(u, pose, cfg.scatterer, cfg.geometry, ic, 0)
         assert np.array_equal(targets.samples, clean.samples)
         assert not np.array_equal(full.samples, targets.samples)
         # the mirror images reuse the direct joints' tracks
@@ -499,18 +499,18 @@ class TestDelayLimits:
         far = Geometry(tx_pos=[-self.ONE_SAMPLE_M, 2, 1], rx_sur_pos=[0, 2.5, 1],
                        rx_ref_pos=[0, 0, 0])
         with pytest.raises(ValueError, match="16000 Hz"):
-            synthesize_surveillance(u, pose, ScattererModel(), far, InterferenceConfig())
+            synthesize_surveillance(u, pose, ScattererModel(), far, InterferenceConfig(), 0)
 
     def test_rejects_mirror_delay_of_one_sample(self):
         u, pose = self._scene()
         g = Geometry(tx_pos=[-4, 2, 1], rx_sur_pos=[0, 2.5, 1], rx_ref_pos=[0, 0, 0])
         far_wall = MirrorPlane(point=[self.ONE_SAMPLE_M / 2, 0, 0], normal=[1, 0, 0],
                                amplitude=0.3)
-        _, ok = synthesize_surveillance(u, pose, ScattererModel(), g, InterferenceConfig())
+        _, ok = synthesize_surveillance(u, pose, ScattererModel(), g, InterferenceConfig(), 0)
         assert np.abs(ok.samples).max() > 0
         with pytest.raises(ValueError, match="rx"):
             synthesize_surveillance(u, pose, ScattererModel(), g,
-                                    InterferenceConfig(multipath=[far_wall]))
+                                    InterferenceConfig(multipath=[far_wall]), 0)
 
     @pytest.mark.parametrize("dsi_samples,clutter_samples", [(5, 20), (12, 16)])
     def test_static_paths_keep_multi_sample_delays(self, dsi_samples, clutter_samples):
@@ -522,9 +522,9 @@ class TestDelayLimits:
         cl = Clutter([d + extra, 0, 0], amplitude=1.0)
         no_targets = ScattererModel(joint_weights=np.zeros(N_JOINTS))
         _, dsi = synthesize_surveillance(u, pose, no_targets, g,
-                                         InterferenceConfig(dsi_amplitude=1.0))
+                                         InterferenceConfig(dsi_amplitude=1.0), 0)
         _, clutter = synthesize_surveillance(u, pose, no_targets, g,
-                                             InterferenceConfig(clutter=[cl]))
+                                             InterferenceConfig(clutter=[cl]), 0)
         for sig, k in ((dsi, dsi_samples), (clutter, clutter_samples)):
             lag = np.abs([np.vdot(u.samples[: len(u) - m], sig.samples[m:])
                           for m in range(30)])
