@@ -98,9 +98,9 @@ class Spectrogram:
 
     @classmethod
     def load(cls, path: str | Path) -> "Spectrogram":
-        values, header = containers.read_array(path, "spectrogram")
-        axis = np.linspace(header["doppler_min_hz"], header["doppler_max_hz"], len(values))
-        return cls(values, axis, float(header["dt"]))
+        return containers.read_array(path, "spectrogram", lambda v, h: cls(
+            v, np.linspace(float(h["doppler_min_hz"]), float(h["doppler_max_hz"]), len(v)),
+            float(h["dt"])))
 
 
 def _check_pair(sur: BasebandSignal, ref: BasebandSignal) -> None:

@@ -7,9 +7,13 @@ stays mmap-friendly:
     {"version": 1, "kind": "pose", ...}\n
     <raw little-endian payload bytes>
 
-Array kinds are written by `write_array` and read by `read_array`; `KINDS`
-owns each one's axes (header field names, or a fixed length), payload dtype,
-constant fields and the meta fields its class stores:
+Array kinds are written by `write_array` and read by `read_array`, which
+checks the format alone (kind, dtype, axis fields, payload size) and returns
+what its class's `build(values, header)` makes; the class constructor owns
+every value rule. What either rejects is a ContainerError naming the file.
+`KINDS` owns each kind's axes (header field names, or a fixed length), payload
+dtype and constant fields. The meta fields are what each class writes in `save`
+(PoseSequence, BasebandSignal, Spectrogram, in the table's order):
 
     kind         axes               dtype  constant        meta
     pose         (T, joints, 3)     f32le  layout "T×J×3"  dt
@@ -36,12 +40,11 @@ _DTYPES = {
     "c64le": np.dtype("<c8"),
 }
 
-# kind -> (axes, dtype tag, constant fields, required meta fields)
+# kind -> (axes, dtype tag, constant fields)
 KINDS = {
-    "pose": (("T", "joints", 3), "f32le", {"layout": "T×J×3"}, ("dt",)),
-    "signal": (("n",), "c64le", {}, ("sample_rate_hz", "start_time_s")),
-    "spectrogram": (("doppler_bins", "T"), "f32le", {},
-                    ("dt", "doppler_min_hz", "doppler_max_hz")),
+    "pose": (("T", "joints", 3), "f32le", {"layout": "T×J×3"}),
+    "signal": (("n",), "c64le", {}),
+    "spectrogram": (("doppler_bins", "T"), "f32le", {}),
 }
 
 
@@ -92,7 +95,7 @@ def read_container(path: str | Path) -> tuple[dict, np.ndarray]:
 
 def write_array(path: str | Path, kind: str, values, **meta) -> None:
     """Persist `values`, shaped as the kind's axes, with the kind's `meta` fields."""
-    axes, dtype_tag, constant, _ = KINDS[kind]
+    axes, dtype_tag, constant = KINDS[kind]
     sizes = {a: int(n) for a, n in zip(axes, np.shape(values)) if isinstance(a, str)}
     for a, n in sizes.items():
         if n < 1:  # `read_array` would reject the file
@@ -101,27 +104,25 @@ def write_array(path: str | Path, kind: str, values, **meta) -> None:
                     values)
 
 
-def read_array(path: str | Path, kind: str) -> tuple[np.ndarray, dict]:
-    """Load a `kind` container as (array shaped by its axes, header).
-
-    The kind, dtype, axis and meta fields, the payload size and its finiteness
-    are all checked; any mismatch raises a ContainerError naming the file.
+def read_array(path: str | Path, kind: str, build):
+    """Return `build(values shaped by the kind's axes, header)` for a `kind` file;
+    a format mismatch, or a KeyError, TypeError or ValueError out of `build`,
+    raises a ContainerError that starts with the file's path.
     """
-    axes, dtype_tag, _, meta = KINDS[kind]
+    axes, dtype_tag, _ = KINDS[kind]
     header, payload = read_container(path)
-    if header.get("kind") != kind or header["dtype"] != dtype_tag:
-        raise ContainerError(f"{path}: expected a {kind!r} {dtype_tag} container, found "
+    try:
+        if header.get("kind") != kind or header["dtype"] != dtype_tag:
+            raise ValueError(f"expected a {kind!r} {dtype_tag} container, found "
                              f"kind={header.get('kind')!r} dtype={header['dtype']!r}")
-    for key in [a for a in axes if isinstance(a, str)] + list(meta):
-        if key not in header:
-            raise ContainerError(f"{path}: header missing field {key!r}")
-    shape = tuple(a if isinstance(a, int) else header[a] for a in axes)
-    for a, n in zip(axes, shape):
-        if type(n) is not int or n < 1:
-            raise ContainerError(f"{path}: field {a!r} must be a positive integer, got {n!r}")
-    if payload.size != math.prod(shape):
-        raise ContainerError(
-            f"{path}: payload has {payload.size} values, header promises {math.prod(shape)}")
-    if not np.isfinite(payload).all():
-        raise ContainerError(f"{path}: payload holds a non-finite value")
-    return payload.reshape(shape), header
+        shape = tuple(a if isinstance(a, int) else header[a] for a in axes)
+        for a, n in zip(axes, shape):
+            if type(n) is not int or n < 1:
+                raise ValueError(f"field {a!r} must be a positive integer, got {n!r}")
+        if payload.size != (size := math.prod(shape)):
+            raise ValueError(f"payload has {payload.size} values, header promises {size}")
+        return build(payload.reshape(shape), header)
+    except KeyError as exc:
+        raise ContainerError(f"{path}: header missing field {exc.args[0]!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ContainerError(f"{path}: {exc}") from exc

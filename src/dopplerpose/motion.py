@@ -113,8 +113,7 @@ class PoseSequence:
 
     @classmethod
     def load(cls, path: str | Path) -> "PoseSequence":
-        values, header = containers.read_array(path, "pose")
-        return cls(values, float(header["dt"]))
+        return containers.read_array(path, "pose", lambda v, h: cls(v, float(h["dt"])))
 
 
 @dataclass

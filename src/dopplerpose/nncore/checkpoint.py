@@ -55,9 +55,9 @@ def _check_shapes(path, what: str, recorded: list, targets: list) -> None:
 def load_checkpoint(path: str | Path, kind: str, build):
     """Rebuild a `kind` model with `build(meta)` and restore its arrays in place.
 
-    The model must expose `params()` (Tensors) and `state_arrays()` (numpy
-    arrays), both in the order `save_checkpoint` was given them. A non-finite
-    value or any mismatch with the manifest raises a ValueError naming the file.
+    It shares the `build` contract of `containers.read_array`; a model owns no
+    value rules, so this reader rejects a non-finite value or a manifest
+    mismatch (`params()`, then `state_arrays()`, in save order), naming the file.
     """
     header, payload = containers.read_container(path)
     if header.get("kind") != "checkpoint":

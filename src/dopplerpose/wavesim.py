@@ -146,8 +146,8 @@ class BasebandSignal:
 
     @classmethod
     def load(cls, path: str | Path) -> "BasebandSignal":
-        samples, header = containers.read_array(path, "signal")
-        return cls(samples, float(header["sample_rate_hz"]), float(header["start_time_s"]))
+        return containers.read_array(path, "signal", lambda v, h: cls(
+            v, float(h["sample_rate_hz"]), float(h["start_time_s"])))
 
 
 @dataclass

@@ -11,7 +11,7 @@ from dopplerpose.cli import main
 from dopplerpose.motion import ActivityKind, PoseSequence
 from dopplerpose.caf import Spectrogram
 from dopplerpose.wavesim import BasebandSignal
-from test_containers import with_non_finite
+from test_containers import NON_FINITE, with_header, with_last_value
 from test_harness import tiny_config_dict
 
 
@@ -149,13 +149,13 @@ def test_simulate_and_caf_write_the_harness_recipe(config_file, tmp_path):
     ref, targets, full = harness.render_channels(cfg, PoseSequence.load(pose_file), cfg.seed)
     assert not np.array_equal(targets.samples, full.samples)
     for name, want in (("ref.dpc", ref), ("sur.dpc", full)):
-        got, header = containers.read_array(sigs / name, "signal")
+        got, header = containers.read_array(sigs / name, "signal", lambda v, h: (v, h))
         assert np.array_equal(got, want.samples.astype(np.complex64))
         assert header["sample_rate_hz"] == want.sample_rate_hz
         assert header["start_time_s"] == want.start_time_s
     spec = harness.process_channel(cfg, BasebandSignal.load(sigs / "sur.dpc"),
                                    BasebandSignal.load(sigs / "ref.dpc"), cfg.clean_iterations)
-    got, header = containers.read_array(spec_file, "spectrogram")
+    got, header = containers.read_array(spec_file, "spectrogram", lambda v, h: (v, h))
     assert np.array_equal(got, spec.values.astype(np.float32))
     assert header["dt"] == spec.dt
 
@@ -291,16 +291,29 @@ def test_non_finite_input_file_exits_1_and_names_it(config_file, pipeline_dir, t
     BasebandSignal(np.ones(1600), 16e3).save(sig)
     run = ["--data", str(ds), "--vel-model", str(models / "vel_model.dpc"),
            "--opt-model", str(models / "opt_model.dpc")]
-    bad, args = {"simulate": (pose, ["--pose", str(pose)]),
-                 "caf": (sig, ["--sur", str(sig), "--ref", str(sig)]),
-                 "denoise": (spec_d, ["--input", str(spec_d)]),
-                 "evaluate": (spec_d, run),
-                 "reconstruct": (models / "vel_model.dpc", run)}[stage]
-    with_non_finite(bad)
+    bad, kind, args = {"simulate": (pose, "pose", ["--pose", str(pose)]),
+                       "caf": (sig, "signal", ["--sur", str(sig), "--ref", str(sig)]),
+                       "denoise": (spec_d, "spectrogram", ["--input", str(spec_d)]),
+                       "evaluate": (spec_d, "spectrogram", run),
+                       "reconstruct": (models / "vel_model.dpc", "checkpoint", run)}[stage]
+    with_last_value(bad)
     out = tmp_path / "out"
     rc = main([stage, "--config", str(config_file), *args, "--out", str(out)])
     assert rc == 1
-    assert capsys.readouterr().err == f"error: {bad}: payload holds a non-finite value\n"
+    assert capsys.readouterr().err == f"error: {bad}: {NON_FINITE[kind]}\n"
+    assert not out.exists()
+
+
+def test_simulate_on_null_dt_exits_1_and_names_file(config_file, tmp_path, capsys):
+    pose = tmp_path / "pose.dpc"
+    PoseSequence(np.zeros((3, 17, 3)), 0.1).save(pose)
+    with_header(pose, dt=None)
+    out = tmp_path / "sigs"
+    rc = main(["simulate", "--config", str(config_file), "--pose", str(pose), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {pose}: float() argument must be")
+    assert "Traceback" not in err
     assert not out.exists()
 
 

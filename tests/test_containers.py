@@ -29,7 +29,7 @@ def test_signal_round_trip(tmp_path):
     sig = (rng.normal(size=64) + 1j * rng.normal(size=64)).astype(np.complex64)
     path = tmp_path / "sig.dpc"
     containers.write_array(path, "signal", sig, sample_rate_hz=1e4, start_time_s=0.5)
-    back, header = containers.read_array(path, "signal")
+    back, header = containers.read_array(path, "signal", lambda v, h: (v, h))
     fs, t0 = header["sample_rate_hz"], header["start_time_s"]
     assert fs == 1e4 and t0 == 0.5
     assert np.array_equal(back.astype(np.complex64), sig)
@@ -42,7 +42,7 @@ def test_spectrogram_round_trip(tmp_path):
     path = tmp_path / "spec.dpc"
     containers.write_array(path, "spectrogram", values, dt=0.1,
                            doppler_min_hz=axis[0], doppler_max_hz=axis[-1])
-    back, header = containers.read_array(path, "spectrogram")
+    back, header = containers.read_array(path, "spectrogram", lambda v, h: (v, h))
     back_axis = np.linspace(header["doppler_min_hz"], header["doppler_max_hz"], len(back))
     assert header["dt"] == 0.1
     assert np.allclose(back_axis, axis)
@@ -55,7 +55,7 @@ def test_truncated_payload_rejected(tmp_path):
     blob = path.read_bytes()
     path.write_bytes(blob[:-8])
     with pytest.raises(containers.ContainerError):
-        containers.read_array(path, "pose")
+        containers.read_array(path, "pose", lambda v, h: (v, h))
 
 
 @pytest.mark.parametrize("save, load, cut, tag", [
@@ -82,13 +82,13 @@ def test_missing_header_field_rejected(tmp_path):
     path = tmp_path / "bad.dpc"
     path.write_bytes(b'{"dtype": "f32le"}\n' + b"\x00" * 12)
     with pytest.raises(containers.ContainerError):
-        containers.read_array(path, "pose")
+        containers.read_array(path, "pose", lambda v, h: (v, h))
 
 
 @pytest.mark.parametrize("header", [b"[1]", b"3", b'"pose"', b"null"])
 @pytest.mark.parametrize("read", [
     containers.read_container,
-    lambda p: containers.read_array(p, "pose"),
+    lambda p: containers.read_array(p, "pose", lambda v, h: (v, h)),
     lambda p: nn.load_checkpoint(p, "optmodel", None),
 ], ids=["read_container", "read_array", "load_checkpoint"])
 def test_non_object_header_rejected_with_file(tmp_path, header, read):
@@ -170,13 +170,25 @@ def test_zero_size_array_rejected_on_write(tmp_path, save):
     assert not path.exists()
 
 
-def with_non_finite(path, value=np.nan):
+def with_last_value(path, value=np.nan):
     """Rewrite a container with its payload's last float32, the imaginary part
     of a signal's last sample, set to `value`; the header is kept."""
     header, payload = containers.read_container(path)
     payload = payload.copy()
     payload.view(np.float32)[-1] = value
     containers.write_container(path, header, payload)
+
+
+def with_header(path, **fields):
+    """Rewrite a container with `fields` set in its header; the payload is kept."""
+    header, payload = containers.read_container(path)
+    containers.write_container(path, {**header, **fields}, payload)
+
+
+NON_FINITE = {"pose": "pose positions must be finite",
+              "signal": "signal samples must be finite",
+              "spectrogram": "spectrogram values must be finite and non-negative",
+              "checkpoint": "payload holds a non-finite value"}
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
@@ -191,7 +203,40 @@ def test_non_finite_value_rejected_naming_file(tmp_path, kind, value):
         saved.save(path)
         load = type(saved).load
     load(path)
-    with_non_finite(path, value)
+    with_last_value(path, value)
     with pytest.raises(containers.ContainerError,
-                       match=f"^{re.escape(str(path))}: payload holds a non-finite value$"):
+                       match=f"^{re.escape(str(path))}: {NON_FINITE[kind]}$"):
         load(path)
+
+
+META = {"pose": ("dt",), "signal": ("sample_rate_hz", "start_time_s"),
+        "spectrogram": ("dt", "doppler_min_hz", "doppler_max_hz")}
+BAD_VALUES = [
+    *[(kind, {key: None}, r"float\(\) argument must be a string or a (real )?number")
+      for kind in sorted(META) for key in META[kind]],
+    *[(kind, {key: "x"}, "could not convert string to float: 'x'$")
+      for kind in sorted(META) for key in META[kind]],
+    ("pose", {"dt": -0.1}, "dt must be positive, got -0.1$"),
+    ("signal", {"sample_rate_hz": 0}, "sample_rate_hz must be positive$"),
+    ("spectrogram", -1.0, "spectrogram values must be finite and non-negative$"),
+    ("spectrogram", {"doppler_min_hz": -10.0, "doppler_max_hz": 12.0},
+     "doppler_axis must be symmetric around 0$"),
+]
+
+
+@pytest.mark.parametrize("kind, bad, message", BAD_VALUES, ids=[
+    f"{kind}-" + ("cell" if isinstance(bad, float) else
+                  "-".join(f"{k}={v}" for k, v in bad.items()))
+    for kind, bad, _ in BAD_VALUES])
+def test_rejected_value_names_file(tmp_path, kind, bad, message):
+    # the class owns the value rules; its rejection of a file's meta or
+    # payload is a ContainerError that starts with the file's path
+    path = tmp_path / f"{kind}.dpc"
+    saved = SAVED[kind][0]()
+    saved.save(path)
+    if isinstance(bad, float):
+        with_last_value(path, bad)
+    else:
+        with_header(path, **bad)
+    with pytest.raises(containers.ContainerError, match=f"^{re.escape(str(path))}: {message}"):
+        type(saved).load(path)
