@@ -84,8 +84,8 @@ class Spectrogram:
             raise ValueError("spectrogram values must be finite and non-negative")
         if not np.allclose(self.doppler_axis, -self.doppler_axis[::-1], atol=1e-6):
             raise ValueError("doppler_axis must be symmetric around 0")
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
+        if not 0 < self.dt < np.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
 
     @property
     def n_frames(self) -> int:
@@ -99,8 +99,9 @@ class Spectrogram:
     @classmethod
     def load(cls, path: str | Path) -> "Spectrogram":
         return containers.read_array(path, "spectrogram", lambda v, h: cls(
-            v, np.linspace(float(h["doppler_min_hz"]), float(h["doppler_max_hz"]), len(v)),
-            float(h["dt"])))
+            v, np.linspace(containers.number(h, "doppler_min_hz"),
+                           containers.number(h, "doppler_max_hz"), len(v)),
+            containers.number(h, "dt")))
 
 
 def _check_pair(sur: BasebandSignal, ref: BasebandSignal) -> None:

@@ -7,22 +7,22 @@ stays mmap-friendly:
     {"version": 1, "kind": "pose", ...}\n
     <raw little-endian payload bytes>
 
-Array kinds are written by `write_array` and read by `read_array`, which
-checks the format alone (kind, dtype, axis fields, payload size) and returns
-what its class's `build(values, header)` makes; the class constructor owns
-every value rule. What either rejects is a ContainerError naming the file.
-`KINDS` owns each kind's axes (header field names, or a fixed length), payload
-dtype and constant fields. The meta fields are what each class writes in `save`
-(PoseSequence, BasebandSignal, Spectrogram, in the table's order):
+Every kind is written by `write_array` and read by `read_array`, which checks
+the format alone (kind, dtype, axis fields, payload size) and returns what the
+reader's `build(values, header)` makes (`number` reads a numeric meta field);
+the reader owns every value rule. What either rejects is a ContainerError
+naming the file. `KINDS` owns each kind's axes (header field names, or a fixed
+length), payload dtype and constant fields. The meta fields are what each
+writer passes (PoseSequence, BasebandSignal, Spectrogram, `save_checkpoint`):
 
     kind         axes               dtype  constant        meta
     pose         (T, joints, 3)     f32le  layout "T×J×3"  dt
-    signal       (n,)               c64le                  sample_rate_hz, start_time_s
+    signal       (n,)               c64le                  sample_rate_hz
     spectrogram  (doppler_bins, T)  f32le                  dt, doppler_min_hz, doppler_max_hz
+    checkpoint   none: flat         f32le                  model, meta, param_shapes, state_shapes
 
-Checkpoints keep their own header (`nncore.checkpoint`). Round-trips are
-bit-exact: reading a file and writing it back produces the identical byte
-string.
+Round-trips are bit-exact: reading a file and writing it back produces the
+identical byte string.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ KINDS = {
     "pose": (("T", "joints", 3), "f32le", {"layout": "T×J×3"}),
     "signal": (("n",), "c64le", {}),
     "spectrogram": (("doppler_bins", "T"), "f32le", {}),
+    "checkpoint": ((), "f32le", {}),
 }
 
 
@@ -115,7 +116,8 @@ def read_array(path: str | Path, kind: str, build):
         if header.get("kind") != kind or header["dtype"] != dtype_tag:
             raise ValueError(f"expected a {kind!r} {dtype_tag} container, found "
                              f"kind={header.get('kind')!r} dtype={header['dtype']!r}")
-        shape = tuple(a if isinstance(a, int) else header[a] for a in axes)
+        # a kind without axes (a checkpoint) hands `build` its payload flat
+        shape = tuple(a if isinstance(a, int) else header[a] for a in axes) or payload.shape
         for a, n in zip(axes, shape):
             if type(n) is not int or n < 1:
                 raise ValueError(f"field {a!r} must be a positive integer, got {n!r}")
@@ -126,3 +128,11 @@ def read_array(path: str | Path, kind: str, build):
         raise ContainerError(f"{path}: header missing field {exc.args[0]!r}") from exc
     except (TypeError, ValueError) as exc:
         raise ContainerError(f"{path}: {exc}") from exc
+
+
+def number(header: dict, name: str) -> float:
+    """The header's `name` field as a float: a JSON number, not a bool or a string."""
+    value = header[name]
+    if type(value) not in (int, float):
+        raise ValueError(f"field {name!r} must be a number, got {value!r}")
+    return float(value)

@@ -145,7 +145,6 @@ class ExperimentConfig:
     sample_rate_hz: float
     scatterer: ScattererModel
     interference: InterferenceConfig
-    delay_bins: int
     doppler_span_hz: float
     doppler_oversample: int
     clean_iterations: int
@@ -243,10 +242,6 @@ def parse_config(data: dict) -> ExperimentConfig:
     if cpi_samples < 2:
         raise ConfigError(f"config field dataset.dt: a CPI of {dt} s holds {cpi_samples} "
                           f"samples at {sample_rate_hz:g} Hz, fewer than 2")
-    delay_bins = get("processing.delay_bins", int, 1, low=1)
-    if delay_bins > cpi_samples:
-        raise ConfigError(f"config field processing.delay_bins: must be at most the "
-                          f"{cpi_samples} samples of one CPI, got {delay_bins}")
     try:
         doppler_span_hz = check_doppler_span(
             get("processing.doppler_span_hz", float, 100.0), sample_rate_hz)
@@ -261,7 +256,6 @@ def parse_config(data: dict) -> ExperimentConfig:
         scatterer=_build("scatterer", ScattererModel,
                          path_loss_exponent=get("scatterer.path_loss_exponent", float, 2.0)),
         interference=interference,
-        delay_bins=delay_bins,
         doppler_span_hz=doppler_span_hz,
         doppler_oversample=get("processing.doppler_oversample", int, 4, low=1),
         clean_iterations=get("processing.clean_iterations", int, 2, low=0),
@@ -346,8 +340,9 @@ def render_channels(cfg: ExperimentConfig, pose: PoseSequence, seed: int):
 def process_channel(cfg: ExperimentConfig, sur: BasebandSignal, ref: BasebandSignal,
                     clean_iterations: int) -> Spectrogram:
     """`spectrogram_pipeline` of one surveillance channel at the config's
-    processing settings, with `clean_iterations` CLEAN passes."""
-    return spectrogram_pipeline(sur, ref, cpi_s=cfg.dt, delay_bins=cfg.delay_bins,
+    processing settings, with `clean_iterations` CLEAN passes: one delay bin, as a
+    body-scale path is far shorter than one sample (see `wavesim`)."""
+    return spectrogram_pipeline(sur, ref, cpi_s=cfg.dt, delay_bins=1,
                                 doppler_span_hz=cfg.doppler_span_hz,
                                 doppler_oversample=cfg.doppler_oversample,
                                 clean_iterations=clean_iterations)

@@ -100,8 +100,8 @@ class PoseSequence:
             raise ValueError(f"positions must be (T, {N_JOINTS}, 3), got {self.positions.shape}")
         if len(self.positions) < 1:
             raise ValueError("a pose sequence needs at least one frame")
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not 0 < self.dt < np.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not np.isfinite(self.positions).all():
             raise ValueError("pose positions must be finite")
 
@@ -113,7 +113,8 @@ class PoseSequence:
 
     @classmethod
     def load(cls, path: str | Path) -> "PoseSequence":
-        return containers.read_array(path, "pose", lambda v, h: cls(v, float(h["dt"])))
+        return containers.read_array(path, "pose",
+                                     lambda v, h: cls(v, containers.number(h, "dt")))
 
 
 @dataclass
@@ -127,8 +128,8 @@ class VelocitySequence:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 3 or self.values.shape[1:] != (N_JOINTS, 3):
             raise ValueError(f"values must be (T, {N_JOINTS}, 3), got {self.values.shape}")
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not 0 < self.dt < np.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not np.isfinite(self.values).all():
             raise ValueError("velocities must be finite")
 

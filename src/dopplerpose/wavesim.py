@@ -101,16 +101,16 @@ class Geometry:
 
 @dataclass
 class BasebandSignal:
-    """Complex sampled baseband for one channel."""
+    """Complex sampled baseband for one channel; its first sample is at time 0."""
 
     samples: np.ndarray
     sample_rate_hz: float
-    start_time_s: float = 0.0
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.complex128)
-        if not self.sample_rate_hz > 0:
-            raise ValueError("sample_rate_hz must be positive")
+        if not 0 < self.sample_rate_hz < np.inf:
+            raise ValueError(
+                f"sample_rate_hz must be positive and finite, got {self.sample_rate_hz}")
         if not np.isfinite(self.samples.view(np.float64)).all():
             raise ValueError("signal samples must be finite")
 
@@ -118,7 +118,7 @@ class BasebandSignal:
         return len(self.samples)
 
     def __getitem__(self, sl: slice) -> "BasebandSignal":
-        """Samples `sl` (a step-1 slice) as a signal starting at the first one's time.
+        """Samples `sl` (a step-1 slice) as a signal of their own.
 
         They were checked when this signal was built, so they are not scanned again.
         """
@@ -129,7 +129,6 @@ class BasebandSignal:
             raise ValueError(f"a signal slice takes every sample, got step {step}")
         out = copy.copy(self)
         out.samples = self.samples[start:stop]
-        out.start_time_s = self.start_time_s + start / self.sample_rate_hz
         return out
 
     @property
@@ -137,17 +136,17 @@ class BasebandSignal:
         return len(self.samples) / self.sample_rate_hz
 
     def times(self) -> np.ndarray:
-        return self.start_time_s + np.arange(len(self.samples)) / self.sample_rate_hz
+        return np.arange(len(self.samples)) / self.sample_rate_hz
 
     def save(self, path: str | Path) -> None:
         containers.write_array(path, "signal", self.samples,
-                               sample_rate_hz=float(self.sample_rate_hz),
-                               start_time_s=float(self.start_time_s))
+                               sample_rate_hz=float(self.sample_rate_hz))
 
     @classmethod
     def load(cls, path: str | Path) -> "BasebandSignal":
+        """The signal `save` wrote; the start time that older files carry is ignored."""
         return containers.read_array(path, "signal", lambda v, h: cls(
-            v, float(h["sample_rate_hz"]), float(h["start_time_s"])))
+            v, containers.number(h, "sample_rate_hz")))
 
 
 @dataclass
@@ -278,7 +277,7 @@ def synthesize_reference(u: BasebandSignal, g: Geometry) -> BasebandSignal:
     amp = _path_amp(np.array([r]), 2.0)[0] if r > 0 else 1.0
     phase = np.exp(-2j * np.pi * g.carrier_hz * tau)
     samples = amp * phase * _shifted(u, tau)
-    return BasebandSignal(samples, u.sample_rate_hz, u.start_time_s)
+    return BasebandSignal(samples, u.sample_rate_hz)
 
 
 def _ranges(x: np.ndarray, point: np.ndarray) -> np.ndarray:
@@ -337,7 +336,7 @@ def _target_returns(u: BasebandSignal, coarse_t: np.ndarray, positions: np.ndarr
         # Delay and amplitude at a segment's first sample and their change per
         # sample, (segments, joints).
         seg_len = coarse_t[k0 + 1:k1 + 1] - coarse_t[k0:k1]
-        frac = (u.start_time_s + first[k0:k1] / fs - coarse_t[k0:k1]) / seg_len
+        frac = (first[k0:k1] / fs - coarse_t[k0:k1]) / seg_len
         rise_d = delay[k0 + 1:k1 + 1] - delay[k0:k1]
         rise_a = amp[k0 + 1:k1 + 1] - amp[k0:k1]
         g0 = delay[k0:k1] + frac[:, None] * rise_d
@@ -384,7 +383,7 @@ _COARSE_RATE_HZ = 500.0
 
 def _coarse_grid(u: BasebandSignal) -> np.ndarray:
     n = min(len(u), max(2, int(np.ceil(u.duration * _COARSE_RATE_HZ)) + 1))
-    return np.linspace(u.start_time_s, u.start_time_s + u.duration, n)
+    return np.linspace(0.0, u.duration, n)
 
 
 def _joint_tracks(p: PoseSequence, times: np.ndarray) -> np.ndarray:
@@ -403,10 +402,9 @@ def _joint_tracks(p: PoseSequence, times: np.ndarray) -> np.ndarray:
 
 def _coarse_tracks(u: BasebandSignal, p: PoseSequence):
     """The coarse time grid and the joint tracks on it; the pose must cover u."""
-    if u.start_time_s + u.duration > len(p) * p.dt + 1e-9:
+    if u.duration > len(p) * p.dt + 1e-9:
         raise ValueError(
-            f"pose covers {len(p) * p.dt:.3f} s but the signal extends to "
-            f"{u.start_time_s + u.duration:.3f} s")
+            f"pose covers {len(p) * p.dt:.3f} s but the signal lasts {u.duration:.3f} s")
     coarse_t = _coarse_grid(u)
     return coarse_t, _joint_tracks(p, coarse_t)
 
@@ -449,8 +447,7 @@ def synthesize_surveillance(u: BasebandSignal, p: PoseSequence, sc: ScattererMod
         total += rng.normal(scale=scale, size=len(u)) \
             + 1j * rng.normal(scale=scale, size=len(u))
 
-    return (BasebandSignal(targets, u.sample_rate_hz, u.start_time_s),
-            BasebandSignal(total, u.sample_rate_hz, u.start_time_s))
+    return BasebandSignal(targets, u.sample_rate_hz), BasebandSignal(total, u.sample_rate_hz)
 
 
 def bistatic_doppler(g: Geometry, x: np.ndarray, v: np.ndarray) -> float:

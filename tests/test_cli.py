@@ -152,7 +152,7 @@ def test_simulate_and_caf_write_the_harness_recipe(config_file, tmp_path):
         got, header = containers.read_array(sigs / name, "signal", lambda v, h: (v, h))
         assert np.array_equal(got, want.samples.astype(np.complex64))
         assert header["sample_rate_hz"] == want.sample_rate_hz
-        assert header["start_time_s"] == want.start_time_s
+        assert "start_time_s" not in header
     spec = harness.process_channel(cfg, BasebandSignal.load(sigs / "sur.dpc"),
                                    BasebandSignal.load(sigs / "ref.dpc"), cfg.clean_iterations)
     got, header = containers.read_array(spec_file, "spectrogram", lambda v, h: (v, h))
@@ -312,8 +312,29 @@ def test_simulate_on_null_dt_exits_1_and_names_file(config_file, tmp_path, capsy
     rc = main(["simulate", "--config", str(config_file), "--pose", str(pose), "--out", str(out)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {pose}: float() argument must be")
+    assert err == f"error: {pose}: field 'dt' must be a number, got None\n"
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("stage, field", [("simulate", "dt"), ("caf", "sample_rate_hz"),
+                                          ("denoise", "dt")])
+def test_infinite_step_exits_1_and_names_file(config_file, tmp_path, capsys, stage, field):
+    # an infinite frame step or sample rate once escaped as an OverflowError
+    # traceback (simulate, caf) or was written out (denoise)
+    bad = tmp_path / "in.dpc"
+    {"simulate": lambda: PoseSequence(np.zeros((3, 17, 3)), 0.1),
+     "caf": lambda: BasebandSignal(np.ones(1600), 16e3),
+     "denoise": lambda: Spectrogram(np.ones((5, 4)), np.linspace(-10.0, 10.0, 5), 0.1),
+     }[stage]().save(bad)
+    with_header(bad, **{field: float("inf")})
+    args = {"simulate": ["--pose", str(bad)], "caf": ["--sur", str(bad), "--ref", str(bad)],
+            "denoise": ["--input", str(bad)]}[stage]
+    out = tmp_path / "out"
+    rc = main([stage, "--config", str(config_file), *args, "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {bad}: {field} must be positive and finite, got inf\n"
     assert not out.exists()
 
 
@@ -362,12 +383,12 @@ def test_malformed_manifest_entry_exits_1_and_names_file(config_file, tmp_path, 
 
 def test_malformed_config_exits_2_and_names_field(config_file, tmp_path, capsys):
     data = tiny_config_dict()
-    data["processing"]["delay_bins"] = "lots"
+    data["processing"]["doppler_oversample"] = "lots"
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
     rc = main(["build-dataset", "--config", str(bad), "--out", str(tmp_path / "ds")])
     assert rc == 2
-    assert "processing.delay_bins" in capsys.readouterr().err
+    assert "processing.doppler_oversample" in capsys.readouterr().err
 
 
 def test_out_of_range_duration_exits_2_and_names_field(config_file, tmp_path, capsys):
@@ -391,7 +412,7 @@ def test_bad_frame_step_exits_2_and_names_field(config_file, tmp_path, capsys, d
                                      "training.opt.learning_rate=NaN",
                                      "training.opt.window=1",
                                      "interference.noise_floor=NaN",
-                                     "processing.delay_bins=0",
+                                     "processing.doppler_oversample=0",
                                      "seed=-1",
                                      "dataset.kinds=[]",
                                      "optimization.period=1"])

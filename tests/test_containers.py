@@ -9,6 +9,7 @@ from dopplerpose import nncore as nn
 from dopplerpose.caf import Spectrogram
 from dopplerpose.motion import PoseSequence
 from dopplerpose.poseopt import OptModel
+from dopplerpose.velest import VelModel
 from dopplerpose.wavesim import BasebandSignal
 
 
@@ -28,11 +29,21 @@ def test_signal_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     sig = (rng.normal(size=64) + 1j * rng.normal(size=64)).astype(np.complex64)
     path = tmp_path / "sig.dpc"
-    containers.write_array(path, "signal", sig, sample_rate_hz=1e4, start_time_s=0.5)
+    containers.write_array(path, "signal", sig, sample_rate_hz=1e4)
     back, header = containers.read_array(path, "signal", lambda v, h: (v, h))
-    fs, t0 = header["sample_rate_hz"], header["start_time_s"]
-    assert fs == 1e4 and t0 == 0.5
+    assert header["sample_rate_hz"] == 1e4
     assert np.array_equal(back.astype(np.complex64), sig)
+
+
+def test_signal_start_time_of_older_files_ignored(tmp_path):
+    path = tmp_path / "sig.dpc"
+    BasebandSignal(np.arange(4.0) + 1j, 1e4).save(path)
+    plain = path.read_bytes()
+    with_header(path, start_time_s=0.5)
+    back = BasebandSignal.load(path)
+    assert np.array_equal(back.samples, np.arange(4.0) + 1j) and back.sample_rate_hz == 1e4
+    back.save(path)
+    assert path.read_bytes() == plain
 
 
 def test_spectrogram_round_trip(tmp_path):
@@ -109,9 +120,9 @@ SAVED = {
     "pose": (lambda: PoseSequence(np.zeros((3, 17, 3)), 0.1),
              {"version": 1, "kind": "pose", "T": 3, "joints": 17, "dt": 0.1,
               "layout": "T×J×3", "dtype": "f32le"}),
-    "signal": (lambda: BasebandSignal(np.zeros(5, dtype=complex), 1e4, start_time_s=0.5),
+    "signal": (lambda: BasebandSignal(np.zeros(5, dtype=complex), 1e4),
                {"version": 1, "kind": "signal", "n": 5, "sample_rate_hz": 10000.0,
-                "start_time_s": 0.5, "dtype": "c64le"}),
+                "dtype": "c64le"}),
     "spectrogram": (lambda: Spectrogram(np.zeros((9, 6)), AXIS, 0.1),
                     {"version": 1, "kind": "spectrogram", "doppler_bins": 9, "T": 6,
                      "dt": 0.1, "doppler_min_hz": -40.0, "doppler_max_hz": 40.0,
@@ -209,15 +220,19 @@ def test_non_finite_value_rejected_naming_file(tmp_path, kind, value):
         load(path)
 
 
-META = {"pose": ("dt",), "signal": ("sample_rate_hz", "start_time_s"),
+META = {"pose": ("dt",), "signal": ("sample_rate_hz",),
         "spectrogram": ("dt", "doppler_min_hz", "doppler_max_hz")}
 BAD_VALUES = [
-    *[(kind, {key: None}, r"float\(\) argument must be a string or a (real )?number")
+    *[(kind, {key: None}, f"field '{key}' must be a number, got None$")
       for kind in sorted(META) for key in META[kind]],
-    *[(kind, {key: "x"}, "could not convert string to float: 'x'$")
+    *[(kind, {key: "x"}, f"field '{key}' must be a number, got 'x'$")
       for kind in sorted(META) for key in META[kind]],
-    ("pose", {"dt": -0.1}, "dt must be positive, got -0.1$"),
-    ("signal", {"sample_rate_hz": 0}, "sample_rate_hz must be positive$"),
+    ("pose", {"dt": True}, "field 'dt' must be a number, got True$"),
+    ("pose", {"dt": -0.1}, "dt must be positive and finite, got -0.1$"),
+    ("pose", {"dt": np.inf}, "dt must be positive and finite, got inf$"),
+    ("signal", {"sample_rate_hz": 0}, "sample_rate_hz must be positive and finite, got 0.0$"),
+    ("signal", {"sample_rate_hz": np.inf}, "sample_rate_hz must be positive and finite, got inf$"),
+    ("spectrogram", {"dt": np.inf}, "dt must be positive and finite, got inf$"),
     ("spectrogram", -1.0, "spectrogram values must be finite and non-negative$"),
     ("spectrogram", {"doppler_min_hz": -10.0, "doppler_max_hz": 12.0},
      "doppler_axis must be symmetric around 0$"),
@@ -240,3 +255,31 @@ def test_rejected_value_names_file(tmp_path, kind, bad, message):
         with_header(path, **bad)
     with pytest.raises(containers.ContainerError, match=f"^{re.escape(str(path))}: {message}"):
         type(saved).load(path)
+
+
+CHECKPOINT_REJECTIONS = {
+    "model": (lambda h, p: ({**h, "model": "optmodel"}, p),
+              r"not a 'velmodel' checkpoint \(model='optmodel'\)$"),
+    "meta": (lambda h, p: ({**h, "meta": {}}, p),
+             "cannot build a 'velmodel' model from its meta: 'doppler_bins'$"),
+    "param-shape": (lambda h, p: ({**h, "param_shapes": [[1]] + h["param_shapes"][1:]}, p),
+                    r"parameter array 0 has shape \(1,\), model needs \(32, 1, 5\)$"),
+    "short-payload": (lambda h, p: (h, p[:-1]),
+                      r"payload has \d+ values, header promises \d+$"),
+    "non-finite": (lambda h, p: (h, np.r_[np.nan, p[1:]]),
+                   "payload holds a non-finite value$"),
+    "kind": (lambda h, p: ({**h, "kind": "pose"}, p),
+             "expected a 'checkpoint' f32le container, found kind='pose' dtype='f32le'$"),
+}
+
+
+@pytest.mark.parametrize("case", list(CHECKPOINT_REJECTIONS))
+def test_checkpoint_rejection_names_file(tmp_path, case):
+    # a checkpoint is read through `read_array`: every rejection, its format's
+    # or the model's, is a ContainerError that starts with the file's path
+    path = tmp_path / "vel.dpc"
+    VelModel(33, seed=1).save(path)
+    rewrite, message = CHECKPOINT_REJECTIONS[case]
+    containers.write_container(path, *rewrite(*containers.read_container(path)))
+    with pytest.raises(containers.ContainerError, match=f"^{re.escape(str(path))}: {message}"):
+        VelModel.load(path)

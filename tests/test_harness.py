@@ -33,7 +33,7 @@ def tiny_config_dict(**overrides):
                          "clutter": [{"position": [2.5, 5.0, 0.5], "amplitude": 0.6}],
                          "multipath": [{"point": [3.5, 0, 0], "normal": [1, 0, 0],
                                         "amplitude": 0.25}]},
-        "processing": {"delay_bins": 1, "doppler_span_hz": 100.0,
+        "processing": {"doppler_span_hz": 100.0,
                        "doppler_oversample": 4, "clean_iterations": 2},
         "denoise": {"quantile": 0.6},
         "dataset": {"n_activities": 6, "duration_s": 3.0, "dt": 0.1,
@@ -71,8 +71,8 @@ class TestConfig:
 
     def test_bad_type_named(self):
         data = tiny_config_dict()
-        data["processing"]["delay_bins"] = "many"
-        with pytest.raises(ConfigError, match="processing.delay_bins"):
+        data["processing"]["doppler_oversample"] = "many"
+        with pytest.raises(ConfigError, match="processing.doppler_oversample"):
             harness.parse_config(data)
 
     def test_bad_schema_version(self):
@@ -138,15 +138,14 @@ class TestConfig:
             harness.parse_config(data)
 
     @pytest.mark.parametrize("path, value", [
-        # all but the quantile failed only inside the build, naming no field
-        # or the wrong one, or (an empty kinds list) with a ZeroDivisionError
-        ("processing.delay_bins", 0),
-        ("processing.delay_bins", 1601),  # one CPI is 0.1 s x 16 kHz = 1,600 samples
+        # each fails in `parse_config`, naming its field, before any build starts
         ("processing.doppler_oversample", 0),
         ("seed", -1),
         ("waveform.sample_rate_hz", -5.0),
         ("waveform.sample_rate_hz", 0.0),
         ("waveform.sample_rate_hz", float("inf")),
+        ("waveform.sample_rate_hz", float("nan")),
+        ("processing.doppler_span_hz", float("nan")),
         ("waveform.bandwidth_hz", 20000.0),
         ("waveform.bandwidth_hz", 0.0),
         ("waveform.bandwidth_hz", float("nan")),
@@ -162,10 +161,6 @@ class TestConfig:
         data = harness.apply_overrides(tiny_config_dict(), [f"{path}={json.dumps(value)}"])
         with pytest.raises(ConfigError, match=f"^config field {re.escape(path)}: "):
             harness.parse_config(data)
-
-    def test_largest_delay_bins_accepted(self):
-        cfg = harness.parse_config(tiny_config_dict(**{"processing.delay_bins": 1600}))
-        assert cfg.delay_bins == 1600
 
     @pytest.mark.parametrize("key, value", [("duration_s", 1.0), ("duration_s", 61.0),
                                             ("duration_s", float("nan")),
@@ -201,7 +196,7 @@ class TestConfig:
     # A value is never converted: a fraction, a string or a bool for a number fails.
     BAD_TYPES = [("denoise.quantile", "lots"), ("training.vel.batch_size", "lots"),
                  ("optimization.tol", "lots"), ("training.vel.batch_size", 64.9),
-                 ("seed", 1.5), ("processing.delay_bins", 1.9),
+                 ("seed", 1.5), ("processing.doppler_oversample", 1.9),
                  ("dataset.n_activities", "20"), ("training.vel.epochs", True),
                  ("dataset.dt", "0.1"), ("optimization.tol", False),
                  ("geometry.tx_pos", "[0, 0, 0]")]
@@ -227,7 +222,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("path", ["sede", "optimization.perod",
                                       "training.vel.epoch", "denoise.fixed_threshold",
-                                      "processing.cpi_s"])
+                                      "processing.cpi_s", "processing.delay_bins"])
     def test_unknown_field_named(self, path):
         data = tiny_config_dict()
         harness.apply_overrides(data, [f"{path}=2"])

@@ -175,7 +175,7 @@ def _saved_object(kind, rng, length, width, step, scale):
     if kind == "pose":
         return PoseSequence(f32((length, N_JOINTS, 3)), step)
     if kind == "signal":
-        return BasebandSignal(f32(length) + 1j * f32(length), 1.0 / step, start_time_s=scale)
+        return BasebandSignal(f32(length) + 1j * f32(length), 1.0 / step)
     return Spectrogram(np.abs(f32((width, length))),
                        np.linspace(-width * scale, width * scale, width), step)
 

@@ -89,7 +89,7 @@ def blocked_target_returns(u, coarse_t, positions, weights, exponent, g):
     us = u.samples
     for b0 in range(0, n, block):
         b1 = min(n, b0 + block)
-        t = u.start_time_s + np.arange(b0, b1) / fs
+        t = np.arange(b0, b1) / fs
         k = np.clip(np.searchsorted(coarse_t, t, side="right") - 1, 0, len(coarse_t) - 2)
         frac = (t - coarse_t[k]) / seg_len[k]
         lin = knots[:, k]
@@ -303,13 +303,19 @@ def walking_scene():
     return u, pose
 
 
+def offset_pose(pose, start):
+    """`pose` from `start` s on, at its frame step: a scene that begins inside
+    an activity, off its frame grid."""
+    n = int((len(pose) * pose.dt - start) / pose.dt)
+    return PoseSequence(_joint_tracks(pose, start + np.arange(n) * pose.dt), pose.dt)
+
+
 def short_offset_scene():
-    """A turning walk at 100 kHz starting off the sample grid: uneven knot
-    segments, and a last 1,024-sample block of the blocked oracle shorter
-    than the others."""
-    pose = generate_activity(ActivityKind.CV, 2.0, seed=2)
-    u = generate_waveform(4e4, 0.1, 1e5, seed=4)
-    return BasebandSignal(u.samples, u.sample_rate_hz, start_time_s=0.8123), pose
+    """A crouch from 0.8123 s on, at 100 kHz for 0.0987 s: uneven knot segments
+    (197.4 samples apart), and a last 1,024-sample block of the blocked oracle
+    shorter than the others."""
+    pose = offset_pose(generate_activity(ActivityKind.CV, 2.0, seed=2), 0.8123)
+    return generate_waveform(4e4, 0.0987, 1e5, seed=4), pose
 
 
 class TestTargetReturnsOracle:
@@ -336,7 +342,6 @@ class TestSceneChannels:
                                                 InterferenceConfig(), 0)
         assert np.array_equal(targets.samples, full.samples)
         assert targets.sample_rate_hz == full.sample_rate_hz == u.sample_rate_hz
-        assert targets.start_time_s == full.start_time_s == u.start_time_s
 
     def test_targets_unchanged_by_default_interference(self, monkeypatch):
         cfg = harness.parse_config(json.loads(DEFAULT_CONFIG.read_text()))
@@ -392,6 +397,7 @@ class TestSegmentMajorTargets:
 
     # 16 kHz puts 32 samples in a knot segment and 64 segments in a block:
     # 0.05 s is shorter than one block, 0.2 s one full block and a partial one.
+    # The signal starts `start` s into the walk.
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(fs=st.floats(2e3, 5e4), start=st.floats(0.0, 1.5),
            duration=st.floats(1e-3, 0.4), seed=st.integers(0, 2 ** 31))
@@ -400,9 +406,8 @@ class TestSegmentMajorTargets:
     @example(fs=1e5, start=0.8123, duration=0.1, seed=4)
     @example(fs=3e3, start=1.2, duration=1e-3, seed=5)
     def test_sweep_over_rate_offset_and_duration(self, fs, start, duration, seed):
-        w = generate_waveform(fs / 2, duration, fs, seed=seed)
-        u = BasebandSignal(w.samples, fs, start_time_s=start)
-        assert_matches_blocked(u, *scene_paths(u, SWEEP_POSE))
+        u = generate_waveform(fs / 2, duration, fs, seed=seed)
+        assert_matches_blocked(u, *scene_paths(u, offset_pose(SWEEP_POSE, start)))
 
     def test_zero_weights_and_short_signals(self):
         u, pose = short_offset_scene()
@@ -412,7 +417,7 @@ class TestSegmentMajorTargets:
         # joints with weight 0 drop out of the sum
         assert_matches_blocked(u, coarse_t, tracks, one_joint_weights(5))
         for n in (0, 1):
-            short = BasebandSignal(u.samples[:n], u.sample_rate_hz, u.start_time_s)
+            short = BasebandSignal(u.samples[:n], u.sample_rate_hz)
             coarse_t, tracks, weights = scene_paths(short, pose)
             out = _target_returns(short, coarse_t, tracks, weights, 2.0, WALK_GEOM)
             assert out.shape == (n,) and not out.any()
@@ -446,20 +451,19 @@ class TestSegmentMajorTargets:
 
 
 class TestShifted:
-    # A power-of-two rate and start keep t - tau exact for whole-sample delays,
+    # A power-of-two rate keeps t - tau exact for whole-sample delays,
     # so the oracle's `left=0` edge falls where the closed form puts it.
     FS = 8192.0
 
     @pytest.mark.parametrize("samples", [0.0, 1.0, 7.0, 1e-3, 0.5, 2.37, 6.999, 39.5, 40.0, 500.0])
     def test_matches_interpolation(self, samples):
-        w = generate_waveform(4e3, 40 / self.FS, self.FS, seed=2)  # 40 samples
-        u = BasebandSignal(w.samples, self.FS, start_time_s=0.25)
+        u = generate_waveform(4e3, 40 / self.FS, self.FS, seed=2)  # 40 samples
         tau = samples / self.FS
         got = _shifted(u, tau)
         want = interp_delayed(u, u.times() - tau)
         assert np.abs(got - want).max() <= 1e-11
         # nothing before the path arrives; a delay past the end leaves only zeros
-        arrived = u.times() - u.start_time_s >= tau * (1 - 1e-12)
+        arrived = u.times() >= tau * (1 - 1e-12)
         assert not got[~arrived].any()
         assert np.abs(got[arrived]).min(initial=1.0) > 0.0
 
