@@ -93,6 +93,9 @@ def cmd_denoise(args) -> int:
 
 def cmd_build_dataset(args) -> int:
     cfg = load_config(args.config, args.overrides)
+    if not harness.dataset_split(cfg)[1]:
+        raise ConfigError(f"dataset.n_activities={cfg.n_activities} with dataset.train_fraction="
+                          f"{cfg.train_fraction} leaves no test entry")
     manifest = harness.build_dataset(cfg, args.out)
     print(f"wrote {len(manifest['entries'])} activities "
           f"({len(manifest['split']['train'])} train / "

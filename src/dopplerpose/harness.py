@@ -358,15 +358,17 @@ def simulate_activity(cfg: ExperimentConfig, kind: ActivityKind, seed: int,
     return pose, s_spec, m_spec, denoise(m_spec, cfg.denoise_quantile)
 
 
-def _stratified_split(kinds_per_entry: list, fraction: float, seed: int):
-    """Sorted (train, test) indices: per kind, in value order, a shuffle drawn
-    from `seed` whose first round(fraction * count) entries, at least 1, train."""
-    rng = np.random.default_rng(seed)
+def dataset_split(cfg: ExperimentConfig):
+    """Sorted (train, test) indices of the entries `build_dataset` writes, known before it
+    renders: per kind, in value order, a shuffle drawn from the config seed whose first
+    round(train_fraction * count) entries, at least 1, train."""
+    kinds_per_entry = [cfg.kinds[i % len(cfg.kinds)] for i in range(cfg.n_activities)]
+    rng = np.random.default_rng(cfg.seed)
     train = []
     for k in sorted(set(kinds_per_entry), key=lambda a: a.value):
         idx = np.flatnonzero([e == k for e in kinds_per_entry])
         rng.shuffle(idx)
-        train += idx[:max(1, int(round(fraction * len(idx))))].tolist()
+        train += idx[:max(1, int(round(cfg.train_fraction * len(idx))))].tolist()
     return sorted(train), sorted(set(range(len(kinds_per_entry))) - set(train))
 
 
@@ -382,7 +384,6 @@ def build_dataset(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
         raise OSError(f"output directory {out} is not writable: {exc}") from exc
 
     entries = []
-    kinds_per_entry = []
     for i in range(cfg.n_activities):
         kind = cfg.kinds[i % len(cfg.kinds)]
         act_seed = cfg.seed * 1_000_003 + i
@@ -398,9 +399,8 @@ def build_dataset(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
             "index": i, "kind": kind.value, "seed": act_seed,
             "T": len(pose), "dt": cfg.dt, "files": files,
         })
-        kinds_per_entry.append(kind)
 
-    train_idx, test_idx = _stratified_split(kinds_per_entry, cfg.train_fraction, cfg.seed)
+    train_idx, test_idx = dataset_split(cfg)
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "seed": cfg.seed,

@@ -27,33 +27,34 @@ output:
   states the weight gradient pairs with dz are read from its output. Its step
   loop works in place in preallocated buffers, and each direction's bias is
   added to its contiguous input projection, which one direction steps through
-  in place and two copy into one step-ordered buffer. The loop walks zipped
-  per-step rows of those buffers, so a step indexes no array: without a graph
-  to record, the one kept row of gates and cells is repeated for every step.
-  Backward walks the same rows back and computes each step's derivative
-  factors from them, so it builds no whole-sequence derivative array.
+  in place, writing its hidden states into the output, and two copy into one
+  step-ordered buffer. The loop walks zipped per-step rows of those buffers,
+  so a step indexes no array: without a graph to record, the one kept row of
+  gates and cells is repeated for every step. Backward walks the same rows
+  back and computes each step's derivative factors from them, so it builds no
+  whole-sequence derivative array.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from itertools import chain, repeat
+import functools
+from itertools import accumulate, chain, repeat
 
 import numpy as np
 
 _GRAD_ENABLED = True
 
 
-@contextmanager
-def no_grad():
+class no_grad:
     """Disable graph recording inside the context (inference mode)."""
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
-    try:
-        yield
-    finally:
-        _GRAD_ENABLED = prev
+
+    def __enter__(self):
+        global _GRAD_ENABLED
+        self.prev, _GRAD_ENABLED = _GRAD_ENABLED, False
+
+    def __exit__(self, *exc):
+        global _GRAD_ENABLED
+        _GRAD_ENABLED = self.prev
 
 
 class Tensor:
@@ -126,6 +127,14 @@ class Tensor:
 
     def __getitem__(self, idx):
         return getitem(self, idx)
+
+
+@functools.cache
+def _scalar(value, dtype) -> np.ndarray:
+    """A shared, read-only 0-d `value` in `dtype`: a ufunc operand with no scalar conversion."""
+    out = np.full((), value, dtype)
+    out.flags.writeable = False
+    return out
 
 
 def as_tensor(x, like: Tensor | None = None) -> Tensor:
@@ -218,7 +227,7 @@ def relu(a):
     def backward(g):
         a._accumulate(g * (a.data > 0))
 
-    return _make(np.maximum(a.data, 0), (a,), backward)
+    return _make(np.maximum(a.data, _scalar(0, a.data.dtype)), (a,), backward)
 
 
 def tanh(a):
@@ -278,11 +287,11 @@ def transpose(a, axes):
 
 def getitem(a, idx):
     """Basic indexing only: ints, slices, None and Ellipsis."""
-    items = idx if isinstance(idx, tuple) else (idx,)
-    if not all(isinstance(i, (int, np.integer, slice, type(None), type(Ellipsis)))
-               and not isinstance(i, bool) for i in items):
-        raise ValueError(f"getitem supports basic indices (ints, slices, None, ...), "
-                         f"got {idx!r}")
+    for i in idx if isinstance(idx, tuple) else (idx,):
+        if isinstance(i, bool) or not isinstance(i, (int, np.integer, slice, type(None),
+                                                        type(...))):
+            raise ValueError(f"getitem supports basic indices (ints, slices, None, ...), "
+                             f"got {idx!r}")
     a = as_tensor(a)
 
     def backward(g):
@@ -295,8 +304,7 @@ def getitem(a, idx):
 
 def concat(tensors, axis=0):
     tensors = [as_tensor(t) for t in tensors]
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    offsets = list(accumulate((t.data.shape[axis] for t in tensors), initial=0))
 
     def backward(g):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
@@ -382,35 +390,38 @@ def _steps(a, reverse: bool):
 def lstm_layer(x, directions):
     """One (bi)LSTM layer over x (B, T, F) -> hidden states (B, T, D*H), one graph node.
 
-    `directions` holds D = 1 or 2 (w_ih (F, 4H), w_hh (H, 4H), b (4H,)) triples,
-    gates i, f, g, o in that column order; the second runs reversed in time, and
-    each starts from a zero state. The input projections, one GEMM a direction,
-    are stored step-ordered, so one loop of T steps advances all directions with
-    one stacked (D, B, H) @ (D, H, 4H) matmul, one sigmoid over the 4H gate
-    columns (i, f and o are read from it) and one tanh over the g columns. The
-    loop walks zipped per-step rows and indexes no array, since at B=1 indexing
+    `directions` holds D = 1 or 2 (w_ih (F, 4H), w_hh (H, 4H), b (4H,)) Tensor
+    triples, gates i, f, g, o in that column order; the second runs reversed in
+    time, and each starts from a zero state. The input projections stay one
+    GEMM a direction: one GEMM against [W_ih_f | W_ih_r] rounds differently
+    from two (at B=1 in float32, and at several float64 sizes). They are
+    stored step-ordered, so one loop of T steps advances all directions with
+    one stacked (D, B, H) @ (D, H, 4H) matmul (none at the first step, whose
+    h @ W_hh is the zero state's zero), one sigmoid over the 4H gate columns
+    (i, f and o are read from it) and one tanh over the g columns. The loop
+    walks zipped per-step rows and indexes no array, since at B=1 indexing
     costs more than the arithmetic. Each value is the one a per-direction,
-    per-step composite computes, so the output is bit-identical to one. Backward
-    is backpropagation through time (Hochreiter & Schmidhuber 1997; Graves 2012,
-    "Supervised Sequence Labelling with RNNs", ch. 4) back up the same zipped
-    rows: each step's derivative factors come from that step's stored gates and
-    cells, and its dz is copied into one time-ordered (B, T, D*4H) buffer. Then
-    one GEMM gives every direction's W_ih gradient, split by columns, one
-    against the stacked W_ih the input gradient, summed over directions inside
-    the GEMM, and a GEMM a direction the W_hh gradient, pairing dz with the
-    output shifted by one step, zero before each direction's first.
+    per-step composite computes, so the output is bit-identical to one.
+    Backward is backpropagation through time (Hochreiter & Schmidhuber 1997;
+    Graves 2012, "Supervised Sequence Labelling with RNNs", ch. 4) back up the
+    same zipped rows: each step's derivative factors come from that step's
+    stored gates and cells, and its dz is copied into one time-ordered
+    (B, T, D*4H) buffer. Then one GEMM gives every direction's W_ih gradient,
+    split by columns, one against the stacked W_ih the input gradient, summed
+    over directions inside the GEMM, and a GEMM a direction the W_hh gradient,
+    pairing dz with the output shifted by one step, zero before each
+    direction's first.
     """
     x = as_tensor(x)
-    directions = [tuple(as_tensor(t) for t in d) for d in directions]
-    parents = (x,) + tuple(w for d in directions for w in d)
-    if len(directions) not in (1, 2):
-        raise ValueError(f"lstm_layer takes 1 or 2 directions, got {len(directions)}")
+    n_dir = len(directions)
+    if n_dir not in (1, 2):
+        raise ValueError(f"lstm_layer takes 1 or 2 directions, got {n_dir}")
+    parents = (x, *chain.from_iterable(directions))
     dtype = x.data.dtype
     for w in parents[1:]:
         if w.data.dtype != dtype:
             raise ValueError(f"lstm_layer input is {dtype} but its weights are {w.data.dtype}")
     bsz, t_len, in_f = x.data.shape
-    n_dir = len(directions)
     h_dim = directions[0][1].data.shape[0]
     x2 = x.data.reshape(bsz * t_len, in_f)
 
@@ -421,37 +432,42 @@ def lstm_layer(x, directions):
         proj += b.data
         return _steps(proj.reshape(bsz, t_len, 4 * h_dim), d == 1)
 
-    # one direction steps through its projection in place; two through a
-    # stacked copy, made one projection at a time
+    # one direction steps through its projection in place and writes its hidden
+    # states straight into the output; two step through a stacked copy, made
+    # one projection at a time, and copy their states out after the loop
     if n_dir == 1:
         pre = projection(0)[:, None]
+        w_hh = directions[0][1].data[None]
     else:
         pre = np.empty((t_len, n_dir, bsz, 4 * h_dim), dtype=dtype)
         for d in range(n_dir):
             pre[:, d] = projection(d)
-    w_hh = directions[0][1].data[None] if n_dir == 1 else np.stack([d[1].data for d in directions])
-    # per step: sigmoid(i, f, o) with tanh(g) in its place, c, tanh(c) and h;
+        w_hh = np.concatenate([w.data[None] for _, w, _ in directions])
+    out = np.empty((bsz, t_len, n_dir * h_dim), dtype=dtype)
+    hs = (_steps(out, False)[:, None] if n_dir == 1
+          else np.empty((t_len, n_dir, bsz, h_dim), dtype=dtype))
+    # per step: sigmoid(i, f, o) with tanh(g) in its place, c and tanh(c);
     # without a graph to record, one step's gates and cells are kept at a time
     kept = t_len if _GRAD_ENABLED and any(t.requires_grad for t in parents) else 1
     gates = np.empty((kept, n_dir, bsz, 4 * h_dim), dtype=dtype)
-    cells, tanh_cells = np.empty((2, kept, n_dir, bsz, h_dim), dtype=dtype)
-    hs = np.empty((t_len, n_dir, bsz, h_dim), dtype=dtype)
-    h = np.zeros((n_dir, bsz, h_dim), dtype=dtype)
-    c = np.zeros_like(h)
-    z = np.empty((n_dir, bsz, 4 * h_dim), dtype=dtype)
+    cells = np.empty((kept, n_dir, bsz, h_dim), dtype=dtype)
+    tanh_cells = np.empty((kept, n_dir, bsz, h_dim), dtype=dtype)
+    c = np.zeros((n_dir, bsz, h_dim), dtype=dtype)
+    z = np.zeros((n_dir, bsz, 4 * h_dim), dtype=dtype)  # h @ W_hh from the zero state
     z_g = z[..., 2 * h_dim:3 * h_dim]
-    ig = np.empty_like(h)
+    ig = np.empty((n_dir, bsz, h_dim), dtype=dtype)
     i, f, g, o = (gates[..., j * h_dim:(j + 1) * h_dim] for j in range(4))
     # each step's rows of the kept buffers: its own when recording, else the one row
     rows = zip(gates, i, f, g, o, cells, tanh_cells)
     rows = rows if kept == t_len else repeat(next(rows))
     matmul, add, negative, exp, divide, tanh, multiply = (
         np.matmul, np.add, np.negative, np.exp, np.divide, np.tanh, np.multiply)
-    one = np.ones((), dtype)  # a 0-d array: no scalar conversion per call
+    one = _scalar(1, dtype)
     # in place, outputs passed positionally and nothing indexed: at B=1 a step
     # is a dozen small ufunc calls
-    for pre_s, hs_s, (a, i_s, f_s, g_s, o_s, c_s, tc_s) in zip(pre, hs, rows):
-        matmul(h, w_hh, out=z)
+    for s, (pre_s, hs_s, (a, i_s, f_s, g_s, o_s, c_s, tc_s)) in enumerate(zip(pre, hs, rows)):
+        if s:
+            matmul(h, w_hh, out=z)
         add(z, pre_s, z)
         negative(z, a)  # sigmoid: 1 / (1 + exp(-z))
         exp(a, a)
@@ -462,9 +478,9 @@ def lstm_layer(x, directions):
         c = multiply(f_s, c, c_s)
         add(c, ig, c)
         h = multiply(o_s, tanh(c, tc_s), hs_s)
-    out = np.empty((bsz, t_len, n_dir * h_dim), dtype=dtype)
-    for d in range(n_dir):
-        _steps(out[:, :, d * h_dim:(d + 1) * h_dim], d == 1)[...] = hs[:, d]
+    if n_dir == 2:
+        for d in range(n_dir):
+            _steps(out[:, :, d * h_dim:(d + 1) * h_dim], d == 1)[...] = hs[:, d]
 
     def backward(gout):
         gh = np.empty((t_len, n_dir, bsz, h_dim), dtype=dtype)  # gout in step order

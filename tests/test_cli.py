@@ -242,9 +242,9 @@ def test_missing_opt_model_exits_2_before_loading(config_file, tmp_path, capsys,
 
 @pytest.mark.parametrize("command", ["evaluate"])
 def test_empty_test_split_exits_1(config_file, pipeline_dir, tmp_path, capsys, command):
+    # `build-dataset` refuses such a split, and `harness.build_dataset` writes it
     ds = tmp_path / "ds"
-    assert main(["build-dataset", "--config", str(config_file),
-                 "--set", "dataset.n_activities=1", "--out", str(ds)]) == 0
+    harness.build_dataset(harness.load_config(config_file, ["dataset.n_activities=1"]), ds)
     assert harness.load_manifest(ds)["split"]["test"] == []
     capsys.readouterr()
     rc = main([command, "--config", str(config_file), "--data", str(ds),
@@ -253,6 +253,19 @@ def test_empty_test_split_exits_1(config_file, pipeline_dir, tmp_path, capsys, c
                "--out", str(tmp_path / "out")])
     assert rc == 1
     assert capsys.readouterr().err == "error: dataset has no test entries\n"
+
+
+@pytest.mark.parametrize("n_activities", [1, 3])
+def test_build_dataset_without_test_entries_exits_2(config_file, tmp_path, capsys,
+                                                     n_activities):
+    # one activity of each kind: every kind's one entry trains
+    rc = main(["build-dataset", "--config", str(config_file),
+               "--set", f"dataset.n_activities={n_activities}", "--out", str(tmp_path / "ds")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "dataset.n_activities" in err and "dataset.train_fraction" in err
+    assert "no test entry" in err and "Traceback" not in err
+    assert not (tmp_path / "ds").exists()
 
 
 def test_non_object_container_header_exits_1(config_file, tmp_path, capsys):

@@ -543,11 +543,11 @@ def graph_size(root):
 
 # (batch, time, features, hidden, layers, bidirectional): OptModel's and
 # VelModel's biLSTMs at their real sizes, a unidirectional single layer, and
-# OptModel's one-direction layer-2 calls of the pose loop (T=10 forward,
-# one-step reverse).
+# OptModel's calls in the pose loop's drift corrections: its one-direction
+# layer-2 calls (T=10 forward, one-step reverse) and its layer 1 at T=10.
 LSTM_SHAPES = [(1, 50, 102, 51, 2, True), (41, 50, 320, 64, 2, True),
                (3, 17, 8, 5, 1, False), (1, 10, 102, 51, 1, False),
-               (1, 1, 102, 51, 1, False)]
+               (1, 1, 102, 51, 1, False), (1, 10, 102, 51, 2, True)]
 
 
 class TestFusedLstm:

@@ -127,6 +127,19 @@ def predictor(fn):
     return SimpleNamespace(opt_vectors=fn)
 
 
+def recorded_opt_vectors(m):
+    """Oracle: `m.opt_vectors` from a forward that records a graph, as training's does."""
+
+    def opt_vectors(p, v):
+        dtype = m.fc1.weight.data.dtype
+        x = Tensor(poseopt._stack_features(p, v, dtype)[None], requires_grad=True)
+        out = m.forward(x, training=True)
+        assert out._backward is not None
+        return out.data[0].reshape(N_JOINTS, 3).astype(np.float64)
+
+    return opt_vectors
+
+
 def exact_stub(true_p0):
     """Oracle predictor: the exact optimization vectors toward true_p0."""
     return predictor(lambda p_seq, v_vals: opt_vector_truth(p_seq[0], true_p0))
@@ -309,6 +322,29 @@ class TestOptModelLastStep:
         build = lambda: ops.tsum(ops.mul(m.forward(x, training=True), weights))
         # the input, and the bias of layer 2's one-step reverse direction
         assert check_gradients(build, [x, m.lstm.layers[1][1][2]]) <= 1e-4
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("t_len", [2, 10, 50])
+    def test_opt_vectors_bit_identical_to_recorded_forward(self, t_len, dtype):
+        # the pose loop's one-problem call, without a graph, takes the path
+        # training takes: the same values as a forward that records a graph
+        m = (OptModel.load(PINNED_OPT_MODEL) if dtype == np.float32
+             else OptModel(seed=7, dtype=dtype))
+        p, v = np.random.default_rng(t_len).normal(scale=0.5, size=(2, t_len, N_JOINTS, 3))
+        assert m.opt_vectors(p, v).tobytes() == recorded_opt_vectors(m)(p, v).tobytes()
+
+    def test_pose_loop_same_with_recorded_forward(self):
+        # the reconstruct workload's settings on the pinned model
+        m = OptModel.load(PINNED_OPT_MODEL)
+        pose = generate_activity(ActivityKind.WPLUS, 5.0, seed=12)
+        v = differentiate(pose)
+        cfg = OptConfig(period=10, max_epochs=20)
+        runs = []
+        for model in (m, predictor(recorded_opt_vectors(m))):
+            p0, trace = optimize_initial_pose(model, t_pose(), v, cfg, truth=pose.positions[0])
+            runs.append((p0, np.array(trace), reconstruct_long_term(model, p0, v, cfg).positions))
+        for got, want in zip(*runs):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestOptimizeInitialPose:
