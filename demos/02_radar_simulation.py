@@ -61,7 +61,7 @@ n_cpi = int(0.1 * fs)
 from dopplerpose import BasebandSignal  # noqa: E402
 caf = compute_caf(BasebandSignal(sur.samples[4 * n_cpi:5 * n_cpi], fs),
                   BasebandSignal(ref.samples[4 * n_cpi:5 * n_cpi], fs),
-                  delay_bins=1, doppler_span_hz=100.0, doppler_oversample=4)
-k, f = caf.peak_location()
+                  doppler_span_hz=100.0, doppler_oversample=4)
+_, f = caf.peak_location()
 print(f"CAF peak in one mid-walk CPI: {caf.doppler_axis[f]:+.1f} Hz "
       f"(DSI still dominates at 0 Hz until CLEAN runs)")

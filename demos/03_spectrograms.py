@@ -35,18 +35,21 @@ sur_clean, sur = synthesize_surveillance(u, pose, ScattererModel(), geom,
 n = int(0.1 * fs)
 sl = slice(20 * n, 21 * n)
 caf = compute_caf(BasebandSignal(sur.samples[sl], fs), BasebandSignal(ref.samples[sl], fs),
-                  delay_bins=4, doppler_span_hz=100.0, doppler_oversample=4)
-tmpl = self_caf(BasebandSignal(ref.samples[sl], fs), delay_bins=4,
-                doppler_span_hz=100.0, doppler_oversample=4)
-f0 = np.argmin(np.abs(caf.doppler_axis))
-before = np.abs(caf.grid[:, f0]).max()
+                  doppler_span_hz=100.0, doppler_oversample=4)
+tmpl = self_caf(BasebandSignal(ref.samples[sl], fs), doppler_span_hz=100.0,
+                doppler_oversample=4)
+# CLEAN cancels the 0 Hz bin itself to rounding; the ridge is that bin and its
+# Doppler sidelobes.
+ridge = np.abs(caf.doppler_axis) <= 5.0
+before = np.abs(caf.grid[0, ridge]).max()
 cleaned = clean_dsi(caf, tmpl)
-after = max(np.abs(cleaned.grid[:, f0]).max(), 1e-12 * before)
-print(f"CLEAN: zero-Doppler ridge {20 * np.log10(after / before):.1f} dB after one pass")
+after = np.abs(cleaned.grid[0, ridge]).max()
+print(f"CLEAN: zero-Doppler ridge (|f| <= 5 Hz) {20 * np.log10(after / before):.1f} dB "
+      f"after one pass")
 
 # Full spectrogram of the clean channel: the walking track sweeps ~+30 Hz.
-spec = spectrogram_pipeline(sur_clean, ref, cpi_s=0.1, delay_bins=1,
-                            doppler_span_hz=100.0, doppler_oversample=4)
+spec = spectrogram_pipeline(sur_clean, ref, cpi_s=0.1, doppler_span_hz=100.0,
+                            doppler_oversample=4)
 print(f"spectrogram: {spec.values.shape[0]} Doppler bins x {spec.n_frames} frames, "
       f"values in [{spec.values.min():.2f}, {spec.values.max():.2f}]")
 

@@ -1,29 +1,33 @@
-"""Cross-ambiguity maps, CLEAN cancellation of the direct signal, and
-micro-Doppler spectrogram assembly.
+"""Zero-lag cross-ambiguity maps, CLEAN cancellation of the direct signal,
+and micro-Doppler spectrogram assembly.
+
+Every map is the zero-lag cut of the cross-ambiguity function: one row over
+Doppler. Range resolution at WiFi bandwidths cannot separate body parts, and
+every path of a room-scale scene is far shorter than one sample (c/fs is
+18.7 km at 16 kHz; `wavesim` rejects a target path of a sample or more), so
+the target returns and the direct signal that CLEAN cancels all sit at lag 0.
 
 The CAF keeps only the Doppler bins within the configured half-span, so it
 evaluates those bins and no others (FFT pruning): a two-stage DFT of the
-lag products sur(t) * conj(ref(t - tau)) over t = p*n1 + q, with n = n1*n2
-and n1 the largest divisor of n at most sqrt(n). The first stage is one
-matmul of the (n1, n2) lag rows with a (n2, K) table of exp(-j 2 pi k p n1 / N),
+products sur(t) * conj(ref(t)) over t = p*n1 + q, with n = n1*n2 and n1 the
+largest divisor of n at most sqrt(n). The first stage is one matmul of the
+(n1, n2) rows of products with a (n2, K) table of exp(-j 2 pi k p n1 / N),
 the second multiplies by (n1, K) twiddles exp(-j 2 pi k q / N) and sums over
 q, where N = n * doppler_oversample and K is the number of kept bins. Phase
 indices are reduced mod N in integers before the exp, and the tables and
-axes come from one cached plan per CPI shape. The result is the direct sum
-at every grid point (to rounding).
+axis come from one cached plan per CPI shape. The result is the direct sum
+at every Doppler bin (to rounding).
 
-Cost: n*K complex multiply-adds per delay bin, against about N log2 N for a
-zero-padded FFT of all N bins, so the pruned form pays off only while K is
-small. Measured on a 1,600-sample CPI with oversample 4 (one BLAS thread,
-2-vCPU x86 VM), one delay bin: the configured 100 Hz half-span of 16 kHz
-keeps 81 bins and takes 65 us against 139 us for the FFT; the two break even
-near 320 bins (a 400 Hz half-span), and at the full band (6,399 bins) the FFT
-is ten times faster. Every caller here runs the configured span, so there is
-no FFT path.
+Cost: n*K complex multiply-adds, against about N log2 N for a zero-padded
+FFT of all N bins, so the pruned form pays off only while K is small.
+Measured on a 1,600-sample CPI with oversample 4 (one BLAS thread, 2-vCPU
+x86 VM): the configured 100 Hz half-span of 16 kHz keeps 81 bins and takes
+65 us against 139 us for the FFT; the two break even near 320 bins (a 400 Hz
+half-span), and at the full band (6,399 bins) the FFT is ten times faster.
+Every caller here runs the configured span, so there is no FFT path.
 
-Range resolution at WiFi bandwidths cannot separate body parts, so the
-spectrogram step sums each map over all its delay bins and keeps Doppler
-only, one column per coherent processing interval.
+The spectrogram step keeps each map's Doppler magnitudes, one column per
+coherent processing interval.
 """
 
 from __future__ import annotations
@@ -41,27 +45,24 @@ from .wavesim import BasebandSignal
 
 @dataclass
 class CafMap:
-    """Delay x Doppler complex ambiguity surface for one CPI."""
+    """Zero-lag complex ambiguity over Doppler for one CPI."""
 
-    grid: np.ndarray          # (delay_bins, doppler_bins) complex
-    delay_axis: np.ndarray    # seconds, strictly increasing
+    grid: np.ndarray          # (1, doppler_bins) complex: the zero-lag row
     doppler_axis: np.ndarray  # hertz, strictly increasing
     cpi_s: float
 
     def __post_init__(self):
         self.grid = np.asarray(self.grid, dtype=np.complex128)
-        self.delay_axis = np.asarray(self.delay_axis, dtype=np.float64)
         self.doppler_axis = np.asarray(self.doppler_axis, dtype=np.float64)
-        if self.grid.shape != (self.delay_axis.size, self.doppler_axis.size):
+        if self.grid.shape != (1, self.doppler_axis.size):
             raise ValueError(
-                f"grid shape {self.grid.shape} does not match axes "
-                f"({self.delay_axis.size}, {self.doppler_axis.size})")
-        for name, ax in (("delay_axis", self.delay_axis), ("doppler_axis", self.doppler_axis)):
-            if not (ax[1:] > ax[:-1]).all():
-                raise ValueError(f"{name} must be strictly increasing")
+                f"grid shape {self.grid.shape} is not one zero-lag row of "
+                f"{self.doppler_axis.size} Doppler bins")
+        if not (self.doppler_axis[1:] > self.doppler_axis[:-1]).all():
+            raise ValueError("doppler_axis must be strictly increasing")
 
     def peak_location(self) -> tuple[int, int]:
-        """Indices (delay_bin, doppler_bin) of the largest magnitude cell."""
+        """Indices (0, doppler_bin) of the largest magnitude cell."""
         return np.unravel_index(np.argmax(np.abs(self.grid)), self.grid.shape)
 
 
@@ -131,10 +132,10 @@ def check_doppler_span(doppler_span_hz, sample_rate_hz: float) -> float:
 
 
 @lru_cache(maxsize=8)
-def _plan(n: int, oversample: int, fs: float, span: float, delay_bins: int):
-    """Read-only DFT tables and axes of one CPI shape (see the module notes).
+def _plan(n: int, oversample: int, fs: float, span: float):
+    """Read-only DFT tables and axis of one CPI shape (see the module notes).
 
-    Returns (inner, twiddle, doppler_axis, delay_axis): inner is (n2, K),
+    Returns (inner, twiddle, doppler_axis): inner is (n2, K),
     twiddle (n1, K). The kept bins and their frequencies are those of the
     zero-padded FFT's `fftfreq` axis with |f| <= span, in increasing order.
     """
@@ -147,7 +148,7 @@ def _plan(n: int, oversample: int, fs: float, span: float, delay_bins: int):
     q = np.arange(n1)[:, None]
     inner = np.exp((-2j * np.pi / n_fft) * ((p * n1 * k) % n_fft))
     twiddle = np.exp((-2j * np.pi / n_fft) * ((q * k) % n_fft))
-    tables = (inner, twiddle, k * step, np.arange(delay_bins) / fs)
+    tables = (inner, twiddle, k * step)
     for a in tables:
         a.flags.writeable = False
     return tables
@@ -159,103 +160,74 @@ def _same_axis(a: np.ndarray, b: np.ndarray) -> bool:
     return a is b or (a.shape == b.shape and np.allclose(a, b))
 
 
-def compute_caf(sur: BasebandSignal, ref: BasebandSignal, delay_bins: int,
-                doppler_span_hz: float, *, doppler_oversample: int = 1) -> CafMap:
-    """CAF(tau, f) = sum_t sur(t) conj(ref(t - tau)) exp(-j 2 pi f t).
+def compute_caf(sur: BasebandSignal, ref: BasebandSignal, doppler_span_hz: float,
+                *, doppler_oversample: int = 1) -> CafMap:
+    """CAF(0, f) = sum_t sur(t) conj(ref(t)) exp(-j 2 pi f t).
 
-    Delays are the first `delay_bins` non-negative sample lags; Doppler bins
-    are the frequencies k * fs / (n * doppler_oversample) in
+    Doppler bins are the frequencies k * fs / (n * doppler_oversample) in
     [-doppler_span_hz, +doppler_span_hz], a half-span in (0, fs/2), so
     `doppler_oversample` gives finer Doppler spacing. Every returned value
-    equals the direct sum at its grid point. Maps of one CPI shape share
-    their (read-only) axis arrays.
+    equals the direct sum at its Doppler bin. Maps of one CPI shape share
+    their (read-only) axis array.
     """
     _check_pair(sur, ref)
-    n = len(sur)
-    if not 1 <= delay_bins <= n:
-        raise ValueError(f"delay_bins must be in [1, {n}], got {delay_bins}")
     if doppler_oversample < 1:
         raise ValueError("doppler_oversample must be >= 1")
+    n = len(sur)
+    if n == 0:
+        raise ValueError("signals must hold at least one sample")
     fs = sur.sample_rate_hz
     span = check_doppler_span(doppler_span_hz, fs)
-    inner, twiddle, doppler_axis, delay_axis = _plan(
-        n, doppler_oversample, fs, span, delay_bins)
+    inner, twiddle, doppler_axis = _plan(n, doppler_oversample, fs, span)
 
-    lags = np.zeros((delay_bins, n), dtype=np.complex128)
-    ref_conj = np.conj(ref.samples)
-    for k in range(delay_bins):
-        lags[k, k:] = sur.samples[k:] * ref_conj[: n - k]
-
-    # lag index p*n1 + q: rows q, columns p
-    partial = lags.reshape(delay_bins, -1, len(twiddle)).transpose(0, 2, 1) @ inner
+    # sample index p*n1 + q: rows q, columns p
+    partial = (sur.samples * np.conj(ref.samples)).reshape(-1, len(twiddle)).T @ inner
     partial *= twiddle
-    return CafMap(
-        grid=partial.sum(axis=1),
-        delay_axis=delay_axis,
-        doppler_axis=doppler_axis,
-        cpi_s=n / fs,
-    )
+    return CafMap(partial.sum(axis=0, keepdims=True), doppler_axis, n / fs)
 
 
-def self_caf(ref: BasebandSignal, delay_bins: int, doppler_span_hz: float,
-             *, doppler_oversample: int = 1) -> CafMap:
+def self_caf(ref: BasebandSignal, doppler_span_hz: float, *,
+             doppler_oversample: int = 1) -> CafMap:
     """Ambiguity of the reference channel against itself (the CLEAN template)."""
-    return compute_caf(ref, ref, delay_bins, doppler_span_hz,
-                       doppler_oversample=doppler_oversample)
+    return compute_caf(ref, ref, doppler_span_hz, doppler_oversample=doppler_oversample)
 
 
 def clean_dsi(caf: CafMap, self_map: CafMap, iterations: int = 1) -> CafMap:
-    """Subtract scaled self-ambiguity templates to cancel zero-Doppler ridges.
+    """Subtract scaled self-ambiguity templates to cancel the zero-Doppler ridge.
 
-    Each iteration locates the strongest remaining cell in the zero-Doppler
-    column, scales the unit-peak self template by the complex CAF value
-    there, aligns the template's peak delay to that cell and subtracts. With
-    a single static path this cancels the DSI ridge exactly.
+    Each iteration scales the unit-peak self template by the remaining CAF
+    value at zero Doppler and subtracts it. With a single static path this
+    cancels the DSI ridge exactly.
     """
-    if caf.grid.shape != self_map.grid.shape \
-            or not _same_axis(caf.delay_axis, self_map.delay_axis) \
-            or not _same_axis(caf.doppler_axis, self_map.doppler_axis):
+    if not _same_axis(caf.doppler_axis, self_map.doppler_axis):
         raise ValueError("CAF and self-CAF must share identical axes")
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
 
-    ks, ms = self_map.peak_location()
-    peak = self_map.grid[ks, ms]
+    peak = self_map.grid[self_map.peak_location()]
     if peak == 0:
-        return CafMap(caf.grid.copy(), caf.delay_axis, caf.doppler_axis, caf.cpi_s)
+        return CafMap(caf.grid.copy(), caf.doppler_axis, caf.cpi_s)
     template = self_map.grid / peak
 
     grid = caf.grid.copy()
     m0 = int(np.argmin(np.abs(caf.doppler_axis)))
-    n_delay = grid.shape[0]
     for _ in range(iterations):
-        k_star = int(np.argmax(np.abs(grid[:, m0])))
-        alpha = grid[k_star, m0]
-        shift = k_star - ks
-        shifted = np.zeros_like(template)
-        if shift >= 0:
-            shifted[shift:] = template[: n_delay - shift]
-        else:
-            shifted[:shift] = template[-shift:]
-        grid -= alpha * shifted
-    return CafMap(grid, caf.delay_axis, caf.doppler_axis, caf.cpi_s)
+        grid -= grid[0, m0] * template
+    return CafMap(grid, caf.doppler_axis, caf.cpi_s)
 
 
 def assemble_spectrogram(cafs) -> Spectrogram:
-    """Collapse each CAF to one Doppler column and concatenate along time.
+    """Stack each CAF's Doppler magnitudes as one column along time.
 
-    Magnitudes are summed over all delay bins (there is no usable range
-    resolution), and the assembled map is max-normalized to [0, 1].
+    The assembled map is max-normalized to [0, 1].
     """
     cafs = list(cafs)
     if not cafs:
         raise ValueError("need at least one CAF map")
     first = cafs[0]
-    for name in ("delay_axis", "doppler_axis"):
-        if not all(_same_axis(getattr(c, name), getattr(first, name)) for c in cafs):
-            raise ValueError("all CAF maps must share the same axes")
-    # Stacked C-ordered, the sum adds the delay rows one after another.
-    values = np.abs(np.stack([c.grid for c in cafs], axis=2)).sum(axis=0)
+    if not all(_same_axis(c.doppler_axis, first.doppler_axis) for c in cafs):
+        raise ValueError("all CAF maps must share the same axes")
+    values = np.abs(np.stack([c.grid[0] for c in cafs], axis=1))
     m = values.max()
     if m > 0:
         values = values / m
@@ -263,8 +235,7 @@ def assemble_spectrogram(cafs) -> Spectrogram:
 
 
 def spectrogram_pipeline(sur: BasebandSignal, ref: BasebandSignal, *,
-                         cpi_s: float, delay_bins: int,
-                         doppler_span_hz: float,
+                         cpi_s: float, doppler_span_hz: float,
                          doppler_oversample: int = 1,
                          clean_iterations: int = 0) -> Spectrogram:
     """Slice a long capture into CPIs and build the micro-Doppler spectrogram."""
@@ -283,11 +254,10 @@ def spectrogram_pipeline(sur: BasebandSignal, ref: BasebandSignal, *,
     for i in range(n_frames):
         sl = slice(i * n_cpi, (i + 1) * n_cpi)
         sur_i, ref_i = sur[sl], ref[sl]
-        m = compute_caf(sur_i, ref_i, delay_bins, doppler_span_hz,
+        m = compute_caf(sur_i, ref_i, doppler_span_hz,
                         doppler_oversample=doppler_oversample)
         if clean_iterations > 0:
-            tmpl = self_caf(ref_i, delay_bins, doppler_span_hz,
-                            doppler_oversample=doppler_oversample)
+            tmpl = self_caf(ref_i, doppler_span_hz, doppler_oversample=doppler_oversample)
             m = clean_dsi(m, tmpl, iterations=clean_iterations)
         maps.append(m)
     return assemble_spectrogram(maps)

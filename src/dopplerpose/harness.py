@@ -238,10 +238,12 @@ def parse_config(data: dict) -> ExperimentConfig:
     if not 0.0 < bandwidth_hz <= sample_rate_hz:
         raise ConfigError(f"config field waveform.bandwidth_hz: must be in (0, sample rate "
                           f"{sample_rate_hz:g}], got {bandwidth_hz}")
-    cpi_samples = int(round(dt * sample_rate_hz))  # as `spectrogram_pipeline` slices a frame
-    if cpi_samples < 2:
-        raise ConfigError(f"config field dataset.dt: a CPI of {dt} s holds {cpi_samples} "
-                          f"samples at {sample_rate_hz:g} Hz, fewer than 2")
+    # A frame is one CPI; its poses and spectrogram columns only line up when
+    # it holds a whole number of samples.
+    cpi_samples = dt * sample_rate_hz
+    if abs(cpi_samples - round(cpi_samples)) > 1e-6 or round(cpi_samples) < 2:
+        raise ConfigError(f"config field dataset.dt: a frame of {dt} s holds {cpi_samples:.8g} "
+                          f"samples at {sample_rate_hz:g} Hz, not a whole number of at least 2")
     try:
         doppler_span_hz = check_doppler_span(
             get("processing.doppler_span_hz", float, 100.0), sample_rate_hz)
@@ -340,10 +342,8 @@ def render_channels(cfg: ExperimentConfig, pose: PoseSequence, seed: int):
 def process_channel(cfg: ExperimentConfig, sur: BasebandSignal, ref: BasebandSignal,
                     clean_iterations: int) -> Spectrogram:
     """`spectrogram_pipeline` of one surveillance channel at the config's
-    processing settings, with `clean_iterations` CLEAN passes: one delay bin, as a
-    body-scale path is far shorter than one sample (see `wavesim`)."""
-    return spectrogram_pipeline(sur, ref, cpi_s=cfg.dt, delay_bins=1,
-                                doppler_span_hz=cfg.doppler_span_hz,
+    processing settings, with `clean_iterations` CLEAN passes."""
+    return spectrogram_pipeline(sur, ref, cpi_s=cfg.dt, doppler_span_hz=cfg.doppler_span_hz,
                                 doppler_oversample=cfg.doppler_oversample,
                                 clean_iterations=clean_iterations)
 

@@ -24,33 +24,27 @@ from dopplerpose.wavesim import (
 from test_wavesim import one_joint_weights, single_scatterer_pose
 
 
-def direct_caf(sur, ref, delay_bins, freqs):
-    """Independent O(N * delays * dopplers) evaluation of the CAF sum."""
+def direct_caf(sur, ref, freqs):
+    """Independent O(N * dopplers) evaluation of the zero-lag CAF sum."""
     n = len(sur)
     fs = sur.sample_rate_hz
-    lags = np.zeros((delay_bins, n), dtype=np.complex128)
-    for k in range(delay_bins):
-        lags[k, k:] = sur.samples[k:] * np.conj(ref.samples[: n - k])
+    lag = sur.samples * np.conj(ref.samples)
     t = np.arange(n) / fs
     phases = np.exp(-2j * np.pi * np.outer(freqs, t))  # (F, N)
-    return lags @ phases.T  # (D, F)
+    return (phases @ lag)[None]  # (1, F)
 
 
-def fft_caf(sur, ref, delay_bins, doppler_span_hz, doppler_oversample=1):
+def fft_caf(sur, ref, doppler_span_hz, doppler_oversample=1):
     """Oracle: the zero-padded FFT over time that `compute_caf` used to run,
     keeping the bins with |f| <= span in increasing frequency order."""
     n = len(sur)
     fs = sur.sample_rate_hz
-    lags = np.zeros((delay_bins, n), dtype=np.complex128)
-    ref_conj = np.conj(ref.samples)
-    for k in range(delay_bins):
-        lags[k, k:] = sur.samples[k:] * ref_conj[: n - k]
     n_fft = n * doppler_oversample
-    spectrum = np.fft.fft(lags, n=n_fft, axis=1)
+    spectrum = np.fft.fft(sur.samples * np.conj(ref.samples), n=n_fft)
     freqs = np.fft.fftfreq(n_fft, d=1.0 / fs)
     keep = np.where(np.abs(freqs) <= doppler_span_hz)[0]
     order = keep[np.argsort(freqs[keep])]
-    return CafMap(spectrum[:, order], np.arange(delay_bins) / fs, freqs[order], n / fs)
+    return CafMap(spectrum[None, order], freqs[order], n / fs)
 
 
 class TestComputeCaf:
@@ -61,26 +55,17 @@ class TestComputeCaf:
 
     def test_autocorrelation_peak_is_energy(self):
         u = self._sig()
-        m = compute_caf(u, u, delay_bins=8, doppler_span_hz=100.0)
+        m = compute_caf(u, u, doppler_span_hz=100.0)
         k, f = m.peak_location()
         assert (k, m.doppler_axis[f]) == (0, 0.0)
         energy = np.sum(np.abs(u.samples) ** 2)
         assert np.isclose(np.abs(m.grid[k, f]), energy, rtol=1e-12)
 
-    def test_pure_sample_delay(self):
-        u = self._sig(seed=2)
-        shift = 5
-        delayed = BasebandSignal(np.concatenate([np.zeros(shift), u.samples[:-shift]]), self.FS)
-        m = compute_caf(delayed, u, delay_bins=10, doppler_span_hz=50.0)
-        k, f = m.peak_location()
-        assert k == shift
-        assert m.doppler_axis[f] == 0.0
-
     def test_pure_modulation(self):
         u = self._sig(seed=3)
         modulated = BasebandSignal(u.samples * np.exp(2j * np.pi * 100.0 * np.arange(len(u)) / self.FS),
                                    self.FS)
-        m = compute_caf(modulated, u, delay_bins=4, doppler_span_hz=200.0)
+        m = compute_caf(modulated, u, doppler_span_hz=200.0)
         k, f = m.peak_location()
         assert k == 0
         nearest = m.doppler_axis[np.argmin(np.abs(m.doppler_axis - 100.0))]
@@ -92,24 +77,21 @@ class TestComputeCaf:
         n = 512
         sur = BasebandSignal(rng.normal(size=n) + 1j * rng.normal(size=n), self.FS)
         ref = BasebandSignal(rng.normal(size=n) + 1j * rng.normal(size=n), self.FS)
-        m = compute_caf(sur, ref, delay_bins=6, doppler_span_hz=300.0,
-                        doppler_oversample=oversample)
-        oracle = direct_caf(sur, ref, 6, m.doppler_axis)
+        m = compute_caf(sur, ref, doppler_span_hz=300.0, doppler_oversample=oversample)
+        oracle = direct_caf(sur, ref, m.doppler_axis)
         rel = np.abs(m.grid - oracle).max() / np.abs(oracle).max()
         assert rel < 1e-6
 
-    @pytest.mark.parametrize("delay_bins", [1, 4])
-    def test_default_cpi_matches_fft(self, delay_bins):
+    def test_default_cpi_matches_fft(self):
         # the configured CPI: 0.1 s at 16 kHz, 100 Hz half-span, oversample 4
         rng = np.random.default_rng(5)
         n, fs = 1600, 16e3
         sur = BasebandSignal(rng.normal(size=n) + 1j * rng.normal(size=n), fs)
         ref = BasebandSignal(rng.normal(size=n) + 1j * rng.normal(size=n), fs)
-        m = compute_caf(sur, ref, delay_bins, 100.0, doppler_oversample=4)
-        oracle = fft_caf(sur, ref, delay_bins, 100.0, doppler_oversample=4)
+        m = compute_caf(sur, ref, 100.0, doppler_oversample=4)
+        oracle = fft_caf(sur, ref, 100.0, doppler_oversample=4)
         assert np.array_equal(m.doppler_axis, oracle.doppler_axis)
-        assert np.array_equal(m.delay_axis, oracle.delay_axis)
-        assert m.grid.shape == (delay_bins, 81)
+        assert m.grid.shape == (1, 81)
         rel = np.abs(m.grid - oracle.grid).max() / np.abs(oracle.grid).max()
         assert rel < 1e-12
 
@@ -117,10 +99,15 @@ class TestComputeCaf:
         u = self._sig()
         other_rate = BasebandSignal(u.samples, 2 * self.FS)
         with pytest.raises(ValueError):
-            compute_caf(u, other_rate, 4, 50.0)
+            compute_caf(u, other_rate, 50.0)
         shorter = BasebandSignal(u.samples[:-1], self.FS)
         with pytest.raises(ValueError):
-            compute_caf(u, shorter, 4, 50.0)
+            compute_caf(u, shorter, 50.0)
+
+    def test_rejects_empty_signals(self):
+        empty = BasebandSignal(np.zeros(0, dtype=complex), self.FS)
+        with pytest.raises(ValueError, match="at least one sample"):
+            compute_caf(empty, empty, 50.0)
 
 
 class TestDopplerSpan:
@@ -135,26 +122,24 @@ class TestDopplerSpan:
     def test_asymmetric_span_rejected(self):
         sur, ref = self._pair()
         with pytest.raises(ValueError, match="scalar half-span"):
-            compute_caf(sur, ref, delay_bins=1, doppler_span_hz=(-50.0, 100.0))
+            compute_caf(sur, ref, doppler_span_hz=(-50.0, 100.0))
         with pytest.raises(ValueError, match="scalar half-span"):
-            spectrogram_pipeline(sur, ref, cpi_s=0.1, delay_bins=1,
-                                 doppler_span_hz=(-50.0, 100.0))
+            spectrogram_pipeline(sur, ref, cpi_s=0.1, doppler_span_hz=(-50.0, 100.0))
 
     @pytest.mark.parametrize("span", [8000.0, 12000.0, 0.0, -100.0])
     def test_span_outside_half_band_rejected(self, span):
         sur, ref = self._pair()
         with pytest.raises(ValueError, match="fs/2"):
-            compute_caf(sur, ref, delay_bins=1, doppler_span_hz=span)
+            compute_caf(sur, ref, doppler_span_hz=span)
         with pytest.raises(ValueError, match="fs/2"):
-            spectrogram_pipeline(sur, ref, cpi_s=0.1, delay_bins=1,
-                                 doppler_span_hz=span, doppler_oversample=4)
+            spectrogram_pipeline(sur, ref, cpi_s=0.1, doppler_span_hz=span,
+                                 doppler_oversample=4)
 
     @pytest.mark.parametrize("oversample", [1, 3, 4])
     @pytest.mark.parametrize("span", [1.0, 100.0, 2500.0, 7999.0])
     def test_valid_span_gives_symmetric_spectrogram(self, span, oversample):
         sur, ref = self._pair()
-        spec = spectrogram_pipeline(sur, ref, cpi_s=0.05, delay_bins=1,
-                                    doppler_span_hz=span,
+        spec = spectrogram_pipeline(sur, ref, cpi_s=0.05, doppler_span_hz=span,
                                     doppler_oversample=oversample)
         axis = spec.doppler_axis
         assert np.array_equal(axis, -axis[::-1])
@@ -164,72 +149,63 @@ class TestDopplerSpan:
 class TestSelfCaf:
     def test_peak_at_origin(self):
         u = generate_waveform(4e3, 0.1, 1e4, seed=5)
-        m = self_caf(u, delay_bins=6, doppler_span_hz=60.0)
+        m = self_caf(u, doppler_span_hz=60.0)
         k, f = m.peak_location()
         assert k == 0 and m.doppler_axis[f] == 0.0
 
-    def test_delay_sidelobes_below_minus_20db(self):
-        # full-band pseudorandom reference: off-peak lags decorrelate to noise level
-        u = generate_waveform(1e4, 0.2, 1e4, seed=6)
-        m = self_caf(u, delay_bins=16, doppler_span_hz=60.0)
-        mags = np.abs(m.grid)
-        peak = mags.max()
-        f0 = np.argmin(np.abs(m.doppler_axis))
-        sidelobes = np.abs(m.grid[1:, f0])
-        assert 20 * np.log10(sidelobes.max() / peak) <= -20.0
-
     def test_zero_signal(self):
         z = BasebandSignal(np.zeros(256, dtype=complex), 1e4)
-        m = self_caf(z, delay_bins=4, doppler_span_hz=50.0)
+        m = self_caf(z, doppler_span_hz=50.0)
         assert np.all(m.grid == 0)
 
 
 class TestSharedPlan:
-    """Maps of one CPI shape share read-only axes; the axis checks accept
-    those at once and equal-valued copies by value, and reject the rest."""
+    """Maps of one CPI shape share a read-only axis; the axis checks accept
+    it at once and equal-valued copies by value, and reject the rest."""
 
     FS = 1e4
 
     def _maps(self):
         u = generate_waveform(4e3, 0.1, self.FS, seed=11)
         v = generate_waveform(4e3, 0.1, self.FS, seed=12)
-        return (compute_caf(v, u, 6, 60.0, doppler_oversample=4),
-                self_caf(u, 6, 60.0, doppler_oversample=4))
+        return (compute_caf(v, u, 60.0, doppler_oversample=4),
+                self_caf(u, 60.0, doppler_oversample=4))
 
     def test_equal_parameters_share_read_only_axes(self):
         a, b = self._maps()
-        cleaned = clean_dsi(a, b)
-        for name in ("delay_axis", "doppler_axis"):
-            axis = getattr(a, name)
-            assert getattr(b, name) is axis and getattr(cleaned, name) is axis
-            with pytest.raises(ValueError, match="read-only"):
-                axis[0] = 1.0
+        axis = a.doppler_axis
+        assert b.doppler_axis is axis and clean_dsi(a, b).doppler_axis is axis
+        with pytest.raises(ValueError, match="read-only"):
+            axis[0] = 1.0
 
     @staticmethod
-    def _with_axes(m, delay_axis, doppler_axis):
-        return CafMap(m.grid.copy(), delay_axis, doppler_axis, m.cpi_s)
+    def _with_axis(m, doppler_axis):
+        return CafMap(m.grid.copy(), doppler_axis, m.cpi_s)
 
     def test_equal_valued_copies_accepted(self):
         a, b = self._maps()
-        copied = self._with_axes(a, a.delay_axis.copy(), a.doppler_axis.copy())
+        copied = self._with_axis(a, a.doppler_axis.copy())
         assert copied.doppler_axis is not a.doppler_axis
         assert np.array_equal(clean_dsi(copied, b, 2).grid, clean_dsi(a, b, 2).grid)
         assert np.array_equal(assemble_spectrogram([a, copied, a]).values,
                               assemble_spectrogram([a, a, a]).values)
 
-    @pytest.mark.parametrize("axis", ["delay_axis", "doppler_axis"])
-    def test_differing_axes_rejected(self, axis):
+    @pytest.mark.parametrize("change", ["doppler_axis", "doppler_bins"])
+    def test_differing_axes_rejected(self, change):
         a, b = self._maps()
-        delay, doppler = a.delay_axis, a.doppler_axis
-        if axis == "delay_axis":
-            delay = delay + 1.0 / self.FS
-        else:
-            doppler = doppler + 0.5
-        moved = self._with_axes(a, delay, doppler)
+        if change == "doppler_axis":  # shifted by a fifth of a bin
+            moved = self._with_axis(a, a.doppler_axis + 0.5)
+        else:  # one bin fewer
+            moved = CafMap(a.grid[:, 1:], a.doppler_axis[1:], a.cpi_s)
         with pytest.raises(ValueError, match="identical axes"):
             clean_dsi(moved, b)
         with pytest.raises(ValueError, match="same axes"):
             assemble_spectrogram([a, moved])
+
+    def test_grid_of_more_than_one_lag_rejected(self):
+        a, _ = self._maps()
+        with pytest.raises(ValueError, match="one zero-lag row"):
+            CafMap(np.vstack([a.grid, a.grid]), a.doppler_axis, a.cpi_s)
 
 
 class TestCleanDsi:
@@ -237,17 +213,17 @@ class TestCleanDsi:
 
     def test_exact_cancellation_of_scaled_self(self):
         u = generate_waveform(4e3, 0.1, self.FS, seed=7)
-        s = self_caf(u, delay_bins=8, doppler_span_hz=60.0)
+        s = self_caf(u, doppler_span_hz=60.0)
         k = 0.3 - 1.7j
-        scaled = CafMap(k * s.grid, s.delay_axis, s.doppler_axis, s.cpi_s)
+        scaled = CafMap(k * s.grid, s.doppler_axis, s.cpi_s)
         out = clean_dsi(scaled, s)
         peak = np.abs(s.grid).max()
         assert np.abs(out.grid).max() <= 1e-6 * abs(k) * peak
 
     def test_idempotent_on_pure_dsi(self):
         u = generate_waveform(4e3, 0.1, self.FS, seed=8)
-        s = self_caf(u, delay_bins=8, doppler_span_hz=60.0)
-        caf0 = CafMap(2.0 * s.grid, s.delay_axis, s.doppler_axis, s.cpi_s)
+        s = self_caf(u, doppler_span_hz=60.0)
+        caf0 = CafMap(2.0 * s.grid, s.doppler_axis, s.cpi_s)
         once = clean_dsi(caf0, s)
         twice = clean_dsi(once, s)
         peak0 = np.abs(caf0.grid).max()
@@ -255,8 +231,8 @@ class TestCleanDsi:
 
     def test_axis_mismatch_rejected(self):
         u = generate_waveform(4e3, 0.1, self.FS, seed=9)
-        a = self_caf(u, delay_bins=8, doppler_span_hz=60.0)
-        b = self_caf(u, delay_bins=8, doppler_span_hz=30.0)
+        a = self_caf(u, doppler_span_hz=60.0)
+        b = self_caf(u, doppler_span_hz=30.0)
         with pytest.raises(ValueError):
             clean_dsi(a, b)
 
@@ -275,8 +251,8 @@ class TestCleanDsi:
             sc = ScattererModel(joint_weights=np.zeros(17))
         ic = InterferenceConfig(dsi_amplitude=1.0)
         _, sur = synthesize_surveillance(u, pose, sc, geom, ic, 0)
-        caf0 = compute_caf(sur, u, delay_bins=6, doppler_span_hz=80.0)
-        tmpl = self_caf(u, delay_bins=6, doppler_span_hz=80.0)
+        caf0 = compute_caf(sur, u, doppler_span_hz=80.0)
+        tmpl = self_caf(u, doppler_span_hz=80.0)
         return caf0, tmpl
 
     def test_pipeline_rejects_negative_iterations_before_any_caf(self, monkeypatch):
@@ -286,8 +262,7 @@ class TestCleanDsi:
         monkeypatch.setattr("dopplerpose.caf.compute_caf", no_caf)
         u = generate_waveform(4e3, 0.2, self.FS, seed=9)
         with pytest.raises(ValueError, match="clean_iterations must be >= 0, got -1"):
-            spectrogram_pipeline(u, u, cpi_s=0.1, delay_bins=1, doppler_span_hz=60.0,
-                                 clean_iterations=-1)
+            spectrogram_pipeline(u, u, cpi_s=0.1, doppler_span_hz=60.0, clean_iterations=-1)
 
     def test_dsi_scene_attenuated_20db(self):
         caf0, tmpl = self._dsi_scene(target=False)
@@ -295,7 +270,7 @@ class TestCleanDsi:
         before = np.abs(caf0.grid[:, f0]).max()
         out = clean_dsi(caf0, tmpl)
         after = np.abs(out.grid[:, f0]).max()
-        assert 20 * np.log10(after / before) <= -20.0
+        assert after <= 10 ** (-20.0 / 20) * before  # -20 dB; at lag 0 the cell reads 0
 
     def test_offset_target_perturbed_at_most_1db(self):
         caf0, tmpl = self._dsi_scene(target=True)
@@ -308,13 +283,11 @@ class TestCleanDsi:
 
 class TestAssembleSpectrogram:
     def _map(self, grid):
-        d = np.arange(grid.shape[0]) * 1e-4
-        f = np.linspace(-20, 20, grid.shape[1])
-        return CafMap(grid, d, f, cpi_s=0.1)
+        return CafMap(grid, np.linspace(-20, 20, grid.shape[1]), cpi_s=0.1)
 
     def test_single_cell(self):
-        grid = np.zeros((3, 5), dtype=complex)
-        grid[1, 3] = 2.0 - 1.0j
+        grid = np.zeros((1, 5), dtype=complex)
+        grid[0, 3] = 2.0 - 1.0j
         s = assemble_spectrogram([self._map(grid)])
         expect = np.zeros((5, 1))
         expect[3, 0] = 1.0
@@ -322,15 +295,15 @@ class TestAssembleSpectrogram:
 
     def test_two_identical_maps(self):
         rng = np.random.default_rng(0)
-        grid = rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))
+        grid = rng.normal(size=(1, 5)) + 1j * rng.normal(size=(1, 5))
         s = assemble_spectrogram([self._map(grid), self._map(grid)])
         assert np.allclose(s.values[:, 0], s.values[:, 1])
 
     def test_normalized_and_argmax_preserved(self):
         rng = np.random.default_rng(1)
-        maps = [self._map(rng.normal(size=(4, 9)) + 1j * rng.normal(size=(4, 9)))
+        maps = [self._map(rng.normal(size=(1, 9)) + 1j * rng.normal(size=(1, 9)))
                 for _ in range(6)]
-        raw = np.stack([np.abs(m.grid).sum(axis=0) for m in maps], axis=1)
+        raw = np.stack([np.abs(m.grid[0]) for m in maps], axis=1)
         s = assemble_spectrogram(maps)
         assert s.values.min() >= 0.0 and s.values.max() <= 1.0
         assert np.array_equal(np.argmax(s.values, axis=0), np.argmax(raw, axis=0))
@@ -338,9 +311,8 @@ class TestAssembleSpectrogram:
     def test_empty_and_mismatched_rejected(self):
         with pytest.raises(ValueError):
             assemble_spectrogram([])
-        a = self._map(np.ones((3, 5), dtype=complex))
-        b = CafMap(np.ones((3, 4), dtype=complex), a.delay_axis,
-                   np.linspace(-20, 20, 4), 0.1)
+        a = self._map(np.ones((1, 5), dtype=complex))
+        b = self._map(np.ones((1, 4), dtype=complex))
         with pytest.raises(ValueError):
             assemble_spectrogram([a, b])
 
@@ -354,8 +326,8 @@ class TestWalkingSceneTrack:
         u = generate_waveform(8e3, 5.0, fs, seed=1)
         sur, _ = synthesize_surveillance(u, pose, ScattererModel(), geom,
                                          InterferenceConfig(), 0)
-        spec = spectrogram_pipeline(sur, u, cpi_s=0.1, delay_bins=4,
-                                    doppler_span_hz=100.0, doppler_oversample=4)
+        spec = spectrogram_pipeline(sur, u, cpi_s=0.1, doppler_span_hz=100.0,
+                                    doppler_oversample=4)
         bin_hz = spec.doppler_axis[1] - spec.doppler_axis[0]
         hits = 0
         for t in range(spec.n_frames - 1):
@@ -368,7 +340,7 @@ class TestWalkingSceneTrack:
         assert hits / (spec.n_frames - 1) >= 0.8
 
 
-def per_slice_pipeline(sur, ref, *, cpi_s, delay_bins, doppler_span_hz, doppler_oversample,
+def per_slice_pipeline(sur, ref, *, cpi_s, doppler_span_hz, doppler_oversample,
                        clean_iterations):
     """Oracle: `spectrogram_pipeline` as it built a checked signal for every CPI slice."""
     fs = sur.sample_rate_hz
@@ -378,11 +350,9 @@ def per_slice_pipeline(sur, ref, *, cpi_s, delay_bins, doppler_span_hz, doppler_
         sl = slice(i * n_cpi, (i + 1) * n_cpi)
         sur_i = BasebandSignal(sur.samples[sl], fs)
         ref_i = BasebandSignal(ref.samples[sl], fs)
-        m = compute_caf(sur_i, ref_i, delay_bins, doppler_span_hz,
-                        doppler_oversample=doppler_oversample)
+        m = compute_caf(sur_i, ref_i, doppler_span_hz, doppler_oversample=doppler_oversample)
         if clean_iterations > 0:
-            tmpl = self_caf(ref_i, delay_bins, doppler_span_hz,
-                            doppler_oversample=doppler_oversample)
+            tmpl = self_caf(ref_i, doppler_span_hz, doppler_oversample=doppler_oversample)
             m = clean_dsi(m, tmpl, iterations=clean_iterations)
         maps.append(m)
     return assemble_spectrogram(maps)
@@ -406,7 +376,7 @@ class TestPipelineSlices:
     def test_bit_identical_with_one_caf_per_cpi_and_no_rescan(self, clean_iterations,
                                                                monkeypatch):
         sur, ref = self._scene()
-        kw = dict(cpi_s=0.1, delay_bins=2, doppler_span_hz=100.0, doppler_oversample=4,
+        kw = dict(cpi_s=0.1, doppler_span_hz=100.0, doppler_oversample=4,
                   clean_iterations=clean_iterations)
         want = per_slice_pipeline(sur, ref, **kw)
         calls = {"caf": 0, "checks": 0}
@@ -433,7 +403,7 @@ class TestPipelineSlices:
         bad = sur.samples.copy()
         bad[1234] = complex(np.nan, 0.0)
         with pytest.raises(ValueError, match="signal samples must be finite"):
-            spectrogram_pipeline(BasebandSignal(bad, self.FS), ref, cpi_s=0.1, delay_bins=1,
+            spectrogram_pipeline(BasebandSignal(bad, self.FS), ref, cpi_s=0.1,
                                  doppler_span_hz=100.0)
 
     def test_slice_is_a_signal_from_its_first_sample(self):

@@ -412,7 +412,7 @@ def test_out_of_range_duration_exits_2_and_names_field(config_file, tmp_path, ca
     assert not (tmp_path / "ds").exists()
 
 
-@pytest.mark.parametrize("dt", ["0", "-0.1", "3.0", "NaN"])
+@pytest.mark.parametrize("dt", ["0", "-0.1", "3.0", "NaN", "0.09997"])
 def test_bad_frame_step_exits_2_and_names_field(config_file, tmp_path, capsys, dt):
     rc = main(["build-dataset", "--config", str(config_file), "--set", f"dataset.dt={dt}",
                "--out", str(tmp_path / "ds")])

@@ -66,8 +66,8 @@ def test_noise_reduction_against_clean_pipeline():
     u = generate_waveform(8e3, 4.0, fs, seed=2)
     sc = ScattererModel()
     clean_sur, _ = synthesize_surveillance(u, pose, sc, geom, InterferenceConfig(), 0)
-    clean = spectrogram_pipeline(clean_sur, u, cpi_s=0.1, delay_bins=1,
-                                 doppler_span_hz=100.0, doppler_oversample=4)
+    clean = spectrogram_pipeline(clean_sur, u, cpi_s=0.1, doppler_span_hz=100.0,
+                                 doppler_oversample=4)
 
     noisy_vals = clean.values + 0.1 * np.random.default_rng(5).random(clean.values.shape)
     noisy_vals /= noisy_vals.max()

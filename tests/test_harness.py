@@ -156,6 +156,9 @@ class TestConfig:
         ("denoise.quantile", float("nan")),
         # OptConfig takes 1, but a drift correction then hands OptModel one frame
         ("optimization.period", 1),
+        # frames of 1,599.52 and 1,600.48 samples: the spectrogram drifts off the poses
+        ("dataset.dt", 0.09997),
+        ("dataset.dt", 0.10003),
     ])
     def test_rejected_values_named_by_path(self, path, value):
         data = harness.apply_overrides(tiny_config_dict(), [f"{path}={json.dumps(value)}"])
@@ -184,6 +187,10 @@ class TestConfig:
         data = tiny_config_dict(**{path: value})
         with pytest.raises(ConfigError, match=f"^config field {path}: must be finite and >= "):
             harness.parse_config(data)
+
+    @pytest.mark.parametrize("dt", [0.05, 0.0625, 0.1])
+    def test_whole_sample_frame_steps_accepted(self, dt):
+        assert harness.parse_config(tiny_config_dict(**{"dataset.dt": dt})).dt == dt
 
     def test_zero_learning_rate_and_jitter_accepted(self):
         data = tiny_config_dict(**{"training.vel.learning_rate": 0.0,
