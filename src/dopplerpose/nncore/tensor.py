@@ -33,6 +33,15 @@ output:
   gates and cells is repeated for every step. Backward walks the same rows
   back and computes each step's derivative factors from them, so it builds no
   whole-sequence derivative array.
+
+One step loop, `LstmSteps`, serves every LSTM recurrence: `lstm_layer`
+makes one for each call, and `LstmRun`, a no-grad layer whose projections,
+step buffers and stacked W_hh are made once for inputs of one size, keeps
+one for all its calls. The pose loop's window (`poseopt.OptWindow`) holds
+an `LstmRun` for each recurrence of OptModel, so its predictions run the
+loop `lstm_layer` runs (Appleyard, Kocisky and Blunsom, "Optimizing
+Performance of Recurrent Neural Networks on GPUs", 2016, prepare what is
+fixed outside the recurrence).
 """
 
 from __future__ import annotations
@@ -387,6 +396,113 @@ def _steps(a, reverse: bool):
     return a[::-1] if reverse else a
 
 
+class LstmSteps:
+    """The step loop of an LSTM recurrence, with the buffers it works in.
+
+    D directions step together over B rows of hidden size H. Per step the loop
+    keeps sigmoid(i, f, o) with tanh(g) in its place (`gates`, with `ifgo` the
+    four gates' column views), c (`cells`) and tanh(c) (`tanh_cells`): `kept`
+    steps of each, T when a backward reads them, else 1, which every step
+    reuses. `lstm_layer` makes one a call; `LstmRun` keeps one for all its
+    calls, since no call leaves state in it that the next one reads.
+    """
+
+    def __init__(self, kept: int, n_dir: int, bsz: int, h_dim: int, dtype):
+        self.gates = np.empty((kept, n_dir, bsz, 4 * h_dim), dtype=dtype)
+        self.cells = np.empty((kept, n_dir, bsz, h_dim), dtype=dtype)
+        self.tanh_cells = np.empty((kept, n_dir, bsz, h_dim), dtype=dtype)
+        self.ifgo = tuple(self.gates[..., j * h_dim:(j + 1) * h_dim] for j in range(4))
+        # each kept step's rows of those buffers
+        self.rows = list(zip(self.gates, *self.ifgo, self.cells, self.tanh_cells))
+        self.c0 = np.zeros((n_dir, bsz, h_dim), dtype=dtype)  # the zero state's cell
+        self.z = np.empty((n_dir, bsz, 4 * h_dim), dtype=dtype)
+        self.z_g = self.z[..., 2 * h_dim:3 * h_dim]
+        self.ig = np.empty((n_dir, bsz, h_dim), dtype=dtype)
+        self.one, self.zero = _scalar(1, dtype), _scalar(0, dtype)
+
+    def __call__(self, pre, hs, w_hh):
+        """Step through pre (T, D, B, 4H), each step's input projection plus
+        bias, from the zero state, writing each step's hidden states into hs
+        (T, D, B, H); w_hh is (D, H, 4H)."""
+        rows = self.rows if len(self.rows) > 1 else repeat(self.rows[0])
+        z, z_g, ig, c, one, zero = self.z, self.z_g, self.ig, self.c0, self.one, self.zero
+        matmul, add, negative, exp, divide, tanh, multiply = (
+            np.matmul, np.add, np.negative, np.exp, np.divide, np.tanh, np.multiply)
+        # in place, outputs passed positionally and nothing indexed: at B=1 a
+        # step is a dozen small ufunc calls
+        for s, (pre_s, hs_s, (a, i_s, f_s, g_s, o_s, c_s, tc_s)) in enumerate(
+                zip(pre, hs, rows)):
+            if s:
+                matmul(h, w_hh, out=z)
+                add(z, pre_s, z)
+            else:  # h @ W_hh is the zero state's zero
+                add(pre_s, zero, z)
+            negative(z, a)  # sigmoid: 1 / (1 + exp(-z))
+            exp(a, a)
+            add(a, one, a)
+            divide(one, a, a)
+            tanh(z_g, g_s)
+            multiply(i_s, g_s, ig)
+            c = multiply(f_s, c, c_s)
+            add(c, ig, c)
+            h = multiply(o_s, tanh(c, tc_s), hs_s)
+
+
+class LstmRun:
+    """A (bi)LSTM layer run without a graph on inputs of one (B, T) size, in
+    buffers made once.
+
+    `directions` is what `lstm_layer` takes. Calling the run with the (B*T, F)
+    input rows, batch major, returns the (B, T, D*H) hidden states in a buffer
+    the next call overwrites; each value is the one `lstm_layer` gives, since
+    the projections, the step-ordered stacking and the step loop are its own.
+    `lstm_layer` instead makes each buffer when it needs it, so a one-off call
+    never holds a projection beside its output. The run keeps the weight
+    arrays it was made with, and a stacked copy of the two directions' W_hh,
+    so it is valid while the weights stay unchanged.
+    """
+
+    def __init__(self, directions, bsz: int, t_len: int):
+        n_dir = len(directions)
+        if n_dir not in (1, 2):
+            raise ValueError(f"an LSTM layer has 1 or 2 directions, got {n_dir}")
+        arrays = [tuple(w.data for w in triple) for triple in directions]
+        self.dtype = dtype = arrays[0][0].dtype
+        if any(w.dtype != dtype for triple in arrays for w in triple):
+            raise ValueError("an LSTM layer's weights must share one dtype")
+        h_dim = arrays[0][1].shape[0]
+        self.w_ih_b = [(w_ih, b) for w_ih, _, b in arrays]
+        self.proj = [np.empty((bsz * t_len, 4 * h_dim), dtype=dtype) for _ in arrays]
+        step_ordered = [_steps(p.reshape(bsz, t_len, 4 * h_dim), d == 1)
+                        for d, p in enumerate(self.proj)]
+        self.out = np.empty((bsz, t_len, n_dir * h_dim), dtype=dtype)
+        if n_dir == 1:
+            self.pre, self.hs = step_ordered[0][:, None], _steps(self.out, False)[:, None]
+            self.w_hh = arrays[0][1][None]
+            self.copy_in = self.copy_out = []
+        else:
+            self.pre = np.empty((t_len, n_dir, bsz, 4 * h_dim), dtype=dtype)
+            self.hs = np.empty((t_len, n_dir, bsz, h_dim), dtype=dtype)
+            self.w_hh = np.concatenate([w_hh[None] for _, w_hh, _ in arrays])
+            self.copy_in = [(self.pre[:, d], step_ordered[d]) for d in range(n_dir)]
+            self.copy_out = [(_steps(self.out[:, :, d * h_dim:(d + 1) * h_dim], d == 1),
+                              self.hs[:, d]) for d in range(n_dir)]
+        self.loop = LstmSteps(1, n_dir, bsz, h_dim, dtype)
+
+    def __call__(self, x2: np.ndarray) -> np.ndarray:
+        if x2.dtype != self.dtype:
+            raise ValueError(f"LSTM input is {x2.dtype} but its weights are {self.dtype}")
+        for (w_ih, b), proj in zip(self.w_ih_b, self.proj):
+            np.matmul(x2, w_ih, out=proj)
+            proj += b
+        for dst, src in self.copy_in:
+            np.copyto(dst, src)
+        self.loop(self.pre, self.hs, self.w_hh)
+        for dst, src in self.copy_out:
+            np.copyto(dst, src)
+        return self.out
+
+
 def lstm_layer(x, directions):
     """One (bi)LSTM layer over x (B, T, F) -> hidden states (B, T, D*H), one graph node.
 
@@ -446,43 +562,17 @@ def lstm_layer(x, directions):
     out = np.empty((bsz, t_len, n_dir * h_dim), dtype=dtype)
     hs = (_steps(out, False)[:, None] if n_dir == 1
           else np.empty((t_len, n_dir, bsz, h_dim), dtype=dtype))
-    # per step: sigmoid(i, f, o) with tanh(g) in its place, c and tanh(c);
     # without a graph to record, one step's gates and cells are kept at a time
     kept = t_len if _GRAD_ENABLED and any(t.requires_grad for t in parents) else 1
-    gates = np.empty((kept, n_dir, bsz, 4 * h_dim), dtype=dtype)
-    cells = np.empty((kept, n_dir, bsz, h_dim), dtype=dtype)
-    tanh_cells = np.empty((kept, n_dir, bsz, h_dim), dtype=dtype)
-    c = np.zeros((n_dir, bsz, h_dim), dtype=dtype)
-    z = np.zeros((n_dir, bsz, 4 * h_dim), dtype=dtype)  # h @ W_hh from the zero state
-    z_g = z[..., 2 * h_dim:3 * h_dim]
-    ig = np.empty((n_dir, bsz, h_dim), dtype=dtype)
-    i, f, g, o = (gates[..., j * h_dim:(j + 1) * h_dim] for j in range(4))
-    # each step's rows of the kept buffers: its own when recording, else the one row
-    rows = zip(gates, i, f, g, o, cells, tanh_cells)
-    rows = rows if kept == t_len else repeat(next(rows))
-    matmul, add, negative, exp, divide, tanh, multiply = (
-        np.matmul, np.add, np.negative, np.exp, np.divide, np.tanh, np.multiply)
-    one = _scalar(1, dtype)
-    # in place, outputs passed positionally and nothing indexed: at B=1 a step
-    # is a dozen small ufunc calls
-    for s, (pre_s, hs_s, (a, i_s, f_s, g_s, o_s, c_s, tc_s)) in enumerate(zip(pre, hs, rows)):
-        if s:
-            matmul(h, w_hh, out=z)
-        add(z, pre_s, z)
-        negative(z, a)  # sigmoid: 1 / (1 + exp(-z))
-        exp(a, a)
-        add(a, one, a)
-        divide(one, a, a)
-        tanh(z_g, g_s)
-        multiply(i_s, g_s, ig)
-        c = multiply(f_s, c, c_s)
-        add(c, ig, c)
-        h = multiply(o_s, tanh(c, tc_s), hs_s)
+    loop = LstmSteps(kept, n_dir, bsz, h_dim, dtype)
+    loop(pre, hs, w_hh)
+    gates, cells, tanh_cells, (i, f, g, o) = loop.gates, loop.cells, loop.tanh_cells, loop.ifgo
     if n_dir == 2:
         for d in range(n_dir):
             _steps(out[:, :, d * h_dim:(d + 1) * h_dim], d == 1)[...] = hs[:, d]
 
     def backward(gout):
+        one = _scalar(1, dtype)
         gh = np.empty((t_len, n_dir, bsz, h_dim), dtype=dtype)  # gout in step order
         for d in range(n_dir):
             gh[:, d] = _steps(gout[:, :, d * h_dim:(d + 1) * h_dim], d == 1)

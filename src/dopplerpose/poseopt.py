@@ -13,10 +13,15 @@ loop corrects accumulated drift during long reconstructions, re-optimizing
 the current pose every `period` frames against the upcoming velocity window.
 
 Predictor protocol: the loop asks its `model` for directions only through
-`model.opt_vectors(P, V)`, with the (T, 17, 3) pose sequence integrated from
-the current guess and the (T, 17, 3) velocities it was integrated from, and
-expects the (17, 3) vectors back. `OptModel` is the learned predictor; any
-object with that method (an exact oracle in the tests) drives the same loop.
+two methods. It calls `model.window(v)` once per optimization, with the
+(T, 17, 3) velocity window, and then `model.opt_vectors(P, window)` once
+per prediction, with the (T, 17, 3) pose sequence integrated from the
+current guess through those velocities, and expects the (17, 3) vectors
+back. `OptModel` is the learned predictor: its window holds the feature
+frames with the velocities already written and the buffers and stacked
+weights of its recurrences, and it reads the model's weights when it is
+made, so a window is valid while those weights stay unchanged. Any object
+with the two methods (an exact oracle in the tests) drives the same loop.
 
 `opt_train` trains `OptModel` on sampled wrong-start pairs through `velest.fit`.
 """
@@ -109,14 +114,36 @@ class OptModel:
         h = ops.tanh(self.fc2(h))
         return h
 
-    def opt_vectors(self, p: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Predict 17 x 3 optimization vectors for one (T, 17, 3) pose/velocity window."""
-        if len(p) != len(v):
-            raise ValueError(f"pose ({len(p)}) and velocity ({len(v)}) lengths differ")
-        x = _stack_features(p, v, self.fc1.weight.data.dtype)[None]
-        with nn.no_grad():
-            out = self.forward(Tensor(x), training=False)
-        return out.data[0].reshape(N_JOINTS, 3).astype(np.float64)
+    def window(self, v: VelocitySequence) -> "OptWindow":
+        """Prepare the predictions over one velocity window; see `OptWindow`."""
+        return OptWindow(self, v)
+
+    def opt_vectors(self, p: np.ndarray, window: "OptWindow") -> np.ndarray:
+        """Predict 17 x 3 optimization vectors at the (T, 17, 3) poses `p` of a window.
+
+        The values `forward` gives for the window's frames with `p` written
+        into them, bit for bit: the recurrences run in the window's buffers
+        through the step loop `lstm_layer` uses, and the head is plain matmuls.
+        """
+        if window.model is not self:
+            raise ValueError("the window was prepared by another model")
+        t_len = len(window.x)
+        if p.shape != (t_len, N_JOINTS, 3):
+            raise ValueError(f"poses must be ({t_len}, {N_JOINTS}, 3) for a window of "
+                             f"{t_len} frames, got {p.shape}")
+        window.x[:, N_JOINTS * 3:] = p.reshape(t_len, -1)
+        h1 = window.layer1(window.x).reshape(t_len, FEATURE_DIM)
+        (w1, b1), (w2, b2) = window.fc
+        feat, hidden, out = window.head
+        feat[0, :N_JOINTS * 3] = window.l2_fwd(h1)[0, -1]
+        feat[0, N_JOINTS * 3:] = window.l2_rev(h1[-1:])[0, 0]
+        np.matmul(feat, w1, out=hidden)
+        hidden += b1
+        np.maximum(hidden, 0, out=hidden)
+        np.matmul(hidden, w2, out=out)
+        out += b2
+        np.tanh(out, out)
+        return out[0].reshape(N_JOINTS, 3).astype(np.float64)
 
     def state_arrays(self):
         return []
@@ -129,6 +156,35 @@ class OptModel:
     def load(cls, path: str | Path) -> "OptModel":
         """The model `save` wrote; meta keys, which older files carry, are ignored."""
         return nn.load_checkpoint(path, "optmodel", lambda meta: cls())
+
+
+class OptWindow:
+    """`OptModel`'s predictions over one velocity window, prepared once.
+
+    It holds the [velocities; positions] frames in the model's dtype with
+    the velocities written, a no-grad run of each of the three recurrences
+    `forward` makes (layer 1, layer 2 forward over every frame, layer 2
+    reverse for the last frame) and the head's buffers. `opt_vectors`
+    writes the positions and reuses all of it, so two predictions share no
+    values; the window keeps the weights the model had when it was made.
+    """
+
+    def __init__(self, model: OptModel, v: VelocitySequence):
+        t_len = len(v)
+        if t_len < 2:
+            raise ValueError("optimization input needs at least 2 frames")
+        dtype = model.fc1.weight.data.dtype
+        self.model = model
+        self.x = np.empty((t_len, FEATURE_DIM), dtype=dtype)
+        self.x[:, :N_JOINTS * 3] = v.values.reshape(t_len, -1)
+        layer1, (l2_fwd, l2_rev) = model.lstm.layers
+        self.layer1 = ops.LstmRun(layer1, 1, t_len)
+        self.l2_fwd = ops.LstmRun([l2_fwd], 1, t_len)
+        self.l2_rev = ops.LstmRun([l2_rev], 1, 1)
+        self.fc = [(fc.weight.data, fc.bias.data) for fc in (model.fc1, model.fc2)]
+        (w1, _), (w2, _) = self.fc
+        # the head's input (both layer-2 states), hidden and output rows
+        self.head = [np.empty((1, n), dtype=dtype) for n in (*w1.shape, w2.shape[1])]
 
 
 def _stack_features(p: np.ndarray, v: np.ndarray, dtype) -> np.ndarray:
@@ -215,6 +271,16 @@ def opt_train(m: OptModel, mocap: list, cfg: TrainConfig, pair_seed, fit_seed, *
 # The optimization loop and long-term reconstruction
 # ---------------------------------------------------------------------------
 
+def _finite_frame(name: str, value) -> np.ndarray:
+    """`value` as a float64 (17, 3) frame; a ValueError naming it unless it is a finite one."""
+    frame = np.array(value, dtype=np.float64)
+    if frame.shape != (N_JOINTS, 3):
+        raise ValueError(f"{name} must be a ({N_JOINTS}, 3) frame, got shape {frame.shape}")
+    if not np.isfinite(frame).all():
+        raise ValueError(f"{name} must be finite")
+    return frame
+
+
 def optimize_initial_pose(model, p0_init: np.ndarray, v: VelocitySequence,
                           cfg: OptConfig, *, truth: np.ndarray | None = None):
     """Iteratively move a guessed pose along the vectors `model.opt_vectors` predicts.
@@ -225,25 +291,39 @@ def optimize_initial_pose(model, p0_init: np.ndarray, v: VelocitySequence,
     per joint, whenever re-predicting at the stepped pose reverses that
     joint's direction (overshoot), so steps never cross the target. Only an
     epoch calls the model, so with `cfg.max_epochs` 0 it may be None.
+    `p0_init`, and `truth` when given, must be finite (17, 3) frames.
     """
-    p = np.array(p0_init, dtype=np.float64)
-    if p.shape != (N_JOINTS, 3):
-        raise ValueError(f"p0_init must be ({N_JOINTS}, 3)")
+    p = _finite_frame("p0_init", p0_init)
+    if truth is not None:
+        truth = _finite_frame("truth", truth)
 
     def err(pose):
         return float(np.linalg.norm(pose - truth, axis=1).mean())
 
     trace = [err(p)] if truth is not None else []
+    if cfg.max_epochs == 0:
+        return p, trace
+    window = model.window(v)
+    # `integrate`'s steps, scaled once; row 0 takes each pose predicted at
+    v_steps = v.values * v.dt
+
+    def predict(pose):
+        """The prediction over the window integrated from `pose`, as `integrate` does it."""
+        if not np.isfinite(pose).all():
+            raise ValueError("a predicted direction moved the pose to non-finite values")
+        v_steps[0] = pose
+        return model.opt_vectors(np.cumsum(v_steps, axis=0), window)
+
     ov = None  # the prediction at p, when the last epoch already made it
     for _ in range(cfg.max_epochs):
         if ov is None:
-            ov = model.opt_vectors(integrate(p, v).positions, v.values)
+            ov = predict(p)
         steps = np.full(N_JOINTS, cfg.optr)
         moved = ov * steps[:, None]
         next_ov = None
         for _halving in range(cfg.max_halvings):
             cand = p + moved
-            ov2 = model.opt_vectors(integrate(cand, v).positions, v.values)
+            ov2 = predict(cand)
             flipped = (ov * ov2).sum(axis=1) < 0
             if not flipped.any() or steps.max() < cfg.tol:
                 next_ov = ov2  # the step commits to exactly cand

@@ -492,6 +492,9 @@ def without_pose_loop(cfg):
 class NoPredictor:
     """An opt model that must never be called."""
 
+    def window(self, *args):
+        raise AssertionError("window called")
+
     def opt_vectors(self, *args):
         raise AssertionError("opt_vectors called")
 

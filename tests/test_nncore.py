@@ -656,6 +656,36 @@ class TestFusedLstm:
         assert all(p.grad is not None for p in layer.params())
 
 
+class TestLstmRun:
+    """A no-grad layer run in buffers made once, against `lstm_layer`."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", LSTM_SHAPES)
+    def test_bit_identical_to_lstm_layer_call_after_call(self, shape, dtype):
+        bsz, t_len, in_f, hidden, layers, bidir = shape
+        rng = rng64(900)
+        layer = nn.LSTM(in_f, hidden, num_layers=layers, bidirectional=bidir, rng=rng,
+                        dtype=dtype)
+        runs = [ops.LstmRun(directions, bsz, t_len) for directions in layer.layers]
+        for _ in range(2):  # the second call reuses every buffer of the first
+            x = rng.normal(size=(bsz, t_len, in_f)).astype(dtype)
+            for directions, run in zip(layer.layers, runs):
+                with nn.no_grad():
+                    want = ops.lstm_layer(Tensor(x), directions).data
+                got = run(x.reshape(bsz * t_len, -1))
+                assert got.tobytes() == want.tobytes()
+                x = want
+
+    def test_mixed_dtypes_rejected(self):
+        layer = nn.LSTM(3, 4, bidirectional=True, rng=rng64(901), dtype=np.float64)
+        run = ops.LstmRun(layer.layers[0], 2, 5)
+        with pytest.raises(ValueError, match="float32 but its weights are float64"):
+            run(np.zeros((10, 3), dtype=np.float32))
+        layer.layers[0][1][2].data = layer.layers[0][1][2].data.astype(np.float32)
+        with pytest.raises(ValueError, match="share one dtype"):
+            ops.LstmRun(layer.layers[0], 2, 5)
+
+
 class TestLstmNoGradRows:
     """Without a graph to record, `lstm_layer` keeps one step's gates and cells."""
 

@@ -123,8 +123,9 @@ def full_lstm_forward(m, x):
 
 
 def predictor(fn):
-    """A predictor for the pose loop: its `opt_vectors(P, V)` is fn."""
-    return SimpleNamespace(opt_vectors=fn)
+    """A predictor for the pose loop: its window is the velocities, so its
+    `opt_vectors(P, window)` is fn(P, V)."""
+    return SimpleNamespace(window=lambda v: v.values, opt_vectors=fn)
 
 
 def recorded_opt_vectors(m):
@@ -246,10 +247,10 @@ class TestOptForward:
         m = OptModel(seed=1)
         p = generate_activity(ActivityKind.WPLUS, 3.0, seed=0)
         v = differentiate(p)
-        out = m.opt_vectors(p.positions, v.values)
+        out = m.opt_vectors(p.positions, m.window(v))
         assert out.shape == (N_JOINTS, 3)
         assert np.all(np.abs(out) < 1.0)
-        assert np.array_equal(out, m.opt_vectors(p.positions, v.values))
+        assert np.array_equal(out, m.opt_vectors(p.positions, m.window(v)))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_opt_vectors_runs_in_model_dtype(self, dtype):
@@ -261,14 +262,16 @@ class TestOptForward:
                            axis=1)[None]
         with nn.no_grad():
             ref = m.forward(Tensor(x, dtype=dtype)).data[0].reshape(N_JOINTS, 3)
-        assert np.array_equal(m.opt_vectors(p.positions, v.values), ref)
+        assert np.array_equal(m.opt_vectors(p.positions, m.window(v)), ref)
 
     def test_length_mismatch_rejected(self):
+        # 30 poses against a window of 29 velocities: both lengths named
         m = OptModel(seed=2)
         p = generate_activity(ActivityKind.WPLUS, 3.0, seed=0)
         v = differentiate(p)
-        with pytest.raises(ValueError, match="lengths differ"):
-            m.opt_vectors(p.positions, v.values[:-1])
+        window = m.window(VelocitySequence(v.values[:-1], v.dt))
+        with pytest.raises(ValueError, match=r"window of 29 frames, got \(30, 17, 3\)"):
+            m.opt_vectors(p.positions, window)
 
 
 class TestOptModelLastStep:
@@ -326,12 +329,16 @@ class TestOptModelLastStep:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("t_len", [2, 10, 50])
     def test_opt_vectors_bit_identical_to_recorded_forward(self, t_len, dtype):
-        # the pose loop's one-problem call, without a graph, takes the path
-        # training takes: the same values as a forward that records a graph
+        # the pose loop's one-problem calls, through one window and without a
+        # graph, give the values a forward that records a graph gives
         m = (OptModel.load(PINNED_OPT_MODEL) if dtype == np.float32
              else OptModel(seed=7, dtype=dtype))
-        p, v = np.random.default_rng(t_len).normal(scale=0.5, size=(2, t_len, N_JOINTS, 3))
-        assert m.opt_vectors(p, v).tobytes() == recorded_opt_vectors(m)(p, v).tobytes()
+        rng = np.random.default_rng(t_len)
+        p, v = rng.normal(scale=0.5, size=(2, t_len, N_JOINTS, 3))
+        window = m.window(VelocitySequence(v))
+        for pose in (p, *rng.normal(scale=0.5, size=(2, t_len, N_JOINTS, 3))):
+            got = m.opt_vectors(pose, window)
+            assert got.tobytes() == recorded_opt_vectors(m)(pose, v).tobytes()
 
     def test_pose_loop_same_with_recorded_forward(self):
         # the reconstruct workload's settings on the pinned model
@@ -345,6 +352,35 @@ class TestOptModelLastStep:
             runs.append((p0, np.array(trace), reconstruct_long_term(model, p0, v, cfg).positions))
         for got, want in zip(*runs):
             assert got.tobytes() == want.tobytes()
+
+
+class TestOptWindow:
+    """One prepared window reused for many predictions, as the pose loop does
+    (its values against the recorded forward: TestOptModelLastStep)."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_reused_buffers_carry_no_state(self, dtype):
+        # p1, then p2, then p1 again: the window's buffers hold nothing over
+        m = (OptModel.load(PINNED_OPT_MODEL) if dtype == np.float32
+             else OptModel(seed=7, dtype=dtype))
+        rng = np.random.default_rng(5)
+        v = VelocitySequence(rng.normal(scale=0.5, size=(10, N_JOINTS, 3)))
+        p1, p2 = rng.normal(scale=0.5, size=(2, 10, N_JOINTS, 3))
+        window = m.window(v)
+        first, second, again = (m.opt_vectors(p, window) for p in (p1, p2, p1))
+        assert first.tobytes() == again.tobytes()
+        assert first.tobytes() != second.tobytes()
+
+    def test_window_of_another_model_rejected(self):
+        v = differentiate(generate_activity(ActivityKind.WPLUS, 2.0, seed=0))
+        p = integrate(t_pose(), v).positions
+        with pytest.raises(ValueError, match="another model"):
+            OptModel(seed=1).opt_vectors(p, OptModel(seed=2).window(v))
+
+    def test_one_frame_window_rejected(self):
+        v = differentiate(generate_activity(ActivityKind.WPLUS, 2.0, seed=0))
+        with pytest.raises(ValueError, match="at least 2 frames"):
+            OptModel(seed=1).window(VelocitySequence(v.values[:1], v.dt))
 
 
 class TestOptimizeInitialPose:
@@ -406,6 +442,48 @@ class TestOptimizeInitialPose:
         assert moves.max() <= np.sqrt(3) * cfg.optr + 1e-12
 
 
+def nan_frame():
+    frame = t_pose()
+    frame[4, 1] = np.nan
+    return frame
+
+
+class TestOptimizeInitialPoseInput:
+    """Bad frames fail up front, naming the argument, whatever the epoch count."""
+
+    @pytest.mark.parametrize("max_epochs", [0, 3])
+    def test_non_finite_start_rejected(self, max_epochs):
+        # with no epoch this returned the NaN pose; with epochs `integrate` failed
+        v = differentiate(generate_activity(ActivityKind.WPLUS, 2.0, seed=0))
+        stub = exact_stub(t_pose())
+        with pytest.raises(ValueError, match="p0_init must be finite"):
+            optimize_initial_pose(stub, nan_frame(), v, OptConfig(max_epochs=max_epochs))
+
+    @pytest.mark.parametrize("index", [0, None], ids=["xyz", "stacked"])
+    def test_truth_of_another_shape_rejected(self, index):
+        # a (3,) and a (1, 17, 3) truth broadcast against the pose: a wrong trace
+        v = differentiate(generate_activity(ActivityKind.WPLUS, 2.0, seed=0))
+        truth = t_pose()[index]
+        with pytest.raises(ValueError, match=r"truth must be a \(17, 3\) frame, got shape"):
+            optimize_initial_pose(exact_stub(t_pose()), t_pose() + 0.1, v,
+                                  OptConfig(max_epochs=2), truth=truth)
+
+    def test_infinite_truth_rejected(self):
+        # it made a trace of inf
+        v = differentiate(generate_activity(ActivityKind.WPLUS, 2.0, seed=0))
+        truth = t_pose()
+        truth[0, 2] = np.inf
+        with pytest.raises(ValueError, match="truth must be finite"):
+            optimize_initial_pose(exact_stub(t_pose()), t_pose() + 0.1, v,
+                                  OptConfig(max_epochs=2), truth=truth)
+
+    def test_non_finite_prediction_rejected(self):
+        v = differentiate(generate_activity(ActivityKind.WPLUS, 2.0, seed=0))
+        nan_stub = predictor(lambda p_seq, v_vals: np.full((N_JOINTS, 3), np.nan))
+        with pytest.raises(ValueError, match="non-finite"):
+            optimize_initial_pose(nan_stub, t_pose(), v, OptConfig(max_epochs=2))
+
+
 @pytest.mark.parametrize("tol", [-1.0, float("nan")])
 def test_opt_config_rejects_tolerance_never_met(tol):
     # `mean_change < tol` could never hold, so the loop would run every epoch
@@ -426,7 +504,7 @@ def two_call_loop(model, p0_init, v, cfg, truth=None):
     Returns (pose, trace, stats) with the epochs run, the step halvings made
     and the epochs whose halving budget ran out.
     """
-    predict = model.opt_vectors
+    window = model.window(v)
     p = np.array(p0_init, dtype=np.float64)
     stats = {"epochs": 0, "halvings": 0, "exhausted": 0}
 
@@ -436,13 +514,12 @@ def two_call_loop(model, p0_init, v, cfg, truth=None):
     trace = [err(p)] if truth is not None else []
     for _ in range(cfg.max_epochs):
         stats["epochs"] += 1
-        seq = integrate(p, v)
-        ov = predict(seq.positions, v.values)
+        ov = model.opt_vectors(integrate(p, v).positions, window)
         steps = np.full(N_JOINTS, cfg.optr)
         moved = ov * steps[:, None]
         for _halving in range(cfg.max_halvings):
             cand = p + moved
-            ov2 = predict(integrate(cand, v).positions, v.values)
+            ov2 = model.opt_vectors(integrate(cand, v).positions, window)
             flipped = (ov * ov2).sum(axis=1) < 0
             if not flipped.any() or steps.max() < cfg.tol:
                 break
@@ -612,8 +689,8 @@ class TestOptModelIO:
         path = tmp_path / "opt.dpc"
         m.save(path)
         back = OptModel.load(path)
-        assert np.allclose(m.opt_vectors(p.positions, v.values),
-                           back.opt_vectors(p.positions, v.values), atol=1e-6)
+        assert np.allclose(m.opt_vectors(p.positions, m.window(v)),
+                           back.opt_vectors(p.positions, back.window(v)), atol=1e-6)
 
     def test_saved_meta_is_empty(self, tmp_path):
         path = tmp_path / "opt.dpc"

@@ -2,20 +2,38 @@
 per-frame loops they replaced, kept here as oracles, bit for bit; `integrate`
 and `differentiate` as inverses up to float64 round-off; bit-exact container
 round trips, raw and through each array class's save/load; the CAF against
-its direct sum; and CLEAN cancelling a single static path."""
+its direct sum; CLEAN cancelling a single static path; and S not depending
+on the waveform at zero lag."""
 
+import json
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dopplerpose import containers
+from dopplerpose import containers, harness
 from dopplerpose.caf import Spectrogram, clean_dsi, compute_caf, self_caf
-from dopplerpose.motion import N_JOINTS, PoseSequence, VelocitySequence, differentiate, integrate
+from dopplerpose.motion import (
+    ActivityKind,
+    N_JOINTS,
+    PoseSequence,
+    VelocitySequence,
+    differentiate,
+    generate_activity,
+    integrate,
+)
 from dopplerpose.poseopt import OptConfig, optimize_initial_pose, reconstruct_long_term
-from dopplerpose.wavesim import BasebandSignal
+from dopplerpose.wavesim import (
+    C_LIGHT,
+    BasebandSignal,
+    InterferenceConfig,
+    generate_waveform,
+    synthesize_reference,
+    synthesize_surveillance,
+)
 from test_caf import direct_caf
 
 # Derandomized and without an example database: every run draws the same
@@ -73,6 +91,9 @@ def loop_reconstruct(model, p0, v, cfg):
 class WindowPredictor:
     """Directions that depend on every pose and velocity of the window it is
     given, so a window that starts, ends or integrates differently shows."""
+
+    def window(self, v):
+        return v.values
 
     def opt_vectors(self, p, v):
         return np.tanh(p.sum(axis=0) - len(p) * p[0] + 3.0 * v.sum(axis=0))
@@ -213,3 +234,37 @@ def test_clean_cancels_a_scaled_reference(seed, n, log_mag, angle):
     before = np.sum(np.abs(caf.grid[:, m0]) ** 2)
     after = np.sum(np.abs(out.grid[:, m0]) ** 2)
     assert after <= 1e-12 * before
+
+
+DEFAULT_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.json"
+
+
+def zero_lag_s(cfg, u, pose):
+    """S of `pose` rendered from the waveform u: the target-only channel
+    against the reference, with no CLEAN pass, as `simulate_activity` does."""
+    targets, _ = synthesize_surveillance(u, pose, cfg.scatterer, cfg.geometry,
+                                         InterferenceConfig(), 0)
+    return harness.process_channel(cfg, targets, synthesize_reference(u, cfg.geometry), 0).values
+
+
+@pytest.mark.parametrize("bandwidth_hz", [2e3, 8e3, 16e3])
+def test_s_does_not_depend_on_the_waveform(bandwidth_hz):
+    """At zero lag a constant-modulus waveform cancels: S rendered from
+    `generate_waveform` is S rendered from a plain carrier (u = 1) but for the
+    two-tap delay blend tau fs (u[n] - u[n-1]) of each return, which is at
+    most 2 tau fs of it. So the maps, each scaled to a peak of 1, differ by
+    at most twice the scene's largest target path delay in samples (about
+    9.2e-4 at the default geometry; 2.1e-4 seen)."""
+    cfg = harness.parse_config(json.loads(DEFAULT_CONFIG.read_text()))
+    g, fs = cfg.geometry, cfg.sample_rate_hz
+    for kind in ActivityKind:
+        for seed in (3, 7):
+            pose = generate_activity(kind, 2.0, seed, dt=cfg.dt)
+            hopped = generate_waveform(bandwidth_hz, len(pose) * pose.dt, fs, seed)
+            carrier = BasebandSignal(np.ones(len(hopped), dtype=np.complex128), fs)
+            x = pose.positions
+            path = np.linalg.norm(x - g.tx_pos, axis=-1) + np.linalg.norm(x - g.rx_sur_pos,
+                                                                          axis=-1)
+            bound = 2 * path.max() * fs / C_LIGHT
+            diff = np.abs(zero_lag_s(cfg, hopped, pose) - zero_lag_s(cfg, carrier, pose))
+            assert diff.max() <= bound, (kind, seed)
