@@ -56,12 +56,9 @@ targets, sur = synthesize_surveillance(u, pose, ScattererModel(), geom, interfer
 print(f"surveillance channel: {len(sur)} samples, rms {np.abs(sur.samples).std():.3f} "
       f"(targets alone {np.abs(targets.samples).std():.3f})")
 
-# One CPI's ambiguity surface: the walking torso sits off zero Doppler.
-n_cpi = int(0.1 * fs)
-from dopplerpose import BasebandSignal  # noqa: E402
-caf = compute_caf(BasebandSignal(sur.samples[4 * n_cpi:5 * n_cpi], fs),
-                  BasebandSignal(ref.samples[4 * n_cpi:5 * n_cpi], fs),
-                  doppler_span_hz=100.0, doppler_oversample=4)
-_, f = caf.peak_location()
+# The capture's zero-lag ambiguity, one row per 0.1 s CPI: the walking torso
+# sits off zero Doppler.
+caf = compute_caf(sur, ref, cpi_s=0.1, doppler_span_hz=100.0, doppler_oversample=4)
+f = np.argmax(np.abs(caf.grid[4]))
 print(f"CAF peak in one mid-walk CPI: {caf.doppler_axis[f]:+.1f} Hz "
       f"(DSI still dominates at 0 Hz until CLEAN runs)")

@@ -72,7 +72,7 @@ def cmd_simulate(args) -> int:
 def cmd_caf(args) -> int:
     cfg = load_config(args.config, args.overrides)
     spec = harness.process_channel(cfg, BasebandSignal.load(args.sur),
-                                   BasebandSignal.load(args.ref), cfg.clean_iterations)
+                                   BasebandSignal.load(args.ref), True)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     spec.save(out)

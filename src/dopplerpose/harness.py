@@ -10,7 +10,8 @@ evaluation always agree; `load_manifest` checks its shape, entries included.
 
 The dataset build and the CLI's `simulate` and `caf` stages share one recipe:
 `render_channels` makes a scene's target-only (S) and full (M) channels, and
-`process_channel` applies the config's processing settings to either.
+`process_channel` turns either into a spectrogram: one batched CAF over the
+capture's frame-long CPIs, then for M (and the CLI's `caf` stage) one CLEAN pass.
 
 Every random stream is seeded here, from the config's `seed`; the
 other modules take their seeds as arguments and do no arithmetic on them:
@@ -147,7 +148,6 @@ class ExperimentConfig:
     interference: InterferenceConfig
     doppler_span_hz: float
     doppler_oversample: int
-    clean_iterations: int
     denoise_quantile: float
     n_activities: int
     duration_s: float
@@ -260,7 +260,6 @@ def parse_config(data: dict) -> ExperimentConfig:
         interference=interference,
         doppler_span_hz=doppler_span_hz,
         doppler_oversample=get("processing.doppler_oversample", int, 4, low=1),
-        clean_iterations=get("processing.clean_iterations", int, 2, low=0),
         denoise_quantile=quantile,
         n_activities=n_activities,
         duration_s=duration_s,
@@ -340,12 +339,11 @@ def render_channels(cfg: ExperimentConfig, pose: PoseSequence, seed: int):
 
 
 def process_channel(cfg: ExperimentConfig, sur: BasebandSignal, ref: BasebandSignal,
-                    clean_iterations: int) -> Spectrogram:
-    """`spectrogram_pipeline` of one surveillance channel at the config's
-    processing settings, with `clean_iterations` CLEAN passes."""
+                    clean: bool) -> Spectrogram:
+    """`spectrogram_pipeline` of one surveillance channel at the config's processing
+    settings, frame-long CPIs, with one CLEAN pass when `clean` is set."""
     return spectrogram_pipeline(sur, ref, cpi_s=cfg.dt, doppler_span_hz=cfg.doppler_span_hz,
-                                doppler_oversample=cfg.doppler_oversample,
-                                clean_iterations=clean_iterations)
+                                doppler_oversample=cfg.doppler_oversample, clean=clean)
 
 
 def simulate_activity(cfg: ExperimentConfig, kind: ActivityKind, seed: int,
@@ -353,8 +351,8 @@ def simulate_activity(cfg: ExperimentConfig, kind: ActivityKind, seed: int,
     """Render one activity to its (pose, S, M, D) tuple."""
     pose = generate_activity(kind, cfg.duration_s, seed, dt=cfg.dt, start_xy=start_xy)
     ref, targets, full = render_channels(cfg, pose, seed)
-    s_spec = process_channel(cfg, targets, ref, 0)
-    m_spec = process_channel(cfg, full, ref, cfg.clean_iterations)
+    s_spec = process_channel(cfg, targets, ref, False)
+    m_spec = process_channel(cfg, full, ref, True)
     return pose, s_spec, m_spec, denoise(m_spec, cfg.denoise_quantile)
 
 

@@ -40,7 +40,6 @@ Moving scatterers are summed in one pass over all joints:
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -116,20 +115,6 @@ class BasebandSignal:
 
     def __len__(self) -> int:
         return len(self.samples)
-
-    def __getitem__(self, sl: slice) -> "BasebandSignal":
-        """Samples `sl` (a step-1 slice) as a signal of their own.
-
-        They were checked when this signal was built, so they are not scanned again.
-        """
-        if not isinstance(sl, slice):
-            raise TypeError(f"a signal is sliced with a slice, got {type(sl).__name__}")
-        start, stop, step = sl.indices(len(self.samples))
-        if step != 1:
-            raise ValueError(f"a signal slice takes every sample, got step {step}")
-        out = copy.copy(self)
-        out.samples = self.samples[start:stop]
-        return out
 
     @property
     def duration(self) -> float:

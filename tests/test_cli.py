@@ -84,6 +84,21 @@ def test_unknown_override_field_exits_2(config_file, tmp_path, capsys):
     assert not (tmp_path / "x.dpc").exists()
 
 
+@pytest.mark.parametrize("where", ["set", "file"])
+def test_removed_clean_iterations_exits_2(tmp_path, capsys, where):
+    # CLEAN is one pass, on M only: the pass count is no longer a setting
+    data = tiny_config_dict()
+    if where == "file":
+        data["processing"]["clean_iterations"] = 2
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(data))
+    extra = ["--set", "processing.clean_iterations=-1"] if where == "set" else []
+    rc = main(["build-dataset", "--config", str(path), *extra, "--out", str(tmp_path / "ds")])
+    assert rc == 2
+    assert "unknown config field processing.clean_iterations" in capsys.readouterr().err
+    assert not (tmp_path / "ds").exists()
+
+
 def test_config_setting_removed_cpi_exits_2(tmp_path, capsys):
     data = tiny_config_dict()
     data["processing"]["cpi_s"] = 0.1
@@ -154,7 +169,7 @@ def test_simulate_and_caf_write_the_harness_recipe(config_file, tmp_path):
         assert header["sample_rate_hz"] == want.sample_rate_hz
         assert "start_time_s" not in header
     spec = harness.process_channel(cfg, BasebandSignal.load(sigs / "sur.dpc"),
-                                   BasebandSignal.load(sigs / "ref.dpc"), cfg.clean_iterations)
+                                   BasebandSignal.load(sigs / "ref.dpc"), True)
     got, header = containers.read_array(spec_file, "spectrogram", lambda v, h: (v, h))
     assert np.array_equal(got, spec.values.astype(np.float32))
     assert header["dt"] == spec.dt
@@ -421,8 +436,7 @@ def test_bad_frame_step_exits_2_and_names_field(config_file, tmp_path, capsys, d
     assert not (tmp_path / "ds").exists()
 
 
-@pytest.mark.parametrize("setting", ["processing.clean_iterations=-1",
-                                     "training.opt.learning_rate=NaN",
+@pytest.mark.parametrize("setting", ["training.opt.learning_rate=NaN",
                                      "training.opt.window=1",
                                      "interference.noise_floor=NaN",
                                      "processing.doppler_oversample=0",

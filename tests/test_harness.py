@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dopplerpose import containers, harness
-from dopplerpose.caf import Spectrogram
+from dopplerpose.caf import Spectrogram, spectrogram_pipeline
 from dopplerpose.harness import ConfigError
 from dopplerpose.motion import (
     ActivityKind,
@@ -33,8 +33,7 @@ def tiny_config_dict(**overrides):
                          "clutter": [{"position": [2.5, 5.0, 0.5], "amplitude": 0.6}],
                          "multipath": [{"point": [3.5, 0, 0], "normal": [1, 0, 0],
                                         "amplitude": 0.25}]},
-        "processing": {"doppler_span_hz": 100.0,
-                       "doppler_oversample": 4, "clean_iterations": 2},
+        "processing": {"doppler_span_hz": 100.0, "doppler_oversample": 4},
         "denoise": {"quantile": 0.6},
         "dataset": {"n_activities": 6, "duration_s": 3.0, "dt": 0.1,
                     "kinds": ["W+", "SU", "HT"], "start_jitter_m": 0.2,
@@ -176,8 +175,7 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"^config field dataset.{key}: "):
             harness.parse_config(data)
 
-    @pytest.mark.parametrize("path, value", [("processing.clean_iterations", -1),
-                                             ("dataset.start_jitter_m", -1.0),
+    @pytest.mark.parametrize("path, value", [("dataset.start_jitter_m", -1.0),
                                              ("dataset.start_jitter_m", float("inf")),
                                              ("training.opt.n_pairs", 0),
                                              ("training.opt.n_pairs", -5),
@@ -194,11 +192,9 @@ class TestConfig:
 
     def test_zero_learning_rate_and_jitter_accepted(self):
         data = tiny_config_dict(**{"training.vel.learning_rate": 0.0,
-                                   "dataset.start_jitter_m": 0.0,
-                                   "processing.clean_iterations": 0})
+                                   "dataset.start_jitter_m": 0.0})
         cfg = harness.parse_config(data)
         assert cfg.vel_train.learning_rate == 0.0 and cfg.start_jitter_m == 0.0
-        assert cfg.clean_iterations == 0
 
     # A value is never converted: a fraction, a string or a bool for a number fails.
     BAD_TYPES = [("denoise.quantile", "lots"), ("training.vel.batch_size", "lots"),
@@ -229,7 +225,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("path", ["sede", "optimization.perod",
                                       "training.vel.epoch", "denoise.fixed_threshold",
-                                      "processing.cpi_s", "processing.delay_bins"])
+                                      "processing.cpi_s", "processing.delay_bins",
+                                      "processing.clean_iterations"])
     def test_unknown_field_named(self, path):
         data = tiny_config_dict()
         harness.apply_overrides(data, [f"{path}=2"])
@@ -347,15 +344,16 @@ class TestBuildDataset:
             for kind, err in reports[0].errors[variant].items():
                 assert np.array_equal(err, reports[1].errors[variant][kind])
 
-    def test_zero_interference_makes_m_equal_s(self, tmp_path):
+    def test_zero_interference_makes_m_equal_s(self):
+        # the full channel, processed like S (no CLEAN), adds nothing to S
         data = tiny_config_dict()
         data["interference"] = {"dsi_amplitude": 0.0, "noise_floor": 0.0}
-        data["processing"]["clean_iterations"] = 0
-        data["dataset"]["n_activities"] = 2
         cfg = harness.parse_config(data)
-        manifest = harness.build_dataset(cfg, tmp_path)
-        for entry in manifest["entries"]:
-            _, _, s, m, _ = harness.load_entry(tmp_path, entry)
+        for i, kind in enumerate(cfg.kinds[:2]):
+            pose, s, _, _ = harness.simulate_activity(cfg, kind, cfg.seed + i)
+            ref, _, full = harness.render_channels(cfg, pose, cfg.seed + i)
+            m = spectrogram_pipeline(full, ref, cpi_s=cfg.dt, doppler_span_hz=cfg.doppler_span_hz,
+                                     doppler_oversample=cfg.doppler_oversample, clean=False)
             assert np.abs(s.values - m.values).max() < 1e-6
 
     def test_spectrogram_columns_follow_frame_step(self, tmp_path):

@@ -2,8 +2,8 @@
 per-frame loops they replaced, kept here as oracles, bit for bit; `integrate`
 and `differentiate` as inverses up to float64 round-off; bit-exact container
 round trips, raw and through each array class's save/load; the CAF against
-its direct sum; CLEAN cancelling a single static path; and S not depending
-on the waveform at zero lag."""
+its direct sum, CPI by CPI; CLEAN cancelling a static path in every CPI; and
+S not depending on the waveform at zero lag."""
 
 import json
 import tempfile
@@ -55,10 +55,34 @@ def test_caf_equals_direct_sum(seed, n, oversample, fs, span_fraction):
     sur = BasebandSignal(rng.normal(size=n) + 1j * rng.normal(size=n), fs)
     ref = BasebandSignal(rng.normal(size=n) + 1j * rng.normal(size=n), fs)
     span = span_fraction * fs / 2.0
-    m = compute_caf(sur, ref, span, doppler_oversample=oversample)
+    m = compute_caf(sur, ref, cpi_s=n / fs, doppler_span_hz=span,
+                    doppler_oversample=oversample)
     assert np.abs(m.doppler_axis).max() <= span
     oracle = direct_caf(sur, ref, m.doppler_axis)
     assert np.abs(m.grid - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+
+@given(seed=SEEDS, n=st.integers(2, 120), n_cpi=st.integers(2, 6), tail=st.integers(0, 119),
+       oversample=st.integers(1, 4), span_fraction=st.floats(1e-3, 1.0 - 1e-9))
+@example(seed=0, n=160, n_cpi=5, tail=159, oversample=4, span_fraction=0.0125)
+@PROPERTY
+def test_every_cpi_row_is_the_direct_sum_of_its_slice(seed, n, n_cpi, tail, oversample,
+                                                      span_fraction):
+    """Row t of a multi-CPI `compute_caf` is the direct sum over CPI t's slice at
+    every kept bin; a ragged tail of fewer than n samples is dropped."""
+    fs = 16e3
+    rng = np.random.default_rng(seed)
+    size = n_cpi * n + tail % n
+    sur = BasebandSignal(rng.normal(size=size) + 1j * rng.normal(size=size), fs)
+    ref = BasebandSignal(rng.normal(size=size) + 1j * rng.normal(size=size), fs)
+    m = compute_caf(sur, ref, cpi_s=n / fs, doppler_span_hz=span_fraction * fs / 2.0,
+                    doppler_oversample=oversample)
+    assert m.grid.shape[0] == n_cpi
+    for t, row in enumerate(m.grid):
+        sl = slice(t * n, (t + 1) * n)
+        oracle = direct_caf(BasebandSignal(sur.samples[sl], fs),
+                            BasebandSignal(ref.samples[sl], fs), m.doppler_axis)[0]
+        assert np.abs(row - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
 
 def loop_integrate(p0, v):
@@ -228,12 +252,32 @@ def test_clean_cancels_a_scaled_reference(seed, n, log_mag, angle):
     ref = BasebandSignal(rng.normal(size=n) + 1j * rng.normal(size=n), 1e3)
     alpha = 10.0 ** log_mag * np.exp(1j * angle)
     sur = BasebandSignal(alpha * ref.samples, 1e3)
-    caf = compute_caf(sur, ref, 200.0)
-    out = clean_dsi(caf, self_caf(ref, 200.0), iterations=1)
+    kw = dict(cpi_s=n / 1e3, doppler_span_hz=200.0)
+    caf = compute_caf(sur, ref, **kw)
+    out = clean_dsi(caf, self_caf(ref, **kw))
     m0 = int(np.argmin(np.abs(caf.doppler_axis)))
     before = np.sum(np.abs(caf.grid[:, m0]) ** 2)
     after = np.sum(np.abs(out.grid[:, m0]) ** 2)
     assert after <= 1e-12 * before
+
+
+@PROPERTY
+@given(seed=SEEDS, n=st.integers(8, 200), n_cpi=st.integers(2, 8),
+       log_mag=st.lists(st.floats(-3.0, 3.0), min_size=8, max_size=8),
+       angle=st.lists(st.floats(-np.pi, np.pi), min_size=8, max_size=8))
+def test_clean_cancels_a_reference_scaled_anew_in_every_cpi(seed, n, n_cpi, log_mag, angle):
+    """sur_t = alpha_t * ref_t, with its own complex alpha_t in each CPI t: one
+    CLEAN pass maps every row to zeros within 1e-12 of that row's scale."""
+    rng = np.random.default_rng(seed)
+    ref = BasebandSignal(rng.normal(size=n_cpi * n) + 1j * rng.normal(size=n_cpi * n), 1e3)
+    alpha = 10.0 ** np.array(log_mag[:n_cpi]) * np.exp(1j * np.array(angle[:n_cpi]))
+    sur = BasebandSignal(np.repeat(alpha, n) * ref.samples, 1e3)
+    kw = dict(cpi_s=n / 1e3, doppler_span_hz=200.0)
+    caf = compute_caf(sur, ref, **kw)
+    out = clean_dsi(caf, self_caf(ref, **kw))
+    assert out.grid.shape == caf.grid.shape == (n_cpi, len(caf.doppler_axis))
+    for row, before in zip(out.grid, caf.grid):
+        assert np.abs(row).max() <= 1e-12 * np.abs(before).max()
 
 
 DEFAULT_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.json"
@@ -244,7 +288,8 @@ def zero_lag_s(cfg, u, pose):
     against the reference, with no CLEAN pass, as `simulate_activity` does."""
     targets, _ = synthesize_surveillance(u, pose, cfg.scatterer, cfg.geometry,
                                          InterferenceConfig(), 0)
-    return harness.process_channel(cfg, targets, synthesize_reference(u, cfg.geometry), 0).values
+    ref = synthesize_reference(u, cfg.geometry)
+    return harness.process_channel(cfg, targets, ref, False).values
 
 
 @pytest.mark.parametrize("bandwidth_hz", [2e3, 8e3, 16e3])
