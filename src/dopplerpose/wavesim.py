@@ -4,16 +4,19 @@ The surveillance channel is modeled as the sum of four terms: per-joint
 target returns with time-varying bistatic delay (whose carrier-phase rotation
 produces the micro-Doppler), single-bounce multipath ghosts via mirrored
 joint images, direct-signal interference, and static clutter returns, plus a
-white noise floor. The reference channel is a delayed, scaled copy of the
-transmitted waveform. `synthesize_surveillance` renders one scene: it
-returns the target returns alone (the clean channel) and their sum with the
-other terms (the full channel), so the joint tracks are interpolated and the
-targets rendered once for both.
+white noise floor, one draw for its real and imaginary parts. The reference
+channel is a delayed, scaled copy of the transmitted waveform.
+`synthesize_surveillance` renders one scene: it returns the target returns
+alone (the clean channel) and their sum with the other terms (the full
+channel), so the joint tracks are interpolated and the targets rendered once
+for both.
 
 Amplitudes follow a two-leg free-space law weight / (R_tx * R_rx) with a
 configurable path-loss exponent. Static paths (reference, DSI, clutter) have
 a constant delay: the waveform is shifted by whole samples and the fraction
-is a two-tap blend (linear interpolation), zero before the path arrives.
+is a two-tap blend (linear interpolation), zero before the path arrives. The
+paths that share a whole-sample shift are one two-tap filter, so DSI and the
+clutter reflectors cost a pass over the signal per distinct shift, not per path.
 
 Moving scatterers are summed in one pass over all joints:
 - Delay. A body-scale bistatic path is far shorter than c / fs (18.7 km at
@@ -35,7 +38,8 @@ Moving scatterers are summed in one pass over all joints:
   time (64 segments at 16 kHz), all joints at once, so the (samples x
   segments x joints) work arrays stay a few hundred kB: a whole-signal
   (samples x joints) complex array would be tens of MB and would raise the
-  peak memory of every dataset build.
+  peak memory of every dataset build. The work buffers are made once per
+  call and every block reuses them.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import containers
 from .motion import N_JOINTS, PoseSequence
@@ -94,8 +99,8 @@ class Geometry:
         self.tx_pos = _vector3("tx_pos", self.tx_pos)
         self.rx_sur_pos = _vector3("rx_sur_pos", self.rx_sur_pos)
         self.rx_ref_pos = _vector3("rx_ref_pos", self.rx_ref_pos)
-        if not self.carrier_hz > 0:
-            raise ValueError("carrier_hz must be positive")
+        if not 0 < self.carrier_hz < np.inf:
+            raise ValueError(f"carrier_hz must be positive and finite, got {self.carrier_hz}")
 
 
 @dataclass
@@ -202,26 +207,35 @@ def _path_amp(ranges: np.ndarray, exponent: float) -> np.ndarray:
     return np.maximum(ranges, _MIN_RANGE) ** (-exponent / 2.0)
 
 
-def _shifted(u: BasebandSignal, tau: float) -> np.ndarray:
-    """u delayed by a constant tau >= 0 s: 0 until the path arrives, then the
-    linear interpolation of u at t - tau (an integer shift plus a two-tap blend)."""
-    d = tau * u.sample_rate_hz
-    q = int(d)
-    frac = d - q
+def _static_paths(u: BasebandSignal, paths) -> np.ndarray:
+    """The sum of gain * u(t - tau) over static (gain, tau >= 0 s) paths: each
+    is 0 until it arrives, then the linear interpolation of u at t - tau.
+
+    The paths that share a whole-sample shift q are one two-tap filter over
+    (u[m - q - 1], u[m - q]); at sample q itself only those with no fraction
+    have arrived.
+    """
     x = u.samples
     n = len(x)
+    filters = {}  # q -> taps on u[m - q - 1] and u[m - q], gain arrived at sample q
+    for gain, tau in paths:
+        d = tau * u.sample_rate_hz
+        q = int(d)
+        frac = d - q
+        if q < n:
+            filters.setdefault(q, np.zeros(3, dtype=np.complex128))[:] += (
+                gain * frac, gain * (1.0 - frac), gain if frac == 0.0 else 0.0)
     out = np.zeros(n, dtype=np.complex128)
-    if q >= n:
-        return out
-    if frac == 0.0:
-        out[q:] = x[:n - q]
-    else:  # sample q lies before the arrival at q + frac
-        # x[m] + frac * (x[m - 1] - x[m]), in place: whole-signal temporaries
-        # cost more than the arithmetic
-        late = out[q + 1:]
-        np.subtract(x[:n - q - 1], x[1:n - q], out=late)
-        late *= frac
-        late += x[1:n - q]
+    for i, (q, taps) in enumerate(filters.items()):
+        if q + 1 < n:
+            pairs = sliding_window_view(x[:n - q], 2)
+            # The first filter writes its samples: adding them to fresh zeros
+            # would cost a whole-signal temporary.
+            if i == 0:
+                np.matmul(pairs, taps[:2], out=out[q + 1:])
+            else:
+                out[q + 1:] += pairs @ taps[:2]
+        out[q] += taps[2] * x[0]
     return out
 
 
@@ -252,7 +266,10 @@ def generate_waveform(bandwidth_hz: float, duration_s: float, sample_rate_hz: fl
     f_inst = np.repeat(freqs, hop_samples)[:n]
     phase = 2.0 * np.pi * np.cumsum(f_inst) / sample_rate_hz
     phase += rng.uniform(0.0, 2.0 * np.pi)
-    return BasebandSignal(np.exp(1j * phase), sample_rate_hz)
+    samples = np.empty(n, dtype=np.complex128)  # exp(1j * phase), with no complex temporary
+    np.cos(phase, out=samples.real)
+    np.sin(phase, out=samples.imag)
+    return BasebandSignal(samples, sample_rate_hz)
 
 
 def synthesize_reference(u: BasebandSignal, g: Geometry) -> BasebandSignal:
@@ -260,9 +277,8 @@ def synthesize_reference(u: BasebandSignal, g: Geometry) -> BasebandSignal:
     r = np.linalg.norm(g.tx_pos - g.rx_ref_pos)
     tau = r / C_LIGHT
     amp = _path_amp(np.array([r]), 2.0)[0] if r > 0 else 1.0
-    phase = np.exp(-2j * np.pi * g.carrier_hz * tau)
-    samples = amp * phase * _shifted(u, tau)
-    return BasebandSignal(samples, u.sample_rate_hz)
+    gain = amp * np.exp(-2j * np.pi * g.carrier_hz * tau)
+    return BasebandSignal(_static_paths(u, [(gain, tau)]), u.sample_rate_hz)
 
 
 def _ranges(x: np.ndarray, point: np.ndarray) -> np.ndarray:
@@ -310,9 +326,15 @@ def _target_returns(u: BasebandSignal, coarse_t: np.ndarray, positions: np.ndarr
     # A knot spacing is never shorter than 1 / fs (see `_coarse_grid`), so no
     # segment is empty.
     first = np.append(np.searchsorted(u.times(), coarse_t[:-1], side="left"), n)
-    per_block = max(1, _BLOCK // int(np.diff(first).max()))
+    longest = int(np.diff(first).max())
+    per_block = max(1, _BLOCK // longest)
     rot = -2j * np.pi * g.carrier_hz / fs  # phase per sample of delay
     us = u.samples
+    # Work buffers of the largest block, made once; a block uses their leading
+    # rows. The weights' off-diagonal blocks stay zero.
+    phasors = np.empty((longest, per_block, delay.shape[1]), dtype=np.complex128)
+    blocks = np.zeros((per_block, delay.shape[1], 2, 5, 2))
+    coeffs = np.empty((per_block, longest, 10))
     for k0 in range(0, len(coarse_t) - 1, per_block):
         k1 = min(k0 + per_block, len(coarse_t) - 1)
         i0, i1 = first[k0], first[k1]
@@ -330,7 +352,7 @@ def _target_returns(u: BasebandSignal, coarse_t: np.ndarray, positions: np.ndarr
         ad = rise_a / (seg_len * fs)[:, None]
         # Carrier phasor exp(rot * (g0 + m gd)) = exp(rot g0) * r**m, samples
         # first, by doubling: rows m < f times r**f fill rows f..2f - 1.
-        phasor = np.empty(m.shape + g0.shape, dtype=np.complex128)
+        phasor = phasors[:len(m), :len(g0)]
         phasor[0] = np.exp(rot * g0)
         r = np.exp(rot * gd)
         done = 1
@@ -343,12 +365,11 @@ def _target_returns(u: BasebandSignal, coarse_t: np.ndarray, positions: np.ndarr
         # buffer viewed as (segment, sample, joint x re/im) reals, times
         # block-diagonal weights (joint x re/im, coefficient x re/im) that
         # sum the real and imaginary parts alike.
-        w = np.stack([a0, ad, a0 * g0, a0 * gd + ad * g0, ad * gd], axis=2)
-        blocks = np.zeros(w.shape[:2] + (2, 5, 2))
-        blocks[:, :, 0, :, 0] = w
-        blocks[:, :, 1, :, 1] = w
-        c = np.matmul(phasor.view(np.float64).transpose(1, 0, 2),
-                      blocks.reshape(len(w), -1, 10)).view(np.complex128)
+        w = blocks[:len(g0)]
+        w[:, :, 0, :, 0] = w[:, :, 1, :, 1] = np.stack(
+            [a0, ad, a0 * g0, a0 * gd + ad * g0, ad * gd], axis=2)
+        c = np.matmul(phasor.view(np.float64).transpose(1, 0, 2), w.reshape(len(w), -1, 10),
+                      out=coeffs[:len(w), :len(m)]).view(np.complex128)
         s0 = c[..., 0] + m * c[..., 1]
         s1 = c[..., 2] + m * (c[..., 3] + m * c[..., 4])
         inside = m < count[:, None]
@@ -406,31 +427,37 @@ def synthesize_surveillance(u: BasebandSignal, p: PoseSequence, sc: ScattererMod
     coarse_t, tracks = _coarse_tracks(u, p)
     targets = _target_returns(u, coarse_t, tracks, sc.joint_weights,
                               sc.path_loss_exponent, g)
-    total = targets.copy()
-
+    # The mirror returns are rendered first and become the full channel: their
+    # block loop is the scene's memory peak, and no other whole-signal array of
+    # the full channel is alive while it runs.
     if ic.multipath:
         images = np.concatenate([plane.reflect(tracks) for plane in ic.multipath], axis=1)
         weights = np.concatenate([plane.amplitude * sc.joint_weights
                                   for plane in ic.multipath])
-        total += _target_returns(u, coarse_t, images, weights, sc.path_loss_exponent, g)
+        total = _target_returns(u, coarse_t, images, weights, sc.path_loss_exponent, g)
+        total += targets
+    else:
+        total = targets.copy()
 
+    paths = []  # (gain, delay) of DSI and the clutter reflectors
     if ic.dsi_amplitude > 0:
         tau = np.linalg.norm(g.tx_pos - g.rx_sur_pos) / C_LIGHT
-        total += ic.dsi_amplitude * np.exp(-2j * np.pi * g.carrier_hz * tau) * _shifted(u, tau)
-
+        paths.append((ic.dsi_amplitude * np.exp(-2j * np.pi * g.carrier_hz * tau), tau))
     for cl in ic.clutter:
         r1 = np.linalg.norm(cl.position - g.tx_pos)
         r2 = np.linalg.norm(cl.position - g.rx_sur_pos)
         tau = (r1 + r2) / C_LIGHT
         amp = cl.amplitude * float(_path_amp(np.array([r1]), sc.path_loss_exponent)[0]
                                    * _path_amp(np.array([r2]), sc.path_loss_exponent)[0])
-        total += amp * np.exp(-2j * np.pi * g.carrier_hz * tau) * _shifted(u, tau)
+        paths.append((amp * np.exp(-2j * np.pi * g.carrier_hz * tau), tau))
+    total += _static_paths(u, paths)
 
     if ic.noise_floor > 0:
-        rng = np.random.default_rng(noise_seed)
-        scale = ic.noise_floor / np.sqrt(2.0)
-        total += rng.normal(scale=scale, size=len(u)) \
-            + 1j * rng.normal(scale=scale, size=len(u))
+        # one draw, the bits of a `normal` draw for the real part then one for the imaginary
+        noise = np.random.default_rng(noise_seed).standard_normal((2, len(u)))
+        noise *= ic.noise_floor / np.sqrt(2.0)
+        total.real += noise[0]
+        total.imag += noise[1]
 
     return BasebandSignal(targets, u.sample_rate_hz), BasebandSignal(total, u.sample_rate_hz)
 

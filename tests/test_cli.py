@@ -442,7 +442,8 @@ def test_bad_frame_step_exits_2_and_names_field(config_file, tmp_path, capsys, d
                                      "processing.doppler_oversample=0",
                                      "seed=-1",
                                      "dataset.kinds=[]",
-                                     "optimization.period=1"])
+                                     "optimization.period=1",
+                                     "geometry.carrier_hz=Infinity"])
 def test_out_of_range_setting_exits_2_and_names_field(config_file, tmp_path, capsys,
                                                       setting):
     rc = main(["build-dataset", "--config", str(config_file), "--set", setting,

@@ -21,7 +21,7 @@ from dopplerpose.wavesim import (
     _joint_tracks,
     _path_amp,
     _ranges,
-    _shifted,
+    _static_paths,
     _target_returns,
     bistatic_doppler,
     generate_waveform,
@@ -46,6 +46,13 @@ def interp_delayed(u, query_times):
     grid = u.times()
     return (np.interp(query_times, grid, u.samples.real, left=0.0, right=0.0)
             + 1j * np.interp(query_times, grid, u.samples.imag, left=0.0, right=0.0))
+
+
+def interp_static_paths(u, paths):
+    """Oracle: the sum over static (gain, tau) paths of gain times the waveform
+    interpolated at t - tau, one `interp_delayed` per path."""
+    return sum((gain * interp_delayed(u, u.times() - tau) for gain, tau in paths),
+               np.zeros(len(u), dtype=np.complex128))
 
 
 def interp_joint_tracks(p, times):
@@ -165,6 +172,20 @@ class TestGenerateWaveform:
         in_band = spec[np.abs(freqs) <= 10e6].sum() / spec.sum()
         assert in_band >= 0.90
 
+    @pytest.mark.parametrize("seed", [0, 7, 123])
+    def test_is_the_exponential_of_its_phase(self, seed):
+        """exp(1j * phase) of the generator's own draws: hop frequencies, then
+        the starting phase."""
+        fs, bandwidth, n = 16e3, 8e3, 4001
+        u = generate_waveform(bandwidth, n / fs, fs, seed=seed)
+        rng = np.random.default_rng(seed)
+        hop = int(round(8.0 * fs / bandwidth))
+        freqs = rng.uniform(-bandwidth / 2.0, bandwidth / 2.0, size=n // hop + 1)
+        phase = 2.0 * np.pi * np.cumsum(np.repeat(freqs, hop)[:n]) / fs
+        phase += rng.uniform(0.0, 2.0 * np.pi)
+        assert len(u) == n
+        assert np.abs(u.samples - np.exp(1j * phase)).max() <= 1e-15
+
     def test_rejects_bandwidth_over_sample_rate(self):
         with pytest.raises(ValueError):
             generate_waveform(60e6, 0.001, 50e6, seed=0)
@@ -201,6 +222,14 @@ class TestSynthesizeReference:
             xc = [np.vdot(u.samples[: len(u) - k], ref.samples[k:]) for k in lags]
             expect = int(round(dist / C_LIGHT * fs))
             assert abs(int(np.argmax(np.abs(xc))) - expect) <= 1
+
+
+class TestGeometry:
+    @pytest.mark.parametrize("carrier_hz", [0.0, -5.8e9, np.inf, np.nan])
+    def test_rejects_a_carrier_that_is_not_positive_and_finite(self, carrier_hz):
+        with pytest.raises(ValueError, match="carrier_hz must be positive and finite"):
+            Geometry(tx_pos=[0, 0, 0], rx_sur_pos=[5, 0, 0], rx_ref_pos=[0, 1, 0],
+                     carrier_hz=carrier_hz)
 
 
 class TestBistaticDoppler:
@@ -283,6 +312,24 @@ class TestSynthesizeSurveillance:
                    for s in (3, 3, 4))
         assert np.array_equal(a.samples, b.samples)
         assert not np.array_equal(a.samples, c.samples)
+
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    @pytest.mark.parametrize("duration", [1e-3, 0.0123, 0.05])
+    def test_noise_is_two_normal_draws(self, seed, duration):
+        """The noise is a `normal` draw for the real part and then one for the
+        imaginary part from `noise_seed`, bit for bit."""
+        u = self._waveform(dur=duration)
+        pose = single_scatterer_pose([1, 4, 1], [0.4, -0.5, 0])
+        ic = InterferenceConfig(noise_floor=0.3)
+        rng = np.random.default_rng(seed)
+        scale = 0.3 / np.sqrt(2.0)
+        noise = rng.normal(scale=scale, size=len(u)) + 1j * rng.normal(scale=scale, size=len(u))
+        silent = ScattererModel(joint_weights=np.zeros(N_JOINTS))
+        targets, full = synthesize_surveillance(u, pose, silent, self.GEOM, ic, seed)
+        assert np.array_equal(full.samples - targets.samples, noise)
+        targets, full = synthesize_surveillance(u, pose, ScattererModel(), self.GEOM, ic, seed)
+        assert targets.samples.any()
+        assert np.array_equal(full.samples, targets.samples + noise)
 
     def test_rejects_pose_shorter_than_signal(self):
         u = generate_waveform(4e4, 1.0, self.FS, seed=0)
@@ -442,7 +489,7 @@ class TestSegmentMajorTargets:
 
         new = render()
         monkeypatch.setattr(wavesim, "_target_returns", blocked_target_returns)
-        monkeypatch.setattr(wavesim, "_shifted", lambda u, tau: interp_delayed(u, u.times() - tau))
+        monkeypatch.setattr(wavesim, "_static_paths", interp_static_paths)
         monkeypatch.setattr(wavesim, "_joint_tracks", interp_joint_tracks)
         old = render()
         for a, b in zip(new, old):
@@ -450,22 +497,52 @@ class TestSegmentMajorTargets:
                 assert np.abs(spec_new.values - spec_old.values).max() <= 1e-9
 
 
+def forty_samples():
+    # A power-of-two rate keeps t - tau exact for whole-sample and dyadic
+    # delays, so the oracle's `left=0` edge falls where the closed form puts it.
+    fs = 8192.0
+    return generate_waveform(4e3, 40 / fs, fs, seed=2)
+
+
 class TestShifted:
-    # A power-of-two rate keeps t - tau exact for whole-sample delays,
-    # so the oracle's `left=0` edge falls where the closed form puts it.
-    FS = 8192.0
+    """One static path through `_static_paths`."""
 
     @pytest.mark.parametrize("samples", [0.0, 1.0, 7.0, 1e-3, 0.5, 2.37, 6.999, 39.5, 40.0, 500.0])
     def test_matches_interpolation(self, samples):
-        u = generate_waveform(4e3, 40 / self.FS, self.FS, seed=2)  # 40 samples
-        tau = samples / self.FS
-        got = _shifted(u, tau)
+        u = forty_samples()
+        tau = samples / u.sample_rate_hz
+        got = _static_paths(u, [(1.0, tau)])
         want = interp_delayed(u, u.times() - tau)
-        assert np.abs(got - want).max() <= 1e-11
+        assert np.abs(got - want).max() <= 1e-14
         # nothing before the path arrives; a delay past the end leaves only zeros
         arrived = u.times() >= tau * (1 - 1e-12)
         assert not got[~arrived].any()
         assert np.abs(got[arrived]).min(initial=1.0) > 0.0
+
+
+class TestStaticPaths:
+    """Several static paths through `_static_paths`: one two-tap filter per
+    whole-sample shift against one interpolation per path."""
+
+    @pytest.mark.parametrize("delays", [
+        [0.25, 0.5, 0.375],  # fractional, one shift
+        [3.0, 3.5],  # a whole-sample and a fractional delay sharing shift 3
+        [1.25, 7.0, 12.75, 7.5, 0.0],  # several shifts, some shared
+        [12.5, 0.25],  # the first filter has the later shift
+        [40.0, 500.5, 2.5, 39.5],  # shifts at and past the end, and one inside
+        [],
+    ], ids=["fractional", "whole-and-fraction", "shifts", "later-first", "past-end", "none"])
+    def test_paths_match_summed_interpolation(self, delays):
+        u = forty_samples()
+        gains = np.random.default_rng(len(delays)).normal(size=(len(delays), 2)) @ [1, 1j]
+        paths = [(g, d / u.sample_rate_hz) for g, d in zip(gains, delays)]
+        got = _static_paths(u, paths)
+        want = interp_static_paths(u, paths)
+        assert got.shape == want.shape == (len(u),)
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max(initial=0.0)
+        # before the earliest arrival there is nothing at all
+        first = min((int(np.ceil(d)) for d in delays), default=len(u))
+        assert not got[:first].any()
 
 
 class TestJointTracks:
