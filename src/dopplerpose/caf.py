@@ -5,8 +5,8 @@ and micro-Doppler spectrogram assembly, in one batched pass per capture.
 and returns the zero-lag cut of each CPI's cross-ambiguity function: one row
 over Doppler per CPI. Range resolution at WiFi bandwidths cannot separate
 body parts, and every path of a room-scale scene is far shorter than one
-sample (c/fs is 18.7 km at 16 kHz; `wavesim` rejects a target path of a
-sample or more), so the target returns and the direct signal that CLEAN
+sample (c/fs is 18.7 km at 16 kHz; `wavesim` rejects any path of a sample
+or more), so the target returns and the direct signal that CLEAN
 cancels all sit at lag 0. `clean_dsi` cancels every row at once, and
 `assemble_spectrogram` makes each row's magnitudes one spectrogram column.
 
@@ -78,7 +78,7 @@ class Spectrogram:
     """Doppler x time magnitude map, max-normalized to [0, 1]."""
 
     values: np.ndarray        # (doppler_bins, T) non-negative
-    doppler_axis: np.ndarray  # hertz
+    doppler_axis: np.ndarray  # hertz, strictly increasing and symmetric around 0
     dt: float                 # seconds per column
 
     def __post_init__(self):
@@ -90,6 +90,8 @@ class Spectrogram:
                 f"{self.doppler_axis.size} Doppler bins")
         if not ((self.values >= 0) & (self.values < np.inf)).all():
             raise ValueError("spectrogram values must be finite and non-negative")
+        if not (self.doppler_axis[1:] > self.doppler_axis[:-1]).all():
+            raise ValueError("doppler_axis must be strictly increasing")
         if not np.allclose(self.doppler_axis, -self.doppler_axis[::-1], atol=1e-6):
             raise ValueError("doppler_axis must be symmetric around 0")
         if not 0 < self.dt < np.inf:
@@ -153,6 +155,23 @@ def _plan(n: int, oversample: int, fs: float, span: float):
     return tables
 
 
+def _cpi_plan(cpi_s: float, fs: float, doppler_span_hz, doppler_oversample: int):
+    """The samples of one CPI and `_plan`'s tables for them, the settings checked."""
+    if doppler_oversample < 1:
+        raise ValueError("doppler_oversample must be >= 1")
+    span = check_doppler_span(doppler_span_hz, fs)
+    n = int(round(cpi_s * fs))
+    if n < 2:
+        raise ValueError("CPI too short for this sample rate")
+    return n, _plan(n, doppler_oversample, fs, span)
+
+
+def doppler_axis(*, cpi_s: float, sample_rate_hz: float, doppler_span_hz: float,
+                 doppler_oversample: int = 1) -> np.ndarray:
+    """The read-only Doppler axis of every map `compute_caf` makes at these settings."""
+    return _cpi_plan(cpi_s, sample_rate_hz, doppler_span_hz, doppler_oversample)[1][2]
+
+
 def compute_caf(sur: BasebandSignal, ref: BasebandSignal, *, cpi_s: float,
                 doppler_span_hz: float, doppler_oversample: int = 1) -> CafMap:
     """Row t: sum_i sur(tn + i) conj(ref(tn + i)) exp(-j 2 pi f i / fs) over the
@@ -166,23 +185,17 @@ def compute_caf(sur: BasebandSignal, ref: BasebandSignal, *, cpi_s: float,
             f"sample rates differ: {sur.sample_rate_hz:g} vs {ref.sample_rate_hz:g}")
     if len(sur) != len(ref):
         raise ValueError(f"signal lengths differ: {len(sur)} vs {len(ref)}")
-    if doppler_oversample < 1:
-        raise ValueError("doppler_oversample must be >= 1")
-    fs = sur.sample_rate_hz
-    span = check_doppler_span(doppler_span_hz, fs)
-    n = int(round(cpi_s * fs))
-    if n < 2:
-        raise ValueError("CPI too short for this sample rate")
+    n, (inner, twiddle, axis) = _cpi_plan(cpi_s, sur.sample_rate_hz, doppler_span_hz,
+                                          doppler_oversample)
     n_cpi = len(sur) // n
     if n_cpi < 1:
         raise ValueError("signal shorter than one CPI")
-    inner, twiddle, doppler_axis = _plan(n, doppler_oversample, fs, span)
 
     prod = sur.samples[:n_cpi * n] * np.conj(ref.samples[:n_cpi * n])
     # sample p*n1 + q of CPI t sits at [t, p, q]: (K, n2) @ (T, n2, n1) -> (T, K, n1)
     partial = inner.T @ prod.reshape(n_cpi, -1, len(twiddle))
     partial *= twiddle.T
-    return CafMap(partial.sum(axis=2), doppler_axis, n / fs)
+    return CafMap(partial.sum(axis=2), axis, n / sur.sample_rate_hz)
 
 
 def self_caf(ref: BasebandSignal, *, cpi_s: float, doppler_span_hz: float,

@@ -27,7 +27,7 @@ from .denoise import denoise
 from .harness import ConfigError, load_config
 from .motion import PoseSequence
 from .poseopt import OptModel
-from .velest import VelModel
+from .velest import VelModel, feature_width
 from .wavesim import BasebandSignal
 
 
@@ -96,6 +96,11 @@ def cmd_build_dataset(args) -> int:
     if not harness.dataset_split(cfg)[1]:
         raise ConfigError(f"dataset.n_activities={cfg.n_activities} with dataset.train_fraction="
                           f"{cfg.train_fraction} leaves no test entry")
+    try:
+        feature_width(harness.doppler_bins(cfg))
+    except ValueError as exc:
+        raise ConfigError(f"config field processing.doppler_span_hz: at "
+                          f"{cfg.doppler_span_hz:g} Hz, {exc}") from None
     manifest = harness.build_dataset(cfg, args.out)
     print(f"wrote {len(manifest['entries'])} activities "
           f"({len(manifest['split']['train'])} train / "

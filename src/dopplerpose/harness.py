@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .caf import Spectrogram, check_doppler_span, spectrogram_pipeline
+from .caf import Spectrogram, check_doppler_span, doppler_axis, spectrogram_pipeline
 from .denoise import denoise
 from .motion import (
     ActivityKind,
@@ -346,6 +346,13 @@ def process_channel(cfg: ExperimentConfig, sur: BasebandSignal, ref: BasebandSig
                                 doppler_oversample=cfg.doppler_oversample, clean=clean)
 
 
+def doppler_bins(cfg: ExperimentConfig) -> int:
+    """The Doppler bins of every spectrogram `process_channel` makes."""
+    return len(doppler_axis(cpi_s=cfg.dt, sample_rate_hz=cfg.sample_rate_hz,
+                            doppler_span_hz=cfg.doppler_span_hz,
+                            doppler_oversample=cfg.doppler_oversample))
+
+
 def simulate_activity(cfg: ExperimentConfig, kind: ActivityKind, seed: int,
                       start_xy=(0.0, 0.0)):
     """Render one activity to its (pose, S, M, D) tuple."""
@@ -392,7 +399,6 @@ def build_dataset(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
         files = {key: f"act_{i:04d}_{key}.dpc" for key in ENTRY_FILES}
         for key, item in zip(ENTRY_FILES, (pose, s_spec, m_spec, d_spec)):
             item.save(out / files[key])
-        doppler_bins = s_spec.values.shape[0]  # the same for every activity of one config
         entries.append({
             "index": i, "kind": kind.value, "seed": act_seed,
             "T": len(pose), "dt": cfg.dt, "files": files,
@@ -402,7 +408,7 @@ def build_dataset(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "seed": cfg.seed,
-        "doppler_bins": doppler_bins,
+        "doppler_bins": doppler_bins(cfg),
         "entries": entries,
         "split": {"train": train_idx, "test": test_idx},
     }

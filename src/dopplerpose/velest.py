@@ -29,6 +29,20 @@ from .nncore import Tensor
 from .nncore import tensor as ops
 
 OUTPUT_DIM = N_JOINTS * 3  # 51
+_TAPS, _STRIDE = 5, 2  # of each of the three convolutions
+
+
+def feature_width(doppler_bins: int) -> int:
+    """The width the conv stack leaves of `doppler_bins` input bins; a stack
+    that leaves none is a ValueError naming the least count it takes."""
+    width, least = doppler_bins, 1
+    for _ in range(3):
+        width = (width - _TAPS) // _STRIDE + 1
+        least = (least - 1) * _STRIDE + _TAPS
+    if width < 1:
+        raise ValueError(f"{doppler_bins} Doppler bins are too few for the conv stack; "
+                         f"need at least {least}")
+    return width
 
 
 @dataclass
@@ -55,22 +69,14 @@ class VelModel:
     def __init__(self, doppler_bins: int, *, seed: int = 0, dtype=np.float32):
         rng = np.random.default_rng(seed)
         self.doppler_bins = int(doppler_bins)
-        self.conv1 = nn.Conv1d(1, 32, 5, stride=2, rng=rng, dtype=dtype)
+        self.feat_width = feature_width(self.doppler_bins)
+        self.conv1 = nn.Conv1d(1, 32, _TAPS, stride=_STRIDE, rng=rng, dtype=dtype)
         self.bn1 = nn.BatchNorm1d(32, dtype=dtype)
-        self.conv2 = nn.Conv1d(32, 64, 5, stride=2, rng=rng, dtype=dtype)
+        self.conv2 = nn.Conv1d(32, 64, _TAPS, stride=_STRIDE, rng=rng, dtype=dtype)
         self.bn2 = nn.BatchNorm1d(64, dtype=dtype)
-        self.conv3 = nn.Conv1d(64, 64, 5, stride=2, rng=rng, dtype=dtype)
+        self.conv3 = nn.Conv1d(64, 64, _TAPS, stride=_STRIDE, rng=rng, dtype=dtype)
         self.bn3 = nn.BatchNorm1d(64, dtype=dtype)
-
-        w = doppler_bins
-        for conv in (self.conv1, self.conv2, self.conv3):
-            w = conv.out_width(w)
-            if w < 1:
-                raise ValueError(
-                    f"{doppler_bins} Doppler bins are too few for the conv stack; "
-                    f"need at least 29")
-        self.feat_width = w
-        self.lstm = nn.LSTM(64 * w, 64, num_layers=2, bidirectional=True,
+        self.lstm = nn.LSTM(64 * self.feat_width, 64, num_layers=2, bidirectional=True,
                             rng=rng, dtype=dtype)
         self.fc1 = nn.Linear(128, 128, rng=rng, dtype=dtype)
         self.bn_fc = nn.BatchNorm1d(128, dtype=dtype)

@@ -12,19 +12,16 @@ channel), so the joint tracks are interpolated and the targets rendered once
 for both.
 
 Amplitudes follow a two-leg free-space law weight / (R_tx * R_rx) with a
-configurable path-loss exponent. Static paths (reference, DSI, clutter) have
-a constant delay: the waveform is shifted by whole samples and the fraction
-is a two-tap blend (linear interpolation), zero before the path arrives. The
-paths that share a whole-sample shift are one two-tap filter, so DSI and the
-clutter reflectors cost a pass over the signal per distinct shift, not per path.
+configurable path-loss exponent. Every path of a scene is far shorter than
+c / fs (18.7 km at 16 kHz): its delay d = tau*fs is under one sample, the
+waveform at t - tau is the two-tap blend (1 - d)*u[m] + d*u[m-1] (u[-1] = 0),
+and `_check_sub_sample` rejects a longer path rather than render it wrong.
+The static paths (reference, DSI, clutter) sum their taps into one filter.
 
 Moving scatterers are summed in one pass over all joints:
-- Delay. A body-scale bistatic path is far shorter than c / fs (18.7 km at
-  16 kHz), so its delay is a fraction of one sample and the interpolated
-  waveform is the two-tap blend u[n] - tau*fs * (u[n] - u[n-1]). The
-  weighted phasors are summed over joints with and without the tau*fs
-  factor and blended with u once. A path that reaches one sample of delay is
-  rejected rather than rendered wrong.
+- Delay. The blend u[n] - tau*fs * (u[n] - u[n-1]) is linear in the delay:
+  the weighted phasors are summed over joints with and without the tau*fs
+  factor and blended with u once.
 - Phase. Delay and amplitude are linear between the 500 Hz coarse knots, so
   at sample offset m inside a knot segment they are g0 + m*gd and a0 + m*ad,
   and the carrier phasor exp(-j 2 pi f_c tau) is exp(rot*g0) * r**m with
@@ -207,35 +204,38 @@ def _path_amp(ranges: np.ndarray, exponent: float) -> np.ndarray:
     return np.maximum(ranges, _MIN_RANGE) ** (-exponent / 2.0)
 
 
-def _static_paths(u: BasebandSignal, paths) -> np.ndarray:
-    """The sum of gain * u(t - tau) over static (gain, tau >= 0 s) paths: each
-    is 0 until it arrives, then the linear interpolation of u at t - tau.
+def _check_sub_sample(path: str, delay: float, fs: float) -> None:
+    """Every path is rendered as a blend of two adjacent samples: a delay of
+    one sample or more (a path of c/fs) is a ValueError naming `path`."""
+    if delay >= 1.0:
+        raise ValueError(
+            f"{path} of {delay * C_LIGHT / fs:.1f} m delays the return by {delay:.3g} "
+            f"samples at {fs:g} Hz; the sub-sample delay model needs paths shorter than "
+            f"c/fs = {C_LIGHT / fs:.1f} m")
 
-    The paths that share a whole-sample shift q are one two-tap filter over
-    (u[m - q - 1], u[m - q]); at sample q itself only those with no fraction
-    have arrived.
+
+def _static_path(path: str, length: float, amp: float, fs: float, g: Geometry):
+    """The (gain, tau) of a static path `length` m long, checked to be sub-sample."""
+    tau = length / C_LIGHT
+    _check_sub_sample(path, tau * fs, fs)
+    return amp * np.exp(-2j * np.pi * g.carrier_hz * tau), tau
+
+
+def _static_paths(u: BasebandSignal, paths) -> np.ndarray:
+    """The sum of gain * u(t - tau) over sub-sample (gain, tau) paths: each is
+    the blend gain * ((1 - d) u[m] + d u[m - 1]), d = tau * fs, with u[-1]
+    taken as 0, so only the zero-delay paths have arrived at sample 0. The
+    taps of all paths sum into one two-tap filter.
     """
     x = u.samples
-    n = len(x)
-    filters = {}  # q -> taps on u[m - q - 1] and u[m - q], gain arrived at sample q
+    taps = np.zeros(3, dtype=np.complex128)  # on u[m - 1] and u[m]; gain arrived at sample 0
     for gain, tau in paths:
         d = tau * u.sample_rate_hz
-        q = int(d)
-        frac = d - q
-        if q < n:
-            filters.setdefault(q, np.zeros(3, dtype=np.complex128))[:] += (
-                gain * frac, gain * (1.0 - frac), gain if frac == 0.0 else 0.0)
-    out = np.zeros(n, dtype=np.complex128)
-    for i, (q, taps) in enumerate(filters.items()):
-        if q + 1 < n:
-            pairs = sliding_window_view(x[:n - q], 2)
-            # The first filter writes its samples: adding them to fresh zeros
-            # would cost a whole-signal temporary.
-            if i == 0:
-                np.matmul(pairs, taps[:2], out=out[q + 1:])
-            else:
-                out[q + 1:] += pairs @ taps[:2]
-        out[q] += taps[2] * x[0]
+        taps += (gain * d, gain * (1.0 - d), gain if d == 0.0 else 0.0)
+    out = np.zeros(len(x), dtype=np.complex128)
+    if len(x) > 1:  # sliding_window_view needs both taps' samples
+        np.matmul(sliding_window_view(x, 2), taps[:2], out=out[1:])
+    out[:1] += taps[2] * x[:1]
     return out
 
 
@@ -248,9 +248,10 @@ def generate_waveform(bandwidth_hz: float, duration_s: float, sample_rate_hz: fl
     samples, which keeps |u(t)| = 1 exactly while filling the band. A hop
     that long keeps each burst much narrower than the band.
 
-    Delay sidelobes of the self-ambiguity are noise-level (~1/sqrt(N)) only
-    for near-full-band waveforms; at bandwidth << sample rate the first lags
-    follow the sinc autocorrelation of any band-limited signal.
+    The CAF reads the channels at zero lag only, where |u|^2 = 1: with every
+    path sub-sample, the waveform cancels from each product sur * conj(ref)
+    up to the delay blend's u[m - 1] term, so the band and the hops reach a
+    spectrogram only through that small term.
     """
     if not 0 < bandwidth_hz <= sample_rate_hz:
         raise ValueError(
@@ -275,10 +276,9 @@ def generate_waveform(bandwidth_hz: float, duration_s: float, sample_rate_hz: fl
 def synthesize_reference(u: BasebandSignal, g: Geometry) -> BasebandSignal:
     """Reference channel: path-loss-scaled copy of u delayed by the tx->ref leg."""
     r = np.linalg.norm(g.tx_pos - g.rx_ref_pos)
-    tau = r / C_LIGHT
     amp = _path_amp(np.array([r]), 2.0)[0] if r > 0 else 1.0
-    gain = amp * np.exp(-2j * np.pi * g.carrier_hz * tau)
-    return BasebandSignal(_static_paths(u, [(gain, tau)]), u.sample_rate_hz)
+    path = _static_path("the reference path", r, amp, u.sample_rate_hz, g)
+    return BasebandSignal(_static_paths(u, [path]), u.sample_rate_hz)
 
 
 def _ranges(x: np.ndarray, point: np.ndarray) -> np.ndarray:
@@ -312,12 +312,8 @@ def _target_returns(u: BasebandSignal, coarse_t: np.ndarray, positions: np.ndarr
     r1 = _ranges(x, g.tx_pos)
     r2 = _ranges(x, g.rx_sur_pos)
     delay = (r1 + r2) * (fs / C_LIGHT)  # samples
-    if delay.max() >= 1.0:
-        raise ValueError(
-            f"a target path of {delay.max() * C_LIGHT / fs:.1f} m delays the return by "
-            f"{delay.max():.3g} samples at {fs:g} Hz; the sub-sample delay model needs "
-            f"paths shorter than c/fs = {C_LIGHT / fs:.1f} m (tx {g.tx_pos.tolist()}, "
-            f"rx {g.rx_sur_pos.tolist()})")
+    _check_sub_sample(f"a target path from tx {g.tx_pos.tolist()} to rx "
+                      f"{g.rx_sur_pos.tolist()}", delay.max(), fs)
     amp = weights[keep] * _path_amp(r1, exponent) * _path_amp(r2, exponent)
     # The block loop is an activity's peak memory: drop what it does not read.
     del x, r1, r2
@@ -422,8 +418,20 @@ def synthesize_surveillance(u: BasebandSignal, p: PoseSequence, sc: ScattererMod
 
     `targets` holds the live-target returns alone; `full` adds multipath,
     DSI, clutter and noise from `ic` to them, the noise drawn from
-    `noise_seed`. With an empty `ic` the two are equal.
+    `noise_seed`. With an empty `ic` the two are equal. A static path of a
+    sample or more is rejected before anything is rendered.
     """
+    fs = u.sample_rate_hz
+    paths = []  # (gain, tau) of DSI and the clutter reflectors
+    if ic.dsi_amplitude > 0:
+        paths.append(_static_path("the direct path", np.linalg.norm(g.tx_pos - g.rx_sur_pos),
+                                  ic.dsi_amplitude, fs, g))
+    for i, cl in enumerate(ic.clutter):
+        r1 = np.linalg.norm(cl.position - g.tx_pos)
+        r2 = np.linalg.norm(cl.position - g.rx_sur_pos)
+        amp = cl.amplitude * float(_path_amp(np.array([r1, r2]), sc.path_loss_exponent).prod())
+        paths.append(_static_path(f"the path via clutter {i}", r1 + r2, amp, fs, g))
+
     coarse_t, tracks = _coarse_tracks(u, p)
     targets = _target_returns(u, coarse_t, tracks, sc.joint_weights,
                               sc.path_loss_exponent, g)
@@ -438,18 +446,6 @@ def synthesize_surveillance(u: BasebandSignal, p: PoseSequence, sc: ScattererMod
         total += targets
     else:
         total = targets.copy()
-
-    paths = []  # (gain, delay) of DSI and the clutter reflectors
-    if ic.dsi_amplitude > 0:
-        tau = np.linalg.norm(g.tx_pos - g.rx_sur_pos) / C_LIGHT
-        paths.append((ic.dsi_amplitude * np.exp(-2j * np.pi * g.carrier_hz * tau), tau))
-    for cl in ic.clutter:
-        r1 = np.linalg.norm(cl.position - g.tx_pos)
-        r2 = np.linalg.norm(cl.position - g.rx_sur_pos)
-        tau = (r1 + r2) / C_LIGHT
-        amp = cl.amplitude * float(_path_amp(np.array([r1]), sc.path_loss_exponent)[0]
-                                   * _path_amp(np.array([r2]), sc.path_loss_exponent)[0])
-        paths.append((amp * np.exp(-2j * np.pi * g.carrier_hz * tau), tau))
     total += _static_paths(u, paths)
 
     if ic.noise_floor > 0:

@@ -4,13 +4,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dopplerpose import harness
+from dopplerpose import containers, harness
 from dopplerpose.caf import (
     CafMap,
     Spectrogram,
     assemble_spectrogram,
     clean_dsi,
     compute_caf,
+    doppler_axis,
     self_caf,
     spectrogram_pipeline,
 )
@@ -158,6 +159,10 @@ class TestDopplerSpan:
         axis = spec.doppler_axis
         assert np.array_equal(axis, -axis[::-1])
         assert np.abs(axis).max() <= span
+        # the axis known before anything is computed
+        assert np.array_equal(axis, doppler_axis(cpi_s=0.05, sample_rate_hz=self.FS,
+                                                 doppler_span_hz=span,
+                                                 doppler_oversample=oversample))
 
 
 class TestSelfCaf:
@@ -432,6 +437,21 @@ class TestSpectrogramIO:
         vals[4, 3] = bad
         with pytest.raises(ValueError, match="spectrogram values must be finite and non-negative"):
             Spectrogram(vals, np.linspace(-40, 40, 9), dt=0.1)
+
+    @pytest.mark.parametrize("axis", [np.linspace(40, -40, 9), np.zeros(9)],
+                             ids=["decreasing", "all-zero"])
+    def test_axis_not_strictly_increasing_rejected(self, axis):
+        with pytest.raises(ValueError, match="doppler_axis must be strictly increasing"):
+            Spectrogram(np.ones((9, 7)), axis, dt=0.1)
+
+    @pytest.mark.parametrize("low,high", [(50.0, -50.0), (0.0, 0.0)])
+    def test_load_rejects_an_axis_not_increasing(self, tmp_path, low, high):
+        path = tmp_path / "spec.dpc"
+        containers.write_array(path, "spectrogram", np.ones((9, 7)), dt=0.1,
+                               doppler_min_hz=low, doppler_max_hz=high)
+        with pytest.raises(ValueError) as exc:
+            Spectrogram.load(path)
+        assert str(exc.value) == f"{path}: doppler_axis must be strictly increasing"
 
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)

@@ -283,6 +283,17 @@ def test_build_dataset_without_test_entries_exits_2(config_file, tmp_path, capsy
     assert not (tmp_path / "ds").exists()
 
 
+def test_build_dataset_with_too_few_doppler_bins_exits_2(config_file, tmp_path, capsys):
+    # a 10 Hz half-span keeps 9 bins of 2.5 Hz: fewer than VelModel's conv stack takes
+    rc = main(["build-dataset", "--config", str(config_file),
+               "--set", "processing.doppler_span_hz=10", "--out", str(tmp_path / "ds")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: config field processing.doppler_span_hz: at 10 Hz, 9 Doppler bins are too "
+        "few for the conv stack; need at least 29\n")
+    assert not (tmp_path / "ds").exists()
+
+
 def test_non_object_container_header_exits_1(config_file, tmp_path, capsys):
     bad = tmp_path / "spec.dpc"
     bad.write_bytes(b"[1]\n")

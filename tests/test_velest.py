@@ -280,6 +280,21 @@ class TestVelTrain:
         assert lines[1].startswith("0,1.0")
 
 
+class TestConvWidth:
+    @pytest.mark.parametrize("bins,width", [(29, 1), (81, 7), (100, 9)])
+    def test_width_of_the_conv_stack(self, bins, width):
+        assert velest.feature_width(bins) == VelModel(bins).feat_width == width
+        # the width the forward pass actually leaves
+        x = Tensor(np.ones((1, 2, bins)), dtype=np.float32)
+        assert VelModel(bins).forward(x).data.shape == (1, 2, 51)
+
+    @pytest.mark.parametrize("bins", [1, 9, 28])
+    def test_too_few_bins_rejected(self, bins):
+        with pytest.raises(ValueError, match=f"^{bins} Doppler bins are too few for the "
+                                             "conv stack; need at least 29$"):
+            VelModel(bins)
+
+
 class TestVelModelIO:
     def test_save_load_preserves_outputs(self, tmp_path):
         rng = np.random.default_rng(10)

@@ -198,31 +198,6 @@ class TestSynthesizeReference:
         ref = synthesize_reference(u, g)
         assert np.allclose(ref.samples, u.samples)
 
-    def test_one_microsecond_delay(self):
-        # 299.792458 m of path is exactly 1 us; at 5 MHz that is 5 samples
-        fs = 5e6
-        g = Geometry(tx_pos=[0, 0, 0], rx_sur_pos=[5, 0, 0],
-                     rx_ref_pos=[299.792458, 0, 0])
-        u = generate_waveform(2e6, 0.001, fs, seed=1)
-        ref = synthesize_reference(u, g)
-        xc = np.array([np.vdot(u.samples[:-k or None], ref.samples[k:]) if k else
-                       np.vdot(u.samples, ref.samples) for k in range(10)])
-        assert np.argmax(np.abs(xc)) == 5
-
-    def test_correlation_peak_at_geometric_delay(self):
-        fs = 2e6
-        rng = np.random.default_rng(7)
-        for _ in range(5):
-            dist = rng.uniform(300, 3000)
-            g = Geometry(tx_pos=[0, 0, 0], rx_sur_pos=[5, 0, 0],
-                         rx_ref_pos=[dist, 0, 0])
-            u = generate_waveform(1e6, 0.002, fs, seed=int(rng.integers(1e6)))
-            ref = synthesize_reference(u, g)
-            lags = np.arange(40)
-            xc = [np.vdot(u.samples[: len(u) - k], ref.samples[k:]) for k in lags]
-            expect = int(round(dist / C_LIGHT * fs))
-            assert abs(int(np.argmax(np.abs(xc))) - expect) <= 1
-
 
 class TestGeometry:
     @pytest.mark.parametrize("carrier_hz", [0.0, -5.8e9, np.inf, np.nan])
@@ -498,8 +473,8 @@ class TestSegmentMajorTargets:
 
 
 def forty_samples():
-    # A power-of-two rate keeps t - tau exact for whole-sample and dyadic
-    # delays, so the oracle's `left=0` edge falls where the closed form puts it.
+    # A power-of-two rate keeps t - tau exact for dyadic delays, so the
+    # oracle's `left=0` edge falls where the closed form puts it.
     fs = 8192.0
     return generate_waveform(4e3, 40 / fs, fs, seed=2)
 
@@ -507,42 +482,52 @@ def forty_samples():
 class TestShifted:
     """One static path through `_static_paths`."""
 
-    @pytest.mark.parametrize("samples", [0.0, 1.0, 7.0, 1e-3, 0.5, 2.37, 6.999, 39.5, 40.0, 500.0])
+    @pytest.mark.parametrize("samples", [0.0, 1e-3, 0.25, 0.5, 0.999])
     def test_matches_interpolation(self, samples):
         u = forty_samples()
         tau = samples / u.sample_rate_hz
         got = _static_paths(u, [(1.0, tau)])
         want = interp_delayed(u, u.times() - tau)
         assert np.abs(got - want).max() <= 1e-14
-        # nothing before the path arrives; a delay past the end leaves only zeros
+        # at sample 0 only a zero-delay path has arrived
         arrived = u.times() >= tau * (1 - 1e-12)
         assert not got[~arrived].any()
         assert np.abs(got[arrived]).min(initial=1.0) > 0.0
 
 
+def random_paths(u, delays):
+    """(gain, tau) static paths with the given delays in samples and seeded gains."""
+    gains = np.random.default_rng(len(delays)).normal(size=(len(delays), 2)) @ [1, 1j]
+    return [(g, d / u.sample_rate_hz) for g, d in zip(gains, delays)]
+
+
 class TestStaticPaths:
-    """Several static paths through `_static_paths`: one two-tap filter per
-    whole-sample shift against one interpolation per path."""
+    """Several static paths through `_static_paths`: one two-tap filter for
+    all of them against one interpolation per path."""
 
     @pytest.mark.parametrize("delays", [
-        [0.25, 0.5, 0.375],  # fractional, one shift
-        [3.0, 3.5],  # a whole-sample and a fractional delay sharing shift 3
-        [1.25, 7.0, 12.75, 7.5, 0.0],  # several shifts, some shared
-        [12.5, 0.25],  # the first filter has the later shift
-        [40.0, 500.5, 2.5, 39.5],  # shifts at and past the end, and one inside
+        [0.25, 0.5, 0.375],
+        [0.875, 0.0, 0.0625, 0.5, 0.0],  # two that have arrived at sample 0
         [],
-    ], ids=["fractional", "whole-and-fraction", "shifts", "later-first", "past-end", "none"])
+    ], ids=["fractional", "with-zero", "none"])
     def test_paths_match_summed_interpolation(self, delays):
         u = forty_samples()
-        gains = np.random.default_rng(len(delays)).normal(size=(len(delays), 2)) @ [1, 1j]
-        paths = [(g, d / u.sample_rate_hz) for g, d in zip(gains, delays)]
+        paths = random_paths(u, delays)
         got = _static_paths(u, paths)
         want = interp_static_paths(u, paths)
         assert got.shape == want.shape == (len(u),)
         assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max(initial=0.0)
-        # before the earliest arrival there is nothing at all
-        first = min((int(np.ceil(d)) for d in delays), default=len(u))
-        assert not got[:first].any()
+        # only zero-delay paths have arrived at sample 0
+        assert (got[0] != 0) == (0.0 in delays)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_short_signals(self, n):
+        u = BasebandSignal(forty_samples().samples[:n], 8192.0)
+        paths = random_paths(u, [0.0, 0.5, 0.25])
+        got = _static_paths(u, paths)
+        want = interp_static_paths(u, paths)
+        assert got.shape == want.shape == (n,)
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
 class TestJointTracks:
@@ -593,26 +578,41 @@ class TestDelayLimits:
             synthesize_surveillance(u, pose, ScattererModel(), g,
                                     InterferenceConfig(multipath=[far_wall]), 0)
 
-    @pytest.mark.parametrize("dsi_samples,clutter_samples", [(5, 20), (12, 16)])
-    def test_static_paths_keep_multi_sample_delays(self, dsi_samples, clutter_samples):
+    def _static_scene(self, where, length):
+        """A geometry and interference whose static path `where` is `length` m long."""
+        if where == "the reference path":
+            return Geometry([0, 0, 0], [0, 0, 1], [length, 0, 0]), InterferenceConfig()
+        if where == "the direct path":
+            return (Geometry([0, 0, 0], [length, 0, 0], [0, 0, 1]),
+                    InterferenceConfig(dsi_amplitude=1.0))
+        # clutter 1 is half the length out from a receiver beside the transmitter
+        g = Geometry([0, 0, 0], [0, 0, 0], [0, 0, 1])
+        return g, InterferenceConfig(clutter=[Clutter([0, 3, 1], 0.5),
+                                              Clutter([length / 2, 0, 0], 1.0)])
+
+    def _render(self, where, length):
         u, pose = self._scene()
-        d = dsi_samples * self.ONE_SAMPLE_M
-        g = Geometry(tx_pos=[0, 0, 0], rx_sur_pos=[d, 0, 0], rx_ref_pos=[0, 0, 1])
-        # a clutter point on the far side of rx: path = d + 2 * extra
-        extra = (clutter_samples - dsi_samples) / 2 * self.ONE_SAMPLE_M
-        cl = Clutter([d + extra, 0, 0], amplitude=1.0)
-        no_targets = ScattererModel(joint_weights=np.zeros(N_JOINTS))
-        _, dsi = synthesize_surveillance(u, pose, no_targets, g,
-                                         InterferenceConfig(dsi_amplitude=1.0), 0)
-        _, clutter = synthesize_surveillance(u, pose, no_targets, g,
-                                             InterferenceConfig(clutter=[cl]), 0)
-        for sig, k in ((dsi, dsi_samples), (clutter, clutter_samples)):
-            lag = np.abs([np.vdot(u.samples[: len(u) - m], sig.samples[m:])
-                          for m in range(30)])
-            assert int(np.argmax(lag)) == k
-            ratio = sig.samples[k:] / u.samples[: len(u) - k]
-            assert np.allclose(ratio, ratio[0], rtol=1e-6)
-            assert np.abs(sig.samples[:k]).max() < 1e-6 * np.abs(ratio[0])
+        g, ic = self._static_scene(where, length)
+        if where == "the reference path":
+            return synthesize_reference(u, g)
+        return synthesize_surveillance(u, pose, ScattererModel(), g, ic, 0)[1]
+
+    @pytest.mark.parametrize("where", ["the reference path", "the direct path",
+                                       "the path via clutter 1"])
+    def test_rejects_static_path_of_one_sample(self, where, monkeypatch):
+        assert self.ONE_SAMPLE_M / C_LIGHT * self.FS == 1.0
+        tracks = []
+        monkeypatch.setattr(wavesim, "_coarse_tracks", lambda *a: tracks.append(a))
+        with pytest.raises(ValueError, match=f"{where} of 18737.0 m .* 16000 Hz"):
+            self._render(where, self.ONE_SAMPLE_M)
+        # rejected before any return is rendered
+        assert not tracks
+
+    @pytest.mark.parametrize("where", ["the reference path", "the direct path",
+                                       "the path via clutter 1"])
+    def test_accepts_static_path_just_under_one_sample(self, where):
+        sig = self._render(where, 0.999 * self.ONE_SAMPLE_M)
+        assert np.abs(sig.samples).max() > 0
 
 
 class TestSignalIO:
