@@ -52,10 +52,6 @@ class Conv1d:
     def params(self):
         return [self.weight, self.bias]
 
-    def out_width(self, in_width: int) -> int:
-        k = self.weight.shape[2]
-        return (in_width - k) // self.stride + 1
-
     def __call__(self, x: Tensor) -> Tensor:
         return T.conv1d(x, self.weight, self.bias, self.stride)
 

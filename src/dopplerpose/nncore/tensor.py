@@ -24,24 +24,19 @@ output:
   normalised input from the input with the forward's ops, and masks the
   incoming gradient with its output, so no pre-ReLU copy is kept.
 - `lstm_layer`: the gates, cells and tanh(cells) of every step; the hidden
-  states the weight gradient pairs with dz are read from its output. Its step
-  loop works in place in preallocated buffers, and each direction's bias is
-  added to its contiguous input projection, which one direction steps through
-  in place, writing its hidden states into the output, and two copy into one
-  step-ordered buffer. The loop walks zipped per-step rows of those buffers,
-  so a step indexes no array: without a graph to record, the one kept row of
-  gates and cells is repeated for every step. Backward walks the same rows
-  back and computes each step's derivative factors from them, so it builds no
-  whole-sequence derivative array.
+  states the weight gradient pairs with dz are read from its output. The
+  `LstmRun` that computed them, with its input projection and step-ordered
+  stack, is freed when the forward returns. Backward walks the run's
+  per-step rows back and computes each step's derivative factors from them,
+  so it builds no whole-sequence derivative array.
 
-One step loop, `LstmSteps`, serves every LSTM recurrence: `lstm_layer`
-makes one for each call, and `LstmRun`, a no-grad layer whose projections,
-step buffers and stacked W_hh are made once for inputs of one size, keeps
-one for all its calls. The pose loop's window (`poseopt.OptWindow`) holds
-an `LstmRun` for each recurrence of OptModel, so its predictions run the
-loop `lstm_layer` runs (Appleyard, Kocisky and Blunsom, "Optimizing
-Performance of Recurrent Neural Networks on GPUs", 2016, prepare what is
-fixed outside the recurrence).
+One forward, `LstmRun`, serves every LSTM recurrence: a layer run on inputs
+of one (B, T) size whose step buffers and stacked W_hh are made once.
+`lstm_layer` runs one a call, keeping every step's gates and cells only when
+it records a graph, and the pose loop's window (`poseopt.OptWindow`) keeps
+one for each recurrence of OptModel over all its predictions (Appleyard,
+Kocisky and Blunsom, "Optimizing Performance of Recurrent Neural Networks on
+GPUs", 2016, prepare what is fixed outside the recurrence).
 """
 
 from __future__ import annotations
@@ -396,18 +391,71 @@ def _steps(a, reverse: bool):
     return a[::-1] if reverse else a
 
 
-class LstmSteps:
-    """The step loop of an LSTM recurrence, with the buffers it works in.
+class LstmRun:
+    """The forward of a (bi)LSTM layer on inputs of one (B, T) size, in
+    buffers it reuses: the one forward of every LSTM recurrence.
 
-    D directions step together over B rows of hidden size H. Per step the loop
-    keeps sigmoid(i, f, o) with tanh(g) in its place (`gates`, with `ifgo` the
-    four gates' column views), c (`cells`) and tanh(c) (`tanh_cells`): `kept`
-    steps of each, T when a backward reads them, else 1, which every step
-    reuses. `lstm_layer` makes one a call; `LstmRun` keeps one for all its
-    calls, since no call leaves state in it that the next one reads.
+    `directions` is what `lstm_layer` takes. Calling the run with the (B*T, F)
+    input rows, batch major, returns the (B, T, D*H) hidden states in a buffer
+    the next call overwrites; no call leaves state that the next one reads.
+    The input projections stay one GEMM a direction: one GEMM against
+    [W_ih_f | W_ih_r] rounds differently from two (at B=1 in float32, and at
+    several float64 sizes). They are stored step-ordered, with each
+    direction's bias added, so one loop of T steps advances all directions
+    with one stacked (D, B, H) @ (D, H, 4H) matmul (none at the first step,
+    whose h @ W_hh is the zero state's zero), one sigmoid over the 4H gate
+    columns (i, f and o are read from it) and one tanh over the g columns.
+    The loop works in place, outputs passed positionally, and walks zipped
+    per-step rows, indexing no array: at B=1 a step is a dozen small ufunc
+    calls and indexing costs more than the arithmetic. Each value is the one
+    a per-direction, per-step composite computes, so the output is
+    bit-identical to one.
+
+    Per step the loop keeps sigmoid(i, f, o) with tanh(g) in its place
+    (`gates`, with `ifgo` the four gates' column views), c (`cells`) and
+    tanh(c) (`tanh_cells`): `kept` steps of each, T when a backward reads
+    them, else 1, which every step reuses. One direction steps through its
+    own projection buffer and writes its hidden states straight into the
+    output. Two are projected one at a time through a temporary, freed
+    before the next, into one step-ordered stack, and copy their states out
+    after the loop. The run keeps the weight arrays it was made with, and
+    makes a stacked copy of the two directions' W_hh, so it is valid while
+    the weights stay unchanged.
     """
 
-    def __init__(self, kept: int, n_dir: int, bsz: int, h_dim: int, dtype):
+    def __init__(self, directions, bsz: int, t_len: int, kept: int = 1):
+        n_dir = len(directions)
+        if n_dir not in (1, 2):
+            raise ValueError(f"an LSTM layer has 1 or 2 directions, got {n_dir}")
+        self.arrays = arrays = [tuple(w.data for w in triple) for triple in directions]
+        self.dtype = dtype = arrays[0][0].dtype
+        if any(w.dtype != dtype for triple in arrays for w in triple):
+            raise ValueError("an LSTM layer's weights must share one dtype")
+        h_dim = arrays[0][1].shape[0]
+        self.size, self.kept = (bsz, t_len, n_dir, h_dim), kept
+        if n_dir == 1:
+            self.proj = np.empty((bsz * t_len, 4 * h_dim), dtype=dtype)
+            self.pre = _steps(self.proj.reshape(bsz, t_len, 4 * h_dim), False)[:, None]
+        else:
+            self.proj = None  # each call's matmul makes a temporary
+            self.pre = np.empty((t_len, n_dir, bsz, 4 * h_dim), dtype=dtype)
+        self.out = None
+
+    def _make_buffers(self):
+        """The stacked W_hh, the output and the step buffers, made on the first
+        call after the projections, in that order. No temporary is then alive
+        beside them, and the order keeps a training process's peak RSS low:
+        making the W_hh stack, or it and the step buffers, before the
+        projections raised the `train` benchmark's by 2% and 4%."""
+        bsz, t_len, n_dir, h_dim = self.size
+        kept, dtype = self.kept, self.dtype
+        w_hhs = [w_hh[None] for _, w_hh, _ in self.arrays]
+        self.w_hh = w_hhs[0] if n_dir == 1 else np.concatenate(w_hhs)
+        self.out = np.empty((bsz, t_len, n_dir * h_dim), dtype=dtype)
+        self.hs = (_steps(self.out, False)[:, None] if n_dir == 1
+                   else np.empty((t_len, n_dir, bsz, h_dim), dtype=dtype))
+        self.copy_out = [(_steps(self.out[:, :, d * h_dim:(d + 1) * h_dim], d == 1),
+                          self.hs[:, d]) for d in range(n_dir)] if n_dir == 2 else []
         self.gates = np.empty((kept, n_dir, bsz, 4 * h_dim), dtype=dtype)
         self.cells = np.empty((kept, n_dir, bsz, h_dim), dtype=dtype)
         self.tanh_cells = np.empty((kept, n_dir, bsz, h_dim), dtype=dtype)
@@ -420,18 +468,33 @@ class LstmSteps:
         self.ig = np.empty((n_dir, bsz, h_dim), dtype=dtype)
         self.one, self.zero = _scalar(1, dtype), _scalar(0, dtype)
 
-    def __call__(self, pre, hs, w_hh):
-        """Step through pre (T, D, B, 4H), each step's input projection plus
-        bias, from the zero state, writing each step's hidden states into hs
-        (T, D, B, H); w_hh is (D, H, 4H)."""
+    def __call__(self, x2: np.ndarray) -> np.ndarray:
+        if x2.dtype != self.dtype:
+            raise ValueError(f"LSTM input is {x2.dtype} but its weights are {self.dtype}")
+        bsz, t_len, n_dir, h_dim = self.size
+        for d, (w_ih, _, b) in enumerate(self.arrays):
+            proj = np.matmul(x2, w_ih, out=self.proj)
+            proj += b
+            if n_dir == 2:
+                self.pre[:, d] = _steps(proj.reshape(bsz, t_len, 4 * h_dim), d == 1)
+            del proj  # before the next direction's matmul makes its own
+        if self.out is None:
+            self._make_buffers()
+        self.step()
+        for dst, src in self.copy_out:
+            np.copyto(dst, src)
+        return self.out
+
+    def step(self):
+        """Step through `pre` (T, D, B, 4H) from the zero state, writing each
+        step's hidden states into `hs` (T, D, B, H)."""
         rows = self.rows if len(self.rows) > 1 else repeat(self.rows[0])
-        z, z_g, ig, c, one, zero = self.z, self.z_g, self.ig, self.c0, self.one, self.zero
+        w_hh, z, z_g, ig, c, one, zero = (
+            self.w_hh, self.z, self.z_g, self.ig, self.c0, self.one, self.zero)
         matmul, add, negative, exp, divide, tanh, multiply = (
             np.matmul, np.add, np.negative, np.exp, np.divide, np.tanh, np.multiply)
-        # in place, outputs passed positionally and nothing indexed: at B=1 a
-        # step is a dozen small ufunc calls
         for s, (pre_s, hs_s, (a, i_s, f_s, g_s, o_s, c_s, tc_s)) in enumerate(
-                zip(pre, hs, rows)):
+                zip(self.pre, self.hs, rows)):
             if s:
                 matmul(h, w_hh, out=z)
                 add(z, pre_s, z)
@@ -448,79 +511,18 @@ class LstmSteps:
             h = multiply(o_s, tanh(c, tc_s), hs_s)
 
 
-class LstmRun:
-    """A (bi)LSTM layer run without a graph on inputs of one (B, T) size, in
-    buffers made once.
-
-    `directions` is what `lstm_layer` takes. Calling the run with the (B*T, F)
-    input rows, batch major, returns the (B, T, D*H) hidden states in a buffer
-    the next call overwrites; each value is the one `lstm_layer` gives, since
-    the projections, the step-ordered stacking and the step loop are its own.
-    `lstm_layer` instead makes each buffer when it needs it, so a one-off call
-    never holds a projection beside its output. The run keeps the weight
-    arrays it was made with, and a stacked copy of the two directions' W_hh,
-    so it is valid while the weights stay unchanged.
-    """
-
-    def __init__(self, directions, bsz: int, t_len: int):
-        n_dir = len(directions)
-        if n_dir not in (1, 2):
-            raise ValueError(f"an LSTM layer has 1 or 2 directions, got {n_dir}")
-        arrays = [tuple(w.data for w in triple) for triple in directions]
-        self.dtype = dtype = arrays[0][0].dtype
-        if any(w.dtype != dtype for triple in arrays for w in triple):
-            raise ValueError("an LSTM layer's weights must share one dtype")
-        h_dim = arrays[0][1].shape[0]
-        self.w_ih_b = [(w_ih, b) for w_ih, _, b in arrays]
-        self.proj = [np.empty((bsz * t_len, 4 * h_dim), dtype=dtype) for _ in arrays]
-        step_ordered = [_steps(p.reshape(bsz, t_len, 4 * h_dim), d == 1)
-                        for d, p in enumerate(self.proj)]
-        self.out = np.empty((bsz, t_len, n_dir * h_dim), dtype=dtype)
-        if n_dir == 1:
-            self.pre, self.hs = step_ordered[0][:, None], _steps(self.out, False)[:, None]
-            self.w_hh = arrays[0][1][None]
-            self.copy_in = self.copy_out = []
-        else:
-            self.pre = np.empty((t_len, n_dir, bsz, 4 * h_dim), dtype=dtype)
-            self.hs = np.empty((t_len, n_dir, bsz, h_dim), dtype=dtype)
-            self.w_hh = np.concatenate([w_hh[None] for _, w_hh, _ in arrays])
-            self.copy_in = [(self.pre[:, d], step_ordered[d]) for d in range(n_dir)]
-            self.copy_out = [(_steps(self.out[:, :, d * h_dim:(d + 1) * h_dim], d == 1),
-                              self.hs[:, d]) for d in range(n_dir)]
-        self.loop = LstmSteps(1, n_dir, bsz, h_dim, dtype)
-
-    def __call__(self, x2: np.ndarray) -> np.ndarray:
-        if x2.dtype != self.dtype:
-            raise ValueError(f"LSTM input is {x2.dtype} but its weights are {self.dtype}")
-        for (w_ih, b), proj in zip(self.w_ih_b, self.proj):
-            np.matmul(x2, w_ih, out=proj)
-            proj += b
-        for dst, src in self.copy_in:
-            np.copyto(dst, src)
-        self.loop(self.pre, self.hs, self.w_hh)
-        for dst, src in self.copy_out:
-            np.copyto(dst, src)
-        return self.out
-
-
 def lstm_layer(x, directions):
     """One (bi)LSTM layer over x (B, T, F) -> hidden states (B, T, D*H), one graph node.
 
     `directions` holds D = 1 or 2 (w_ih (F, 4H), w_hh (H, 4H), b (4H,)) Tensor
     triples, gates i, f, g, o in that column order; the second runs reversed in
-    time, and each starts from a zero state. The input projections stay one
-    GEMM a direction: one GEMM against [W_ih_f | W_ih_r] rounds differently
-    from two (at B=1 in float32, and at several float64 sizes). They are
-    stored step-ordered, so one loop of T steps advances all directions with
-    one stacked (D, B, H) @ (D, H, 4H) matmul (none at the first step, whose
-    h @ W_hh is the zero state's zero), one sigmoid over the 4H gate columns
-    (i, f and o are read from it) and one tanh over the g columns. The loop
-    walks zipped per-step rows and indexes no array, since at B=1 indexing
-    costs more than the arithmetic. Each value is the one a per-direction,
-    per-step composite computes, so the output is bit-identical to one.
+    time, and each starts from a zero state. The forward is an `LstmRun` made
+    for the call, which keeps every step's gates and cells when a graph is
+    recorded and one step's otherwise; backward holds those and the output,
+    not the run, so the run's projection and stack are freed on return.
     Backward is backpropagation through time (Hochreiter & Schmidhuber 1997;
     Graves 2012, "Supervised Sequence Labelling with RNNs", ch. 4) back up the
-    same zipped rows: each step's derivative factors come from that step's
+    run's zipped rows: each step's derivative factors come from that step's
     stored gates and cells, and its dz is copied into one time-ordered
     (B, T, D*4H) buffer. Then one GEMM gives every direction's W_ih gradient,
     split by columns, one against the stacked W_ih the input gradient, summed
@@ -529,47 +531,15 @@ def lstm_layer(x, directions):
     direction's first.
     """
     x = as_tensor(x)
-    n_dir = len(directions)
-    if n_dir not in (1, 2):
-        raise ValueError(f"lstm_layer takes 1 or 2 directions, got {n_dir}")
     parents = (x, *chain.from_iterable(directions))
-    dtype = x.data.dtype
-    for w in parents[1:]:
-        if w.data.dtype != dtype:
-            raise ValueError(f"lstm_layer input is {dtype} but its weights are {w.data.dtype}")
     bsz, t_len, in_f = x.data.shape
-    h_dim = directions[0][1].data.shape[0]
     x2 = x.data.reshape(bsz * t_len, in_f)
-
-    def projection(d):
-        """Direction d's input projection plus its bias, a (T, B, 4H) view in step order."""
-        w_ih, _, b = directions[d]
-        proj = x2 @ w_ih.data
-        proj += b.data
-        return _steps(proj.reshape(bsz, t_len, 4 * h_dim), d == 1)
-
-    # one direction steps through its projection in place and writes its hidden
-    # states straight into the output; two step through a stacked copy, made
-    # one projection at a time, and copy their states out after the loop
-    if n_dir == 1:
-        pre = projection(0)[:, None]
-        w_hh = directions[0][1].data[None]
-    else:
-        pre = np.empty((t_len, n_dir, bsz, 4 * h_dim), dtype=dtype)
-        for d in range(n_dir):
-            pre[:, d] = projection(d)
-        w_hh = np.concatenate([w.data[None] for _, w, _ in directions])
-    out = np.empty((bsz, t_len, n_dir * h_dim), dtype=dtype)
-    hs = (_steps(out, False)[:, None] if n_dir == 1
-          else np.empty((t_len, n_dir, bsz, h_dim), dtype=dtype))
-    # without a graph to record, one step's gates and cells are kept at a time
     kept = t_len if _GRAD_ENABLED and any(t.requires_grad for t in parents) else 1
-    loop = LstmSteps(kept, n_dir, bsz, h_dim, dtype)
-    loop(pre, hs, w_hh)
-    gates, cells, tanh_cells, (i, f, g, o) = loop.gates, loop.cells, loop.tanh_cells, loop.ifgo
-    if n_dir == 2:
-        for d in range(n_dir):
-            _steps(out[:, :, d * h_dim:(d + 1) * h_dim], d == 1)[...] = hs[:, d]
+    run = LstmRun(directions, bsz, t_len, kept)
+    out = run(x2)
+    gates, cells, tanh_cells, (i, f, g, o), w_hh = (
+        run.gates, run.cells, run.tanh_cells, run.ifgo, run.w_hh)
+    n_dir, h_dim, dtype = len(directions), w_hh.shape[1], out.dtype
 
     def backward(gout):
         one = _scalar(1, dtype)

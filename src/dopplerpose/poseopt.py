@@ -122,8 +122,8 @@ class OptModel:
         """Predict 17 x 3 optimization vectors at the (T, 17, 3) poses `p` of a window.
 
         The values `forward` gives for the window's frames with `p` written
-        into them, bit for bit: the recurrences run in the window's buffers
-        through the step loop `lstm_layer` uses, and the head is plain matmuls.
+        into them, bit for bit: the recurrences are the window's `LstmRun`s,
+        the forward `lstm_layer` runs too, and the head is plain matmuls.
         """
         if window.model is not self:
             raise ValueError("the window was prepared by another model")
