@@ -1,13 +1,16 @@
 """Command-line interface for the micro-Doppler pose pipeline.
 
-Every subcommand takes a JSON config file (see configs/) plus optional
-`--set dotted.key=value` overrides (`--set seed=N` sets the seed); every
-command writes to `--out`. `evaluate` and `reconstruct` need
-`--opt-model` only when `optimization.max_epochs` > 0. Exit status is 0 on
-success, 2 on a configuration problem (the message names the offending field
-or option), 1 on any other failure (a malformed input file is named).
-`simulate` and `caf` run the dataset build's recipe at the config seed, so
-the stage chain reproduces `harness.simulate_activity` up to file precision.
+Every subcommand takes a JSON config file that sets every field: nothing has
+a default in code, so copy configs/default.json. Optional `--set
+dotted.key=value` overrides only set values in it before it is parsed
+(`--set seed=N` sets the seed); an unknown key is still an error. Every
+command writes to `--out`.
+`evaluate` and `reconstruct` need `--opt-model` only when
+`optimization.max_epochs` > 0. Exit status is 0 on success, 2 on a
+configuration problem (the message names the offending field or option), 1
+on any other failure (a malformed input file is named). `simulate` and `caf`
+run the dataset build's recipe at the config seed, so the stage chain
+reproduces `harness.simulate_activity` up to file precision.
 
 For bit-reproducible artifacts run single-threaded, e.g.
 OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1.

@@ -82,25 +82,26 @@ def parse_kind(value, where: str) -> ActivityKind:
                           f"choose from {[k.value for k in ActivityKind]}")
 
 
-def _get_field(d: dict, path: str, typ, default=None, required=False, low=None):
+def _get_field(d: dict, path: str, typ, low=None):
     """The value at a dotted path; a numeric component indexes a list of objects.
 
-    The value must have `typ`'s JSON type, except that a float field also
-    takes an integer; no field takes a bool. With `low`, it must be finite
-    and at least `low`.
+    No field has a default: a missing node is a ConfigError naming its path,
+    and so is the first node on the path that is not an object. The value must
+    have `typ`'s JSON type, except that a float field also takes an integer;
+    no field takes a bool. With `low`, it must be finite and at least `low`.
     """
-    node = d
+    val = d
     parts = path.split(".")
-    for p in parts[:-1]:
-        if isinstance(node, list) and p.isdigit() and int(p) < len(node):
-            node = node[int(p)]
+    for depth, p in enumerate(parts):
+        if isinstance(val, list) and p.isdigit():  # `entries` reads only indices it has
+            val = val[int(p)]
+        elif not isinstance(val, dict):
+            raise ConfigError(f"config field {'.'.join(parts[:depth]) or '(top level)'}: "
+                              f"expected an object, got {val!r}")
+        elif p not in val:
+            raise ConfigError(f"missing required config field: {'.'.join(parts[:depth + 1])}")
         else:
-            node = node.get(p, {}) if isinstance(node, dict) else {}
-    if not isinstance(node, dict) or parts[-1] not in node:
-        if required:
-            raise ConfigError(f"missing required config field: {path}")
-        return default
-    val = node[parts[-1]]
+            val = val[p]
     try:
         if isinstance(val, bool) or not isinstance(val, (int, float) if typ is float else typ):
             raise TypeError
@@ -128,17 +129,22 @@ def _leaf_paths(node: dict, prefix: str = ""):
             yield prefix + key
 
 
-def _build(section: str, cls, **fields):
-    """cls(**fields), with a rejected value reported as a ConfigError naming the section."""
+def _build(section: str, cls, *args, **fields):
+    """cls(*args, **fields), a ValueError it raises a ConfigError naming `section`."""
     try:
-        return cls(**fields)
+        return cls(*args, **fields)
     except ValueError as exc:
         raise ConfigError(f"config field {section}: {exc}")
 
 
 @dataclass
 class ExperimentConfig:
-    """Parsed experiment settings; see configs/ for the JSON shape."""
+    """Parsed experiment settings, every one read from the config file.
+
+    A config sets every field; configs/default.json is the template to copy.
+    The dataclasses' own defaults (TrainConfig, OptConfig, InterferenceConfig)
+    serve library callers and never fill in a field a config leaves out.
+    """
 
     seed: int
     geometry: Geometry
@@ -163,78 +169,69 @@ class ExperimentConfig:
 
 
 def parse_config(data: dict) -> ExperimentConfig:
-    """Validate a config dict; a field this function never reads is an error too."""
+    """Validate a config dict that sets every field; nothing here has a default.
+
+    configs/default.json is the template to copy. A missing field, a section
+    that is not an object, and a field this function never reads are each a
+    ConfigError naming the dotted path. `apply_overrides` (the CLI's `--set`)
+    only sets values in `data` before this runs; an unknown key is still an error.
+    """
     read = set()
 
-    def get(path, typ, default=None, required=False, low=None):
+    def get(path, typ, low=None):
         read.add(path)
-        return _get_field(data, path, typ, default, required, low)
+        return _get_field(data, path, typ, low)
 
-    if get("schema_version", int, required=True) != SCHEMA_VERSION:
+    if get("schema_version", int) != SCHEMA_VERSION:
         raise ConfigError(f"config field schema_version: expected {SCHEMA_VERSION}")
-    seed = get("seed", int, 0, low=0)
-    geometry = _build(
-        "geometry", Geometry,
-        tx_pos=get("geometry.tx_pos", list, required=True),
-        rx_sur_pos=get("geometry.rx_sur_pos", list, required=True),
-        rx_ref_pos=get("geometry.rx_ref_pos", list, required=True),
-        carrier_hz=get("geometry.carrier_hz", float, 5.8e9),
-    )
+    seed = get("seed", int, low=0)
+
+    def section(path, cls, **fields):
+        """cls(**fields) of the object at `path`, each field read by `get` at its type."""
+        return _build(path, cls, **{name: get(f"{path}.{name}", typ)
+                                    for name, typ in fields.items()})
 
     def entries(path, cls, **fields):
-        """cls(**fields) per object in the list at `path`, every field read by `get`."""
-        return [_build(f"{path}.{i}", cls, **{
-                    name: get(f"{path}.{i}.{name}", typ, required=True)
-                    for name, typ in fields.items()})
-                for i in range(len(get(path, list, [])))]
+        """`section` of each object in the list at `path`."""
+        return [section(f"{path}.{i}", cls, **fields) for i in range(len(get(path, list)))]
 
-    clutter = entries("interference.clutter", Clutter, position=list, amplitude=float)
-    multipath = entries("interference.multipath", MirrorPlane,
-                        point=list, normal=list, amplitude=float)
+    geometry = section("geometry", Geometry, tx_pos=list, rx_sur_pos=list, rx_ref_pos=list,
+                       carrier_hz=float)
     interference = _build(
         "interference", InterferenceConfig,
-        dsi_amplitude=get("interference.dsi_amplitude", float, 0.0),
-        clutter=clutter,
-        multipath=multipath,
-        noise_floor=get("interference.noise_floor", float, 0.0),
+        clutter=entries("interference.clutter", Clutter, position=list, amplitude=float),
+        multipath=entries("interference.multipath", MirrorPlane,
+                          point=list, normal=list, amplitude=float),
+        dsi_amplitude=get("interference.dsi_amplitude", float),
+        noise_floor=get("interference.noise_floor", float),
     )
 
-    kinds = [parse_kind(k, "config field dataset.kinds")
-             for k in get("dataset.kinds", list, [k.value for k in ActivityKind])]
+    kinds = [parse_kind(k, "config field dataset.kinds") for k in get("dataset.kinds", list)]
     if not kinds:
         raise ConfigError("config field dataset.kinds: must name at least one activity kind")
 
-    quantile = get("denoise.quantile", float, 0.6)
+    quantile = get("denoise.quantile", float)
     if not 0.0 <= quantile < 1.0:
         raise ConfigError(f"config field denoise.quantile: must be in [0, 1), got {quantile}")
 
-    train_fraction = get("dataset.train_fraction", float, 0.23)
+    train_fraction = get("dataset.train_fraction", float)
     if not 0.0 < train_fraction < 1.0:
         raise ConfigError("config field dataset.train_fraction: must be in (0, 1)")
 
-    def train_cfg(net, batch_size, epochs):
-        """The TrainConfig of `training.<net>`, with these defaults."""
-        return _build(f"training.{net}", TrainConfig,
-                      learning_rate=get(f"training.{net}.learning_rate", float, 0.001),
-                      batch_size=get(f"training.{net}.batch_size", int, batch_size),
-                      epochs=get(f"training.{net}.epochs", int, epochs),
-                      val_fraction=get(f"training.{net}.val_fraction", float, 0.1))
+    train = dict(learning_rate=float, batch_size=int, epochs=int, val_fraction=float)
 
-    n_activities = get("dataset.n_activities", int, 200, low=1)
-    try:
-        duration_s = check_duration(get("dataset.duration_s", float, 5.0))
-    except ValueError as exc:
-        raise ConfigError(f"config field dataset.duration_s: {exc}")
-    dt = get("dataset.dt", float, 0.1)
+    n_activities = get("dataset.n_activities", int, low=1)
+    duration_s = _build("dataset.duration_s", check_duration, get("dataset.duration_s", float))
+    dt = get("dataset.dt", float)
     if not 0.0 < dt <= duration_s / 2:
         raise ConfigError(f"config field dataset.dt: must be positive and leave at least "
                           f"2 frames of dataset.duration_s {duration_s}, got {dt}")
 
-    sample_rate_hz = get("waveform.sample_rate_hz", float, 16e3)
+    sample_rate_hz = get("waveform.sample_rate_hz", float)
     if not 0.0 < sample_rate_hz < np.inf:
         raise ConfigError(f"config field waveform.sample_rate_hz: must be positive and finite, "
                           f"got {sample_rate_hz}")
-    bandwidth_hz = get("waveform.bandwidth_hz", float, 8e3)
+    bandwidth_hz = get("waveform.bandwidth_hz", float)
     if not 0.0 < bandwidth_hz <= sample_rate_hz:
         raise ConfigError(f"config field waveform.bandwidth_hz: must be in (0, sample rate "
                           f"{sample_rate_hz:g}], got {bandwidth_hz}")
@@ -244,40 +241,31 @@ def parse_config(data: dict) -> ExperimentConfig:
     if abs(cpi_samples - round(cpi_samples)) > 1e-6 or round(cpi_samples) < 2:
         raise ConfigError(f"config field dataset.dt: a frame of {dt} s holds {cpi_samples:.8g} "
                           f"samples at {sample_rate_hz:g} Hz, not a whole number of at least 2")
-    try:
-        doppler_span_hz = check_doppler_span(
-            get("processing.doppler_span_hz", float, 100.0), sample_rate_hz)
-    except ValueError as exc:
-        raise ConfigError(f"config field processing.doppler_span_hz: {exc}")
+    doppler_span_hz = _build("processing.doppler_span_hz", check_doppler_span,
+                             get("processing.doppler_span_hz", float), sample_rate_hz)
 
     cfg = ExperimentConfig(
         seed=seed,
         geometry=geometry,
         bandwidth_hz=bandwidth_hz,
         sample_rate_hz=sample_rate_hz,
-        scatterer=_build("scatterer", ScattererModel,
-                         path_loss_exponent=get("scatterer.path_loss_exponent", float, 2.0)),
+        scatterer=section("scatterer", ScattererModel, path_loss_exponent=float),
         interference=interference,
         doppler_span_hz=doppler_span_hz,
-        doppler_oversample=get("processing.doppler_oversample", int, 4, low=1),
+        doppler_oversample=get("processing.doppler_oversample", int, low=1),
         denoise_quantile=quantile,
         n_activities=n_activities,
         duration_s=duration_s,
         dt=dt,
         kinds=kinds,
-        start_jitter_m=get("dataset.start_jitter_m", float, 0.25, low=0.0),
+        start_jitter_m=get("dataset.start_jitter_m", float, low=0.0),
         train_fraction=train_fraction,
-        vel_train=train_cfg("vel", 64, 60),
-        opt_train_cfg=train_cfg("opt", 128, 40),
-        opt_pairs=get("training.opt.n_pairs", int, 1024, low=1),
-        opt_window=get("training.opt.window", int, 30, low=2),
-        opt_config=_build(
-            "optimization", OptConfig,
-            optr=get("optimization.optr", float, 0.01),
-            max_epochs=get("optimization.max_epochs", int, 50),
-            tol=get("optimization.tol", float, 1e-4),
-            period=get("optimization.period", int, 50),
-        ),
+        vel_train=section("training.vel", TrainConfig, **train),
+        opt_train_cfg=section("training.opt", TrainConfig, **train),
+        opt_pairs=get("training.opt.n_pairs", int, low=1),
+        opt_window=get("training.opt.window", int, low=2),
+        opt_config=section("optimization", OptConfig,
+                           optr=float, max_epochs=int, tol=float, period=int),
     )
     if cfg.opt_config.period < 2:  # OptConfig takes 1: an oracle predictor can run it
         raise ConfigError(f"config field optimization.period: must be >= 2, the frames a drift "

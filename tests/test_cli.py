@@ -99,6 +99,24 @@ def test_removed_clean_iterations_exits_2(tmp_path, capsys, where):
     assert not (tmp_path / "ds").exists()
 
 
+@pytest.mark.parametrize("change, message", [
+    (lambda d: d["interference"].pop("noise_floor"),
+     "missing required config field: interference.noise_floor"),
+    (lambda d: d.update(geometry=5), "config field geometry: expected an object, got 5"),
+])
+def test_missing_or_non_object_config_node_exits_2(tmp_path, capsys, change, message):
+    # no field has a default: a config that leaves one out is refused, not filled in
+    data = tiny_config_dict()
+    change(data)
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps(data))
+    rc = main(["build-dataset", "--config", str(path), "--out", str(tmp_path / "ds")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == f"error: {message}\n"
+    assert not (tmp_path / "ds").exists()
+
+
 def test_config_setting_removed_cpi_exits_2(tmp_path, capsys):
     data = tiny_config_dict()
     data["processing"]["cpi_s"] = 0.1

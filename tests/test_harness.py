@@ -1,7 +1,8 @@
 import json
 import re
 import shutil
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,33 +18,36 @@ from dopplerpose.motion import (
     differentiate,
     generate_activity,
 )
-from dopplerpose.poseopt import OptModel, opt_train
-from dopplerpose.velest import VelModel, vel_train
-from dopplerpose.wavesim import generate_waveform, synthesize_reference, synthesize_surveillance
+from dopplerpose.poseopt import OptConfig, OptModel, opt_train
+from dopplerpose.velest import TrainConfig, VelModel, vel_train
+from dopplerpose.wavesim import (
+    Clutter,
+    Geometry,
+    InterferenceConfig,
+    MirrorPlane,
+    ScattererModel,
+    generate_waveform,
+    synthesize_reference,
+    synthesize_surveillance,
+)
+
+
+DEFAULT_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.json"
+# configs/default.json at test size: one clutter reflector, more noise, tiny training
+TINY = {"seed": 3, "interference.noise_floor": 0.3,
+        "interference.clutter": [{"position": [2.5, 5.0, 0.5], "amplitude": 0.6}],
+        "dataset.n_activities": 6, "dataset.duration_s": 3.0,
+        "dataset.kinds": ["W+", "SU", "HT"], "dataset.start_jitter_m": 0.2,
+        "dataset.train_fraction": 0.5, "training.vel.epochs": 1, "training.opt.epochs": 1,
+        "training.opt.n_pairs": 8, "training.opt.window": 10,
+        "optimization.max_epochs": 5, "optimization.period": 10}
 
 
 def tiny_config_dict(**overrides):
-    data = {
-        "schema_version": 1,
-        "seed": 3,
-        "geometry": {"tx_pos": [-4, 8, 1.5], "rx_sur_pos": [0, 8, 1.0],
-                     "rx_ref_pos": [-3.8, 8, 1.5]},
-        "waveform": {"bandwidth_hz": 8000.0, "sample_rate_hz": 16000.0},
-        "interference": {"dsi_amplitude": 0.05, "noise_floor": 0.3,
-                         "clutter": [{"position": [2.5, 5.0, 0.5], "amplitude": 0.6}],
-                         "multipath": [{"point": [3.5, 0, 0], "normal": [1, 0, 0],
-                                        "amplitude": 0.25}]},
-        "processing": {"doppler_span_hz": 100.0, "doppler_oversample": 4},
-        "denoise": {"quantile": 0.6},
-        "dataset": {"n_activities": 6, "duration_s": 3.0, "dt": 0.1,
-                    "kinds": ["W+", "SU", "HT"], "start_jitter_m": 0.2,
-                    "train_fraction": 0.5},
-        "training": {"vel": {"epochs": 1}, "opt": {"epochs": 1, "n_pairs": 8,
-                                                   "window": 10}},
-        "optimization": {"optr": 0.01, "max_epochs": 5, "period": 10},
-    }
-    harness.apply_overrides(data, [f"{k}={json.dumps(v)}" for k, v in overrides.items()])
-    return data
+    """configs/default.json with TINY's and then `overrides`' values set by `apply_overrides`."""
+    data = json.loads(DEFAULT_CONFIG.read_text(encoding="utf-8"))
+    return harness.apply_overrides(
+        data, [f"{k}={json.dumps(v)}" for k, v in {**TINY, **overrides}.items()])
 
 
 @pytest.fixture(scope="module")
@@ -54,13 +58,95 @@ def dataset(tmp_path_factory):
     return cfg, out, manifest
 
 
+def _plain(obj):
+    """A parsed config as nested dicts and lists of (type name, value), for `==`."""
+    if is_dataclass(obj):
+        return {f.name: _plain(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, (list, np.ndarray)):
+        return [_plain(v) for v in obj]
+    return type(obj).__name__, obj
+
+
+def _delete(data: dict, path: str) -> dict:
+    """`data` without the node at a dotted path (a numeric component indexes a list)."""
+    *parents, last = path.split(".")
+    node = data
+    for p in parents:
+        node = node[int(p)] if isinstance(node, list) else node[p]
+    del node[last]
+    return data
+
+
+DEFAULT_LEAVES = list(harness._leaf_paths(json.loads(DEFAULT_CONFIG.read_text(encoding="utf-8"))))
+# every section and list of objects of the file: the leaves' prefixes that end in a key
+DEFAULT_NODES = list(dict.fromkeys(
+    ".".join(parts[:n]) for parts in (leaf.split(".") for leaf in DEFAULT_LEAVES)
+    for n in range(1, len(parts)) if not parts[n - 1].isdigit()))
+
+
 class TestConfig:
-    def test_parse_defaults(self):
-        cfg = harness.parse_config(tiny_config_dict())
-        assert cfg.seed == 3
-        assert cfg.interference.dsi_amplitude == 0.05
-        assert len(cfg.kinds) == 3
-        assert cfg.opt_config.period == 10
+    def test_default_file_parses_field_for_field(self):
+        # the values of configs/default.json, written out: a code default that
+        # disagreed with the file no longer exists to take over
+        want = harness.ExperimentConfig(
+            seed=0,
+            geometry=Geometry(tx_pos=[-4.0, 8.0, 1.5], rx_sur_pos=[0.0, 8.0, 1.0],
+                              rx_ref_pos=[-3.8, 8.0, 1.5], carrier_hz=5.8e9),
+            bandwidth_hz=8000.0,
+            sample_rate_hz=16000.0,
+            scatterer=ScattererModel(path_loss_exponent=2.0),
+            interference=InterferenceConfig(
+                dsi_amplitude=0.05,
+                clutter=[Clutter(position=[2.5, 5.0, 0.5], amplitude=0.6),
+                         Clutter(position=[-2.0, 10.0, 1.2], amplitude=0.8)],
+                multipath=[MirrorPlane(point=[3.5, 0.0, 0.0], normal=[1.0, 0.0, 0.0],
+                                       amplitude=0.25)],
+                noise_floor=0.1),
+            doppler_span_hz=100.0,
+            doppler_oversample=4,
+            denoise_quantile=0.6,
+            n_activities=200,
+            duration_s=5.0,
+            dt=0.1,
+            kinds=[ActivityKind(k) for k in ("W+", "W-", "TR", "SD", "SU", "HT", "CV", "PU",
+                                             "BR")],
+            start_jitter_m=0.25,
+            train_fraction=0.23,
+            vel_train=TrainConfig(learning_rate=0.001, batch_size=64, epochs=80,
+                                  val_fraction=0.1),
+            opt_train_cfg=TrainConfig(learning_rate=0.001, batch_size=128, epochs=40,
+                                      val_fraction=0.1),
+            opt_pairs=1024,
+            opt_window=30,
+            opt_config=OptConfig(optr=0.01, max_epochs=50, tol=1e-4, period=50),
+        )
+        assert _plain(harness.load_config(DEFAULT_CONFIG)) == _plain(want)
+
+    def test_required_paths_cover_sections_and_lists(self):
+        assert {"interference", "interference.clutter", "interference.multipath",
+                "training", "training.vel", "training.opt"} <= set(DEFAULT_NODES)
+        assert {"interference.noise_floor", "interference.clutter.1.amplitude",
+                "training.vel.epochs"} <= set(DEFAULT_LEAVES)
+
+    @pytest.mark.parametrize("path", DEFAULT_LEAVES + DEFAULT_NODES)
+    def test_every_path_of_default_file_required(self, path):
+        data = _delete(json.loads(DEFAULT_CONFIG.read_text(encoding="utf-8")), path)
+        with pytest.raises(ConfigError,
+                           match=f"^missing required config field: {re.escape(path)}$"):
+            harness.parse_config(data)
+
+    # the first node on the path that is not an object is named, not a field under it
+    NOT_OBJECTS = [(None, "(top level)"), ({"geometry": 5}, "geometry"),
+                   ({"optimization": []}, "optimization"), ({"dataset": "x"}, "dataset"),
+                   ({"interference": {"clutter": [1]}}, "interference.clutter.0")]
+
+    @pytest.mark.parametrize("overrides, where", NOT_OBJECTS,
+                             ids=[where for _, where in NOT_OBJECTS])
+    def test_non_object_node_named(self, overrides, where):
+        data = [tiny_config_dict()] if overrides is None else tiny_config_dict(**overrides)
+        with pytest.raises(ConfigError, match=re.escape(
+                f"config field {where}: expected an object, got ")):
+            harness.parse_config(data)
 
     def test_missing_field_named(self):
         data = tiny_config_dict()
@@ -202,7 +288,8 @@ class TestConfig:
                  ("seed", 1.5), ("processing.doppler_oversample", 1.9),
                  ("dataset.n_activities", "20"), ("training.vel.epochs", True),
                  ("dataset.dt", "0.1"), ("optimization.tol", False),
-                 ("geometry.tx_pos", "[0, 0, 0]")]
+                 ("geometry.tx_pos", "[0, 0, 0]"), ("dataset.duration_s", "lots"),
+                 ("processing.doppler_span_hz", "lots")]
 
     @pytest.mark.parametrize("path,value", BAD_TYPES, ids=[
         p if v == "lots" else f"{p}={json.dumps(v)}" for p, v in BAD_TYPES])
@@ -347,7 +434,8 @@ class TestBuildDataset:
     def test_zero_interference_makes_m_equal_s(self):
         # the full channel, processed like S (no CLEAN), adds nothing to S
         data = tiny_config_dict()
-        data["interference"] = {"dsi_amplitude": 0.0, "noise_floor": 0.0}
+        data["interference"] = {"dsi_amplitude": 0.0, "noise_floor": 0.0,
+                                "clutter": [], "multipath": []}
         cfg = harness.parse_config(data)
         for i, kind in enumerate(cfg.kinds[:2]):
             pose, s, _, _ = harness.simulate_activity(cfg, kind, cfg.seed + i)
